@@ -171,7 +171,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    budget = _budget_from_env()
+    try:
+        budget = _budget_from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     failures = 0
     for name in FIXTURE_NAMES:
         model = load_fixture(name)

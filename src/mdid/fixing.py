@@ -1,5 +1,5 @@
-"""The fixing operator: single vertices, within-district sets, and partial
-order schedules acting jointly on graphs and kernel expressions.
+"""The fixing operator: single vertices on a graph and kernel, and partial
+order schedules of vertex sets over a missing-data model.
 
 Schedule semantics.  A schedule is a partial order over disjoint classes of a
 fix set.  Each class is processed in a subproblem built from *its own*
@@ -15,11 +15,16 @@ an explicit m-separation check, and selection indicators pinned to 1.
 
 Selected-to-1 markers propagate to later subproblems and are auto-conditioned
 in every separation query; they are never fixable.
+
+``validate_schedule`` runs a schedule: it checks every class in the order of
+the schedule's linear extension and returns the SchedulePlan, which holds
+each class denominator and the subproblem after the whole schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import kernel as K
@@ -108,11 +113,18 @@ def fixable_sequence_to(g: Cadmg, target: frozenset[str]) -> list[str] | None:
 @dataclass(frozen=True)
 class FixingSchedule:
     """Partial order over disjoint classes, each with a promotion set: the
-    censored variables kept visible while the class is processed."""
+    censored variables kept visible while the class is processed.
+
+    Construction rejects cycles and computes, in one topological pass that
+    always takes the smallest ready index, the linear extension and every
+    strict predecessor cone.
+    """
 
     classes: tuple[frozenset[str], ...]
     order: tuple[tuple[int, int], ...] = ()
     promotions: tuple[frozenset[str], ...] = ()
+    _cones: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _linear: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(frozenset(c) for c in self.classes))
@@ -129,53 +141,44 @@ class FixingSchedule:
             if seen & c:
                 raise FixError("classes must be pairwise disjoint")
             seen |= c
+        preds: list[list[int]] = [[] for _ in range(n)]
+        succs: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.order:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise FixError(f"bad order pair {(i, j)}")
-        if any(i in self._reachable_preds(i) for i in range(n)):
+            preds[j].append(i)
+            succs[i].append(j)
+        waiting = [len(p) for p in preds]
+        ready = [i for i in range(n) if not waiting[i]]
+        cones: list[frozenset[int]] = [frozenset()] * n
+        linear: list[int] = []
+        while ready:
+            i = heapq.heappop(ready)
+            linear.append(i)
+            cones[i] = frozenset(preds[i]).union(*(cones[p] for p in preds[i]))
+            for j in succs[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heapq.heappush(ready, j)
+        if len(linear) != n:
             raise FixError("schedule order contains a cycle")
+        object.__setattr__(self, "_cones", tuple(cones))
+        object.__setattr__(self, "_linear", tuple(linear))
 
     @property
     def n(self) -> int:
         return len(self.classes)
 
-    def _reachable_preds(self, k: int) -> frozenset[int]:
-        preds: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for i, j in self.order:
-            preds[j].add(i)
-        seen: set[int] = set()
-        work = list(preds[k])
-        while work:
-            i = work.pop()
-            if i not in seen:
-                seen.add(i)
-                work += list(preds[i])
-        return frozenset(seen)
-
     def cone(self, k: int | None = None) -> frozenset[int]:
         """Strict predecessor cone of class k (all classes when k is None)."""
         if k is None:
             return frozenset(range(self.n))
-        return self._reachable_preds(k) - {k}
+        return self._cones[k]
 
     def linear_extension(self) -> tuple[int, ...]:
-        remaining = set(range(self.n))
-        out = []
-        while remaining:
-            ready = sorted(i for i in remaining if self.cone(i) <= set(out))
-            if not ready:
-                raise FixError("schedule order contains a cycle")
-            out.append(ready[0])
-            remaining.discard(ready[0])
-        return tuple(out)
+        return self._linear
 
-    def class_of(self, member: str) -> int | None:
-        for i, c in enumerate(self.classes):
-            if member in c:
-                return i
-        return None
-
-    def describe(self, final: str | None = None) -> str:
+    def describe(self) -> str:
         bits = []
         for i in self.linear_extension():
             pred = sorted("{%s}" % ",".join(sorted(self.classes[j]))
@@ -244,8 +247,8 @@ def _plain_kernel(md: MdDag) -> Expr:
 class SchedulePlan:
     """Lazily executes a schedule over a model, memoizing per-class results.
 
-    Raises ScheduleInvalid on the first violated condition unless ``probe``
-    callers catch it; ``validate`` wraps this into a report.
+    Raises ScheduleInvalid on the first violated condition;
+    ``validate_schedule`` runs every class and turns that into a result.
     """
 
     def __init__(self, md: MdDag, sched: FixingSchedule):
@@ -254,7 +257,6 @@ class SchedulePlan:
         self._sub: dict[object, Subproblem] = {}
         self._rz: dict[int, frozenset[str]] = {}
         self._den: dict[int, Expr] = {}
-        self._factors: dict[int, list[Expr]] = {}
         self.notes: list[str] = []
 
     # -- cone state ---------------------------------------------------------
@@ -374,11 +376,6 @@ class SchedulePlan:
             self._check_class(k)
         return self._den[k]
 
-    def class_factors(self, k: int) -> list[Expr]:
-        if k not in self._factors:
-            self._check_class(k)
-        return self._factors[k]
-
     def _check_class(self, k: int) -> None:
         sched = self.sched
         md = self.md
@@ -489,24 +486,9 @@ class SchedulePlan:
             if pins:
                 fac = K.restrict_values(fac, pins)
             factors.append(fac)
-        self._factors[k] = factors
         self._den[k] = K.product(factors) if len(factors) > 1 else factors[0]
 
     # -- results --------------------------------------------------------------
-
-    def step_result(self, k: int) -> FixStepResult:
-        sub = self.subproblem(k)
-        den = self.class_denominator(k)
-        z = self.sched.classes[k]
-        rz_new = frozenset(r for r in self.r_z(k)
-                           if r in sub.graph and sub.graph.vertex(r).status == RANDOM)
-        pins = {r: 1 for r in (z & self.md.indicators) | rz_new}
-        g2 = sub.graph.with_statuses(fixed=z, selected={r: 1 for r in rz_new})
-        kern = K.quotient(sub.kernel, den)
-        if pins:
-            kern = K.restrict_values(kern, {p: v for p, v in pins.items()
-                                            if p in kern.free()})
-        return FixStepResult(g2, kern, den)
 
     def final(self) -> Subproblem:
         return self.subproblem(None)
@@ -522,49 +504,3 @@ def validate_schedule(md: MdDag, sched: FixingSchedule):
     except ScheduleInvalid as exc:
         return False, exc.violation, plan
     return True, None, plan
-
-
-def apply_schedule(md: MdDag, sched: FixingSchedule):
-    """Validated execution: per-class step results plus the final kernel."""
-    ok, violation, plan = validate_schedule(md, sched)
-    if not ok:
-        raise ScheduleInvalid(violation)
-    steps = {k: plan.step_result(k) for k in sched.linear_extension()}
-    final = plan.final()
-    return steps, final, plan
-
-
-# ---------------------------------------------------------------------------
-# set fixing on a raw graph (single subproblem, possibly several classes)
-# ---------------------------------------------------------------------------
-
-
-def _adhoc_schedule(md: MdDag, classes: Sequence[Iterable[str]],
-                    visible: Iterable[str] | None) -> FixingSchedule:
-    vis = frozenset(md.truths if visible is None else visible)
-    cl = tuple(frozenset(c) for c in classes)
-    return FixingSchedule(cl, (), tuple(vis for _ in cl))
-
-
-def is_fixable_set(md: MdDag, z: Iterable[str],
-                   visible: Iterable[str] | None = None):
-    """Conditions for fixing the set in the (possibly projected) model graph;
-    returns (ok, violation-or-None, r_z)."""
-    sched = _adhoc_schedule(md, [z], visible)
-    plan = SchedulePlan(md, sched)
-    try:
-        plan.class_denominator(0)
-    except ScheduleInvalid as exc:
-        return False, exc.violation, plan._rz.get(0, frozenset())
-    return True, None, plan.r_z(0)
-
-
-def fix_set(md: MdDag, classes: Sequence[Iterable[str]],
-            visible: Iterable[str] | None = None) -> FixStepResult:
-    """Fix several within-district classes in parallel in one subproblem."""
-    sched = _adhoc_schedule(md, classes, visible)
-    plan = SchedulePlan(md, sched)
-    dens = [plan.class_denominator(k) for k in range(sched.n)]
-    sub = plan.subproblem(None)
-    den = K.product(dens) if len(dens) > 1 else dens[0]
-    return FixStepResult(sub.graph, sub.kernel, den)

@@ -158,10 +158,6 @@ class Cadmg:
     def selected_vertices(self) -> frozenset[str]:
         return frozenset(n for n, v in self._vertices.items() if v.status == SELECTED)
 
-    def selected_values(self) -> dict[str, object]:
-        return {n: v.selected_value for n, v in self._vertices.items()
-                if v.status == SELECTED}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cadmg):
             return NotImplemented
@@ -225,9 +221,6 @@ class Cadmg:
     def ancestors(self, targets: Iterable[str]) -> frozenset[str]:
         """Reflexive ancestor closure, disjunctive over the target set."""
         return self._closure(self._require(targets), self._parents)
-
-    def nondescendants(self, targets: Iterable[str]) -> frozenset[str]:
-        return frozenset(self._vertices) - self.descendants(targets)
 
     # -- districts and blankets ---------------------------------------------
 
@@ -336,39 +329,3 @@ class Cadmg:
         if len(out) != len(self._vertices):
             raise GraphError("graph contains a directed cycle")
         return tuple(out)
-
-
-_GENEALOGY_KINDS = ("parents", "children", "descendants", "ancestors",
-                    "nondescendants")
-
-
-@dataclass(frozen=True)
-class VertexSetQuery:
-    """A genealogic query: one of the standard set kinds over target vertices."""
-
-    kind: str
-    targets: frozenset[str]
-
-    def __post_init__(self):
-        if self.kind not in _GENEALOGY_KINDS:
-            raise GraphError(f"unknown genealogy kind {self.kind!r}")
-        object.__setattr__(self, "targets", frozenset(self.targets))
-
-
-def genealogy(g: Cadmg, query: VertexSetQuery | str,
-              targets: Iterable[str] | None = None) -> frozenset[str]:
-    """Dispatch for the standard genealogic sets."""
-    if isinstance(query, VertexSetQuery):
-        kind, targets = query.kind, query.targets
-    else:
-        kind = query
-        if kind not in _GENEALOGY_KINDS:
-            raise GraphError(f"unknown genealogy kind {kind!r}")
-    fns = {
-        "parents": g.parents,
-        "children": g.children,
-        "descendants": g.descendants,
-        "ancestors": g.ancestors,
-        "nondescendants": g.nondescendants,
-    }
-    return fns[kind](targets or ())

@@ -18,10 +18,11 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import kernel as K
-from .fixing import (FixingSchedule, SchedulePlan, Violation,
+from .fixing import (FixError, FixingSchedule, SchedulePlan, Violation,
                      validate_schedule)
 from .kernel import Expr
 from .missing import (ancestral_precondition, ancestral_schedule,
@@ -38,8 +39,9 @@ class SearchBudget:
     time_limit: float = 120.0
 
     def __post_init__(self):
+        # `not time_limit > 0` also rejects NaN; math.inf stays valid
         if min(self.max_set_size, self.max_latent_subsets,
-               self.max_schedules) <= 0 or self.time_limit <= 0:
+               self.max_schedules) <= 0 or not self.time_limit > 0:
             raise ValueError("budget fields must be positive")
 
 
@@ -69,46 +71,57 @@ class IdReport:
 # ---------------------------------------------------------------------------
 
 ClassKey = frozenset
-State = tuple  # (classes: frozenset[ClassKey], edges: frozenset[(ClassKey, ClassKey)], hidden: frozenset[str])
 
 
-def _state_key(state: State) -> str:
-    classes, edges, hidden = state
-    cbit = ";".join(",".join(sorted(c)) for c in sorted(classes, key=sorted))
-    ebit = ";".join(",".join(sorted(a)) + ">" + ",".join(sorted(b))
-                    for a, b in sorted(edges, key=lambda e: (sorted(e[0]), sorted(e[1]))))
-    hbit = ",".join(sorted(hidden))
-    return f"[{cbit}][{ebit}][{hbit}]"
+@dataclass(frozen=True)
+class SearchState:
+    """A schedule under construction: its classes, the order edges between
+    them, and the censored variables kept latent."""
+
+    classes: frozenset[ClassKey]
+    edges: frozenset[tuple[ClassKey, ClassKey]]
+    hidden: frozenset[str]
+
+    @cached_property
+    def key(self) -> str:
+        """Canonical text; the last tie-break of the search order."""
+        cbit = ";".join(",".join(sorted(c)) for c in sorted(self.classes, key=sorted))
+        ebit = ";".join(",".join(sorted(a)) + ">" + ",".join(sorted(b))
+                        for a, b in sorted(self.edges,
+                                           key=lambda e: (sorted(e[0]), sorted(e[1]))))
+        hbit = ",".join(sorted(self.hidden))
+        return f"[{cbit}][{ebit}][{hbit}]"
 
 
-def _priority(md: MdDag, state: State) -> tuple:
-    classes, edges, hidden = state
-    non_indicator = sum(1 for c in classes for m in c if m not in md.indicators)
-    return (len(classes) + 3 * non_indicator, len(hidden),
-            sum(len(c) for c in classes), _state_key(state))
+def _priority(md: MdDag, state: SearchState) -> tuple:
+    non_indicator = sum(1 for c in state.classes for m in c if m not in md.indicators)
+    return (len(state.classes) + 3 * non_indicator, len(state.hidden),
+            sum(len(c) for c in state.classes), state.key)
 
 
-def _schedule_from_state(md: MdDag, state: State, target: str,
+def _schedule_from_state(md: MdDag, state: SearchState, target: str,
                          forbid: frozenset[str]) -> FixingSchedule | None:
-    classes, edges, hidden = state
+    """The state's schedule, with every class ordered before the target's
+    singleton class; None when there is no such class or the order has a
+    cycle."""
     final = None
-    for c in classes:
+    for c in state.classes:
         if target in c:
             final = c
     if final is None or len(final) != 1:
         return None
-    ordered = sorted(classes, key=sorted)
+    ordered = sorted(state.classes, key=sorted)
     idx = {c: i for i, c in enumerate(ordered)}
-    order = {(idx[a], idx[b]) for a, b in edges if a in idx and b in idx}
+    order = {(idx[a], idx[b]) for a, b in state.edges if a in idx and b in idx}
     fi = idx[final]
     for c, i in idx.items():
         if i != fi:
             order.add((i, fi))
     try:
         probe = FixingSchedule(tuple(ordered), tuple(order))
-    except Exception:
+    except FixError:
         return None
-    visible_base = md.truths - hidden - forbid
+    visible_base = md.truths - state.hidden - forbid
     proms = []
     for k in range(probe.n):
         rendered = set()
@@ -122,22 +135,13 @@ def _schedule_from_state(md: MdDag, state: State, target: str,
     return FixingSchedule(tuple(ordered), tuple(order), tuple(proms))
 
 
-def _acyclic(classes, edges) -> bool:
-    try:
-        ordered = sorted(classes, key=sorted)
-        idx = {c: i for i, c in enumerate(ordered)}
-        FixingSchedule(tuple(ordered),
-                       tuple((idx[a], idx[b]) for a, b in edges))
-        return True
-    except Exception:
-        return False
-
-
-def _successors(md: MdDag, state: State, sched: FixingSchedule,
+def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
                 viol: Violation, target: str,
-                forbid: frozenset[str]) -> list[State]:
-    classes, edges, hidden = state
-    out: list[State] = []
+                forbid: frozenset[str]) -> list[SearchState]:
+    """Repair moves for the violation.  A move may close a cycle in the
+    order; _schedule_from_state rejects such a state when it is popped."""
+    classes, edges, hidden = state.classes, state.edges, state.hidden
+    out: list[SearchState] = []
     k = viol.class_index
     zk = sched.classes[k] if k is not None and k < sched.n else frozenset({target})
 
@@ -155,21 +159,16 @@ def _successors(md: MdDag, state: State, sched: FixingSchedule,
             if member in md.proxies:
                 return
             nc = frozenset({member})
-            ncl = classes | {nc}
-            ned = edges | {(nc, zk)}
-            if _acyclic(ncl, ned):
-                out.append((ncl, ned, hidden))
-        else:
-            ned = edges | {(holder, zk)}
-            if (holder, zk) not in edges and _acyclic(classes, ned):
-                out.append((classes, ned, hidden))
+            out.append(SearchState(classes | {nc}, edges | {(nc, zk)}, hidden))
+        elif (holder, zk) not in edges:
+            out.append(SearchState(classes, edges | {(holder, zk)}, hidden))
 
     def hide(truth: str):
         if truth not in md.truths or truth in hidden:
             return
         if any(truth in c for c in classes):
             return
-        out.append((classes, edges, hidden | {truth}))
+        out.append(SearchState(classes, edges, hidden | {truth}))
 
     def nonindicator_candidates():
         """Last-resort repairs: fix fully observed or censored ancestors."""
@@ -217,8 +216,7 @@ def _successors(md: MdDag, state: State, sched: FixingSchedule,
                     b2 = newc if b & merged else b
                     if a2 != b2:
                         ned.add((a2, b2))
-                if _acyclic(frozenset(ncl), frozenset(ned)):
-                    out.append((frozenset(ncl), frozenset(ned), hidden))
+                out.append(SearchState(frozenset(ncl), frozenset(ned), hidden))
     elif viol.condition in ("observability", "full"):
         for u in viol.vertices:
             if u in md.truths:
@@ -299,9 +297,9 @@ def identify_indicator(md: MdDag, indicator: str,
             return finish(sched, plan)
         transcript.append(f"{indicator}: ancestral fast path failed: {viol}")
 
-    start: State = (frozenset({frozenset({indicator})}), frozenset(), forbid)
-    heap: list[tuple[tuple, State]] = [(_priority(md, start), start)]
-    seen = {_state_key(start)}
+    start = SearchState(frozenset({frozenset({indicator})}), frozenset(), forbid)
+    heap: list[tuple[tuple, SearchState]] = [(_priority(md, start), start)]
+    seen = {start.key}
     hidden_seen = {forbid}
 
     while heap:
@@ -319,16 +317,15 @@ def identify_indicator(md: MdDag, indicator: str,
         if ok:
             return finish(sched, plan)
         transcript.append(
-            f"{indicator}: {sched.describe()} hidden={sorted(state[2])} -> "
+            f"{indicator}: {sched.describe()} hidden={sorted(state.hidden)} -> "
             f"({viol.condition}) {viol.detail}")
         for nxt in _successors(md, state, sched, viol, indicator, forbid):
-            key = _state_key(nxt)
-            if key in seen:
+            if nxt.key in seen:
                 continue
-            if nxt[2] not in hidden_seen and len(hidden_seen) >= budget.max_latent_subsets:
+            if nxt.hidden not in hidden_seen and len(hidden_seen) >= budget.max_latent_subsets:
                 continue
-            hidden_seen.add(nxt[2])
-            seen.add(key)
+            hidden_seen.add(nxt.hidden)
+            seen.add(nxt.key)
             heapq.heappush(heap, (_priority(md, nxt), nxt))
 
     return IndicatorResult(indicator, "unknown", None, None, transcript, attempts)

@@ -739,12 +739,10 @@ class NamedTable:
         return out
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
-        shape = []
         src = self.data
         order = [d for d in dims if d in self.dims]
         perm = [self.axis(d) for d in order]
         src = np.transpose(src, perm) if perm else src.reshape(())
-        it = iter(order)
         shape = [len(domains[d]) if d in self.dims else 1 for d in dims]
         return src.reshape(shape)
 
@@ -803,6 +801,18 @@ class NamedTable:
         if not mask.any():
             return float("nan")
         return float(np.max(np.abs(a[mask] - b[mask])))
+
+
+def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
+    """Rename axes (names absent from the mapping are kept) and restore the
+    sorted axis order."""
+    dims = tuple(mapping.get(d, d) for d in tab.dims)
+    if len(set(dims)) != len(dims):
+        raise ExprError("axis rename collision")
+    domains = {mapping.get(d, d): dom for d, dom in tab.domains.items()}
+    order = tuple(np.argsort(dims))
+    data = np.transpose(tab.data, order) if tab.dims else tab.data
+    return NamedTable(tuple(sorted(dims)), domains, data)
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:

@@ -1,5 +1,6 @@
-"""Missing-data model operations: law assembly from identified propensities,
-non-identifiability certificates, and the ancestral fast path.
+"""Missing-data model operations: reading proxy axes as censored variables,
+law assembly from identified propensities, non-identifiability
+certificates, and the ancestral fast path.
 
 The target law divides the all-observed slice of the observed law by the
 product of the indicator propensities; proxies then stand for the censored
@@ -17,34 +18,33 @@ import numpy as np
 
 from . import kernel as K
 from .fixing import FixingSchedule
-from .kernel import Expr, NamedTable
-from .model import MdDag
-
-from .oracle import rename_axes
+from .kernel import Expr, NamedTable, rename_axes
+from .model import MISSING_TOKEN, MdDag
 
 
 class AssemblyError(ValueError):
     pass
 
 
-def _project(tab: NamedTable, name: str, keep) -> NamedTable:
-    if name not in tab.dims:
-        return tab
-    ax = tab.axis(name)
-    dom = tab.domains[name]
-    idx = [dom.index(v) for v in keep]
-    domains = dict(tab.domains)
-    domains[name] = tuple(keep)
-    return NamedTable(tab.dims, domains, np.take(tab.data, idx, axis=ax))
+def drop_censored_rows(md: MdDag, tab: NamedTable) -> NamedTable:
+    """Remove the missing-value rows of any proxy axis."""
+    for t in md.triples:
+        if t.proxy in tab.dims:
+            ax = tab.axis(t.proxy)
+            dom = tab.domains[t.proxy]
+            keep = [v for v in dom if v != MISSING_TOKEN]
+            idx = [dom.index(v) for v in keep]
+            domains = dict(tab.domains)
+            domains[t.proxy] = tuple(keep)
+            tab = NamedTable(tab.dims, domains,
+                             np.take(tab.data, idx, axis=ax))
+    return tab
 
 
 def proxy_to_truth_axes(md: MdDag, tab: NamedTable) -> NamedTable:
     """Drop censored rows of proxy axes and rename them to truth names."""
-    for t in md.triples:
-        if t.proxy in tab.dims:
-            dom = tuple(v for v in tab.domains[t.proxy] if v != "?")
-            tab = _project(tab, t.proxy, dom)
-    return rename_axes(tab, {t.proxy: t.truth for t in md.triples})
+    return rename_axes(drop_censored_rows(md, tab),
+                       {t.proxy: t.truth for t in md.triples})
 
 
 @dataclass
@@ -188,9 +188,3 @@ def ancestral_schedule(md: MdDag, indicator: str) -> FixingSchedule:
                 order.append((idx[a], idx[b]))
     proms = tuple(md.truths for _ in classes)
     return FixingSchedule(classes, tuple(order), proms)
-
-
-def ancestral_fast_path(md: MdDag) -> dict[str, FixingSchedule] | None:
-    if not ancestral_precondition(md):
-        return None
-    return {r: ancestral_schedule(md, r) for r in md.sorted_indicators()}

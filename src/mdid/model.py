@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 
 from .graph import Cadmg
 
+# the value a proxy takes when its censored variable is missing
+MISSING_TOKEN = "?"
+
 
 class ModelError(ValueError):
     """Raised when a graph violates the missing-data model structure."""
@@ -65,12 +68,6 @@ class MdDag:
             if name in (t.truth, t.indicator, t.proxy):
                 return t
         raise ModelError(f"{name!r} belongs to no censored-variable triple")
-
-    def indicator_for(self, truth: str) -> str:
-        return self.triple_of(truth).indicator
-
-    def proxy_for(self, truth: str) -> str:
-        return self.triple_of(truth).proxy
 
     def sorted_indicators(self) -> tuple[str, ...]:
         return tuple(sorted(self.indicators))

@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import Cadmg
-from .kernel import NamedTable, evaluate_numeric
-from .model import MdDag, Triple
+from .kernel import NamedTable, evaluate_numeric, rename_axes
+from .missing import drop_censored_rows
+from .model import MISSING_TOKEN, MdDag, Triple
 
-MISSING_TOKEN = "?"
 CPT_FLOOR = 0.01
 
 
@@ -287,21 +287,6 @@ def verify_full_functional(md: MdDag, functional, trials: int = 100,
     return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
 
 
-def drop_censored_rows(md: MdDag, tab: NamedTable) -> NamedTable:
-    """Remove the "?" rows of any proxy axis."""
-    for t in md.triples:
-        if t.proxy in tab.dims:
-            ax = tab.axis(t.proxy)
-            dom = tab.domains[t.proxy]
-            keep = [v for v in dom if v != MISSING_TOKEN]
-            idx = [dom.index(v) for v in keep]
-            domains = dict(tab.domains)
-            domains[t.proxy] = tuple(keep)
-            tab = NamedTable(tab.dims, domains,
-                             np.take(tab.data, idx, axis=ax))
-    return tab
-
-
 def verify_indicator_functional(md: MdDag, indicator: str, expr,
                                 trials: int = 100, seed: int = 0,
                                 cardinality: int = 2) -> VerifyReport:
@@ -326,30 +311,6 @@ def verify_indicator_functional(md: MdDag, indicator: str, expr,
         truth = rename_axes(truth, {t_.truth: t_.proxy for t_ in md.triples})
         errs.append(_compare(truth, got))
     return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
-
-
-def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
-    dims = tuple(mapping.get(d, d) for d in tab.dims)
-    if len(set(dims)) != len(dims):
-        raise OracleError("axis rename collision")
-    domains = {mapping.get(d, d): dom for d, dom in tab.domains.items()}
-    order = tuple(np.argsort(dims))
-    data = np.transpose(tab.data, order) if tab.dims else tab.data
-    return NamedTable(tuple(sorted(dims)), domains, data)
-
-
-def verify_functional(md: MdDag, functional, target: str, trials: int = 100,
-                      seed: int = 0, cardinality: int = 2) -> VerifyReport:
-    """Dispatch on the verification target: "target-law", "full-law" or
-    "indicator:R_i"."""
-    if target == "target-law":
-        return verify_target_functional(md, functional, trials, seed, cardinality)
-    if target == "full-law":
-        return verify_full_functional(md, functional, trials, seed, cardinality)
-    if target.startswith("indicator:"):
-        return verify_indicator_functional(md, target.split(":", 1)[1],
-                                           functional, trials, seed, cardinality)
-    raise OracleError(f"unknown verification target {target!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,3 @@ def latent_project_out(g: Cadmg, hide: Iterable[str]) -> Cadmg:
     for h in sorted(hs):
         out = _eliminate(out, h)
     return out
-
-
-def latent_project(g: Cadmg, keep: Iterable[str]) -> Cadmg:
-    """Project onto keep; fixed and selected vertices are retained
-    automatically."""
-    ks = frozenset(keep)
-    for n in ks:
-        g.vertex(n)
-    return latent_project_out(g, g.random_vertices - ks)

@@ -81,8 +81,3 @@ def m_separated(g: Cadmg, a: Iterable[str], b: Iterable[str],
             elif v not in cond:
                 push(nb, head_at_nb)
     return True
-
-
-def m_connected(g: Cadmg, a: Iterable[str], b: Iterable[str],
-                c: Iterable[str] = ()) -> bool:
-    return not m_separated(g, a, b, c)

@@ -101,6 +101,14 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_fixtures_command_rejects_bad_budget(capsys, monkeypatch, value):
+    monkeypatch.setenv("MDID_BUDGET_MAX_SCHEDULES", value)
+    code, out, err = run_cli(["fixtures", "--trials", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mdid.cli", "check",
                            "fixture:crisscross"], capture_output=True, text=True)

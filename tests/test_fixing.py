@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mdid.fixtures import load
-from mdid.fixing import (FixError, FixingSchedule, apply_schedule,
-                         fix_sequence, fix_set, fix_vertex,
-                         fixable_sequence_to, is_fixable_set,
-                         is_fixable_vertex, validate_schedule)
+from mdid.fixing import (FixError, FixingSchedule, fix_sequence, fix_vertex,
+                         fixable_sequence_to, is_fixable_vertex,
+                         validate_schedule)
 from mdid.graph import Cadmg
 from mdid import kernel as K
+from mdid.missing import drop_censored_rows
 from mdid import oracle as O
 
 from conftest import admg_law, random_admg
@@ -48,15 +48,23 @@ def test_fix_root_is_plain_conditioning():
     assert want.max_abs_diff(got) <= 1e-12
 
 
+def one_subproblem(md, classes, visible=None):
+    """Unordered classes, all processed in the one subproblem of the model
+    graph with the given censored variables visible (all by default)."""
+    vis = md.truths if visible is None else frozenset(visible)
+    cl = tuple(frozenset(c) for c in classes)
+    return FixingSchedule(cl, (), (vis,) * len(cl))
+
+
 def test_is_fixable_set_examples():
     md5 = load("joint_quartet")
     vis = md5.truths - {"X2(1)", "X4(1)"}
-    ok, viol, rz = is_fixable_set(md5, ["R1", "R3"], visible=vis)
-    assert ok and rz == frozenset()
+    ok, viol, plan = validate_schedule(md5, one_subproblem(md5, [["R1", "R3"]], vis))
+    assert ok and plan.r_z(0) == frozenset()
     md3 = load("staggered_trio")
-    ok, viol, rz = is_fixable_set(md3, ["R3"])
+    ok, viol, plan = validate_schedule(md3, one_subproblem(md3, [["R3"]]))
     assert not ok and viol.condition == "iii"
-    assert rz == frozenset({"R2"})
+    assert plan.r_z(0) == frozenset({"R2"})
     # a selected member violates the member conditions
     sched = FixingSchedule((frozenset({"R1"}), frozenset({"R3"})), ((0, 1),),
                            (md3.truths, md3.truths))
@@ -67,28 +75,31 @@ def test_is_fixable_set_examples():
 def test_fix_set_joint_quartet_denominator():
     md5 = load("joint_quartet")
     vis = md5.truths - {"X2(1)", "X4(1)"}
-    step = fix_set(md5, [["R1", "R3"]], visible=vis)
+    ok, viol, plan = validate_schedule(md5, one_subproblem(md5, [["R1", "R3"]], vis))
+    assert ok, viol
     expected = K.product([
         K.restrict_values(
             K.Atom("p", ("R1",), ("R2", "R3", "R4", "X2", "X3", "X4")),
             {"R3": 1}),
         K.Atom("p", ("R3",), ("R2", "R4", "X2", "X4")),
     ])
-    assert step.denominator == expected
-    assert step.graph.fixed_vertices == {"R1", "R3"}
+    assert plan.class_denominator(0) == expected
+    assert plan.final().graph.fixed_vertices == {"R1", "R3"}
 
 
 def test_fix_set_latent_trio_parallel_classes():
     md4 = load("latent_trio")
     vis = md4.truths - {"X1(1)"}
-    step = fix_set(md4, [["R2"], ["R3"]], visible=vis)
+    ok, viol, plan = validate_schedule(md4, one_subproblem(md4, [["R2"], ["R3"]], vis))
+    assert ok, viol
     expected = K.product([
         K.restrict_values(
             K.Atom("p", ("R2",), ("R1", "R3", "X1", "X3")), {"R3": 1}),
         K.restrict_values(
             K.Atom("p", ("R3",), ("R1", "R2", "X2")), {"R2": 1}),
     ])
-    assert step.denominator == expected
+    assert K.product([plan.class_denominator(0),
+                      plan.class_denominator(1)]) == expected
 
 
 def test_singleton_class_reduces_to_vertex_fixing():
@@ -105,37 +116,69 @@ def test_singleton_class_reduces_to_vertex_fixing():
     assert lhs.max_abs_diff(rhs) <= 1e-12
 
 
-def test_apply_schedule_block_sequential_target_kernel():
+def test_schedule_final_kernel_block_sequential():
     md = load("block_sequential")
     sched = FixingSchedule(
         (frozenset({"R1"}), frozenset({"R2"}), frozenset({"R3"})),
         ((0, 1), (1, 2)), (md.truths,) * 3)
-    steps, final, plan = apply_schedule(md, sched)
+    ok, viol, plan = validate_schedule(md, sched)
+    assert ok, viol
+    final = plan.final()
     # the final kernel is the target law over proxies at all indicators one
     law = O.sample_full_law(md, 2, seed=21)
     obs = O.derive_observed_law(md, law)
     got = K.evaluate_numeric(final.kernel, obs)
     truth = O.target_law(md, law)
-    truth = O.rename_axes(truth, {t.truth: t.proxy for t in md.triples})
-    got = O.drop_censored_rows(md, got)
+    truth = K.rename_axes(truth, {t.truth: t.proxy for t in md.triples})
+    got = drop_censored_rows(md, got)
     assert truth.max_abs_diff(got) <= 1e-9
 
 
 def test_empty_schedule_is_identity():
     md = load("block_sequential")
     sched = FixingSchedule((), (), ())
-    steps, final, plan = apply_schedule(md, sched)
-    assert steps == {}
-    assert final.kernel == K.Atom("p", tuple(sorted(md.observed_columns)))
+    ok, viol, plan = validate_schedule(md, sched)
+    assert ok and sched.linear_extension() == ()
+    assert plan.final().kernel == K.Atom("p", tuple(sorted(md.observed_columns)))
 
 
 def test_schedule_structure_errors():
     with pytest.raises(FixError):
         FixingSchedule((frozenset({"A"}), frozenset({"A"})))   # overlap
-    with pytest.raises(FixError):
+    with pytest.raises(FixError, match="cycle"):
         FixingSchedule((frozenset({"A"}), frozenset({"B"})), ((0, 1), (1, 0)))
+    with pytest.raises(FixError, match="cycle"):
+        FixingSchedule(tuple(frozenset({v}) for v in "ABC"),
+                       ((0, 1), (1, 2), (2, 0)))
     with pytest.raises(FixError):
         FixingSchedule((frozenset(),))
+    for pair in ((0, 0), (0, 2), (-1, 1)):
+        with pytest.raises(FixError, match="bad order pair"):
+            FixingSchedule((frozenset({"A"}), frozenset({"B"})), (pair,))
+    with pytest.raises(FixError, match="promotion"):
+        FixingSchedule((frozenset({"A"}),), (), (frozenset(), frozenset()))
+
+
+def test_schedule_cones_and_linear_extension():
+    singletons = tuple(frozenset({v}) for v in "ABCD")
+    # chain 3 -> 1 -> 2 -> 0: cones are transitive
+    chain = FixingSchedule(singletons, ((3, 1), (1, 2), (2, 0)))
+    assert [chain.cone(k) for k in range(4)] == [
+        {1, 2, 3}, {3}, {1, 3}, frozenset()]
+    assert chain.linear_extension() == (3, 1, 2, 0)
+    assert chain.cone(None) == {0, 1, 2, 3}
+    # diamond 2 -> {0, 3} -> 1: the join sees both branches and the root
+    diamond = FixingSchedule(singletons, ((2, 0), (2, 3), (0, 1), (3, 1)))
+    assert diamond.cone(1) == {0, 2, 3}
+    assert diamond.cone(0) == diamond.cone(3) == {2}
+    assert diamond.linear_extension() == (2, 0, 3, 1)
+    assert diamond.describe() == "{C} {A}<-[{C}] {D}<-[{C}] {B}<-[{A};{C};{D}]"
+    # the smallest ready index goes first, not insertion or depth order
+    loose = FixingSchedule(singletons, ((3, 0),))
+    assert loose.linear_extension() == (1, 2, 3, 0)
+    assert FixingSchedule(singletons).linear_extension() == (0, 1, 2, 3)
+    # duplicate pairs collapse; the stored cones do not enter equality
+    assert FixingSchedule(singletons, ((3, 0), (3, 0))) == loose
 
 
 def test_graph_side_order_invariance_random_admgs():
@@ -234,8 +277,8 @@ def test_augmented_total_order_equivalence():
     for s in range(10):
         full = O.sample_full_law(md, 2, seed=400 + s)
         obs = O.derive_observed_law(md, full)
-        got = O.drop_censored_rows(md, K.evaluate_numeric(q_r1, obs))
-        got = O.rename_axes(got, {"X2": "X2(1)"})
+        got = drop_censored_rows(md, K.evaluate_numeric(q_r1, obs))
+        got = K.rename_axes(got, {"X2": "X2(1)"})
         aug = full.dense(frozenset(aug_graph.vertex_names), name="aug")
         g2, tab = _numeric_fix_total_order(aug_graph, aug.table, ["R2", "R3"])
         tab = tab.take({"R2": 1, "R3": 1})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdid.fixtures import load
-from mdid.graph import Cadmg, GraphError, Vertex, genealogy
+from mdid.graph import Cadmg, GraphError, Vertex
 
 from conftest import random_admg
 
@@ -34,7 +34,6 @@ def test_genealogy_on_staggered_trio():
     md = load("staggered_trio")
     g = md.graph
     assert g.parents(["R2"]) == {"X1(1)", "R3"}
-    assert genealogy(g, "parents", ["R2"]) == {"X1(1)", "R3"}
     assert g.descendants([]) == frozenset()
     with pytest.raises(GraphError):
         g.parents(["nope"])
@@ -121,15 +120,6 @@ def test_induced_subgraph_idempotent(seed, n):
     assert once.induced_subgraph(keep) == once
 
 
-def test_vertex_set_query_type():
-    from mdid.graph import VertexSetQuery
-    md = load("staggered_trio")
-    q = VertexSetQuery("parents", frozenset({"R2"}))
-    assert genealogy(md.graph, q) == {"X1(1)", "R3"}
-    with pytest.raises(GraphError):
-        VertexSetQuery("cousins", frozenset())
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 7))
 def test_markov_blanket_licenses_separation(seed, n):
@@ -140,9 +130,10 @@ def test_markov_blanket_licenses_separation(seed, n):
     from mdid.separation import m_separated
     g = random_admg(np.random.default_rng(seed), n)
     for v in g.random_vertices:
-        upper = g.induced_subgraph(g.nondescendants([v]) | {v})
+        nondesc = frozenset(g.vertex_names) - g.descendants([v])
+        upper = g.induced_subgraph(nondesc | {v})
         mb = upper.markov_blanket([v])
-        others = g.nondescendants([v]) - mb - {v}
+        others = nondesc - mb - {v}
         if others:
             assert m_separated(g, [v], others, mb)
         if is_fixable_vertex(g, v):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mdid.fixing import FixingSchedule, validate_schedule
 from mdid.identify import (SearchBudget, identify_full, identify_indicator,
                            identify_target)
 from mdid import kernel as K
+from mdid.missing import drop_censored_rows
 from mdid.model import md_dag
 from mdid import oracle as O
 
@@ -135,6 +138,9 @@ def test_verdict_monotone_in_budget():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_schedules=0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_limit=float("nan"))
+    assert SearchBudget(time_limit=math.inf).time_limit == math.inf
 
 
 def test_fast_path_consistency():
@@ -155,8 +161,8 @@ def test_fast_path_consistency():
             for s in range(5):
                 full = O.sample_full_law(md, 2, seed=600 + s)
                 obs = O.derive_observed_law(md, full)
-                a = O.drop_censored_rows(md, K.evaluate_numeric(fast.propensity, obs))
-                b = O.drop_censored_rows(md, K.evaluate_numeric(slow.propensity, obs))
+                a = drop_censored_rows(md, K.evaluate_numeric(fast.propensity, obs))
+                b = drop_censored_rows(md, K.evaluate_numeric(slow.propensity, obs))
                 rpar = md.graph.parents([r]) & md.indicators
                 a = a.take({x: 1 for x in rpar if x in a.dims})
                 b = b.take({x: 1 for x in rpar if x in b.dims})

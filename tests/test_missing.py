@@ -5,8 +5,9 @@ from mdid.fixtures import load
 from mdid.fixing import validate_schedule
 from mdid.graph import Cadmg
 from mdid import kernel as K
-from mdid.missing import (AssemblyError, ancestral_fast_path,
-                          ancestral_precondition, ancestral_schedule,
+from mdid.fixing import FixingSchedule
+from mdid.missing import (AssemblyError, ancestral_precondition,
+                          ancestral_schedule,
                           assemble_full_law, assemble_target_law,
                           colluder_scan)
 from mdid.model import ModelError, Triple, md_dag, validate_md_dag
@@ -38,9 +39,8 @@ def test_ancestral_precondition_and_schedules():
     # edges: the precondition holds and schedules are empty chains
     md = load("crisscross")
     assert ancestral_precondition(md)
-    scheds = ancestral_fast_path(md)
-    assert set(scheds) == set(md.sorted_indicators())
-    for r, s in scheds.items():
+    for r in md.sorted_indicators():
+        s = ancestral_schedule(md, r)
         assert s.classes == (frozenset({r}),)
         ok, viol, _plan = validate_schedule(md, s)
         assert ok, viol
@@ -133,10 +133,8 @@ def test_always_observed_indicators_make_proxies_exact():
 
 
 def test_singleton_class_without_selection_degenerates_to_plain_division():
-    from mdid.fixing import fix_set
-    md = md_dag([], ["X1", "X2"])
-    step = fix_set(md, [["R1"]])
-    assert step.denominator == K.Atom("p", ("R1",))
-    md2 = load("block_sequential")
-    step2 = fix_set(md2, [["R1"]])
-    assert step2.denominator == K.Atom("p", ("R1",))
+    for md in (md_dag([], ["X1", "X2"]), load("block_sequential")):
+        sched = FixingSchedule((frozenset({"R1"}),), (), (md.truths,))
+        ok, viol, plan = validate_schedule(md, sched)
+        assert ok, viol
+        assert plan.class_denominator(0) == K.Atom("p", ("R1",))

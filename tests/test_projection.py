@@ -5,7 +5,7 @@ from itertools import combinations
 
 from mdid.fixtures import load
 from mdid.graph import GraphError
-from mdid.projection import latent_project, latent_project_out
+from mdid.projection import latent_project_out
 from mdid.separation import m_separated
 from mdid import oracle as O
 
@@ -35,7 +35,7 @@ def test_joint_quartet_projection_matches_expected_edges():
 
 def test_identity_and_errors():
     md = load("latent_trio")
-    assert latent_project(md.graph, md.graph.vertex_names) == md.graph
+    assert latent_project_out(md.graph, ()) == md.graph
     g = md.graph.with_statuses(fixed=["R1"])
     with pytest.raises(GraphError):
         latent_project_out(g, ["R1"])
@@ -64,7 +64,7 @@ def test_markov_soundness_of_projection():
         keep = [v for v in g.vertex_names if rng.uniform() < 0.7]
         if len(keep) < 3:
             continue
-        proj = latent_project(g, keep)
+        proj = latent_project_out(g, g.random_vertices - set(keep))
         law = O.sample_dag_law(g, 2, seed=int(rng.integers(1_000_000)))
         margin = law.dense(keep, name="p")
         names = sorted(proj.random_vertices)

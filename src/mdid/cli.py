@@ -20,12 +20,12 @@ import sys
 
 from . import kernel as K
 from .fixtures import FIXTURE_NAMES, load as load_fixture
-from .gfile import ParseError, parse_graph_file
+from .gfile import parse_graph_file
 from .graph import Cadmg
 from .identify import IdReport, SearchBudget, identify_full, identify_target, \
     identify_indicator
 from .missing import colluder_scan
-from .model import MdDag, ModelError
+from .model import MdDag
 from . import oracle as O
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _report_payload(report: IdReport, latex: bool) -> dict:
 def cmd_check(args) -> int:
     try:
         model = _load(args.graph)
-    except (ParseError, ModelError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     payload: dict = {"kind": type(model).__name__}
@@ -131,7 +131,7 @@ def cmd_identify(args) -> int:
                   file=sys.stderr)
             return EXIT_ERROR
         report = _run_query(model, args.query, _budget_from_env())
-    except (ParseError, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _emit(_report_payload(report, args.latex), args.json)
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
             print("error: verification needs a missing-data model", file=sys.stderr)
             return EXIT_ERROR
         report = _run_query(model, args.query, _budget_from_env())
-    except (ParseError, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if report.status != "identified":

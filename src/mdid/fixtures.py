@@ -28,5 +28,5 @@ def fixture_text(name: str) -> str:
 
 def load(name: str) -> MdDag | Cadmg:
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
+        raise ValueError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     return parse_graph_file(fixture_text(name))

@@ -14,21 +14,13 @@ least one missing variable parse into an MdDag, otherwise into a plain Cadmg.
 from __future__ import annotations
 
 from .graph import Cadmg
-from .model import MdDag, ModelError, Triple, validate_md_dag
+from .model import MdDag, ModelError, Triple, triple_for, validate_md_dag
 
 
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-def _triple_for(base: str) -> Triple:
-    if base.startswith("X") and base[1:].isdigit():
-        indicator = "R" + base[1:]
-    else:
-        indicator = "R_" + base
-    return Triple(base + "(1)", indicator, base)
 
 
 def parse_graph_file(text: str) -> MdDag | Cadmg:
@@ -46,7 +38,7 @@ def parse_graph_file(text: str) -> MdDag | Cadmg:
             if len(tokens) != 3 or tokens[2] not in ("missing", "observed"):
                 raise ParseError(line_no, "expected: var NAME missing|observed")
             if tokens[2] == "missing":
-                triples.append(_triple_for(tokens[1]))
+                triples.append(triple_for(tokens[1]))
             else:
                 observed.append(tokens[1])
         elif tokens[0] == "edge":

@@ -16,6 +16,7 @@ licenses that claim, and only for the full law.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +37,9 @@ class SearchBudget:
     max_set_size: int = 4
     max_latent_subsets: int = 128
     max_schedules: int = 3000
-    time_limit: float = 120.0
+    # wall-clock deadline in seconds; off by default so that only the
+    # schedule and latent-subset budgets decide a verdict
+    time_limit: float = math.inf
 
     def __post_init__(self):
         # `not time_limit > 0` also rejects NaN; math.inf stays valid

@@ -816,9 +816,10 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
-    """Evaluate against a DiscreteLaw (duck-typed: needs .name, .variables,
-    .marginal(names) -> NamedTable over those axes).  Shared subexpressions
-    are evaluated once."""
+    """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
+    .name, .variables, .marginal(names) -> NamedTable over those axes).
+    Each atom asks the law for one marginal; shared subexpressions are
+    evaluated once."""
     return _evaluate(e, law, {})
 
 

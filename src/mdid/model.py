@@ -11,6 +11,7 @@ descendant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graph import Cadmg
@@ -46,31 +47,46 @@ class MdDag:
     triples: tuple[Triple, ...]
     observed: frozenset[str]
 
-    @property
+    @cached_property
     def truths(self) -> frozenset[str]:
         return frozenset(t.truth for t in self.triples)
 
-    @property
+    @cached_property
     def indicators(self) -> frozenset[str]:
         return frozenset(t.indicator for t in self.triples)
 
-    @property
+    @cached_property
     def proxies(self) -> frozenset[str]:
         return frozenset(t.proxy for t in self.triples)
 
-    @property
+    @cached_property
     def observed_columns(self) -> frozenset[str]:
         """Variables of the observed data law."""
         return self.indicators | self.proxies | self.observed
 
+    @cached_property
+    def _triple_by_name(self) -> dict[str, Triple]:
+        return {n: t for t in self.triples for n in (t.truth, t.indicator, t.proxy)}
+
     def triple_of(self, name: str) -> Triple:
-        for t in self.triples:
-            if name in (t.truth, t.indicator, t.proxy):
-                return t
-        raise ModelError(f"{name!r} belongs to no censored-variable triple")
+        try:
+            return self._triple_by_name[name]
+        except KeyError:
+            raise ModelError(
+                f"{name!r} belongs to no censored-variable triple") from None
 
     def sorted_indicators(self) -> tuple[str, ...]:
         return tuple(sorted(self.indicators))
+
+
+def triple_for(base: str) -> Triple:
+    """The triple of a censored base name: ``X1`` (X<digits>) expands to
+    (X1(1), R1, X1), any other NAME to (NAME(1), R_NAME, NAME)."""
+    if base.startswith("X") and base[1:].isdigit():
+        indicator = "R" + base[1:]
+    else:
+        indicator = "R_" + base
+    return Triple(base + "(1)", indicator, base)
 
 
 def validate_md_dag(graph: Cadmg, triples: Sequence[Triple],
@@ -126,16 +142,9 @@ def validate_md_dag(graph: Cadmg, triples: Sequence[Triple],
 def md_dag(directed: Iterable[tuple[str, str]], missing: Iterable[str],
            observed: Iterable[str] = ()) -> MdDag:
     """Convenience builder: declare censored base names (e.g. "X1") plus the
-    substantive edges; proxy edges are generated.  A base name ``X1`` expands
-    to the triple (X1(1), R1, X1) when it matches X<digits>, otherwise to
-    (NAME(1), R_NAME, NAME)."""
-    triples = []
-    for base in missing:
-        if base.startswith("X") and base[1:].isdigit():
-            ind = "R" + base[1:]
-        else:
-            ind = "R_" + base
-        triples.append(Triple(base + "(1)", ind, base))
+    substantive edges; proxy edges are generated.  Base names expand to
+    triples by triple_for."""
+    triples = [triple_for(base) for base in missing]
     observed = tuple(observed)
     names = [n for t in triples for n in (t.truth, t.indicator, t.proxy)]
     names += list(observed)

@@ -5,16 +5,18 @@ missing-data model, derives observed laws, checks conditional independence
 numerically, verifies emitted functionals against enumerated truths, and
 constructs witness pairs certifying full-law non-identifiability.
 
-Joint tables are kept factored (one CPT per vertex) and marginals are
-computed by variable elimination, so large models never materialize the full
-joint.  Dense DiscreteLaw objects are used once a joint is small enough to
-hold, e.g. the observed law handed to expression evaluation.
+A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
+computed from them by variable elimination, so large models never
+materialize the full joint.  The observed law handed to expression
+evaluation keeps the full law's CPTs and only narrows the variables, so
+every atom is one elimination.  A dense law is a FactoredLaw with a single
+factor (``dense``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +43,8 @@ def _elimination_marginal(factors: Sequence[NamedTable], keep: frozenset[str]) -
     work = list(factors)
     if not work:
         return NamedTable.scalar(1.0)
+    if len(work) == 1:          # a dense law: one sum over all dropped axes
+        return work[0].sum_out(set(work[0].dims) - keep)
     all_vars: set[str] = set()
     for f in work:
         all_vars |= set(f.dims)
@@ -69,34 +73,9 @@ def _elimination_marginal(factors: Sequence[NamedTable], keep: frozenset[str]) -
 
 
 @dataclass(eq=False)
-class DiscreteLaw:
-    """Dense probability table over named finite variables."""
-
-    name: str
-    variables: dict[str, tuple]
-    table: NamedTable
-    _marginals: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        total = float(self.table.data.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise OracleError(f"law mass {total} is not 1 within 1e-12")
-        if (self.table.data < 0).any():
-            raise OracleError("law has negative mass")
-
-    def marginal(self, names: Iterable[str]) -> NamedTable:
-        key = frozenset(names)
-        if key not in self._marginals:
-            self._marginals[key] = self.table.sum_out(set(self.table.dims) - key)
-        return self._marginals[key]
-
-    def max_abs_diff(self, other: "DiscreteLaw") -> float:
-        return self.table.max_abs_diff(other.table)
-
-
-@dataclass(eq=False)
 class FactoredLaw:
-    """Joint law represented by CPT factors; marginals via elimination."""
+    """Law over named finite variables, held as factors whose product is the
+    joint over (a superset of) ``variables``; marginals via elimination."""
 
     name: str
     variables: dict[str, tuple]
@@ -109,27 +88,39 @@ class FactoredLaw:
             self._marginals[key] = _elimination_marginal(self.factors, key)
         return self._marginals[key]
 
-    def dense(self, names: Iterable[str] | None = None, name: str | None = None) -> DiscreteLaw:
+    @property
+    def table(self) -> NamedTable:
+        """The joint over ``variables``."""
+        return self.marginal(self.variables)
+
+    def dense(self, names: Iterable[str] | None = None,
+              name: str | None = None) -> "FactoredLaw":
+        """The marginal over names (default: all variables) as a law with
+        one factor, checked to carry mass 1 within 1e-12 and no negative
+        mass."""
         names = frozenset(names if names is not None else self.variables)
         tab = self.marginal(names)
-        return DiscreteLaw(name or self.name,
-                           {v: self.variables[v] for v in sorted(names)}, tab)
+        total = float(tab.data.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise OracleError(f"law mass {total} is not 1 within 1e-12")
+        if (tab.data < 0).any():
+            raise OracleError("law has negative mass")
+        return FactoredLaw(name or self.name,
+                           {v: self.variables[v] for v in sorted(names)}, (tab,))
+
+
+def _cpt_of(g: Cadmg, law: FactoredLaw, v: str) -> NamedTable:
+    """The factor of law that is v's CPT in g: the one over v and pa(v)."""
+    want = {v} | g.parents([v])
+    for f in law.factors:
+        if set(f.dims) == want:
+            return f
+    raise OracleError(f"law has no CPT factor for {v!r}")
 
 
 # ---------------------------------------------------------------------------
 # CPT construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CptSpec:
-    """Per-vertex conditional tables following the graph's parent sets."""
-
-    tables: tuple[NamedTable, ...]
-    variables: dict[str, tuple]
-
-    def law(self, name: str = "p") -> FactoredLaw:
-        return FactoredLaw(name, dict(self.variables), tuple(self.tables))
 
 
 def _random_cpt(rng: np.random.Generator, child: str, child_dom: tuple,
@@ -151,8 +142,7 @@ def _proxy_cpt(t: Triple, truth_dom: tuple) -> NamedTable:
     domains = {t.proxy: proxy_dom, t.indicator: (0, 1), t.truth: truth_dom}
     shape = tuple(len(domains[d]) for d in dims)
     data = np.zeros(shape)
-    it = np.ndindex(shape)
-    for idx in it:
+    for idx in np.ndindex(shape):
         vals = {d: domains[d][i] for d, i in zip(dims, idx)}
         want = vals[t.truth] if vals[t.indicator] == 1 else MISSING_TOKEN
         if vals[t.proxy] == want:
@@ -160,16 +150,24 @@ def _proxy_cpt(t: Triple, truth_dom: tuple) -> NamedTable:
     return NamedTable(dims, domains, data)
 
 
+def _sample_cpts(g: Cadmg, domains: dict[str, tuple], rng: np.random.Generator,
+                 fixed: Mapping[str, NamedTable]) -> tuple[NamedTable, ...]:
+    """One CPT per vertex in topological order: the fixed table where one is
+    given (drawing nothing), else a random strictly positive table."""
+    return tuple(
+        fixed[v] if v in fixed
+        else _random_cpt(rng, v, domains[v], {p: domains[p] for p in g.parents([v])})
+        for v in g.topological_order())
+
+
 def make_cpts(md: MdDag, cardinality: int = 2,
               tables: Mapping[str, NamedTable] | None = None,
-              rng: np.random.Generator | None = None) -> CptSpec:
-    """Build a CPT set for the model: random strictly positive tables for
-    substantive vertices (unless supplied), deterministic proxy tables."""
+              rng: np.random.Generator | None = None) -> FactoredLaw:
+    """The full law of the model with random strictly positive CPTs for
+    substantive vertices (unless supplied) and deterministic proxy CPTs."""
     if cardinality < 2:
         raise OracleError("cardinality must be at least 2")
     rng = rng or np.random.default_rng(0)
-    tables = dict(tables or {})
-    g = md.graph
     domains: dict[str, tuple] = {}
     for t in md.triples:
         domains[t.truth] = tuple(range(cardinality))
@@ -177,31 +175,23 @@ def make_cpts(md: MdDag, cardinality: int = 2,
         domains[t.proxy] = tuple(range(cardinality)) + (MISSING_TOKEN,)
     for o in md.observed:
         domains[o] = tuple(range(cardinality))
-
-    out: list[NamedTable] = []
-    for v in g.topological_order():
-        if v in md.proxies:
-            out.append(_proxy_cpt(md.triple_of(v), domains[md.triple_of(v).truth]))
-            continue
-        if v in tables:
-            out.append(tables[v])
-            continue
-        parent_doms = {p: domains[p] for p in g.parents([v])}
-        out.append(_random_cpt(rng, v, domains[v], parent_doms))
-    return CptSpec(tuple(out), domains)
+    fixed = dict(tables or {})
+    fixed.update((t.proxy, _proxy_cpt(t, domains[t.truth])) for t in md.triples)
+    return FactoredLaw("full", domains, _sample_cpts(md.graph, domains, rng, fixed))
 
 
 def sample_full_law(md: MdDag, cardinality: int = 2, seed: int = 0,
                     tables: Mapping[str, NamedTable] | None = None) -> FactoredLaw:
     """Seeded full data law over censored variables, indicators, proxies and
     observed variables, factored per the model DAG."""
-    rng = np.random.default_rng(seed)
-    return make_cpts(md, cardinality, tables, rng).law("full")
+    return make_cpts(md, cardinality, tables, np.random.default_rng(seed))
 
 
-def derive_observed_law(md: MdDag, full: FactoredLaw) -> DiscreteLaw:
-    """Marginalize the censored variables out: the law of (R, O, X)."""
-    return full.dense(md.observed_columns, name="p")
+def derive_observed_law(md: MdDag, full: FactoredLaw) -> FactoredLaw:
+    """The law of (R, O, X): the full law's CPTs over the observed columns,
+    so the censored variables are summed out of each marginal asked for."""
+    return FactoredLaw("p", {v: full.variables[v] for v in sorted(md.observed_columns)},
+                       full.factors)
 
 
 def target_law(md: MdDag, full: FactoredLaw) -> NamedTable:
@@ -220,7 +210,7 @@ def propensity_truth(md: MdDag, full: FactoredLaw, indicator: str) -> NamedTable
 # ---------------------------------------------------------------------------
 
 
-def ci_check(law: DiscreteLaw | FactoredLaw, a: Iterable[str], b: Iterable[str],
+def ci_check(law: FactoredLaw, a: Iterable[str], b: Iterable[str],
              c: Iterable[str] = ()) -> float:
     """Max over cells of |p(a,b|c) - p(a|c) p(b|c)|; cells with zero context
     mass are skipped."""
@@ -252,8 +242,19 @@ class VerifyReport:
         return self.trials > 0 and self.max_error <= tol
 
 
-def _compare(expected: NamedTable, got: NamedTable) -> float:
-    return expected.max_abs_diff(got)
+def _verify(md: MdDag, trials: int, seed: int, cardinality: int,
+            compare: Callable[[FactoredLaw, FactoredLaw],
+                              tuple[NamedTable, NamedTable]]) -> VerifyReport:
+    """Sample a full law per trial; compare(full, observed) gives the
+    (truth, evaluated) pair whose largest cell gap is the trial's error."""
+    errs: list[float] = []
+    undef = 0
+    for t in range(trials):
+        full = sample_full_law(md, cardinality, seed + t)
+        truth, got = compare(full, derive_observed_law(md, full))
+        undef += got.undefined_count()
+        errs.append(truth.max_abs_diff(got))
+    return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
 
 
 def verify_target_functional(md: MdDag, functional, trials: int = 100,
@@ -261,30 +262,15 @@ def verify_target_functional(md: MdDag, functional, trials: int = 100,
     """Evaluate an emitted target-law functional against the enumerated
     target law on sampled laws.  ``functional`` must provide
     evaluate(observed_law) -> NamedTable over the censored/observed names."""
-    errs: list[float] = []
-    undef = 0
-    for t in range(trials):
-        full = sample_full_law(md, cardinality, seed + t)
-        obs = derive_observed_law(md, full)
-        got = functional.evaluate(obs)
-        undef += got.undefined_count()
-        errs.append(_compare(target_law(md, full), got))
-    return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
+    return _verify(md, trials, seed, cardinality,
+                   lambda full, obs: (target_law(md, full), functional.evaluate(obs)))
 
 
 def verify_full_functional(md: MdDag, functional, trials: int = 100,
                            seed: int = 0, cardinality: int = 2) -> VerifyReport:
-    errs: list[float] = []
-    undef = 0
-    want = None
-    for t in range(trials):
-        full = sample_full_law(md, cardinality, seed + t)
-        obs = derive_observed_law(md, full)
-        got = functional.evaluate(obs)
-        undef += got.undefined_count()
-        truthset = md.truths | md.observed | md.indicators
-        errs.append(_compare(full.marginal(truthset), got))
-    return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
+    full_vars = md.truths | md.observed | md.indicators
+    return _verify(md, trials, seed, cardinality,
+                   lambda full, obs: (full.marginal(full_vars), functional.evaluate(obs)))
 
 
 def verify_indicator_functional(md: MdDag, indicator: str, expr,
@@ -292,25 +278,16 @@ def verify_indicator_functional(md: MdDag, indicator: str, expr,
                                 cardinality: int = 2) -> VerifyReport:
     """Compare an emitted propensity against p(R_i=1 | pa(R_i)) with every
     indicator parent at 1 (the slice the identification theory pins)."""
-    errs: list[float] = []
-    undef = 0
-    g = md.graph
-    pa = g.parents([indicator])
-    r_parents = pa & md.indicators
-    for t in range(trials):
-        full = sample_full_law(md, cardinality, seed + t)
-        obs = derive_observed_law(md, full)
-        got = drop_censored_rows(md, evaluate_numeric(expr, obs))
-        got = got.take({r: 1 for r in r_parents if r in got.dims})
-        if indicator in got.dims:
-            got = got.take({indicator: 1})
-        undef += got.undefined_count()
-        truth = propensity_truth(md, full, indicator)
-        truth = truth.take({r: 1 for r in r_parents}).take({indicator: 1})
+    pins = {r: 1 for r in md.graph.parents([indicator]) & md.indicators}
+    pins[indicator] = 1
+
+    def compare(full, obs):
+        got = drop_censored_rows(md, evaluate_numeric(expr, obs)).take(pins)
+        truth = propensity_truth(md, full, indicator).take(pins)
         # express over proxy columns so axes line up with the functional
-        truth = rename_axes(truth, {t_.truth: t_.proxy for t_ in md.triples})
-        errs.append(_compare(truth, got))
-    return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
+        return rename_axes(truth, {t.truth: t.proxy for t in md.triples}), got
+
+    return _verify(md, trials, seed, cardinality, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +333,8 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0,
                              np.broadcast_to(flat, cpt.data.shape).copy())
             overrides[c] = cpt
 
-        cpts = make_cpts(md, 2, overrides, rng)
-        tables = {t.dims: t for t in cpts.tables}
-        cpt_i = next(t for t in cpts.tables
-                     if ri in t.dims and set(t.dims) == {ri} | set(g.parents([ri])))
+        law1 = make_cpts(md, 2, overrides, rng)
+        cpt_i = _cpt_of(g, law1, ri)
         # perturb p(R_i | R_j=0, X_j, rest) keeping b-weighted mixtures fixed
         data2 = cpt_i.data.copy()
         ax_i = cpt_i.dims.index(ri)
@@ -386,14 +361,12 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0,
         data2[cell(1, 0, 0)] = 1 - d2
         data2[cell(1, 0, 1)] = 1 - f2
         cpt_i2 = NamedTable(cpt_i.dims, cpt_i.domains, data2)
-        tables2 = tuple(cpt_i2 if t is cpt_i else t for t in cpts.tables)
-        law1 = FactoredLaw("full", dict(cpts.variables), tuple(cpts.tables))
-        law2 = FactoredLaw("full", dict(cpts.variables), tables2)
+        law2 = FactoredLaw("full", dict(law1.variables),
+                           tuple(cpt_i2 if t is cpt_i else t for t in law1.factors))
 
-        obs_gap = derive_observed_law(md, law1).max_abs_diff(
-            derive_observed_law(md, law2))
-        allvars = frozenset(law1.variables)
-        full_gap = law1.marginal(allvars).max_abs_diff(law2.marginal(allvars))
+        obs_gap = derive_observed_law(md, law1).table.max_abs_diff(
+            derive_observed_law(md, law2).table)
+        full_gap = law1.table.max_abs_diff(law2.table)
         if obs_gap <= 1e-12 and full_gap >= 1e-3:
             return law1, law2
     raise OracleError(f"no witness pair found for {pair} after {retries} tries")
@@ -409,32 +382,15 @@ def sample_dag_law(g: Cadmg, cardinality: int = 2, seed: int = 0) -> FactoredLaw
     rejected)."""
     if g.bidirected_edges:
         raise OracleError("sample_dag_law needs a DAG")
-    rng = np.random.default_rng(seed)
     domains = {v: tuple(range(cardinality)) for v in g.vertex_names}
-    factors = []
-    for v in g.topological_order():
-        parent_doms = {p: domains[p] for p in g.parents([v])}
-        factors.append(_random_cpt(rng, v, domains[v], parent_doms))
-    return FactoredLaw("p", domains, tuple(factors))
+    return FactoredLaw("p", domains,
+                       _sample_cpts(g, domains, np.random.default_rng(seed), {}))
 
 
 def interventional_truth(g: Cadmg, law: FactoredLaw, outcomes: Iterable[str],
                          treatments: Mapping[str, object]) -> NamedTable:
     """p(Y(a)) by direct enumeration of the truncated factorization."""
-    ys = frozenset(outcomes)
-    child_of: dict[str, NamedTable] = {}
-    for v in g.topological_order():
-        for f in law.factors:
-            if v in f.dims and set(f.dims) == {v} | set(g.parents([v])):
-                child_of[v] = f
-                break
-        else:
-            raise OracleError(f"law has no CPT factor for {v!r}")
-    factors = []
-    for v in g.topological_order():
-        if v in treatments:
-            continue
-        f = child_of[v]
-        factors.append(f.take({k: val for k, val in treatments.items()
-                               if k in f.dims}))
-    return _elimination_marginal(factors, ys)
+    cpts = {v: _cpt_of(g, law, v) for v in g.topological_order()}
+    factors = [f.take({k: val for k, val in treatments.items() if k in f.dims})
+               for v, f in cpts.items() if v not in treatments]
+    return _elimination_marginal(factors, frozenset(outcomes))

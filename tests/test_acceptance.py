@@ -301,7 +301,7 @@ def test_criterion_5_collider_family():
     l1 = O.sample_full_law(md, 2, 0, tables=_collider_tables(a, b, c, d1, e, f1, g))
     l2 = O.sample_full_law(md, 2, 0, tables=_collider_tables(a, b, c, d2, e, f2, g))
     o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
-    obs_gap = o1.max_abs_diff(o2)
+    obs_gap = o1.table.max_abs_diff(o2.table)
     allv = frozenset(l1.variables)
     full_gap = l1.marginal(allv).max_abs_diff(l2.marginal(allv))
     assert obs_gap <= 1e-12 and full_gap >= 1e-3

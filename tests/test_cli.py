@@ -109,6 +109,13 @@ def test_fixtures_command_rejects_bad_budget(capsys, monkeypatch, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["identify", "check", "verify"])
+def test_unknown_fixture_is_an_error(capsys, command):
+    code, out, err = run_cli([command, "fixture:nope"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown fixture 'nope'; have ")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mdid.cli", "check",
                            "fixture:crisscross"], capture_output=True, text=True)

@@ -141,6 +141,9 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(time_limit=float("nan"))
     assert SearchBudget(time_limit=math.inf).time_limit == math.inf
+    # the deadline is opt-in: by default only the schedule and latent-subset
+    # budgets decide a verdict
+    assert SearchBudget().time_limit == math.inf
 
 
 def test_fast_path_consistency():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdid.fixtures import load
+from mdid.gfile import parse_graph_file
 from mdid.fixing import validate_schedule
 from mdid.graph import Cadmg
 from mdid import kernel as K
@@ -26,6 +27,20 @@ def test_validate_md_dag_examples():
         validate_md_dag(g, [Triple("X1(1)", "R1", "X1")], [])
     with pytest.raises(ModelError, match="no children"):
         md_dag([("X1", "R2")], ["X1", "X2"])
+
+
+def test_triple_naming_rule_shared_by_builder_and_parser():
+    built = md_dag([], ["X1", "Y"])
+    parsed = parse_graph_file("var X1 missing\nvar Y missing\n")
+    assert built.triples == parsed.triples == (
+        Triple("X1(1)", "R1", "X1"), Triple("Y(1)", "R_Y", "Y"))
+    assert built.triple_of("R_Y") == Triple("Y(1)", "R_Y", "Y")
+    assert built.triple_of("X1(1)") == Triple("X1(1)", "R1", "X1")
+    with pytest.raises(ModelError, match="no censored-variable triple"):
+        built.triple_of("Z")
+    # role sets are computed once per model
+    assert built.truths is built.truths
+    assert built.observed_columns == {"R1", "X1", "R_Y", "Y"}
 
 
 def test_colluder_scan_examples():

@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mdid.fixtures import load
+from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.graph import Cadmg
 from mdid.kernel import NamedTable
 from mdid.missing import colluder_scan
-from mdid.model import md_dag
+from mdid.model import MdDag, md_dag
 from mdid import oracle as O
+
+from conftest import hidden_dag_for
 
 
 def table(dims, doms, data):
@@ -95,7 +99,7 @@ def test_constraint_surface_pair_agree_on_observed_law():
     l1 = O.sample_full_law(md, 2, seed=0, tables=t1)
     l2 = O.sample_full_law(md, 2, seed=0, tables=t2)
     o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
-    assert o1.max_abs_diff(o2) <= 1e-12
+    assert o1.table.max_abs_diff(o2.table) <= 1e-12
     allv = frozenset(l1.variables)
     assert l1.marginal(allv).max_abs_diff(l2.marginal(allv)) >= 1e-3
 
@@ -137,7 +141,7 @@ def test_colluder_witness_quantitative():
     pair = colluder_scan(md)[0]
     l1, l2 = O.colluder_witness(md, pair, seed=1)
     o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
-    assert o1.max_abs_diff(o2) <= 1e-12
+    assert o1.table.max_abs_diff(o2.table) <= 1e-12
     allv = frozenset(l1.variables)
     assert l1.marginal(allv).max_abs_diff(l2.marginal(allv)) >= 1e-3
     for law in (l1, l2):
@@ -154,6 +158,66 @@ def test_witness_on_embedded_colluder():
     pair = colluder_scan(md)[0]
     l1, l2 = O.colluder_witness(md, pair, seed=2)
     o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
-    assert o1.max_abs_diff(o2) <= 1e-12
+    assert o1.table.max_abs_diff(o2.table) <= 1e-12
     allv = frozenset(l1.variables)
     assert l1.marginal(allv).max_abs_diff(l2.marginal(allv)) >= 1e-3
+
+
+def factor_checksum(law) -> str:
+    """Hash of every factor's axes, domains, dtype, shape and raw bytes."""
+    h = hashlib.sha256()
+    for f in law.factors:
+        h.update(repr((f.dims, [f.domains[d] for d in f.dims], f.data.dtype.str,
+                       f.data.shape)).encode())
+        h.update(f.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+# recorded from the sampler before the law types were merged: sampled laws
+# must stay bitwise identical, i.e. the random stream is consumed unchanged
+FULL_LAW_CHECKSUMS = {
+    ("block_sequential", 0): "78a24c7af6bb7cc9",
+    ("block_sequential", 1): "0f3f418e251841ba",
+    ("crisscross", 0): "ec9847cc781948f2",
+    ("crisscross", 1): "3fd17be300a94ef8",
+    ("staggered_trio", 0): "f20a2c1c4449cda3",
+    ("staggered_trio", 1): "31f79e134708c1c1",
+    ("latent_trio", 0): "2bc1e025464b3ffe",
+    ("latent_trio", 1): "7c02696b932acc32",
+    ("joint_quartet", 0): "c5484e81aea356b3",
+    ("joint_quartet", 1): "0404731fca4f9574",
+    ("context_fix", 0): "533f0ff9428e85c3",
+    ("context_fix", 1): "0deaae59124d0f5d",
+    ("octet", 0): "1a17023394793ad5",
+    ("octet", 1): "7f46566cc1a2be75",
+    ("colluder_pair", 0): "48e83ed7db527428",
+    ("colluder_pair", 1): "ca13f3f22007c3dd",
+}
+DAG_LAW_CHECKSUMS = {0: "754709ca03db2a01", 1: "26e3174b55aa7f34"}
+
+MISSING_DATA_FIXTURES = [n for n in FIXTURE_NAMES if isinstance(load(n), MdDag)]
+
+
+def test_sampled_laws_match_recorded_checksums():
+    got = {(name, seed): factor_checksum(O.sample_full_law(load(name), 2, seed))
+           for name in MISSING_DATA_FIXTURES for seed in (0, 1)}
+    assert got == FULL_LAW_CHECKSUMS
+    dag = hidden_dag_for(load("confounded_chain"))
+    assert {seed: factor_checksum(O.sample_dag_law(dag, 2, seed))
+            for seed in (0, 1)} == DAG_LAW_CHECKSUMS
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+def test_observed_law_marginals_match_dense_observed_law(name):
+    # the observed law eliminates over the full law's CPTs; its marginals
+    # must equal sums of the densified observed joint
+    md = load(name)
+    full = O.sample_full_law(md, 2, seed=3)
+    obs = O.derive_observed_law(md, full)
+    dense = full.dense(md.observed_columns)
+    assert set(obs.variables) == set(dense.variables) == md.observed_columns
+    assert obs.table.max_abs_diff(dense.table) <= 1e-12
+    for t in md.triples:
+        for names in ({t.indicator}, {t.proxy}, {t.indicator, t.proxy},
+                      md.observed_columns - {t.proxy}):
+            assert obs.marginal(names).max_abs_diff(dense.marginal(names)) <= 1e-12

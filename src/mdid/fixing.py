@@ -216,11 +216,13 @@ class Subproblem:
     md: MdDag
     graph: Cadmg
     kernel: Expr
-    free_cols: frozenset[str]
-    pins: dict[str, int]
-    fixed: frozenset[str]
-    selected: frozenset[str]
     merged: frozenset[str]          # censored variables identified with proxies
+    free_cols: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        self.free_cols = frozenset(
+            self.column(v) for v in self.graph.random_vertices
+            if v not in self.md.truths or v in self.merged)
 
     def column(self, v: str) -> str:
         if v in self.md.truths:
@@ -329,17 +331,12 @@ class SchedulePlan:
 
         pins_r = (fixed | selected) & md.indicators
         g = md.graph.with_statuses(fixed=fixed, selected={s: 1 for s in selected})
-        merged: set[str] = set()
-        drop_proxies: list[str] = []
-        for t in md.triples:
-            pinned = t.indicator in pins_r
-            if pinned and (t.truth in visible or t.truth in fixed):
-                merged.add(t.truth)
-                drop_proxies.append(t.proxy)
-        if drop_proxies:
-            g = g.drop_vertices(drop_proxies)
+        merged = frozenset(t.truth for t in md.triples if t.indicator in pins_r
+                           and (t.truth in visible or t.truth in fixed))
+        # a merged variable is read off its proxy; the proxy has no children,
+        # so projecting it out just drops it
         hidden = (md.truths - visible - fixed) & g.random_vertices
-        g = latent_project_out(g, hidden)
+        g = latent_project_out(g, hidden | {md.triple_of(u).proxy for u in merged})
 
         pins = {r: 1 for r in pins_r}
         num = K.restrict_values(_plain_kernel(md), pins) if pins else _plain_kernel(md)
@@ -350,19 +347,9 @@ class SchedulePlan:
                   if r in den.free() or r in den.contexts()}
             dens.append(K.restrict_values(den, at) if at else den)
         kern = K.quotient(num, K.product(dens)) if dens else num
-        free_cols = frozenset(
-            self._col(md, merged, v) for v in g.random_vertices
-            if v not in md.truths or v in merged)
-        sub = Subproblem(md, g, kern, free_cols, pins, fixed, selected,
-                         frozenset(merged))
+        sub = Subproblem(md, g, kern, merged)
         self._sub[key] = sub
         return sub
-
-    @staticmethod
-    def _col(md: MdDag, merged: set[str] | frozenset[str], v: str) -> str:
-        if v in md.truths and v in merged:
-            return md.triple_of(v).proxy
-        return v
 
     # -- per-class conditions and denominator --------------------------------
 

@@ -18,9 +18,12 @@ from .model import MdDag, ModelError, Triple, triple_for, validate_md_dag
 
 
 class ParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
+    """A syntax error carries its line number; a structural error, which
+    belongs to the whole file, carries None."""
+
+    def __init__(self, line_no: int | None, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 def parse_graph_file(text: str) -> MdDag | Cadmg:
@@ -62,7 +65,7 @@ def parse_graph_file(text: str) -> MdDag | Cadmg:
             return validate_md_dag(graph, triples, observed)
         return Cadmg(names, directed, bidirected)
     except (ModelError, ValueError) as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
 
 
 def render_graph_file(model: MdDag | Cadmg) -> str:

@@ -275,39 +275,24 @@ class Cadmg:
         )
 
     def with_statuses(self, fixed: Iterable[str] = (),
-                      selected: Mapping[str, object] | None = None,
-                      random: Iterable[str] = ()) -> "Cadmg":
+                      selected: Mapping[str, object] | None = None) -> "Cadmg":
         """Copy with some vertices re-statused; edges into newly fixed vertices
         are dropped (arrowhead removal), matching the fixing operator."""
         fixed = self._require(fixed)
         selected = dict(selected or {})
         self._require(selected)
-        random = self._require(random)
         vs = []
         for n, v in self._vertices.items():
             if n in fixed:
                 vs.append(Vertex(n, FIXED))
             elif n in selected:
                 vs.append(Vertex(n, SELECTED, selected[n]))
-            elif n in random:
-                vs.append(Vertex(n, RANDOM))
             else:
                 vs.append(v)
         di = [(a, b) for a, b in self._directed if b not in fixed]
         bi = [(a, b) for a, b in self._bidirected
               if a not in fixed and b not in fixed]
         return Cadmg(vs, di, bi)
-
-    def drop_vertices(self, names: Iterable[str]) -> "Cadmg":
-        ns = self._require(names)
-        keep = frozenset(self._vertices) - ns
-        return self.induced_subgraph(keep)
-
-    def add_edges(self, directed: Iterable[tuple[str, str]] = (),
-                  bidirected: Iterable[tuple[str, str]] = ()) -> "Cadmg":
-        return Cadmg(self._vertices.values(),
-                     list(self._directed) + list(directed),
-                     list(self._bidirected) + list(bidirected))
 
     # -- ordering ------------------------------------------------------------
 

@@ -306,9 +306,14 @@ def identify_indicator(md: MdDag, indicator: str,
     hidden_seen = {forbid}
 
     while heap:
-        if attempts >= budget.max_schedules or time.monotonic() - t0 > budget.time_limit:
+        if attempts >= budget.max_schedules:
             transcript.append(f"{indicator}: budget exhausted after {attempts} "
                               f"schedules")
+            break
+        if time.monotonic() - t0 > budget.time_limit:
+            transcript.append(f"{indicator}: budget exhausted after {attempts} "
+                              f"schedules: deadline of {budget.time_limit:g} s "
+                              f"reached")
             break
         _, state = heapq.heappop(heap)
         sched = _schedule_from_state(md, state, indicator, forbid)

@@ -1,14 +1,15 @@
 """Symbolic kernel expressions over a discrete law, with numeric evaluation.
 
-Expression nodes: Atom (a conditional of a named law), Marginal, Conditional,
-Product, Quotient, Restrict (evaluation at fixed values) and One (the
-normalized unit).  Expressions are immutable.  ``canonicalize`` rewrites a
+Expression nodes: Atom (a conditional of a named law), Marginal, Product,
+Quotient, Restrict (evaluation at fixed values) and One (the normalized
+unit).  Expressions are immutable.  ``condition`` builds a conditional as an
+atom's context or a quotient by a marginal.  ``canonicalize`` rewrites a
 tree into a deterministic normal form: restrictions pushed onto atoms,
 marginals absorbed into atoms and distributed over products variable by
-variable, conditionals expanded into quotients, quotients flattened with
-common factors cancelled, and chain-rule merges applied to pairs of atoms of
-the same law.  Golden tests compare canonical forms, so the normal form is
-deliberately order-insensitive: products are sorted by rendered text.
+variable, quotients flattened with common factors cancelled, and chain-rule
+merges applied to pairs of atoms of the same law.  Golden tests compare
+canonical forms, so the normal form is deliberately order-insensitive:
+products are sorted by rendered text.
 
 Numeric evaluation is dense, over named axes; 0/0 cells become NaN markers
 (an explicit "undefined" signal, counted by callers) rather than raising.
@@ -145,26 +146,6 @@ class Marginal(Expr):
 
 
 @dataclass(frozen=True)
-class Conditional(Expr):
-    """Child, a kernel, conditioned on a subset of its free variables."""
-
-    child: Expr
-    on: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "on", _names(self.on))
-
-    def free(self):
-        return self.child.free() - frozenset(self.on)
-
-    def contexts(self):
-        return self.child.contexts() | frozenset(self.on)
-
-    def pinned(self):
-        return self.child.pinned()
-
-
-@dataclass(frozen=True)
 class Product(Expr):
     children: tuple[Expr, ...]
 
@@ -221,14 +202,20 @@ def marginalize(e: Expr, out: Iterable[str]) -> Expr:
 
 
 def condition(e: Expr, on: Iterable[str]) -> Expr:
-    """Condition a kernel on a subset of its free variables."""
-    ons = _names(on)
-    bad = set(ons) - e.free()
+    """Condition a kernel on a subset of its free variables: an atom leaf
+    takes them as context, anything else is divided by its marginal."""
+    ons = set(on)
+    bad = ons - e.free()
     if bad:
         raise ExprError(f"cannot condition on non-free variables {sorted(bad)}")
     if not ons:
         return e
-    return canonicalize(Conditional(e, ons))
+    e = canonicalize(e)
+    parts = _leaf_parts(e)
+    if parts is not None:
+        law, j, g, pins = parts
+        return _make_leaf(law, j - ons, g | ons, pins)
+    return canonicalize(Quotient(e, _marginalize_canon(e, e.free() - ons)))
 
 
 def restrict_values(e: Expr, assignments) -> Expr:
@@ -464,9 +451,6 @@ def _push_restrict(e: Expr, pins: dict[str, Value]) -> Expr:
         return Product(tuple(_push_restrict(c, mine) for c in e.children))
     if isinstance(e, Quotient):
         return Quotient(_push_restrict(e.num, mine), _push_restrict(e.den, mine))
-    if isinstance(e, Conditional):
-        # canonical trees never contain Conditional; expand first
-        return _push_restrict(canonicalize(e), mine)
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
@@ -525,18 +509,6 @@ def canonicalize(e: Expr) -> Expr:
     if isinstance(e, Marginal):
         child = canonicalize(e.child)
         return _marginalize_canon(child, set(e.over))
-    if isinstance(e, Conditional):
-        child = canonicalize(e.child)
-        if not e.on:
-            return child
-        parts = _leaf_parts(child)
-        if parts is not None:
-            law, j, g, pins = parts
-            return _make_leaf(law, j - set(e.on), g | set(e.on), pins)
-        if isinstance(child, Conditional):
-            return canonicalize(Conditional(child.child, tuple(set(e.on) | set(child.on))))
-        denom = _marginalize_canon(child, child.free() - set(e.on))
-        return canonicalize(Quotient(child, denom))
     if isinstance(e, (Product, Quotient)):
         if isinstance(e, Product):
             children = [canonicalize(c) for c in e.children]
@@ -595,8 +567,6 @@ def _render_latex(e: Expr) -> str:
         return rf"\left.{inner}\right|_{{{at}}}"
     if isinstance(e, Marginal):
         return rf"\sum_{{{','.join(_latex_name(v) for v in e.over)}}} {_render_latex(e.child)}"
-    if isinstance(e, Conditional):
-        return rf"\left[{_render_latex(e.child)}\right]\big(\cdot \mid {','.join(e.on)}\big)"
     if isinstance(e, Product):
         bits = []
         for c in e.children:
@@ -620,8 +590,6 @@ def _render_sexpr(e: Expr) -> str:
         return f"(at {_render_sexpr(e.child)} ({pins}))"
     if isinstance(e, Marginal):
         return f"(marg {_render_sexpr(e.child)} ({' '.join(e.over)}))"
-    if isinstance(e, Conditional):
-        return f"(cond {_render_sexpr(e.child)} ({' '.join(e.on)}))"
     if isinstance(e, Product):
         return f"(prod {' '.join(_render_sexpr(c) for c in e.children)})"
     if isinstance(e, Quotient):
@@ -674,8 +642,6 @@ def _build(form) -> Expr:
         return Restrict(_build(form[1]), pins)
     if head == "marg":
         return Marginal(_build(form[1]), tuple(form[2]))
-    if head == "cond":
-        return Conditional(_build(form[1]), tuple(form[2]))
     if head == "prod":
         return Product(tuple(_build(f) for f in form[1:]))
     if head == "quot":
@@ -852,10 +818,6 @@ def _evaluate_raw(e: Expr, law, memo: dict) -> NamedTable:
         return _evaluate(e.child, law, memo).take(dict(e.pins))
     if isinstance(e, Marginal):
         return _evaluate(e.child, law, memo).sum_out(e.over)
-    if isinstance(e, Conditional):
-        tab = _evaluate(e.child, law, memo)
-        denom = tab.sum_out(e.child.free() - set(e.on))
-        return NamedTable.join(tab, denom, np.divide)
     if isinstance(e, Product):
         out = NamedTable.scalar(1.0)
         for c in e.children:

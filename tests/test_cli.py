@@ -35,8 +35,12 @@ def test_parse_errors_carry_line_numbers():
         parse_graph_file("vertex A\n")
     # a third parent on a proxy violates the structural contract
     bad = fixture_text("colluder_pair") + "edge X2(1) -> X1\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^proxy 'X1' must have parents") as exc:
         parse_graph_file(bad)
+    # a structural error belongs to the whole file, not to a line
+    assert exc.value.line_no is None
+    with pytest.raises(ParseError, match=r"^graph contains a directed cycle$"):
+        parse_graph_file("var A observed\nvar B observed\nedge A -> B\nedge B -> A\n")
 
 
 def test_empty_file_is_a_valid_empty_graph():

@@ -272,8 +272,7 @@ def test_augmented_total_order_equivalence():
     # augmented world: promoted censored variables genuinely observed (their
     # proxies dropped), the rest latent projected
     from mdid.projection import latent_project_out
-    aug_graph = latent_project_out(md.graph.drop_vertices(["X2", "X3"]),
-                                   ["X1(1)"])
+    aug_graph = latent_project_out(md.graph, ["X2", "X3", "X1(1)"])
     for s in range(10):
         full = O.sample_full_law(md, 2, seed=400 + s)
         obs = O.derive_observed_law(md, full)

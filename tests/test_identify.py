@@ -135,6 +135,23 @@ def test_verdict_monotone_in_budget():
             assert s_big == "identified"
 
 
+def test_deadline_is_reported_as_its_own_reason(monkeypatch):
+    md = load("latent_trio")
+    capped = identify_indicator(md, "R1", SearchBudget(max_schedules=2),
+                                use_fast_path=False)
+    assert capped.status == "unknown"
+    assert capped.transcript[-1] == "R1: budget exhausted after 2 schedules"
+    # a clock that advances one second per reading: the search starts at 0
+    # and its third deadline check reads 3 > 2.5
+    ticks = iter(range(10_000))
+    monkeypatch.setattr("mdid.identify.time.monotonic", lambda: float(next(ticks)))
+    timed = identify_indicator(md, "R1", SearchBudget(time_limit=2.5),
+                               use_fast_path=False)
+    assert timed.status == "unknown"
+    assert timed.transcript[-1] == (
+        "R1: budget exhausted after 2 schedules: deadline of 2.5 s reached")
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_schedules=0)

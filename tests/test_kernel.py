@@ -79,6 +79,9 @@ def test_render_and_parse_round_trip():
     for expr in [p, folded, K.restrict_values(folded, {"A": 0})]:
         back = K.canonicalize(K.parse(K.render(expr)))
         assert back == expr
+    # conditionals are built as quotients; there is no conditional node
+    with pytest.raises(K.ExprError):
+        K.parse("(cond (atom p (A B) ()) (B))")
 
 
 def test_normalization_of_kernels():

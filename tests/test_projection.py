@@ -4,12 +4,31 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from mdid.fixtures import load
-from mdid.graph import GraphError
+from mdid.graph import Cadmg, GraphError
 from mdid.projection import latent_project_out
 from mdid.separation import m_separated
 from mdid import oracle as O
 
-from conftest import random_dag
+from conftest import random_admg, random_dag
+
+
+def eliminate(g, h):
+    """Reference: project out one random vertex h.  Adds a -> b for every
+    parent a and child b of h, b <-> b' for every pair of children, and
+    s <-> b for every bidirected neighbor s and child b of h."""
+    pa, ch, sib = g.parents([h]), g.children([h]), g.siblings([h])
+    directed = set(g.directed_edges) | {(a, b) for a in pa for b in ch}
+    bidirected = set(g.bidirected_edges) | set(combinations(sorted(ch), 2))
+    bidirected |= {(s, b) for s in sib for b in ch if s != b}
+    keep = [g.vertex(v) for v in g.vertex_names if v != h]
+    return Cadmg(keep, [e for e in directed if h not in e],
+                 [e for e in bidirected if h not in e])
+
+
+def project_by_elimination(g, hide):
+    for h in sorted(hide):
+        g = eliminate(g, h)
+    return g
 
 
 def test_latent_trio_projection():
@@ -41,11 +60,27 @@ def test_identity_and_errors():
         latent_project_out(g, ["R1"])
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 9))
+def test_one_pass_projection_matches_elimination(seed, n):
+    rng = np.random.default_rng(seed)
+    g = random_admg(rng, n)
+    # fix or select some vertices first, as a subproblem does
+    names = list(g.vertex_names)
+    fixed = [v for v in names if rng.uniform() < 0.15]
+    selected = {v: 1 for v in names if v not in fixed and rng.uniform() < 0.15}
+    g = g.with_statuses(fixed=fixed, selected=selected)
+    hidden = [v for v in sorted(g.random_vertices) if rng.uniform() < 0.5]
+    proj = latent_project_out(g, hidden)
+    assert proj == project_by_elimination(g, hidden)
+    assert all(proj.vertex(v) == g.vertex(v) for v in proj.vertex_names)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(3, 8))
 def test_composition(seed, n):
     rng = np.random.default_rng(seed)
-    g = random_dag(rng, n)
+    g = random_admg(rng, n)
     hidden = [v for v in g.vertex_names if rng.uniform() < 0.4]
     if len(hidden) < 2:
         return

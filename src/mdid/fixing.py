@@ -194,7 +194,6 @@ class Violation:
     class_index: int | None
     detail: str
     vertices: tuple[str, ...] = ()
-    selectors: tuple[int, ...] = ()
 
 
 class ScheduleInvalid(FixError):
@@ -268,17 +267,13 @@ class SchedulePlan:
         for j in cone:
             fixed |= self.sched.classes[j]
         selected: set[str] = set()
-        sel_by: dict[str, list[int]] = {}
-        for j in sorted(cone):
-            for r in self.r_z(j):
-                if r not in fixed:
-                    selected.add(r)
-                    sel_by.setdefault(r, []).append(j)
-        return frozenset(fixed), frozenset(selected), sel_by
+        for j in sorted(cone):     # r_z may raise: check classes in order
+            selected |= self.r_z(j) - fixed
+        return frozenset(fixed), frozenset(selected)
 
     def rendered(self, cone: frozenset[int]) -> frozenset[str]:
         """Censored variables identifiable with their proxies in this cone."""
-        fixed, selected, _ = self._cone_state(cone)
+        fixed, selected = self._cone_state(cone)
         out = set()
         for t in self.md.triples:
             if t.indicator in fixed or t.indicator in selected:
@@ -295,15 +290,14 @@ class SchedulePlan:
             return self._sub[key]
         sched = self.sched
         cone = sched.cone(k)
-        fixed, selected, sel_by = self._cone_state(cone)
+        fixed, selected = self._cone_state(cone)
         if k is not None:
             clash = selected & sched.classes[k]
             if clash:
                 raise ScheduleInvalid(Violation(
                     "ii", k,
                     f"members {sorted(clash)} were selected by earlier classes",
-                    tuple(sorted(clash)),
-                    tuple(i for r in sorted(clash) for i in sel_by.get(r, []))))
+                    tuple(sorted(clash))))
         md = self.md
         if k is not None:
             visible = frozenset(sched.promotions[k])

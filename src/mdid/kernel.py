@@ -13,10 +13,13 @@ products are sorted by rendered text.
 
 Numeric evaluation is dense, over named axes; 0/0 cells become NaN markers
 (an explicit "undefined" signal, counted by callers) rather than raising.
+A restricted atom is asked of the law with its pins as evidence, and no
+join builds more than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -29,6 +32,7 @@ class ExprError(ValueError):
 
 Value = object  # domain values: ints or strings ("?" for censored proxies)
 Pins = tuple[tuple[str, Value], ...]
+MAX_CELLS = 2 ** 24  # a larger join raises ExprError, not MemoryError
 
 
 def _names(xs: Iterable[str]) -> tuple[str, ...]:
@@ -730,16 +734,18 @@ class NamedTable:
             if da is not None and db is not None and da != db:
                 raise ExprError(f"domain mismatch on axis {d!r}")
             domains[d] = da if da is not None else db
+        cells = math.prod(len(domains[d]) for d in dims)
+        if cells > MAX_CELLS:
+            raise ExprError(f"a table of {cells} cells over {list(dims)} exceeds"
+                            f" MAX_CELLS = {MAX_CELLS}")
         xa = a.aligned(dims, domains)
         xb = b.aligned(dims, domains)
         with np.errstate(divide="ignore", invalid="ignore"):
             data = op(xa, xb)
         if op is np.divide:
-            xa_b, xb_b = np.broadcast_arrays(xa, xb)
-            data = np.where(xb_b == 0, np.where(xa_b == 0, 0.0, np.nan), data)
+            data = np.where(xb == 0, np.where(xa == 0, 0.0, np.nan), data)
         elif op is np.multiply:
-            xa_b, xb_b = np.broadcast_arrays(xa, xb)
-            data = np.where((xa_b == 0) | (xb_b == 0), 0.0, data)
+            data = np.where((xa == 0) | (xb == 0), 0.0, data)
         data = np.where(np.isinf(data), np.nan, data)
         return NamedTable(dims, domains, data)
 
@@ -783,9 +789,10 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
-    .name, .variables, .marginal(names) -> NamedTable over those axes).
-    Each atom asks the law for one marginal; shared subexpressions are
-    evaluated once."""
+    .name, .variables, .marginal(names, evidence) -> NamedTable over names
+    minus the evidence, sliced at it).  An atom, restricted or not, asks the
+    law for its joint and its context with its pins as evidence; shared
+    subexpressions are evaluated once."""
     return _evaluate(e, law, {})
 
 
@@ -802,18 +809,21 @@ def _evaluate(e: Expr, law, memo: dict) -> NamedTable:
 def _evaluate_raw(e: Expr, law, memo: dict) -> NamedTable:
     if isinstance(e, One):
         return NamedTable.scalar(1.0)
-    if isinstance(e, Atom):
-        if e.law != law.name:
-            raise ExprError(f"atom law {e.law!r} not resolvable from {law.name!r}")
-        want = set(e.vars) | set(e.ctx)
+    parts = _leaf_parts(e)
+    if parts is not None:       # an atom is a restriction with no pins
+        name, joint_vars, ctx, pins = parts
+        if name != law.name:
+            raise ExprError(f"atom law {name!r} not resolvable from {law.name!r}")
+        want = joint_vars | ctx
         missing = want - set(law.variables)
         if missing:
             raise ExprError(f"law has no variables {sorted(missing)}")
-        joint = law.marginal(want)
-        if not e.ctx:
+        joint = law.marginal(want, {k: v for k, v in pins.items() if k in want})
+        if not ctx:
             return joint
-        ctx_marg = joint.sum_out(e.vars)
-        return NamedTable.join(joint, ctx_marg, np.divide)
+        return NamedTable.join(
+            joint, law.marginal(ctx, {k: v for k, v in pins.items() if k in ctx}),
+            np.divide)
     if isinstance(e, Restrict):
         return _evaluate(e.child, law, memo).take(dict(e.pins))
     if isinstance(e, Marginal):

@@ -1,16 +1,18 @@
 """Brute-force ground truth for verification.
 
 Samples strictly positive full laws from the DAG factorization of a
-missing-data model, derives observed laws, checks conditional independence
-numerically, verifies emitted functionals against enumerated truths, and
-constructs witness pairs certifying full-law non-identifiability.
+missing-data model, derives observed laws, verifies emitted functionals
+against enumerated truths, and constructs witness pairs certifying full-law
+non-identifiability.
 
 A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
 computed from them by variable elimination, so large models never
-materialize the full joint.  The observed law handed to expression
-evaluation keeps the full law's CPTs and only narrows the variables, so
-every atom is one elimination.  A dense law is a FactoredLaw with a single
-factor (``dense``).
+materialize the full joint.  A marginal may carry evidence (fixed values):
+every factor is sliced at it before elimination.  The observed law handed to
+expression evaluation keeps the full law's CPTs and only narrows the
+variables, so an atom's joint and its context are each one elimination with
+the atom's pins as evidence, and no trial builds the observed joint.  A
+dense law is a FactoredLaw with a single factor (``dense``).
 """
 
 from __future__ import annotations
@@ -82,10 +84,17 @@ class FactoredLaw:
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
 
-    def marginal(self, names: Iterable[str]) -> NamedTable:
-        key = frozenset(names)
+    def marginal(self, names: Iterable[str],
+                 evidence: Mapping[str, object] | None = None) -> NamedTable:
+        """The marginal over names sliced at the evidence, i.e.
+        ``marginal(names | evidence).take(evidence)``, over names minus the
+        evidence.  Every factor is sliced before elimination, so no table
+        carries an evidence axis."""
+        ev = dict(evidence or {})
+        key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
-            self._marginals[key] = _elimination_marginal(self.factors, key)
+            factors = [f.take(ev) for f in self.factors] if ev else self.factors
+            self._marginals[key] = _elimination_marginal(factors, key[0])
         return self._marginals[key]
 
     @property
@@ -203,27 +212,6 @@ def propensity_truth(md: MdDag, full: FactoredLaw, indicator: str) -> NamedTable
     pa = md.graph.parents([indicator])
     joint = full.marginal(pa | {indicator})
     return NamedTable.join(joint, joint.sum_out([indicator]), np.divide)
-
-
-# ---------------------------------------------------------------------------
-# conditional independence
-# ---------------------------------------------------------------------------
-
-
-def ci_check(law: FactoredLaw, a: Iterable[str], b: Iterable[str],
-             c: Iterable[str] = ()) -> float:
-    """Max over cells of |p(a,b|c) - p(a|c) p(b|c)|; cells with zero context
-    mass are skipped."""
-    A, B, C = frozenset(a), frozenset(b), frozenset(c)
-    if A & B or A & C or B & C:
-        raise OracleError("ci_check requires disjoint variable sets")
-    joint = law.marginal(A | B | C)
-    pc = joint.sum_out(A | B)
-    pabc = NamedTable.join(joint, pc, np.divide)
-    pac = NamedTable.join(joint.sum_out(B), pc, np.divide)
-    pbc = NamedTable.join(joint.sum_out(A), pc, np.divide)
-    prod = NamedTable.join(pac, pbc, np.multiply)
-    return pabc.max_abs_diff(prod)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared helpers: random graph generators, a brute-force path-enumeration
-separation check, and law builders for comparisons against the fast code."""
+separation check, a numeric conditional-independence check, and law builders
+for comparisons against the fast code."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from mdid.graph import Cadmg
+from mdid.kernel import NamedTable
 from mdid.model import MdDag, Triple, validate_md_dag
 from mdid import oracle as O
 
@@ -76,6 +78,21 @@ def random_mddag(rng: np.random.Generator, k: int, n_obs: int = 0,
         edges += [(t.indicator, t.proxy), (t.truth, t.proxy)]
     names = substantive + [t.indicator for t in triples] + [t.proxy for t in triples]
     return validate_md_dag(Cadmg(names, edges), triples, obs)
+
+
+def ci_check(law: O.FactoredLaw, a, b, c=()) -> float:
+    """Max over cells of |p(a,b|c) - p(a|c) p(b|c)|; cells with zero context
+    mass are skipped."""
+    A, B, C = frozenset(a), frozenset(b), frozenset(c)
+    if A & B or A & C or B & C:
+        raise O.OracleError("ci_check requires disjoint variable sets")
+    joint = law.marginal(A | B | C)
+    pc = joint.sum_out(A | B)
+    pabc = NamedTable.join(joint, pc, np.divide)
+    pac = NamedTable.join(joint.sum_out(B), pc, np.divide)
+    pbc = NamedTable.join(joint.sum_out(A), pc, np.divide)
+    prod = NamedTable.join(pac, pbc, np.multiply)
+    return pabc.max_abs_diff(prod)
 
 
 # -- brute force m-separation by path enumeration ---------------------------

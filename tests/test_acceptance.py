@@ -17,7 +17,7 @@ from mdid.missing import ancestral_precondition, ancestral_schedule, \
 from mdid import oracle as O
 from mdid.separation import m_separated
 
-from conftest import admg_law, hidden_dag_for, random_admg, random_dag, \
+from conftest import admg_law, ci_check, hidden_dag_for, random_admg, random_dag, \
     random_mddag
 
 TOL = 1e-9
@@ -382,7 +382,7 @@ def test_criterion_7_separation_soundness():
                 for k in range(len(rest) + 1):
                     for c in combinations(rest, k):
                         if m_separated(g, [a], [b], c):
-                            gap = O.ci_check(law, [a], [b], c)
+                            gap = ci_check(law, [a], [b], c)
                             assert gap <= TOL, (g, a, b, c, gap)
                             separated += 1
     dt = time.time() - t0

@@ -143,6 +143,14 @@ def test_undefined_cells_are_marked_and_counted():
     assert t0.undefined_count() == 0
 
 
+def test_join_over_max_cells_raises():
+    # 4097^2 cells is past MAX_CELLS = 2^24; the check runs before allocation
+    a = K.NamedTable(("A",), {"A": tuple(range(4097))}, np.ones(4097))
+    b = K.NamedTable(("B",), {"B": tuple(range(4097))}, np.ones(4097))
+    with pytest.raises(K.ExprError, match=r"16785409 cells over \['A', 'B'\]"):
+        K.NamedTable.join(a, b, np.multiply)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_random_kernel_pipelines_round_trip(seed):

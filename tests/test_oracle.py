@@ -2,15 +2,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.graph import Cadmg
+from mdid.identify import identify_target
+from mdid import kernel as K
 from mdid.kernel import NamedTable
 from mdid.missing import colluder_scan
 from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
-from conftest import hidden_dag_for
+from conftest import ci_check, hidden_dag_for, random_mddag
 
 
 def table(dims, doms, data):
@@ -49,9 +52,9 @@ def test_sampling_is_deterministic_and_positive():
 def test_mcar_two_triples_is_product_law():
     md = md_dag([], ["X1", "X2"])
     law = O.sample_full_law(md, 2, seed=1)
-    gap = O.ci_check(law, ["X1(1)"], ["R1"])
+    gap = ci_check(law, ["X1(1)"], ["R1"])
     assert gap <= 1e-12
-    gap = O.ci_check(law, ["R1"], ["R2"])
+    gap = ci_check(law, ["R1"], ["R2"])
     assert gap <= 1e-12
 
 
@@ -107,18 +110,16 @@ def test_constraint_surface_pair_agree_on_observed_law():
 def test_ci_check_examples():
     md = md_dag([], ["X1", "X2"])
     law = O.sample_full_law(md, 2, seed=3)
-    assert O.ci_check(law, ["X1(1)"], ["X2(1)"]) <= 1e-12
+    assert ci_check(law, ["X1(1)"], ["X2(1)"]) <= 1e-12
     g = Cadmg("AB", [("A", "B")])
     law2 = O.sample_dag_law(g, 2, seed=1)
-    assert O.ci_check(law2, ["A"], ["B"]) > 1e-3
+    assert ci_check(law2, ["A"], ["B"]) > 1e-3
 
 
 def test_verify_functional_negative_control():
     # a deliberately wrong propensity must be loudly wrong: pretend R1 is
     # missing-completely-at-random although it depends on censored parents
     md = load("crisscross")
-    from mdid.identify import identify_target
-    from mdid import kernel as K
     rep = identify_target(md)
     assert rep.status == "identified"
     good = O.verify_target_functional(md, rep.functional, trials=20, seed=5)
@@ -221,3 +222,81 @@ def test_observed_law_marginals_match_dense_observed_law(name):
         for names in ({t.indicator}, {t.proxy}, {t.indicator, t.proxy},
                       md.observed_columns - {t.proxy}):
             assert obs.marginal(names).max_abs_diff(dense.marginal(names)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_marginal_with_evidence_is_slice_of_marginal(data):
+    # slicing every factor before elimination gives the cells that slicing
+    # the marginal afterwards gives
+    md = load(data.draw(st.sampled_from(MISSING_DATA_FIXTURES)))
+    law = O.derive_observed_law(
+        md, O.sample_full_law(md, 2, data.draw(st.integers(0, 1000))))
+    cols = sorted(law.variables)
+    names = set(data.draw(st.lists(st.sampled_from(cols), unique=True)))
+    pinned = data.draw(st.lists(st.sampled_from(cols), unique=True))
+    ev = {v: data.draw(st.sampled_from(law.variables[v])) for v in pinned}
+    got = law.marginal(names, ev)
+    want = law.marginal(names | set(ev)).take(ev)
+    assert got.dims == want.dims == tuple(sorted(names - set(ev)))
+    assert got.max_abs_diff(want) <= 1e-12
+
+
+def reference_evaluate(e: K.Expr, law, memo: dict) -> NamedTable:
+    """Evaluation that takes each atom's marginal over all its variables
+    first and slices it at the pins afterwards."""
+    if e not in memo:
+        if isinstance(e, K.One):
+            out = NamedTable.scalar(1.0)
+        elif isinstance(e, K.Atom):
+            out = law.marginal(set(e.vars) | set(e.ctx))
+            if e.ctx:
+                out = NamedTable.join(out, out.sum_out(e.vars), np.divide)
+        elif isinstance(e, K.Restrict):
+            out = reference_evaluate(e.child, law, memo).take(dict(e.pins))
+        elif isinstance(e, K.Marginal):
+            out = reference_evaluate(e.child, law, memo).sum_out(e.over)
+        elif isinstance(e, K.Product):
+            out = NamedTable.scalar(1.0)
+            for c in e.children:
+                out = NamedTable.join(out, reference_evaluate(c, law, memo), np.multiply)
+        else:
+            out = NamedTable.join(reference_evaluate(e.num, law, memo),
+                                  reference_evaluate(e.den, law, memo), np.divide)
+        memo[e] = out
+    return memo[e]
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+def test_target_functional_matches_reference_evaluation(name):
+    md = load(name)
+    rep = identify_target(md)
+    assert rep.status == "identified"
+    for seed in (0, 1):
+        obs = O.derive_observed_law(md, O.sample_full_law(md, 2, seed))
+        got = K.evaluate_numeric(rep.functional.expr, obs)
+        want = reference_evaluate(rep.functional.expr, obs, {})
+        assert got.dims == want.dims
+        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+        assert got.max_abs_diff(want) <= 1e-12
+
+
+def test_dense_law_over_max_cells_raises():
+    # two censored variables of cardinality 64: the full joint has
+    # 64^2 * 2^2 * 65^2 cells, past K.MAX_CELLS, while every join before the
+    # last stays near a million cells
+    law = O.sample_full_law(md_dag([], ["X1", "X2"]), 64, 0)
+    with pytest.raises(K.ExprError, match="69222400 cells"):
+        law.dense()
+
+
+@pytest.mark.parametrize("seed, k, p", [(0, 10, 0.3), (0, 12, 0.15), (1, 12, 0.15)])
+def test_large_random_models_verify(seed, k, p):
+    # the first seeds whose target search succeeds; the dense observed law of
+    # these models has 10^8 cells or more, so only evidence keeps them small
+    md = random_mddag(np.random.default_rng(seed), k, 1, p)
+    rep = identify_target(md)
+    assert rep.status == "identified"
+    check = O.verify_target_functional(md, rep.functional, trials=3)
+    assert check.max_error <= 1e-9
+    assert check.undefined_cells == 0

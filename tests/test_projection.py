@@ -9,7 +9,7 @@ from mdid.projection import latent_project_out
 from mdid.separation import m_separated
 from mdid import oracle as O
 
-from conftest import random_admg, random_dag
+from conftest import ci_check, random_admg, random_dag
 
 
 def eliminate(g, h):
@@ -108,4 +108,4 @@ def test_markov_soundness_of_projection():
         for k in range(len(rest) + 1):
             for c in combinations(rest, k):
                 if m_separated(proj, [a], [b], c):
-                    assert O.ci_check(margin, [a], [b], c) <= 1e-9
+                    assert ci_check(margin, [a], [b], c) <= 1e-9

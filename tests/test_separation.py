@@ -9,7 +9,7 @@ from mdid.projection import latent_project_out
 from mdid.separation import m_separated
 from mdid import oracle as O
 
-from conftest import brute_force_separated, random_admg, random_dag
+from conftest import brute_force_separated, ci_check, random_admg, random_dag
 
 
 def test_direct_edge_connected():
@@ -107,4 +107,4 @@ def test_numeric_soundness_on_random_dags():
         for k in range(len(rest) + 1):
             for c in combinations(rest, k):
                 if m_separated(g, [a], [b], c):
-                    assert O.ci_check(law, [a], [b], c) <= 1e-9
+                    assert ci_check(law, [a], [b], c) <= 1e-9

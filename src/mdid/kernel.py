@@ -2,26 +2,28 @@
 
 Expression nodes: Atom (a conditional of a named law), Marginal, Product,
 Quotient, Restrict (evaluation at fixed values) and One (the normalized
-unit).  Expressions are immutable.  ``condition`` builds a conditional as an
-atom's context or a quotient by a marginal.  ``canonicalize`` rewrites a
-tree into a deterministic normal form: restrictions pushed onto atoms,
-marginals absorbed into atoms and distributed over products variable by
-variable, quotients flattened with common factors cancelled, and chain-rule
-merges applied to pairs of atoms of the same law.  Golden tests compare
-canonical forms, so the normal form is deliberately order-insensitive:
-products are sorted by rendered text.
+unit).  Expressions are immutable; a conditional is a quotient by a
+marginal.  ``canonicalize`` rewrites a tree into a deterministic normal
+form: restrictions pushed onto atoms, marginals absorbed into atoms and
+distributed over products variable by variable, quotients flattened with
+common factors cancelled, and chain-rule merges applied to pairs of atoms
+of the same law.  Golden tests compare canonical forms, so the normal form
+is deliberately order-insensitive: products are sorted by rendered text.
 
 Numeric evaluation is dense, over named axes; 0/0 cells become NaN markers
 (an explicit "undefined" signal, counted by callers) rather than raising.
-A restricted atom is asked of the law with its pins as evidence, and no
-join builds more than ``MAX_CELLS`` cells.
+A restricted atom is asked of the law with its pins as evidence.
+``contract`` sums a product of factor tables by variable elimination in
+``np.einsum`` steps, from a plan cached by the tables' axes.  No join or
+contraction step builds more than ``MAX_CELLS`` cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class ExprError(ValueError):
 
 Value = object  # domain values: ints or strings ("?" for censored proxies)
 Pins = tuple[tuple[str, Value], ...]
-MAX_CELLS = 2 ** 24  # a larger join raises ExprError, not MemoryError
+MAX_CELLS = 2 ** 24  # a larger table raises ExprError, not MemoryError
 
 
 def _names(xs: Iterable[str]) -> tuple[str, ...]:
@@ -205,23 +207,6 @@ def marginalize(e: Expr, out: Iterable[str]) -> Expr:
     return canonicalize(Marginal(e, outs))
 
 
-def condition(e: Expr, on: Iterable[str]) -> Expr:
-    """Condition a kernel on a subset of its free variables: an atom leaf
-    takes them as context, anything else is divided by its marginal."""
-    ons = set(on)
-    bad = ons - e.free()
-    if bad:
-        raise ExprError(f"cannot condition on non-free variables {sorted(bad)}")
-    if not ons:
-        return e
-    e = canonicalize(e)
-    parts = _leaf_parts(e)
-    if parts is not None:
-        law, j, g, pins = parts
-        return _make_leaf(law, j - ons, g | ons, pins)
-    return canonicalize(Quotient(e, _marginalize_canon(e, e.free() - ons)))
-
-
 def restrict_values(e: Expr, assignments) -> Expr:
     """Evaluate the expression at fixed values of free or context variables.
 
@@ -242,17 +227,6 @@ def restrict_values(e: Expr, assignments) -> Expr:
     if not new:
         return e
     return canonicalize(Restrict(e, new))
-
-
-def conditional_of(e: Expr, targets: Iterable[str], given: Iterable[str]) -> Expr:
-    """q(targets | given) derived from the kernel e by marginalizing the rest
-    and conditioning."""
-    ts = _names(targets)
-    gs = _names(given)
-    if set(ts) & set(gs):
-        raise ExprError("targets and given overlap")
-    rest = e.free() - set(ts) - set(gs)
-    return condition(marginalize(e, rest), gs)
 
 
 def product(children: Iterable[Expr]) -> Expr:
@@ -734,10 +708,7 @@ class NamedTable:
             if da is not None and db is not None and da != db:
                 raise ExprError(f"domain mismatch on axis {d!r}")
             domains[d] = da if da is not None else db
-        cells = math.prod(len(domains[d]) for d in dims)
-        if cells > MAX_CELLS:
-            raise ExprError(f"a table of {cells} cells over {list(dims)} exceeds"
-                            f" MAX_CELLS = {MAX_CELLS}")
+        _check_cells(dims, domains)
         xa = a.aligned(dims, domains)
         xb = b.aligned(dims, domains)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -785,6 +756,104 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
     order = tuple(np.argsort(dims))
     data = np.transpose(tab.data, order) if tab.dims else tab.data
     return NamedTable(tuple(sorted(dims)), domains, data)
+
+
+def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
+    cells = math.prod(len(domains[d]) for d in dims)
+    if cells > MAX_CELLS:
+        raise ExprError(f"a table of {cells} cells over {list(dims)} exceeds"
+                        f" MAX_CELLS = {MAX_CELLS}")
+
+
+def contract(tables: Sequence[NamedTable], keep: Iterable[str],
+             evidence: Mapping[str, Value] | None = None) -> NamedTable:
+    """The product of the tables, each sliced at the evidence, summed over
+    every axis outside keep; the result's axes are sorted.
+
+    The variable whose tables span the fewest axes is eliminated first (ties
+    by name); a step multiplies its tables by ``np.einsum`` in pairs and
+    sums the variable out in the last.  The plan depends only on the tables'
+    axes and domains, keep and the evidence, so it is made once per such
+    key; no step may span more than ``MAX_CELLS`` cells.  The tables must be
+    finite and non-negative: einsum multiplies plainly, without the NaN
+    absorption of ``NamedTable.join``."""
+    plan = _contraction_plan(
+        tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables),
+        frozenset(keep), tuple(sorted((evidence or {}).items())))
+    arrays = [t.data if index is None else t.data[index]
+              for t, index in zip(tables, plan.slices)]
+    for inputs, subscripts, out in plan.steps:
+        args: list = []
+        for i, sub in zip(inputs, subscripts):
+            args += (arrays[i], sub)
+        arrays.append(np.einsum(*args, out))
+    if not arrays:
+        return NamedTable.scalar(1.0)
+    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]))
+
+
+_EINSUM_LABELS = 52     # np.einsum's sublist labels are 0 to 51
+
+
+class _Plan(NamedTuple):
+    slices: tuple           # per table, its index at the evidence or None
+    steps: tuple            # (operand positions, their sublists, output sublist)
+    dims: tuple[str, ...]   # the last operand's axes
+    domains: dict
+
+
+def _union(operands) -> tuple[str, ...]:
+    return tuple(sorted(set().union(*(axes for _, axes in operands))))
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(tables: tuple[tuple[tuple[str, tuple[Value, ...]], ...], ...],
+                      keep: frozenset[str], evidence: Pins) -> _Plan:
+    ev = dict(evidence)
+    domains: dict[str, tuple[Value, ...]] = {}
+    slices, steps, work = [], [], []     # work: (operand position, axes)
+    for pos, table in enumerate(tables):
+        for d, dom in table:
+            if d not in ev and domains.setdefault(d, dom) != dom:
+                raise ExprError(f"domain mismatch on axis {d!r}")
+            if d in ev and ev[d] not in dom:
+                raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
+        live = tuple(d for d, _ in table if d not in ev)
+        slices.append(None if len(live) == len(table) else
+                      tuple(dom.index(ev[d]) if d in ev else slice(None) for d, dom in table))
+        work.append((pos, live))
+
+    def einsum(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+        labels = _union(operands)
+        _check_cells(labels, domains)
+        if len(labels) > _EINSUM_LABELS:
+            raise ExprError(f"a step over {len(labels)} axes exceeds einsum's"
+                            f" {_EINSUM_LABELS} labels")
+        number = {d: n for n, d in enumerate(labels)}
+        steps.append((tuple(p for p, _ in operands),
+                      tuple(tuple(number[d] for d in axes) for _, axes in operands),
+                      tuple(number[d] for d in out)))
+        return len(tables) + len(steps) - 1, out
+
+    def step(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+        # numpy's two-operand loops are far faster than its generic loop for
+        # three or more, so a step folds its operands in pairs, smallest first
+        first, *rest = sorted(operands, key=lambda w: math.prod(len(domains[d]) for d in w[1]))
+        for i, nxt in enumerate(rest):
+            first = einsum([first, nxt], out if i == len(rest) - 1 else _union([first, nxt]))
+        return first if rest else einsum([first], out)
+
+    elim = sorted(set(_union(work)) - keep)
+    while elim:     # the variable whose tables span the fewest axes, ties by name
+        v = min(elim, key=lambda v: len(_union([w for w in work if v in w[1]])))
+        involved = [w for w in work if v in w[1]]
+        work = [w for w in work if v not in w[1]] + [
+            step(involved, tuple(d for d in _union(involved) if d != v))]
+        elim.remove(v)
+    if len(work) > 1 or (work and work[0][1] != _union(work)):
+        work = [step(work, _union(work))]
+    dims = _union(work)
+    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:

@@ -6,24 +6,26 @@ against enumerated truths, and constructs witness pairs certifying full-law
 non-identifiability.
 
 A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
-computed from them by variable elimination, so large models never
-materialize the full joint.  A marginal may carry evidence (fixed values):
-every factor is sliced at it before elimination.  The observed law handed to
-expression evaluation keeps the full law's CPTs and only narrows the
-variables, so an atom's joint and its context are each one elimination with
-the atom's pins as evidence, and no trial builds the observed joint.  A
-dense law is a FactoredLaw with a single factor (``dense``).
+computed from them by variable elimination (``kernel.contract``, whose plan
+is cached by the factors' axes, so every sampled law of one model reuses
+it), and large models never materialize the full joint.  A marginal may
+carry evidence (fixed values): every factor is sliced at it before
+elimination.  The observed law handed to expression evaluation keeps the
+full law's CPTs and only narrows the variables, so an atom's joint and its
+context are each one elimination with the atom's pins as evidence, and no
+trial builds the observed joint.  A dense law is a FactoredLaw with a single
+factor (``dense``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .graph import Cadmg
-from .kernel import NamedTable, evaluate_numeric, rename_axes
+from .kernel import NamedTable, contract, evaluate_numeric, rename_axes
 from .missing import drop_censored_rows
 from .model import MISSING_TOKEN, MdDag, Triple
 
@@ -39,50 +41,22 @@ class OracleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _elimination_marginal(factors: Sequence[NamedTable], keep: frozenset[str]) -> NamedTable:
-    """Multiply the factor list and sum out everything outside keep, greedily
-    eliminating the variable whose combined factor is smallest."""
-    work = list(factors)
-    if not work:
-        return NamedTable.scalar(1.0)
-    if len(work) == 1:          # a dense law: one sum over all dropped axes
-        return work[0].sum_out(set(work[0].dims) - keep)
-    all_vars: set[str] = set()
-    for f in work:
-        all_vars |= set(f.dims)
-    elim = all_vars - keep
-    while elim:
-        best = None
-        for v in sorted(elim):
-            involved = [f for f in work if v in f.dims]
-            dims = set()
-            for f in involved:
-                dims |= set(f.dims)
-            cost = len(dims)
-            if best is None or cost < best[0]:
-                best = (cost, v, involved)
-        _, v, involved = best
-        rest = [f for f in work if v not in f.dims]
-        prod = involved[0]
-        for f in involved[1:]:
-            prod = NamedTable.join(prod, f, np.multiply)
-        work = rest + [prod.sum_out([v])]
-        elim.discard(v)
-    out = work[0]
-    for f in work[1:]:
-        out = NamedTable.join(out, f, np.multiply)
-    return out.sum_out(set(out.dims) - keep)
-
-
 @dataclass(eq=False)
 class FactoredLaw:
     """Law over named finite variables, held as factors whose product is the
-    joint over (a superset of) ``variables``; marginals via elimination."""
+    joint over (a superset of) ``variables``; marginals by ``kernel.contract``.
+    Every factor must be finite and non-negative."""
 
     name: str
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for f in self.factors:
+            if not np.isfinite(f.data).all() or (f.data < 0).any():
+                raise OracleError(f"factor over {list(f.dims)} has a negative"
+                                  " or non-finite cell")
 
     def marginal(self, names: Iterable[str],
                  evidence: Mapping[str, object] | None = None) -> NamedTable:
@@ -93,8 +67,7 @@ class FactoredLaw:
         ev = dict(evidence or {})
         key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
-            factors = [f.take(ev) for f in self.factors] if ev else self.factors
-            self._marginals[key] = _elimination_marginal(factors, key[0])
+            self._marginals[key] = contract(self.factors, key[0], ev)
         return self._marginals[key]
 
     @property
@@ -105,15 +78,12 @@ class FactoredLaw:
     def dense(self, names: Iterable[str] | None = None,
               name: str | None = None) -> "FactoredLaw":
         """The marginal over names (default: all variables) as a law with
-        one factor, checked to carry mass 1 within 1e-12 and no negative
-        mass."""
+        one factor, checked to carry mass 1 within 1e-12."""
         names = frozenset(names if names is not None else self.variables)
         tab = self.marginal(names)
         total = float(tab.data.sum())
         if abs(total - 1.0) > 1e-12:
             raise OracleError(f"law mass {total} is not 1 within 1e-12")
-        if (tab.data < 0).any():
-            raise OracleError("law has negative mass")
         return FactoredLaw(name or self.name,
                            {v: self.variables[v] for v in sorted(names)}, (tab,))
 
@@ -378,7 +348,5 @@ def sample_dag_law(g: Cadmg, cardinality: int = 2, seed: int = 0) -> FactoredLaw
 def interventional_truth(g: Cadmg, law: FactoredLaw, outcomes: Iterable[str],
                          treatments: Mapping[str, object]) -> NamedTable:
     """p(Y(a)) by direct enumeration of the truncated factorization."""
-    cpts = {v: _cpt_of(g, law, v) for v in g.topological_order()}
-    factors = [f.take({k: val for k, val in treatments.items() if k in f.dims})
-               for v, f in cpts.items() if v not in treatments]
-    return _elimination_marginal(factors, frozenset(outcomes))
+    cpts = [_cpt_of(g, law, v) for v in g.topological_order() if v not in treatments]
+    return contract(cpts, frozenset(outcomes), treatments)

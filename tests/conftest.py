@@ -1,6 +1,7 @@
 """Shared helpers: random graph generators, a brute-force path-enumeration
-separation check, a numeric conditional-independence check, and law builders
-for comparisons against the fast code."""
+separation check, a numeric conditional-independence check, a pairwise-join
+variable elimination, and law builders for comparisons against the fast
+code."""
 
 from __future__ import annotations
 
@@ -93,6 +94,42 @@ def ci_check(law: O.FactoredLaw, a, b, c=()) -> float:
     pbc = NamedTable.join(joint.sum_out(A), pc, np.divide)
     prod = NamedTable.join(pac, pbc, np.multiply)
     return pabc.max_abs_diff(prod)
+
+
+def reference_elimination_marginal(factors, keep) -> NamedTable:
+    """Multiply the factor list and sum out everything outside keep, greedily
+    eliminating the variable whose combined factor spans the fewest axes,
+    with one ``NamedTable.join`` per pair of factors."""
+    work = list(factors)
+    if not work:
+        return NamedTable.scalar(1.0)
+    if len(work) == 1:          # a dense law: one sum over all dropped axes
+        return work[0].sum_out(set(work[0].dims) - keep)
+    all_vars: set[str] = set()
+    for f in work:
+        all_vars |= set(f.dims)
+    elim = all_vars - keep
+    while elim:
+        best = None
+        for v in sorted(elim):
+            involved = [f for f in work if v in f.dims]
+            dims = set()
+            for f in involved:
+                dims |= set(f.dims)
+            cost = len(dims)
+            if best is None or cost < best[0]:
+                best = (cost, v, involved)
+        _, v, involved = best
+        rest = [f for f in work if v not in f.dims]
+        prod = involved[0]
+        for f in involved[1:]:
+            prod = NamedTable.join(prod, f, np.multiply)
+        work = rest + [prod.sum_out([v])]
+        elim.discard(v)
+    out = work[0]
+    for f in work[1:]:
+        out = NamedTable.join(out, f, np.multiply)
+    return out.sum_out(set(out.dims) - keep)
 
 
 # -- brute force m-separation by path enumeration ---------------------------

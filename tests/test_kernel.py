@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdid import kernel as K
+from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.graph import Cadmg
+from mdid.identify import identify_target
+from mdid.model import MdDag
 from mdid import oracle as O
 
-from conftest import random_dag
+from conftest import random_dag, reference_elimination_marginal
+
+MISSING_DATA_FIXTURES = [n for n in FIXTURE_NAMES if isinstance(load(n), MdDag)]
 
 
 def law4(seed=0):
@@ -21,14 +28,6 @@ def test_marginalize_atom_and_identity():
     assert K.marginalize(e, []) is e
     with pytest.raises(K.ExprError):
         K.marginalize(e, ["B"])        # context variable
-
-
-def test_condition_atom_and_identity():
-    p = K.Atom("p", ("A", "B"))
-    assert K.condition(p, ["A"]) == K.Atom("p", ("B",), ("A",))
-    assert K.condition(p, []) is p
-    with pytest.raises(K.ExprError):
-        K.condition(K.Atom("p", ("A",), ("B",)), ["B"])
 
 
 def test_restrict_values():
@@ -48,9 +47,10 @@ def test_fixing_algebra_produces_published_shapes():
     q1 = K.quotient(p, K.Atom("p", ("M",), ("B",)))
     assert q1 == K.product([K.Atom("p", ("A", "Y"), ("B", "M")),
                             K.Atom("p", ("B",))])
-    q2 = K.quotient(q1, K.conditional_of(q1, ["B"], ["A", "Y"]))
+    # divide by q1(B | A, Y) = q1 / sum_B q1
+    q2 = K.quotient(q1, K.quotient(q1, K.marginalize(q1, ["B"])))
     assert q2 == K.Marginal(q1, ("B",))
-    den = K.conditional_of(q2, ["A"], [])
+    den = K.marginalize(q2, ["Y"])
     expected_den = K.marginalize(
         K.product([K.Atom("p", ("A",), ("B", "M")), K.Atom("p", ("B",))]), ["B"])
     assert den == expected_den
@@ -89,7 +89,7 @@ def test_normalization_of_kernels():
     # arbitrary kernel built by fixing twice, then conditioning
     p = K.Atom("p", ("A", "B", "M", "Y"))
     q1 = K.quotient(p, K.Atom("p", ("M",), ("B",)))
-    q2 = K.quotient(q1, K.conditional_of(q1, ["B"], ["A", "Y"]))
+    q2 = K.quotient(q1, K.quotient(q1, K.marginalize(q1, ["B"])))
     tab = K.evaluate_numeric(q2, law)
     # context M: every context slice sums to 1
     sums = tab.sum_out(["A", "Y"])
@@ -104,9 +104,10 @@ def test_algebraic_identities_numeric():
     again = K.evaluate_numeric(K.quotient(K.Product((a, b)), b), law)
     direct = K.evaluate_numeric(a, law)
     assert direct.max_abs_diff(again) <= 1e-12
-    # condition-then-marginalize consistency
+    # condition-then-marginalize consistency: p(A, B) / p(B)
     joint = K.Atom("p", ("A", "B", "M"))
-    lhs = K.evaluate_numeric(K.conditional_of(joint, ["A"], ["B"]), law)
+    lhs = K.evaluate_numeric(K.quotient(K.marginalize(joint, ["M"]),
+                                        K.marginalize(joint, ["A", "M"])), law)
     pa = K.evaluate_numeric(K.Atom("p", ("A",), ("B",)), law)
     assert lhs.max_abs_diff(pa) <= 1e-12
 
@@ -166,9 +167,104 @@ def test_random_kernel_pipelines_round_trip(seed):
         v = free[int(rng.integers(0, len(free)))]
         if move == 0:
             e = K.marginalize(e, [v])
-        elif move == 1:
-            e = K.condition(e, [v])
+        elif move == 1:         # condition on v
+            e = K.quotient(e, K.marginalize(e, sorted(e.free() - {v})))
         else:
             e = K.restrict_values(e, {v: int(rng.integers(0, 2))})
     back = K.canonicalize(K.parse(K.render(e)))
     assert back == e
+
+
+def assert_same_cells(got: K.NamedTable, want: K.NamedTable) -> None:
+    assert got.dims == want.dims
+    assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+    assert np.array_equal(got.data == 0, want.data == 0)
+    assert got.max_abs_diff(want) <= 1e-12
+
+
+def check_contract(tables, keep, ev):
+    want = reference_elimination_marginal([t.take(ev) for t in tables],
+                                          frozenset(keep) - set(ev))
+    assert_same_cells(K.contract(tables, keep, ev), want)
+
+
+@st.composite
+def factor_sets(draw):
+    """Up to five tables over five variables whose domains may be of size
+    one or carry "?", with zero-heavy cells; scalars included."""
+    names = "ABCDE"
+    doms = {v: draw(st.sampled_from([(0,), (0, 1), (0, 1, "?"), (0, 1, 2)])) for v in names}
+    tables = []
+    for _ in range(draw(st.integers(0, 5))):
+        dims = tuple(sorted(draw(st.sets(st.sampled_from(names), max_size=3))))
+        shape = tuple(len(doms[d]) for d in dims)
+        cells = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.7, 1.0]),
+                              min_size=math.prod(shape), max_size=math.prod(shape)))
+        tables.append(K.NamedTable(dims, {d: doms[d] for d in dims},
+                                   np.array(cells).reshape(shape)))
+    keep = draw(st.sets(st.sampled_from(names)))
+    pinned = draw(st.sets(st.sampled_from(names), max_size=3))
+    return tables, keep, {v: draw(st.sampled_from(doms[v])) for v in pinned}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=factor_sets())
+def test_contract_matches_pairwise_join_elimination(case):
+    check_contract(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contract_matches_pairwise_join_elimination_on_fixture_laws(data):
+    md = load(data.draw(st.sampled_from(MISSING_DATA_FIXTURES)))
+    law = O.sample_full_law(md, 2, data.draw(st.integers(0, 1000)))
+    names = sorted(law.variables)
+    keep = data.draw(st.sets(st.sampled_from(names), max_size=5))
+    pinned = data.draw(st.sets(st.sampled_from(names), max_size=4))
+    check_contract(law.factors, keep,
+                   {v: data.draw(st.sampled_from(law.variables[v])) for v in pinned})
+
+
+def test_second_law_of_a_model_adds_no_plan_misses():
+    md = load("joint_quartet")
+    functional = identify_target(md).functional
+
+    def evaluate(seed):
+        full = O.sample_full_law(md, 2, seed)
+        functional.evaluate(O.derive_observed_law(md, full))
+        O.target_law(md, full)
+
+    evaluate(0)
+    misses = K._contraction_plan.cache_info().misses
+    evaluate(1)
+    assert K._contraction_plan.cache_info().misses == misses
+
+
+def test_contraction_step_over_max_cells_raises_at_plan_time():
+    # the tables hold no cells: the plan refuses the step before any is read
+    def axes(*names, n):
+        return K.NamedTable(names, {v: tuple(range(n)) for v in names}, np.empty(0))
+
+    # eliminating B multiplies A, B and C: the table the join chain refused
+    with pytest.raises(K.ExprError, match=r"27000000 cells over \['A', 'B', 'C'\]"):
+        K.contract([axes("A", "B", n=300), axes("B", "C", n=300)], ["A", "C"])
+    with pytest.raises(K.ExprError, match=r"16785409 cells over \['A', 'B'\]"):
+        K.contract([axes("A", n=4097), axes("B", n=4097)], ["A", "B"])
+
+
+def test_contraction_step_over_einsum_labels_raises_at_plan_time():
+    def units(n, data):
+        return [K.NamedTable((f"V{i:02d}",), {f"V{i:02d}": (0,)}, data)
+                for i in range(n)]
+
+    # np.einsum numbers labels 0 to 51: 52 one-cell axes still contract
+    tab = K.contract(units(52, np.full(1, 0.5)), [f"V{i:02d}" for i in range(52)])
+    assert tab.data.shape == (1,) * 52 and tab.data.item() == 0.5 ** 52
+    with pytest.raises(K.ExprError, match="53 axes"):
+        K.contract(units(53, np.empty(0)), [f"V{i:02d}" for i in range(53)])
+
+
+def test_contract_folds_more_operands_than_one_einsum_takes():
+    # a single np.einsum refuses 64 operands; a step folds them in pairs
+    scalars = [K.NamedTable.scalar(1.5) for _ in range(70)]
+    assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)

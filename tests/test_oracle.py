@@ -49,6 +49,15 @@ def test_sampling_is_deterministic_and_positive():
         assert (t.data >= O.CPT_FLOOR - 1e-12).all()
 
 
+def test_law_rejects_negative_or_non_finite_factors():
+    # contraction multiplies plainly, so a law's factors must be finite and
+    # non-negative
+    half = table(("A",), {"A": (0, 1)}, [0.5, 0.5])
+    for cells in ([0.5, -0.1], [0.5, np.nan], [np.inf, 0.5]):
+        with pytest.raises(O.OracleError, match="negative or non-finite"):
+            O.FactoredLaw("p", {"A": (0, 1)}, (half, table(("A",), {"A": (0, 1)}, cells)))
+
+
 def test_mcar_two_triples_is_product_law():
     md = md_dag([], ["X1", "X2"])
     law = O.sample_full_law(md, 2, seed=1)

@@ -16,9 +16,16 @@ an explicit m-separation check, and selection indicators pinned to 1.
 Selected-to-1 markers propagate to later subproblems and are auto-conditioned
 in every separation query; they are never fixable.
 
-``validate_schedule`` runs a schedule: it checks every class in the order of
-the schedule's linear extension and returns the SchedulePlan, which holds
-each class denominator and the subproblem after the whole schedule.
+``validate_schedule`` runs a schedule in one forward pass along its linear
+extension, where every class comes after its cone, so each class step reads
+the recorded results of its cone and nothing is computed twice.  A step
+builds the class's subproblem graph and first runs every check that reads
+only the graph: the clash with earlier selections (ii), monotone promotions,
+the observability of fixed censored variables, the member and district
+conditions, (i), (iii), and the conditioning set of each member.  Only then
+does it canonicalize the subproblem kernel and build the class denominator.
+The SchedulePlan is the record of the run: each class's r_z and
+denominator, the dropped-variable notes, and the state after every class.
 """
 
 from __future__ import annotations
@@ -58,6 +65,16 @@ def is_fixable_vertex(g: Cadmg, v: str) -> bool:
     return g.descendants([v]) & g.district(v) == {v}
 
 
+def _conditional(q: Expr, targets: Iterable[str], given: Iterable[str],
+                 scope: frozenset[str]) -> Expr:
+    """q(targets | given): sum out the scope's other variables, then divide
+    by the targets' marginal.  Variables outside the scope, such as the
+    contexts of a fixed kernel, pass through untouched."""
+    ts = frozenset(targets)
+    marg = K.marginalize(q, (scope - ts - frozenset(given)) & q.free())
+    return K.quotient(marg, K.marginalize(marg, ts & marg.free()))
+
+
 def fix_vertex(g: Cadmg, q: Expr, v: str) -> FixStepResult:
     """Divide by the vertex's blanket conditional and fix it in the graph.
 
@@ -67,11 +84,10 @@ def fix_vertex(g: Cadmg, q: Expr, v: str) -> FixStepResult:
     """
     if not is_fixable_vertex(g, v):
         raise FixError(f"{v!r} is not fixable")
-    given = g.markov_blanket([v]) & g.random_vertices
-    rest = (g.random_vertices - {v} - given) & q.free()
-    marg = K.marginalize(q, rest)
-    den = K.quotient(marg, K.marginalize(marg, {v} & marg.free()))
-    pins = {s: 1 for s in g.markov_blanket([v]) & g.selected_vertices}
+    mb = g.markov_blanket([v])
+    random = g.random_vertices
+    den = _conditional(q, {v}, mb & random, random)
+    pins = {s: 1 for s in mb & g.selected_vertices}
     if pins:
         den = K.restrict_values(den, pins)
     return FixStepResult(g.with_statuses(fixed=[v]), K.quotient(q, den), den)
@@ -216,29 +232,13 @@ class Subproblem:
     graph: Cadmg
     kernel: Expr
     merged: frozenset[str]          # censored variables identified with proxies
-    free_cols: frozenset[str] = field(init=False)
+    free_cols: frozenset[str] = field(init=False)   # observable random columns
 
     def __post_init__(self):
         self.free_cols = frozenset(
-            self.column(v) for v in self.graph.random_vertices
+            self.md.triple_of(v).proxy if v in self.merged else v
+            for v in self.graph.random_vertices
             if v not in self.md.truths or v in self.merged)
-
-    def column(self, v: str) -> str:
-        if v in self.md.truths:
-            if v in self.merged:
-                return self.md.triple_of(v).proxy
-            raise FixError(f"censored variable {v!r} has no observable column")
-        return v
-
-    def conditional(self, targets: Iterable[str], given: Iterable[str]) -> Expr:
-        """q(targets | given) within this subproblem: only free columns are
-        marginalized; fixed contexts pass through untouched."""
-        ts = frozenset(targets)
-        gs = frozenset(given)
-        rest = (self.free_cols - ts - gs) & self.kernel.free()
-        marg = K.marginalize(self.kernel, rest)
-        denom = K.marginalize(marg, ts & marg.free())
-        return K.quotient(marg, denom)
 
 
 def _plain_kernel(md: MdDag) -> Expr:
@@ -246,68 +246,71 @@ def _plain_kernel(md: MdDag) -> Expr:
 
 
 class SchedulePlan:
-    """Lazily executes a schedule over a model, memoizing per-class results.
+    """The record of one run of a schedule over a model.
 
-    Raises ScheduleInvalid on the first violated condition;
-    ``validate_schedule`` runs every class and turns that into a result.
+    ``subproblem`` is one step of the run; ``validate_schedule`` takes the
+    steps along the linear extension.  The record holds, by class index, the
+    indicators each checked class selects (``r_z``) and its denominator
+    (``denominators``), the dropped-variable ``notes``, and the ``final``
+    state after every class (None until the whole schedule has passed).
     """
 
     def __init__(self, md: MdDag, sched: FixingSchedule):
         self.md = md
         self.sched = sched
-        self._sub: dict[object, Subproblem] = {}
-        self._rz: dict[int, frozenset[str]] = {}
-        self._den: dict[int, Expr] = {}
+        self.r_z: dict[int, frozenset[str]] = {}
+        self.denominators: dict[int, Expr] = {}
         self.notes: list[str] = []
-
-    # -- cone state ---------------------------------------------------------
-
-    def _cone_state(self, cone: frozenset[int]):
-        fixed: set[str] = set()
-        for j in cone:
-            fixed |= self.sched.classes[j]
-        selected: set[str] = set()
-        for j in sorted(cone):     # r_z may raise: check classes in order
-            selected |= self.r_z(j) - fixed
-        return frozenset(fixed), frozenset(selected)
-
-    def rendered(self, cone: frozenset[int]) -> frozenset[str]:
-        """Censored variables identifiable with their proxies in this cone."""
-        fixed, selected = self._cone_state(cone)
-        out = set()
-        for t in self.md.triples:
-            if t.indicator in fixed or t.indicator in selected:
-                out.add(t.truth)
-        return frozenset(out)
-
-    # -- subproblem construction ---------------------------------------------
+        self.final: Subproblem | None = None
 
     def subproblem(self, k: int | None) -> Subproblem:
-        """State in which class k is checked; k=None gives the state after
-        every class (the full schedule applied)."""
-        key = k
-        if key in self._sub:
-            return self._sub[key]
-        sched = self.sched
-        cone = sched.cone(k)
-        fixed, selected = self._cone_state(cone)
-        if k is not None:
+        """Build the state in which class k is checked, check class k in it
+        and record its r_z and denominator; k=None builds and records the
+        state after every class.  Every class of k's cone must be recorded
+        already.  Raises ScheduleInvalid on the first violated condition.
+
+        The graph is built and every graph-only check passes before the
+        kernel is canonicalized."""
+        md = self.md
+        cone = self.sched.cone(k)
+        g, merged, pins_r = self._graph(k, cone)
+        if k is None:
+            self.final = Subproblem(md, g, self._kernel(cone, pins_r), merged)
+            return self.final
+        mb = self._check_class(k, g)
+        conds = self._member_conditionals(k, g, merged, mb, self.r_z[k])
+        sub = Subproblem(md, g, self._kernel(cone, pins_r), merged)
+        factors = []
+        for m_col, cols, pins in conds:
+            fac = _conditional(sub.kernel, [m_col], (cols | set(pins)) & sub.free_cols,
+                               sub.free_cols)
+            at = {r: 1 for r in pins
+                  if r in fac.free() or r in fac.contexts() or r in fac.pinned()}
+            factors.append(K.restrict_values(fac, at) if at else fac)
+        self.denominators[k] = K.product(factors) if len(factors) > 1 else factors[0]
+        return sub
+
+    def _graph(self, k: int | None, cone: frozenset[int]):
+        """The cone's graph for class k, its merged censored variables and
+        its pinned indicators; checks the cone state against class k."""
+        md, sched = self.md, self.sched
+        fixed = frozenset().union(*(sched.classes[j] for j in cone))
+        selected = frozenset().union(*(self.r_z[j] for j in cone)) - fixed
+        if k is None:
+            # every promotion, and each censored variable whose indicator
+            # is fixed or selected: it is read off its proxy
+            visible = frozenset().union(*sched.promotions) | frozenset(
+                t.truth for t in md.triples
+                if t.indicator in fixed or t.indicator in selected)
+        else:
             clash = selected & sched.classes[k]
             if clash:
                 raise ScheduleInvalid(Violation(
                     "ii", k,
                     f"members {sorted(clash)} were selected by earlier classes",
                     tuple(sorted(clash))))
-        md = self.md
-        if k is not None:
-            visible = frozenset(sched.promotions[k])
-        else:
-            visible = frozenset()
-            for j in range(sched.n):
-                visible |= sched.promotions[j]
-            visible |= self.rendered(cone)
-        # promotion sanity: monotone along the order
-        if k is not None:
+            visible = sched.promotions[k]
+            # promotion sanity: monotone along the order
             for j in cone:
                 extra = sched.promotions[j] - visible
                 if extra:
@@ -331,39 +334,28 @@ class SchedulePlan:
         # so projecting it out just drops it
         hidden = (md.truths - visible - fixed) & g.random_vertices
         g = latent_project_out(g, hidden | {md.triple_of(u).proxy for u in merged})
+        return g, merged, pins_r
 
+    def _kernel(self, cone: frozenset[int], pins_r: frozenset[str]) -> Expr:
+        """The observed law, pinned, over the cone's class denominators."""
         pins = {r: 1 for r in pins_r}
-        num = K.restrict_values(_plain_kernel(md), pins) if pins else _plain_kernel(md)
+        num = _plain_kernel(self.md)
+        if pins:
+            num = K.restrict_values(num, pins)
         dens = []
         for j in sorted(cone):
-            den = self.class_denominator(j)
+            den = self.denominators[j]
             at = {r: 1 for r in pins_r
                   if r in den.free() or r in den.contexts()}
             dens.append(K.restrict_values(den, at) if at else den)
-        kern = K.quotient(num, K.product(dens)) if dens else num
-        sub = Subproblem(md, g, kern, merged)
-        self._sub[key] = sub
-        return sub
+        return K.quotient(num, K.product(dens)) if dens else num
 
-    # -- per-class conditions and denominator --------------------------------
-
-    def r_z(self, k: int) -> frozenset[str]:
-        if k not in self._rz:
-            self._check_class(k)
-        return self._rz[k]
-
-    def class_denominator(self, k: int) -> Expr:
-        if k not in self._den:
-            self._check_class(k)
-        return self._den[k]
-
-    def _check_class(self, k: int) -> None:
-        sched = self.sched
+    def _check_class(self, k: int, g: Cadmg):
+        """The graph-only conditions on class k: its members, its district,
+        conditions (i) and (iii).  Records its r_z, which condition (iii)
+        tests, and returns its Markov blanket."""
         md = self.md
-        sub = self.subproblem(k)
-        g = sub.graph
-        z = sched.classes[k]
-
+        z = self.sched.classes[k]
         for m in sorted(z):
             if m not in g:
                 raise ScheduleInvalid(Violation(
@@ -398,10 +390,8 @@ class SchedulePlan:
             md.triple_of(u).indicator
             for u in (z | mb) & md.truths
             if md.triple_of(u).indicator not in z)
-        self._rz[k] = rz
-
-        rz_new = frozenset(r for r in rz if r in g and g.vertex(r).status == RANDOM)
-        test = ((g.selected_vertices | rz_new) - mb) - z
+        self.r_z[k] = rz
+        test = ((g.selected_vertices | (rz & g.random_vertices)) - mb) - z
         if test:
             cset = mb - test
             if not m_separated(g, z, test, cset & (g.random_vertices | g.fixed_vertices)):
@@ -409,17 +399,27 @@ class SchedulePlan:
                     "iii", k,
                     f"{sorted(z)} not separated from {sorted(test)} given "
                     f"{sorted(mb)}", tuple(sorted(test))))
+        return mb
 
-        # build the denominator factors
+    def _member_conditionals(self, k: int, g: Cadmg, merged: frozenset[str],
+                             mb: frozenset[str], rz: frozenset[str]):
+        """The conditional that divides out each member of class k, in
+        topological order: (member column, conditioning columns, pins).  A
+        member is given the blanket, the earlier members and the newly
+        selected indicators; a censored variable is dropped from that set
+        only when it is m-separated from the member, and is otherwise read
+        off its proxy under a pinned indicator."""
+        md = self.md
+        rz_new = rz & g.random_vertices
         topo = {v: i for i, v in enumerate(g.topological_order())}
-        members = sorted(z, key=lambda v: (topo[v], v))
-        factors: list[Expr] = []
+        members = sorted(self.sched.classes[k], key=lambda v: (topo[v], v))
+        out = []
         for idx, m in enumerate(members):
             earlier = members[:idx]
             later = set(members[idx:])
             cond = set(mb) | set(earlier) | set(rz_new)
             drops = {u for u in cond
-                     if u in md.truths and u not in sub.merged
+                     if u in md.truths and u not in merged
                      and md.triple_of(u).indicator in later}
             if drops:
                 ccheck = (cond - drops) - {m}
@@ -434,54 +434,46 @@ class SchedulePlan:
                     f"class {k}: dropped {sorted(drops)} from the {m!r} factor "
                     f"(m-separated given {sorted(cond)})")
             pins: dict[str, int] = {}
-            cols: list[str] = []
+            cols: set[str] = set()
             for u in sorted(cond):
-                if u in md.truths and u not in sub.merged:
-                    ind = md.triple_of(u).indicator
-                    if ind in rz_new or ind in earlier:
+                if u in md.truths:
+                    if u not in merged:
+                        ind = md.triple_of(u).indicator
+                        if ind not in rz_new and ind not in earlier:
+                            raise ScheduleInvalid(Violation(
+                                "observability", k,
+                                f"conditioning set of {m!r} contains the censored "
+                                f"variable {u!r} with no pinned indicator", (u,)))
                         pins[ind] = 1
-                        cols.append(md.triple_of(u).proxy)
-                        continue
-                    raise ScheduleInvalid(Violation(
-                        "observability", k,
-                        f"conditioning set of {m!r} contains the censored "
-                        f"variable {u!r} with no pinned indicator", (u,)))
-                cols.append(sub.column(u))
+                    cols.add(md.triple_of(u).proxy)
+                else:
+                    cols.add(u)
             for r in sorted(rz_new | (set(earlier) & md.indicators)):
                 pins[r] = 1
-            if m in md.truths and m not in sub.merged:
-                ind = md.triple_of(m).indicator
-                if ind not in rz_new:
-                    raise ScheduleInvalid(Violation(
-                        "observability", k,
-                        f"class member {m!r} has no observable column and its "
-                        f"indicator is not selectable", (m,)))
-                pins[ind] = 1
+            if m in md.truths:
+                if m not in merged:
+                    ind = md.triple_of(m).indicator
+                    if ind not in rz_new:
+                        raise ScheduleInvalid(Violation(
+                            "observability", k,
+                            f"class member {m!r} has no observable column and its "
+                            f"indicator is not selectable", (m,)))
+                    pins[ind] = 1
                 m_col = md.triple_of(m).proxy
             else:
-                m_col = sub.column(m)
-            given = sorted((set(cols) | set(pins)) & sub.free_cols)
-            fac = sub.conditional([m_col], given)
-            pins = {r: 1 for r in pins if r in fac.free() or r in fac.contexts()
-                    or r in fac.pinned()}
-            if pins:
-                fac = K.restrict_values(fac, pins)
-            factors.append(fac)
-        self._den[k] = K.product(factors) if len(factors) > 1 else factors[0]
-
-    # -- results --------------------------------------------------------------
-
-    def final(self) -> Subproblem:
-        return self.subproblem(None)
+                m_col = m
+            out.append((m_col, cols, pins))
+        return out
 
 
 def validate_schedule(md: MdDag, sched: FixingSchedule):
-    """Walk every class; return (ok, violation-or-None, plan)."""
+    """Run the schedule in one pass along its linear extension, then build
+    the state after it; return (ok, violation-or-None, plan)."""
     plan = SchedulePlan(md, sched)
     try:
         for k in sched.linear_extension():
-            plan.class_denominator(k)
-        plan.final()
+            plan.subproblem(k)
+        plan.subproblem(None)
     except ScheduleInvalid as exc:
         return False, exc.violation, plan
     return True, None, plan

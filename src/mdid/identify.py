@@ -20,7 +20,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from . import kernel as K
 from .fixing import (FixError, FixingSchedule, SchedulePlan, Violation,
@@ -55,7 +54,6 @@ class IndicatorResult:
     propensity: Expr | None
     schedule: FixingSchedule | None
     transcript: list[str]
-    attempts: int
 
 
 @dataclass
@@ -247,22 +245,28 @@ def _full_law_check(md: MdDag, indicator: str, q: Expr) -> Violation | None:
 
 def identify_indicator(md: MdDag, indicator: str,
                        budget: SearchBudget | None = None,
-                       forbid_promotion: Iterable[str] = (),
                        full_mode: bool = False,
                        use_fast_path: bool = True) -> IndicatorResult:
     """Search for a valid fixing schedule whose final class is the indicator;
-    emit the final class denominator as the identified propensity."""
+    emit the final class denominator as the identified propensity.
+
+    With ``full_mode`` the propensity must also pass the full-law checks,
+    and the censored variables of the indicator's indicator parents are
+    never promoted.
+    """
     budget = budget or SearchBudget()
-    forbid = frozenset(forbid_promotion)
     if indicator not in md.indicators:
         raise ValueError(f"{indicator!r} is not a missingness indicator")
+    forbid = frozenset()
+    if full_mode:
+        forbid = frozenset(md.triple_of(u).truth for u in
+                           md.graph.parents([indicator]) & md.indicators)
     t0 = time.monotonic()
     transcript: list[str] = []
     attempts = 0
 
-    def finish(sched: FixingSchedule, plan: SchedulePlan) -> IndicatorResult:
-        fi = next(i for i, c in enumerate(sched.classes) if indicator in c)
-        q = plan.class_denominator(fi)
+    def finish(sched: FixingSchedule, plan: SchedulePlan, fi: int,
+               q: Expr) -> IndicatorResult:
         transcript.append(f"{indicator}: schedule {sched.describe()}")
         hidden_truths = md.truths - sched.promotions[fi]
         if hidden_truths:
@@ -277,27 +281,30 @@ def identify_indicator(md: MdDag, indicator: str,
                     f"{indicator}: {t.truth} read off proxy {t.proxy} under "
                     f"{t.indicator}=1")
         transcript.append(f"{indicator}: propensity {K.render(q, 'sexpr')}")
-        return IndicatorResult(indicator, "identified", q, sched, transcript,
-                               attempts)
+        return IndicatorResult(indicator, "identified", q, sched, transcript)
 
     def try_schedule(sched: FixingSchedule):
+        """Run the schedule.  Returns its violation (None when it is valid),
+        its plan, and the index and denominator of the indicator's class
+        (None when the plan failed)."""
         nonlocal attempts
         attempts += 1
         ok, viol, plan = validate_schedule(md, sched)
-        if ok and full_mode:
-            fi = next(i for i, c in enumerate(sched.classes) if indicator in c)
-            viol2 = _full_law_check(md, indicator, plan.class_denominator(fi))
-            if viol2 is not None:
-                return False, viol2, plan
-        return ok, viol, plan
+        if not ok:
+            return viol, plan, None, None
+        fi = next(i for i, c in enumerate(sched.classes) if indicator in c)
+        q = plan.denominators[fi]
+        if full_mode:
+            viol = _full_law_check(md, indicator, q)
+        return viol, plan, fi, q
 
     # fast path: the ancestrality-induced schedule
-    if use_fast_path and not forbid and not full_mode and ancestral_precondition(md):
+    if use_fast_path and not full_mode and ancestral_precondition(md):
         sched = ancestral_schedule(md, indicator)
-        ok, viol, plan = try_schedule(sched)
-        if ok:
+        viol, plan, fi, q = try_schedule(sched)
+        if viol is None:
             transcript.append(f"{indicator}: ancestral fast path")
-            return finish(sched, plan)
+            return finish(sched, plan, fi, q)
         transcript.append(f"{indicator}: ancestral fast path failed: {viol}")
 
     start = SearchState(frozenset({frozenset({indicator})}), frozenset(), forbid)
@@ -321,9 +328,9 @@ def identify_indicator(md: MdDag, indicator: str,
             continue
         if any(len(c) > budget.max_set_size for c in sched.classes):
             continue
-        ok, viol, plan = try_schedule(sched)
-        if ok:
-            return finish(sched, plan)
+        viol, plan, fi, q = try_schedule(sched)
+        if viol is None:
+            return finish(sched, plan, fi, q)
         transcript.append(
             f"{indicator}: {sched.describe()} hidden={sorted(state.hidden)} -> "
             f"({viol.condition}) {viol.detail}")
@@ -336,7 +343,7 @@ def identify_indicator(md: MdDag, indicator: str,
             seen.add(nxt.key)
             heapq.heappush(heap, (_priority(md, nxt), nxt))
 
-    return IndicatorResult(indicator, "unknown", None, None, transcript, attempts)
+    return IndicatorResult(indicator, "unknown", None, None, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +388,8 @@ def identify_full(md: MdDag, budget: SearchBudget | None = None) -> IdReport:
                         certificate=(ri, rj))
     props: dict[str, Expr] = {}
     scheds: dict[str, FixingSchedule] = {}
-    g = md.graph
     for r in md.sorted_indicators():
-        forbid = frozenset(md.triple_of(u).truth
-                           for u in (g.parents([r]) & md.indicators))
-        res = identify_indicator(md, r, budget, forbid_promotion=forbid,
-                                 full_mode=True)
+        res = identify_indicator(md, r, budget, full_mode=True)
         transcript += res.transcript
         if res.status != "identified":
             transcript.append(f"{r}: unknown; full-law verdict unknown")

@@ -723,16 +723,6 @@ class NamedTable:
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
 
-    def undefined_coords(self, limit: int = 10) -> list[dict[str, Value]]:
-        """Coordinates of undefined cells (genuine mass over zero mass),
-        for error reports."""
-        out = []
-        for idx in zip(*np.nonzero(np.isnan(self.data))):
-            out.append({d: self.domains[d][i] for d, i in zip(self.dims, idx)})
-            if len(out) >= limit:
-                break
-        return out
-
     def max_abs_diff(self, other: "NamedTable") -> float:
         dims = tuple(sorted(set(self.dims) | set(other.dims)))
         domains = dict(self.domains)

@@ -154,7 +154,7 @@ def test_criterion_2_worked_examples():
             K.Atom("p", ("R1",), ("R2", "R3", "R4", "X2", "X3", "X4")),
             {"R3": 1}),
         K.Atom("p", ("R3",), ("R2", "R4", "X2", "X4"))])
-    assert plan.class_denominator(k) == expected
+    assert plan.denominators[k] == expected
     dt = time.time() - t0
     assert dt < 60.0
     report(2, f"six models identified, printed kernels matched, 100 trials "
@@ -251,7 +251,7 @@ def test_criterion_4_octet():
         ok, viol, plan = validate_schedule(md, sched)
         assert ok, (r, viol)
         fi = next(i for i, c in enumerate(sched.classes) if r in c)
-        q_paper = plan.class_denominator(fi)
+        q_paper = plan.denominators[fi]
         for s in range(5):
             full = O.sample_full_law(md, 2, seed=3000 + s)
             obs = O.derive_observed_law(md, full)
@@ -409,7 +409,7 @@ def test_criterion_8_ancestral_fast_path():
             ok, viol, plan = validate_schedule(md, sched)
             assert ok, (r, viol)
             fi = next(i for i, c in enumerate(sched.classes) if r in c)
-            fast_q = plan.class_denominator(fi)
+            fast_q = plan.denominators[fi]
             slow = identify_indicator(md, r, use_fast_path=False)
             if slow.status != "identified":
                 continue

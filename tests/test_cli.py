@@ -94,6 +94,41 @@ def test_verify_command(capsys):
     assert code == 0
 
 
+def test_verify_full_law_command(capsys):
+    code, out, _ = run_cli(["verify", "fixture:crisscross", "--query", "full",
+                            "--trials", "3"], capsys)
+    assert code == 0
+    assert "status: verified" in out and "trials: 3" in out
+
+
+# every fixture line of `mdid fixtures`, up to the target law's error
+FIXTURE_LINES = {
+    "confounded_chain": "mixed graph (4 vertices)",
+    "block_sequential": "target=identified full=not-identified certificate=(R2, R1)",
+    "crisscross": "target=identified full=identified",
+    "staggered_trio": "target=identified full=identified",
+    "latent_trio": "target=identified full=not-identified certificate=(R2, R1)",
+    "joint_quartet": "target=identified full=not-identified certificate=(R1, R2)",
+    "context_fix": "target=identified full=not-identified certificate=(R1, R2)",
+    "octet": "target=identified full=not-identified certificate=(R1, R2)",
+    "colluder_pair": "target=identified full=not-identified certificate=(R2, R1)",
+}
+
+
+def test_fixtures_command(capsys):
+    code, out, err = run_cli(["fixtures", "--trials", "2"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":", 1)[0] for line in lines] == list(FIXTURE_NAMES)
+    for name, line in zip(FIXTURE_NAMES, lines):
+        verdicts, _, err_bit = line.removeprefix(f"{name}: ").partition(" target_err=")
+        assert verdicts == FIXTURE_LINES[name]
+        if err_bit:
+            assert float(err_bit) <= 1e-9
+        else:
+            assert name == "confounded_chain"
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MDID_BUDGET_MAX_SCHEDULES", "1")
     code, out, _ = run_cli(["identify", "fixture:joint_quartet", "--query",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdid import fixing
 from mdid.fixtures import load
 from mdid.fixing import (FixError, FixingSchedule, fix_sequence, fix_vertex,
                          fixable_sequence_to, is_fixable_vertex,
@@ -60,16 +61,42 @@ def test_is_fixable_set_examples():
     md5 = load("joint_quartet")
     vis = md5.truths - {"X2(1)", "X4(1)"}
     ok, viol, plan = validate_schedule(md5, one_subproblem(md5, [["R1", "R3"]], vis))
-    assert ok and plan.r_z(0) == frozenset()
+    assert ok and plan.r_z[0] == frozenset()
     md3 = load("staggered_trio")
     ok, viol, plan = validate_schedule(md3, one_subproblem(md3, [["R3"]]))
     assert not ok and viol.condition == "iii"
-    assert plan.r_z(0) == frozenset({"R2"})
+    assert plan.r_z[0] == frozenset({"R2"})
     # a selected member violates the member conditions
     sched = FixingSchedule((frozenset({"R1"}), frozenset({"R3"})), ((0, 1),),
                            (md3.truths, md3.truths))
     ok, viol, _plan = validate_schedule(md3, sched)
     assert not ok and viol.condition == "ii" and viol.vertices == ("R3",)
+
+
+def test_schedule_runs_in_one_pass(monkeypatch):
+    """Each class is checked once, along the linear extension, and a class
+    that fails a graph check builds no subproblem kernel."""
+    built = []
+    real = fixing.Subproblem
+
+    def counting(md, graph, kernel, merged):
+        built.append(kernel)
+        return real(md, graph, kernel, merged)
+
+    monkeypatch.setattr(fixing, "Subproblem", counting)
+    md3 = load("staggered_trio")
+    ok, viol, plan = validate_schedule(md3, one_subproblem(md3, [["R3"]]))
+    assert not ok and viol.condition == "iii"
+    assert built == [] and plan.denominators == {} and plan.final is None
+    md = load("block_sequential")
+    sched = FixingSchedule(
+        (frozenset({"R1"}), frozenset({"R2"}), frozenset({"R3"})),
+        ((0, 1), (1, 2)), (md.truths,) * 3)
+    ok, viol, plan = validate_schedule(md, sched)
+    assert ok, viol
+    # one state per class, then the state after every class
+    assert len(built) == 4 and built[-1] is plan.final.kernel
+    assert sorted(plan.denominators) == sorted(plan.r_z) == [0, 1, 2]
 
 
 def test_fix_set_joint_quartet_denominator():
@@ -83,8 +110,8 @@ def test_fix_set_joint_quartet_denominator():
             {"R3": 1}),
         K.Atom("p", ("R3",), ("R2", "R4", "X2", "X4")),
     ])
-    assert plan.class_denominator(0) == expected
-    assert plan.final().graph.fixed_vertices == {"R1", "R3"}
+    assert plan.denominators[0] == expected
+    assert plan.final.graph.fixed_vertices == {"R1", "R3"}
 
 
 def test_fix_set_latent_trio_parallel_classes():
@@ -98,8 +125,8 @@ def test_fix_set_latent_trio_parallel_classes():
         K.restrict_values(
             K.Atom("p", ("R3",), ("R1", "R2", "X2")), {"R2": 1}),
     ])
-    assert K.product([plan.class_denominator(0),
-                      plan.class_denominator(1)]) == expected
+    assert K.product([plan.denominators[0],
+                      plan.denominators[1]]) == expected
 
 
 def test_singleton_class_reduces_to_vertex_fixing():
@@ -123,7 +150,7 @@ def test_schedule_final_kernel_block_sequential():
         ((0, 1), (1, 2)), (md.truths,) * 3)
     ok, viol, plan = validate_schedule(md, sched)
     assert ok, viol
-    final = plan.final()
+    final = plan.final
     # the final kernel is the target law over proxies at all indicators one
     law = O.sample_full_law(md, 2, seed=21)
     obs = O.derive_observed_law(md, law)
@@ -139,7 +166,7 @@ def test_empty_schedule_is_identity():
     sched = FixingSchedule((), (), ())
     ok, viol, plan = validate_schedule(md, sched)
     assert ok and sched.linear_extension() == ()
-    assert plan.final().kernel == K.Atom("p", tuple(sorted(md.observed_columns)))
+    assert plan.final.kernel == K.Atom("p", tuple(sorted(md.observed_columns)))
 
 
 def test_schedule_structure_errors():
@@ -268,7 +295,7 @@ def test_augmented_total_order_equivalence():
         ((0, 2), (1, 2)), (vis, vis, vis))
     ok, viol, plan = validate_schedule(md, sched)
     assert ok, viol
-    q_r1 = plan.class_denominator(2)
+    q_r1 = plan.denominators[2]
     # augmented world: promoted censored variables genuinely observed (their
     # proxies dropped), the rest latent projected
     from mdid.projection import latent_project_out

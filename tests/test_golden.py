@@ -5,9 +5,12 @@ order, so a change to the search state or to the schedule type can change
 which valid schedule is emitted while every verdict stays the same.  The
 expected values in ``golden_fixture_outputs.json`` were recorded from the
 engine before the search moved to one schedule type; a change to them needs
-a reason.
+a reason.  ``transcript_sha256`` is the SHA-256 of the report's transcript
+lines joined by newlines, so the transcript is pinned byte for byte: every
+schedule tried, each violation and each dropped-variable note.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,5 +38,7 @@ def test_fixture_outputs_unchanged(name, query):
                          for r, q in rep.propensities.items()},
         "functional": (rep.functional.render("sexpr")
                        if rep.functional is not None else None),
+        "transcript_sha256": hashlib.sha256(
+            "\n".join(rep.transcript).encode()).hexdigest(),
     }
     assert got == GOLDEN[f"{name}/{query}"]

@@ -152,4 +152,4 @@ def test_singleton_class_without_selection_degenerates_to_plain_division():
         sched = FixingSchedule((frozenset({"R1"}),), (), (md.truths,))
         ok, viol, plan = validate_schedule(md, sched)
         assert ok, viol
-        assert plan.class_denominator(0) == K.Atom("p", ("R1",))
+        assert plan.denominators[0] == K.Atom("p", ("R1",))

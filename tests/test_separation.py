@@ -28,11 +28,14 @@ def test_staggered_trio_after_fixing_r2():
     # fixing R2 renders its censored variable observable and leaves the
     # selected-at-1 R1 independent of R3
     md = load("staggered_trio")
-    from mdid.fixing import FixingSchedule, validate_schedule
+    from mdid.fixing import FixingSchedule, SchedulePlan, validate_schedule
     sched = FixingSchedule((frozenset({"R2"}), frozenset({"R3"})), ((0, 1),),
                            (md.truths, md.truths))
-    ok, _, plan = validate_schedule(md, sched)
+    ok, _, _plan = validate_schedule(md, sched)
     assert ok
+    # step the schedule up to the subproblem in which R3 is checked
+    plan = SchedulePlan(md, sched)
+    plan.subproblem(0)
     g = plan.subproblem(1).graph
     assert g.vertex("R1").status == "selected"
     assert m_separated(g, ["R3"], ["R1"], [])

@@ -10,12 +10,27 @@ common factors cancelled, and chain-rule merges applied to pairs of atoms
 of the same law.  Golden tests compare canonical forms, so the normal form
 is deliberately order-insensitive: products are sorted by rendered text.
 
-Numeric evaluation is dense, over named axes; 0/0 cells become NaN markers
-(an explicit "undefined" signal, counted by callers) rather than raising.
-A restricted atom is asked of the law with its pins as evidence.
-``contract`` sums a product of factor tables by variable elimination in
-``np.einsum`` steps, from a plan cached by the tables' axes.  No join or
-contraction step builds more than ``MAX_CELLS`` cells.
+Numeric evaluation is dense, over named axes; positive mass over zero
+becomes a NaN marker (an explicit "undefined" signal, counted by callers)
+rather than raising, and 0/0 is a structural zero.  A restricted atom is
+asked of the law with its pins as evidence.  ``contract`` sums a product of
+factor tables by variable elimination in ``np.einsum`` steps, from a plan
+cached by the tables' axes.  No join or contraction step builds more than
+``MAX_CELLS`` cells.
+
+Evaluation works on the support.  A variable's support is the set of its
+values that keep nonzero mass in every factor once the factors are sliced
+at the evidence (``_support``, shrunk to a fixed point); for the
+deterministic proxy CPTs of a missing-data law it drops, e.g., the "?" row
+of a proxy whose indicator is pinned to 1.  It is found from the factors'
+``zero_pattern``, made once per law, and the pattern is part of the cached
+plan's key, so one plan slices every factor at the evidence and at the
+support, and a second law with the same zeros replays it.  Inside
+evaluation a table's ``domains`` may leave out values of its ``full``
+domains at which it is zero: ``NamedTable.join`` multiplies over the
+intersection of two domains and divides over the numerator's (a dropped
+denominator cell counts as 0), ``take`` at a left-out value gives zeros,
+and ``evaluate_numeric`` pads its result back to the law's full domains.
 """
 
 from __future__ import annotations
@@ -35,6 +50,8 @@ class ExprError(ValueError):
 Value = object  # domain values: ints or strings ("?" for censored proxies)
 Pins = tuple[tuple[str, Value], ...]
 MAX_CELLS = 2 ** 24  # a larger table raises ExprError, not MemoryError
+Axes = tuple[tuple[str, tuple[Value, ...]], ...]     # a table's axes with their domains
+ZeroPattern = tuple[tuple[Axes, ...], tuple[bytes | None, ...]]   # see zero_pattern
 
 
 def _names(xs: Iterable[str]) -> tuple[str, ...]:
@@ -644,11 +661,21 @@ def parse(text: str) -> Expr:
 
 @dataclass
 class NamedTable:
-    """Dense array with named, value-labelled axes."""
+    """Dense array with named, value-labelled axes.
+
+    ``domains`` labels the array's axes.  ``full`` holds each axis's whole
+    domain and defaults to ``domains``; a table made during evaluation may
+    leave out of ``domains`` values of ``full`` at which all its cells are
+    zero (the support rule in the module docstring)."""
 
     dims: tuple[str, ...]
     domains: dict[str, tuple[Value, ...]]
     data: np.ndarray
+    full: dict[str, tuple[Value, ...]] | None = None
+
+    def __post_init__(self):
+        if self.full is None:
+            self.full = self.domains
 
     @classmethod
     def scalar(cls, value: float) -> "NamedTable":
@@ -664,22 +691,33 @@ class NamedTable:
         axes = tuple(self.axis(n) for n in names)
         keep = tuple(d for d in self.dims if d not in names)
         return NamedTable(keep, {d: self.domains[d] for d in keep},
-                          self.data.sum(axis=axes))
+                          self.data.sum(axis=axes), {d: self.full[d] for d in keep})
 
     def take(self, pins: Mapping[str, Value]) -> "NamedTable":
+        """The table at fixed values of some of its axes, which leave the
+        axes.  A value of an axis's full domain that its domain leaves out
+        gives zero cells; a value outside the full domain raises."""
         out = self
         for name, val in pins.items():
             if name not in out.dims:
                 continue
+            if val not in out.full[name]:
+                raise ExprError(f"value {val!r} outside the domain of {name!r}")
             ax = out.axis(name)
-            try:
-                idx = out.domains[name].index(val)
-            except ValueError:
-                raise ExprError(
-                    f"value {val!r} outside the domain of {name!r}") from None
+            dom = out.domains[name]
+            data = (np.take(out.data, dom.index(val), axis=ax) if val in dom
+                    else np.zeros(out.data.shape[:ax] + out.data.shape[ax + 1:]))
             keep = tuple(d for d in out.dims if d != name)
-            out = NamedTable(keep, {d: out.domains[d] for d in keep},
-                             np.take(out.data, idx, axis=ax))
+            out = NamedTable(keep, {d: out.domains[d] for d in keep}, data,
+                             {d: out.full[d] for d in keep})
+        return out
+
+    def padded(self) -> "NamedTable":
+        """The table over its full domains, zero at the values its domains
+        leave out."""
+        out = self
+        for d in self.dims:
+            out = _reindex(out, d, self.full[d])
         return out
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
@@ -692,33 +730,54 @@ class NamedTable:
 
     @staticmethod
     def join(a: "NamedTable", b: "NamedTable", op) -> "NamedTable":
-        """Broadcasting binary op over the union of the axes.
+        """``np.multiply`` or ``np.divide``, broadcast over the union of the
+        axes.
 
         Division: a zero-mass cell divided by zero is a structural zero (it
         carries no probability, e.g. impossible proxy/indicator combinations),
         while positive mass divided by zero is genuinely undefined and becomes
         a NaN marker.  Multiplication lets exact zeros absorb NaN markers, so
         undefined values on zero-mass cells never leak into sums.
+
+        The tables may differ in an axis's domain, since a table is zero at
+        the values its domain leaves out.  So a product runs over the
+        intersection of the two domains, and a quotient over the numerator's
+        domain: a denominator value the numerator leaves out is dropped
+        unless the denominator holds a NaN there (0/NaN stays NaN), and a
+        numerator value the denominator leaves out is divided by 0.  The
+        result's full domain is the union of the two, in the longer one's
+        order.
         """
         dims = tuple(sorted(set(a.dims) | set(b.dims)))
-        domains: dict[str, tuple[Value, ...]] = {}
+        full: dict[str, tuple[Value, ...]] = {}
+        for d in dims:
+            fa = a.full.get(d, ())
+            fb = b.full.get(d, ())
+            if len(fa) < len(fb):
+                fa, fb = fb, fa
+            full[d] = fa if fa == fb else fa + tuple(v for v in fb if v not in fa)
         for d in dims:
             da = a.domains.get(d)
             db = b.domains.get(d)
-            if da is not None and db is not None and da != db:
-                raise ExprError(f"domain mismatch on axis {d!r}")
-            domains[d] = da if da is not None else db
+            if da is None or db is None or da == db:
+                continue
+            if op is np.divide:
+                undefined = _undefined_values(b, d, da)
+                dom = tuple(v for v in full[d] if v in da or v in undefined)
+            else:
+                dom = tuple(v for v in da if v in db)
+            a, b = _reindex(a, d, dom), _reindex(b, d, dom)
+        domains = {d: (a.domains if d in a.dims else b.domains)[d] for d in dims}
         _check_cells(dims, domains)
         xa = a.aligned(dims, domains)
         xb = b.aligned(dims, domains)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            data = op(xa, xb)
-        if op is np.divide:
-            data = np.where(xb == 0, np.where(xa == 0, 0.0, np.nan), data)
-        elif op is np.multiply:
-            data = np.where((xa == 0) | (xb == 0), 0.0, data)
-        data = np.where(np.isinf(data), np.nan, data)
-        return NamedTable(dims, domains, data)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            data = np.asarray(op(xa, xb))
+        bad = ~np.isfinite(data)
+        if bad.any():       # a NaN or an infinity is a NaN marker, unless zeros absorb it
+            zero = (xa == 0) & (xb == 0) if op is np.divide else (xa == 0) | (xb == 0)
+            data = np.where(zero, 0.0, np.where(bad, np.nan, data))
+        return NamedTable(dims, domains, data, full)
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -736,6 +795,36 @@ class NamedTable:
         return float(np.max(np.abs(a[mask] - b[mask])))
 
 
+def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
+    """The table with axis name over dom, a part of its full domain: zero at
+    the values its domain leaves out, without the values dom leaves out."""
+    have = tab.domains[name]
+    if have == dom:
+        return tab
+    ax = tab.axis(name)
+    hit = [i for i, v in enumerate(dom) if v in have]
+    data = np.take(tab.data, [have.index(dom[i]) for i in hit], axis=ax)
+    if len(hit) < len(dom):
+        padded = np.zeros(data.shape[:ax] + (len(dom),) + data.shape[ax + 1:])
+        at = [slice(None)] * data.ndim
+        at[ax] = hit
+        padded[tuple(at)] = data
+        data = padded
+    return NamedTable(tab.dims, {**tab.domains, name: dom}, data, tab.full)
+
+
+def _undefined_values(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> set:
+    """The values of axis name outside dom at which the table holds a NaN."""
+    have = tab.domains[name]
+    outside = [i for i, v in enumerate(have) if v not in dom]
+    if not outside:
+        return set()
+    ax = tab.axis(name)
+    nan = np.isnan(np.take(tab.data, outside, axis=ax))
+    hit = nan.any(axis=tuple(i for i in range(nan.ndim) if i != ax))
+    return {have[i] for i, h in zip(outside, hit) if h}
+
+
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
     """Rename axes (names absent from the mapping are kept) and restore the
     sorted axis order."""
@@ -743,9 +832,10 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
     if len(set(dims)) != len(dims):
         raise ExprError("axis rename collision")
     domains = {mapping.get(d, d): dom for d, dom in tab.domains.items()}
+    full = {mapping.get(d, d): dom for d, dom in tab.full.items()}
     order = tuple(np.argsort(dims))
     data = np.transpose(tab.data, order) if tab.dims else tab.data
-    return NamedTable(tuple(sorted(dims)), domains, data)
+    return NamedTable(tuple(sorted(dims)), domains, data, full)
 
 
 def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
@@ -755,23 +845,44 @@ def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]
                         f" MAX_CELLS = {MAX_CELLS}")
 
 
+def _axes(tables: Sequence[NamedTable]) -> tuple[Axes, ...]:
+    return tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables)
+
+
+def zero_pattern(tables: Sequence[NamedTable]) -> ZeroPattern:
+    """The tables' axes with their domains, and where each table is zero
+    (the packed bits of its nonzero cells, None for a table without a zero):
+    the key from which ``contract`` finds the support, made once per set of
+    tables (a law's factors) rather than in every contraction."""
+    return _axes(tables), tuple(None if t.data.all() else np.packbits(t.data != 0).tobytes()
+                                for t in tables)
+
+
 def contract(tables: Sequence[NamedTable], keep: Iterable[str],
-             evidence: Mapping[str, Value] | None = None) -> NamedTable:
+             evidence: Mapping[str, Value] | None = None,
+             pattern: ZeroPattern | None = None) -> NamedTable:
     """The product of the tables, each sliced at the evidence, summed over
     every axis outside keep; the result's axes are sorted.
+
+    Given the tables' ``zero_pattern``, every table is also sliced at the
+    support (``_support``), so no step spans a value outside it, and the
+    result's domains are the supports of the kept variables, its ``full``
+    domains the tables' own.
 
     The variable whose tables span the fewest axes is eliminated first (ties
     by name); a step multiplies its tables by ``np.einsum`` in pairs and
     sums the variable out in the last.  The plan depends only on the tables'
-    axes and domains, keep and the evidence, so it is made once per such
-    key; no step may span more than ``MAX_CELLS`` cells.  The tables must be
-    finite and non-negative: einsum multiplies plainly, without the NaN
-    absorption of ``NamedTable.join``."""
-    plan = _contraction_plan(
-        tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables),
-        frozenset(keep), tuple(sorted((evidence or {}).items())))
-    arrays = [t.data if index is None else t.data[index]
-              for t, index in zip(tables, plan.slices)]
+    axes and domains, keep, the evidence and the zero pattern, so it is made
+    once per such key; no step may span more than ``MAX_CELLS`` cells.  The
+    tables must be finite and non-negative: einsum multiplies plainly,
+    without the NaN absorption of ``NamedTable.join``."""
+    axes, zeros = pattern if pattern is not None else (_axes(tables), None)
+    plan = _contraction_plan(axes, frozenset(keep),
+                             tuple(sorted((evidence or {}).items())), zeros)
+    arrays = []
+    for t, (at, ix) in zip(tables, plan.slices):
+        x = t.data if at is None else t.data[at]
+        arrays.append(x if ix is None else x[ix])
     for inputs, subscripts, out in plan.steps:
         args: list = []
         for i, sub in zip(inputs, subscripts):
@@ -779,17 +890,18 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
         arrays.append(np.einsum(*args, out))
     if not arrays:
         return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]))
+    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]), plan.full)
 
 
 _EINSUM_LABELS = 52     # np.einsum's sublist labels are 0 to 51
 
 
 class _Plan(NamedTuple):
-    slices: tuple           # per table, its index at the evidence or None
+    slices: tuple           # per table: its index at the evidence, then at the support
     steps: tuple            # (operand positions, their sublists, output sublist)
     dims: tuple[str, ...]   # the last operand's axes
-    domains: dict
+    domains: dict           # their supports
+    full: dict              # their whole domains
 
 
 def _union(operands) -> tuple[str, ...]:
@@ -797,20 +909,63 @@ def _union(operands) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _contraction_plan(tables: tuple[tuple[tuple[str, tuple[Value, ...]], ...], ...],
-                      keep: frozenset[str], evidence: Pins) -> _Plan:
+def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
+             evidence: Pins) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The support of each variable outside the evidence: the values that
+    keep nonzero mass in every table once each is sliced at the evidence and
+    at the other variables' supports, shrunk to a fixed point.  Lists the
+    positions of the values kept, only for variables that lose some; a value
+    left out has zero mass in the product of the tables.  A table without a
+    zero removes no value, so only tables with zeros are read."""
     ev = dict(evidence)
-    domains: dict[str, tuple[Value, ...]] = {}
-    slices, steps, work = [], [], []     # work: (operand position, axes)
-    for pos, table in enumerate(tables):
+    alive = {d: np.array([v == ev[d] for v in dom]) if d in ev else np.ones(len(dom), bool)
+             for table in tables for d, dom in table}
+    masks = []
+    for table, bits in zip(tables, zeros):
+        if bits is not None:
+            shape = [len(dom) for _, dom in table]
+            flags = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
+            masks.append((tuple(d for d, _ in table), flags.astype(bool).reshape(shape)))
+    changed = True
+    while changed:
+        changed = False
+        for names, mask in masks:
+            live = mask
+            for i, d in enumerate(names):
+                live = live & alive[d].reshape([-1 if j == i else 1 for j in range(len(names))])
+            if not live.any():          # the product is zero everywhere
+                return tuple((d, ()) for d in sorted(alive) if d not in ev)
+            for i, d in enumerate(names):
+                kept = live.any(axis=tuple(j for j in range(len(names)) if j != i))
+                if kept.sum() < alive[d].sum():
+                    alive[d] = kept
+                    changed = True
+    return tuple((d, tuple(int(i) for i in np.flatnonzero(a)))
+                 for d, a in sorted(alive.items()) if d not in ev and not a.all())
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: Pins,
+                      zeros: tuple[bytes | None, ...] | None) -> _Plan:
+    ev = dict(evidence)
+    full: dict[str, tuple[Value, ...]] = {}
+    for table in tables:
         for d, dom in table:
-            if d not in ev and domains.setdefault(d, dom) != dom:
+            if d not in ev and full.setdefault(d, dom) != dom:
                 raise ExprError(f"domain mismatch on axis {d!r}")
             if d in ev and ev[d] not in dom:
                 raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
+    support = dict(_support(tables, zeros, evidence)) if zeros is not None else {}
+    domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
+               for d, dom in full.items()}
+    slices, steps, work = [], [], []     # work: (operand position, axes)
+    for pos, table in enumerate(tables):
         live = tuple(d for d, _ in table if d not in ev)
-        slices.append(None if len(live) == len(table) else
-                      tuple(dom.index(ev[d]) if d in ev else slice(None) for d, dom in table))
+        at = None if len(live) == len(table) else tuple(
+            dom.index(ev[d]) if d in ev else slice(None) for d, dom in table)
+        ix = None if not set(live) & set(support) else np.ix_(*(
+            np.array(support.get(d, range(len(full[d]))), dtype=np.intp) for d in live))
+        slices.append((at, ix))
         work.append((pos, live))
 
     def einsum(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
@@ -843,16 +998,19 @@ def _contraction_plan(tables: tuple[tuple[tuple[str, tuple[Value, ...]], ...], .
     if len(work) > 1 or (work and work[0][1] != _union(work)):
         work = [step(work, _union(work))]
     dims = _union(work)
-    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims})
+    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims},
+                 {d: full[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
-    .name, .variables, .marginal(names, evidence) -> NamedTable over names
-    minus the evidence, sliced at it).  An atom, restricted or not, asks the
-    law for its joint and its context with its pins as evidence; shared
-    subexpressions are evaluated once."""
-    return _evaluate(e, law, {})
+    .name, .variables, .on_support(names, evidence) -> NamedTable over names
+    minus the evidence, sliced at it, whose domains may leave out values
+    without mass).  An atom, restricted or not, asks the law for its joint
+    and its context with its pins as evidence; shared subexpressions are
+    evaluated once.  Every table is kept on its support, and the result is
+    padded back to the law's full domains with zeros."""
+    return _evaluate(e, law, {}).padded()
 
 
 def _evaluate(e: Expr, law, memo: dict) -> NamedTable:
@@ -877,19 +1035,21 @@ def _evaluate_raw(e: Expr, law, memo: dict) -> NamedTable:
         missing = want - set(law.variables)
         if missing:
             raise ExprError(f"law has no variables {sorted(missing)}")
-        joint = law.marginal(want, {k: v for k, v in pins.items() if k in want})
+        joint = law.on_support(want, {k: v for k, v in pins.items() if k in want})
         if not ctx:
             return joint
         return NamedTable.join(
-            joint, law.marginal(ctx, {k: v for k, v in pins.items() if k in ctx}),
+            joint, law.on_support(ctx, {k: v for k, v in pins.items() if k in ctx}),
             np.divide)
     if isinstance(e, Restrict):
         return _evaluate(e.child, law, memo).take(dict(e.pins))
     if isinstance(e, Marginal):
         return _evaluate(e.child, law, memo).sum_out(e.over)
     if isinstance(e, Product):
-        out = NamedTable.scalar(1.0)
-        for c in e.children:
+        if not e.children:
+            return NamedTable.scalar(1.0)
+        out = _evaluate(e.children[0], law, memo)
+        for c in e.children[1:]:
             out = NamedTable.join(out, _evaluate(c, law, memo), np.multiply)
         return out
     if isinstance(e, Quotient):

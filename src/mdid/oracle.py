@@ -6,14 +6,19 @@ against enumerated truths, and constructs witness pairs certifying full-law
 non-identifiability.
 
 A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
-computed from them by variable elimination (``kernel.contract``, whose plan
-is cached by the factors' axes, so every sampled law of one model reuses
-it), and large models never materialize the full joint.  A marginal may
-carry evidence (fixed values): every factor is sliced at it before
-elimination.  The observed law handed to expression evaluation keeps the
-full law's CPTs and only narrows the variables, so an atom's joint and its
-context are each one elimination with the atom's pins as evidence, and no
-trial builds the observed joint.  A dense law is a FactoredLaw with a single
+computed from them by variable elimination (``kernel.contract``), and large
+models never materialize the full joint.  A marginal may carry evidence
+(fixed values): every factor is sliced at it, and at the support it leaves
+(the values with mass), before elimination.  The law finds where its
+factors are zero once; the contraction plan is cached by the factors' axes
+and that zero pattern, so every sampled law of one model with the same
+zeros (e.g. random positive CPTs beside the deterministic proxy CPTs)
+reuses it.  ``marginal`` returns full domains; ``on_support``, which
+expression evaluation reads, leaves out the values without mass.  The
+observed law handed to expression evaluation keeps the full law's CPTs and
+only restricts the variable set, so an atom's joint and its context are
+each one elimination with the atom's pins as evidence, and no trial builds
+the observed joint.  A dense law is a FactoredLaw with a single
 factor (``dense``).
 """
 
@@ -25,7 +30,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .graph import Cadmg
-from .kernel import NamedTable, contract, evaluate_numeric, rename_axes
+from .kernel import NamedTable, contract, evaluate_numeric, rename_axes, zero_pattern
 from .missing import drop_censored_rows
 from .model import MISSING_TOKEN, MdDag, Triple
 
@@ -51,23 +56,33 @@ class FactoredLaw:
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
+    _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for f in self.factors:
             if not np.isfinite(f.data).all() or (f.data < 0).any():
                 raise OracleError(f"factor over {list(f.dims)} has a negative"
                                   " or non-finite cell")
+        self._pattern = zero_pattern(self.factors)
 
     def marginal(self, names: Iterable[str],
                  evidence: Mapping[str, object] | None = None) -> NamedTable:
         """The marginal over names sliced at the evidence, i.e.
-        ``marginal(names | evidence).take(evidence)``, over names minus the
-        evidence.  Every factor is sliced before elimination, so no table
-        carries an evidence axis."""
+        ``marginal(names | evidence).take(evidence)``, over the full domains
+        of names minus the evidence."""
+        return self.on_support(names, evidence).padded()
+
+    def on_support(self, names: Iterable[str],
+                   evidence: Mapping[str, object] | None = None) -> NamedTable:
+        """The same marginal over the support at the evidence: its domains
+        leave out the values without mass, its ``full`` domains do not.
+        Every factor is sliced at the evidence and the support before
+        elimination, so no table carries an evidence axis or a value
+        without mass."""
         ev = dict(evidence or {})
         key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
-            self._marginals[key] = contract(self.factors, key[0], ev)
+            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern)
         return self._marginals[key]
 
     @property

@@ -152,6 +152,60 @@ def test_join_over_max_cells_raises():
         K.NamedTable.join(a, b, np.multiply)
 
 
+def test_product_runs_over_the_intersection_of_domains():
+    # a table is zero at the values its domain leaves out: b at A = 0
+    a = K.NamedTable(("A",), {"A": (0, 1, "?")}, np.array([0.2, 0.3, 0.5]))
+    b = K.NamedTable(("A", "B"), {"A": (1, "?"), "B": (0, 1)},
+                     np.array([[1.0, 2.0], [3.0, 4.0]]))
+    got = K.NamedTable.join(a, b, np.multiply)
+    assert got.dims == ("A", "B") and got.domains == {"A": (1, "?"), "B": (0, 1)}
+    assert got.full == {"A": (0, 1, "?"), "B": (0, 1)}
+    np.testing.assert_allclose(got.data, [[0.3, 0.6], [1.5, 2.0]])
+    padded = got.padded()
+    assert padded.domains == {"A": (0, 1, "?"), "B": (0, 1)}
+    np.testing.assert_allclose(padded.data, [[0.0, 0.0], [0.3, 0.6], [1.5, 2.0]])
+
+
+def test_quotient_reads_a_value_the_denominator_leaves_out_as_zero():
+    num = K.NamedTable(("A", "B"), {"A": (0, 1, "?"), "B": (0, 1)},
+                       np.array([[0.1, 0.0], [0.2, 0.3], [0.0, 0.0]]))
+    den = K.NamedTable(("A",), {"A": (1, "?")}, np.array([0.5, 0.25]))
+    got = K.NamedTable.join(num, den, np.divide)
+    # the numerator's domain: positive mass over the dropped A = 0 cell is
+    # undefined, zero mass there stays a structural zero
+    assert got.domains == {"A": (0, 1, "?"), "B": (0, 1)}
+    np.testing.assert_allclose(got.data, [[np.nan, 0.0], [0.4, 0.6], [0.0, 0.0]])
+    # a denominator value the numerator leaves out is kept only where the
+    # denominator is undefined: zero mass over NaN stays NaN
+    num = K.NamedTable(("A",), {"A": (1,)}, np.array([0.5]))
+    den = K.NamedTable(("A",), {"A": (0, 1, "?")}, np.array([np.nan, 0.25, 0.5]))
+    got = K.NamedTable.join(num, den, np.divide)
+    assert got.domains == {"A": (0, 1)} and got.full == {"A": (0, 1, "?")}
+    np.testing.assert_allclose(got.data, [np.nan, 2.0])
+
+
+def narrowed_table() -> K.NamedTable:
+    """p(A, B) on the support A in {0, 1} of the full domain (0, 1, "?")."""
+    a = K.NamedTable(("A", "B"), {"A": (0, 1, "?"), "B": (0, 1)}, np.full((3, 2), 0.5))
+    b = K.NamedTable(("A",), {"A": (0, 1)}, np.array([0.4, 0.6]))
+    return K.NamedTable.join(a, b, np.multiply)
+
+
+def test_take_outside_the_support_gives_zeros():
+    tab = narrowed_table()
+    assert tab.domains["A"] == (0, 1) and tab.full["A"] == (0, 1, "?")
+    at = tab.take({"A": "?"})
+    assert at.dims == ("B",) and at.domains == at.full == {"B": (0, 1)}
+    np.testing.assert_array_equal(at.data, [0.0, 0.0])
+    np.testing.assert_allclose(tab.take({"A": 1}).data, [0.3, 0.3])
+
+
+def test_take_outside_the_domain_raises():
+    tab = narrowed_table()
+    with pytest.raises(K.ExprError, match="value 2 outside the domain of 'A'"):
+        tab.take({"A": 2})
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_random_kernel_pipelines_round_trip(seed):
@@ -211,6 +265,31 @@ def factor_sets(draw):
 @given(case=factor_sets())
 def test_contract_matches_pairwise_join_elimination(case):
     check_contract(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=factor_sets())
+def test_contract_on_the_support_matches_pairwise_join_elimination(case):
+    # sliced at the support of their zero pattern, the tables contract to
+    # the same cells once the result is padded back to the full domains
+    tables, keep, ev = case
+    want = reference_elimination_marginal([t.take(ev) for t in tables],
+                                          frozenset(keep) - set(ev))
+    got = K.contract(tables, keep, ev, K.zero_pattern(tables))
+    assert all(set(got.domains[d]) <= set(got.full[d]) for d in got.dims)
+    assert_same_cells(got.padded(), want)
+
+
+def test_support_shrinks_to_a_fixed_point():
+    # C = 0 rules out B = 1 in the second table, and then B = 0 rules out
+    # A = 1 in the first, which a single pass over the tables misses
+    ab = K.NamedTable(("A", "B"), {"A": (0, 1), "B": (0, 1)},
+                      np.array([[0.5, 0.5], [0.0, 0.5]]))
+    bc = K.NamedTable(("B", "C"), {"B": (0, 1), "C": (0, 1)},
+                      np.array([[0.5, 0.5], [0.0, 1.0]]))
+    got = K.contract([ab, bc], ["A"], {"C": 0}, K.zero_pattern([ab, bc]))
+    assert got.domains == {"A": (0,)} and got.full == {"A": (0, 1)}
+    np.testing.assert_allclose(got.padded().data, [0.25, 0.0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -288,6 +289,94 @@ def test_target_functional_matches_reference_evaluation(name):
         assert got.dims == want.dims
         assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
         assert got.max_abs_diff(want) <= 1e-12
+
+
+@functools.cache
+def target_functional(name: str):
+    rep = identify_target(load(name))
+    assert rep.status == "identified"
+    return rep.functional
+
+
+def cpt_with_rows(md: MdDag, v: str, rows, seed: int) -> NamedTable:
+    """v's binary CPT, one row per parent configuration in the order of
+    np.ndindex over the sorted parents: a value puts all the row's mass on
+    it, None draws a strictly positive row."""
+    parents = sorted(md.graph.parents([v]))
+    rng = np.random.default_rng(seed)
+    data = np.empty((2,) * len(parents) + (2,))
+    for idx, row in zip(np.ndindex(data.shape[:-1]), rows):
+        p = rng.uniform(0.1, 0.9) if row is None else float(row == 0)
+        data[idx] = (p, 1 - p)
+    dims = tuple(sorted([v] + parents))
+    data = np.transpose(data, [(parents + [v]).index(d) for d in dims])
+    return table(dims, {d: (0, 1) for d in dims}, data)
+
+
+@st.composite
+def deterministic_rows(draw, md: MdDag):
+    """A substantive or indicator vertex and its CPT's rows, at least one
+    of them deterministic."""
+    v = draw(st.sampled_from(sorted(md.truths | md.observed | md.indicators)))
+    n = 2 ** len(md.graph.parents([v]))
+    rows = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n)
+                .filter(lambda rows: any(r is not None for r in rows)))
+    return v, rows
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_evaluation_on_the_support_matches_reference_under_deterministic_rows(name, data):
+    # deterministic rows add zeros beyond the proxies', which narrow the
+    # supports further; the padded result keeps the full-domain evaluation's
+    # cells, NaN markers included
+    md = load(name)
+    v, rows = data.draw(deterministic_rows(md))
+    seed = data.draw(st.integers(0, 1000))
+    full = O.sample_full_law(md, 2, seed, tables={v: cpt_with_rows(md, v, rows, seed)})
+    obs = O.derive_observed_law(md, full)
+    expr = target_functional(name).expr
+    got = K.evaluate_numeric(expr, obs)
+    want = reference_evaluate(expr, obs, {})
+    assert got.dims == want.dims and got.domains == want.domains
+    undefined = np.isnan(want.data)
+    assert np.array_equal(np.isnan(got.data), undefined)
+    assert np.all(np.abs(got.data - want.data)[~undefined] <= 1e-12)
+
+
+def test_laws_with_different_zero_patterns_share_no_plan(monkeypatch):
+    md = load("joint_quartet")
+    functional = target_functional("joint_quartet")
+    keys = []
+    plan = K._contraction_plan
+    monkeypatch.setattr(K, "_contraction_plan", lambda *key: keys.append(key) or plan(*key))
+
+    def plan_keys(full):
+        keys.clear()
+        functional.evaluate(O.derive_observed_law(md, full))
+        return set(keys)
+
+    # R4's only parent is X1(1): at X1(1) = 0 the indicator is always 1
+    tables = {"R4": cpt_with_rows(md, "R4", [1, None], 0)}
+    positive = plan_keys(O.sample_full_law(md, 2, 0))
+    deterministic = plan_keys(O.sample_full_law(md, 2, 0, tables=tables))
+    assert positive and deterministic and not positive & deterministic
+    # a law with the same zeros replays the same plans
+    assert plan_keys(O.sample_full_law(md, 2, 1, tables=tables)) == deterministic
+
+
+def test_marginal_on_the_support_leaves_out_values_without_mass():
+    md = load("colluder_pair")
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    narrow = law.on_support({"X1", "X2"}, {"R1": 1})
+    # R1 = 1 reveals X1, so its "?" row carries no mass
+    assert narrow.domains == {"X1": (0, 1), "X2": (0, 1, "?")}
+    assert narrow.full == {"X1": (0, 1, "?"), "X2": (0, 1, "?")}
+    wide = law.marginal({"X1", "X2"}, {"R1": 1})
+    assert wide.domains == narrow.full
+    assert wide.max_abs_diff(law.marginal({"X1", "X2", "R1"}).take({"R1": 1})) <= 1e-12
+    np.testing.assert_array_equal(wide.take({"X1": "?"}).data, 0.0)
 
 
 def test_dense_law_over_max_cells_raises():

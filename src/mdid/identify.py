@@ -342,6 +342,8 @@ def identify_indicator(md: MdDag, indicator: str,
             hidden_seen.add(nxt.hidden)
             seen.add(nxt.key)
             heapq.heappush(heap, (_priority(md, nxt), nxt))
+    else:
+        transcript.append(f"{indicator}: search space drained after {attempts} schedules")
 
     return IndicatorResult(indicator, "unknown", None, None, transcript)
 

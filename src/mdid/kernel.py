@@ -1,21 +1,23 @@
 """Symbolic kernel expressions over a discrete law, with numeric evaluation.
 
-Expression nodes: Atom (a conditional of a named law), Marginal, Product,
-Quotient, Restrict (evaluation at fixed values) and One (the normalized
+Expression nodes: Atom (a conditional of a named law, evaluated at the
+values its pins fix), Marginal, Product, Quotient and One (the normalized
 unit).  Expressions are immutable; a conditional is a quotient by a
 marginal.  ``canonicalize`` rewrites a tree into a deterministic normal
-form: restrictions pushed onto atoms, marginals absorbed into atoms and
-distributed over products variable by variable, quotients flattened with
-common factors cancelled, and chain-rule merges applied to pairs of atoms
-of the same law.  Golden tests compare canonical forms, so the normal form
-is deliberately order-insensitive: products are sorted by rendered text.
+form: marginals absorbed into atoms and distributed over products variable
+by variable, quotients flattened with common factors cancelled, and
+chain-rule merges applied to pairs of atoms of the same law.  A
+restriction (``restrict_values``, the ``at`` form of ``parse``) is pushed
+onto the atoms as pins.  Golden tests compare canonical forms, so the
+normal form is deliberately order-insensitive: products are sorted by
+rendered text.
 
 Numeric evaluation is dense, over named axes; positive mass over zero
 becomes a NaN marker (an explicit "undefined" signal, counted by callers)
-rather than raising, and 0/0 is a structural zero.  A restricted atom is
-asked of the law with its pins as evidence.  ``contract`` sums a product of
-factor tables by variable elimination in ``np.einsum`` steps, from a plan
-cached by the tables' axes.  No join or contraction step builds more than
+rather than raising, and 0/0 is a structural zero.  An atom is asked of the
+law with its pins as evidence.  ``contract`` sums a product of factor
+tables by variable elimination in ``np.einsum`` steps, from a plan cached
+by the tables' axes.  No join or contraction step builds more than
 ``MAX_CELLS`` cells.
 
 Evaluation works on the support.  A variable's support is the set of its
@@ -26,11 +28,11 @@ of a proxy whose indicator is pinned to 1.  It is found from the factors'
 ``zero_pattern``, made once per law, and the pattern is part of the cached
 plan's key, so one plan slices every factor at the evidence and at the
 support, and a second law with the same zeros replays it.  Inside
-evaluation a table's ``domains`` may leave out values of its ``full``
-domains at which it is zero: ``NamedTable.join`` multiplies over the
-intersection of two domains and divides over the numerator's (a dropped
-denominator cell counts as 0), ``take`` at a left-out value gives zeros,
-and ``evaluate_numeric`` pads its result back to the law's full domains.
+evaluation a table's ``domains`` may leave out values at which it is zero:
+``NamedTable.join`` multiplies over the intersection of two domains and
+divides over the numerator's (a dropped denominator cell counts as 0).
+Only the law holds the full domains, and ``evaluate_numeric`` pads its
+result to them.
 """
 
 from __future__ import annotations
@@ -104,48 +106,31 @@ class One(Expr):
 
 @dataclass(frozen=True)
 class Atom(Expr):
-    """p_law(vars | ctx), a conditional table of the named law."""
+    """p_law(vars | ctx) at the pins, a conditional table of the named law;
+    a pinned variable is fixed at its value and leaves the axes."""
 
     law: str
     vars: tuple[str, ...]
     ctx: tuple[str, ...] = ()
+    pins: Pins = ()
 
     def __post_init__(self):
         object.__setattr__(self, "vars", _names(self.vars))
         object.__setattr__(self, "ctx", _names(self.ctx))
+        object.__setattr__(self, "pins", _pins(self.pins))
         if set(self.vars) & set(self.ctx):
             raise ExprError(f"atom vars and ctx overlap: {self}")
+        if not {k for k, _ in self.pins} <= set(self.vars) | set(self.ctx):
+            raise ExprError(f"atom pins a variable it does not mention: {self}")
 
     def free(self):
-        return frozenset(self.vars)
+        return frozenset(self.vars) - frozenset(k for k, _ in self.pins)
 
     def contexts(self):
-        return frozenset(self.ctx)
+        return frozenset(self.ctx) - frozenset(k for k, _ in self.pins)
 
     def pinned(self):
-        return {}
-
-
-@dataclass(frozen=True)
-class Restrict(Expr):
-    """Child evaluated at fixed values; restricted variables leave the axes."""
-
-    child: Expr
-    pins: Pins
-
-    def __post_init__(self):
-        object.__setattr__(self, "pins", _pins(self.pins))
-
-    def free(self):
-        return self.child.free() - frozenset(k for k, _ in self.pins)
-
-    def contexts(self):
-        return self.child.contexts() - frozenset(k for k, _ in self.pins)
-
-    def pinned(self):
-        out = dict(self.child.pinned())
-        out.update(dict(self.pins))
-        return out
+        return dict(self.pins)
 
 
 @dataclass(frozen=True)
@@ -243,7 +228,7 @@ def restrict_values(e: Expr, assignments) -> Expr:
                 if v in e.free() or v in e.contexts())
     if not new:
         return e
-    return canonicalize(Restrict(e, new))
+    return canonicalize(_push_restrict(canonicalize(e), dict(new)))
 
 
 def product(children: Iterable[Expr]) -> Expr:
@@ -260,25 +245,18 @@ def quotient(num: Expr, den: Expr) -> Expr:
 
 
 def _leaf_parts(e: Expr):
-    """Return (law, joint vars, ctx vars, pins dict) when e is an atom leaf,
-    possibly Restrict-wrapped, else None."""
+    """Return (law, joint vars, ctx vars, pins dict) when e is an atom,
+    else None."""
     if isinstance(e, Atom):
-        return e.law, set(e.vars), set(e.ctx), {}
-    if isinstance(e, Restrict) and isinstance(e.child, Atom):
-        a = e.child
-        return a.law, set(a.vars), set(a.ctx), dict(e.pins)
+        return e.law, set(e.vars), set(e.ctx), dict(e.pins)
     return None
 
 
 def _make_leaf(law: str, joint: set[str], ctx: set[str], pins: dict[str, Value]) -> Expr:
-    pins = {k: v for k, v in pins.items() if k in joint or k in ctx}
-    if not (joint - set(pins)) and not any(k in joint for k in pins):
-        # no joint part at all: p(|ctx) == 1
+    if not joint:       # no joint part at all: p(|ctx) == 1
         return One()
-    atom = Atom(law, tuple(joint), tuple(ctx))
-    if pins:
-        return Restrict(atom, tuple(sorted(pins.items())))
-    return atom
+    return Atom(law, tuple(joint), tuple(ctx),
+                tuple((k, v) for k, v in pins.items() if k in joint or k in ctx))
 
 
 def sort_key(e: Expr) -> str:
@@ -430,14 +408,12 @@ def _push_restrict(e: Expr, pins: dict[str, Value]) -> Expr:
     if isinstance(e, One):
         return e
     if isinstance(e, Atom):
-        return _make_leaf(e.law, set(e.vars), set(e.ctx), mine)
-    if isinstance(e, Restrict):
         merged = dict(e.pins)
         for k, v in mine.items():
             if merged.get(k, v) != v:
                 raise ExprError(f"conflicting restriction for {k!r}")
             merged[k] = v
-        return _push_restrict(e.child, merged)
+        return _make_leaf(e.law, set(e.vars), set(e.ctx), merged)
     if isinstance(e, Marginal):
         if set(mine) & set(e.over):
             raise ExprError("cannot restrict a marginalized variable")
@@ -459,10 +435,8 @@ def _marginalize_canon(e: Expr, over: set[str]) -> Expr:
     over = set(over) & e.free()
     if not over:
         return e
-    parts = _leaf_parts(e)
-    if parts is not None:
-        law, j, g, pins = parts
-        return _make_leaf(law, j - over, g, pins)
+    if isinstance(e, Atom):
+        return _make_leaf(e.law, set(e.vars) - over, set(e.ctx), dict(e.pins))
     if isinstance(e, Marginal):
         return _marginalize_canon(e.child, over | set(e.over))
     if isinstance(e, Product):
@@ -497,35 +471,13 @@ def _marginalize_canon(e: Expr, over: set[str]) -> Expr:
 def canonicalize(e: Expr) -> Expr:
     if isinstance(e, (One, Atom)):
         return e
-    if isinstance(e, Restrict):
-        child = canonicalize(e.child)
-        return canonicalize(_push_restrict(child, dict(e.pins))) \
-            if _needs_push(child) else _push_restrict(child, dict(e.pins))
     if isinstance(e, Marginal):
-        child = canonicalize(e.child)
-        return _marginalize_canon(child, set(e.over))
-    if isinstance(e, (Product, Quotient)):
-        if isinstance(e, Product):
-            children = [canonicalize(c) for c in e.children]
-            nums: list[Expr] = []
-            dens: list[Expr] = []
-            for c in children:
-                n, d = _num_den(c)
-                nums += n
-                dens += d
-        else:
-            num = canonicalize(e.num)
-            den = canonicalize(e.den)
-            n1, d1 = _num_den(num)
-            n2, d2 = _num_den(den)
-            nums, dens = n1 + d2, d1 + n2
-        return _rebuild(nums, dens)
+        return _marginalize_canon(canonicalize(e.child), set(e.over))
+    if isinstance(e, Product):
+        return _rebuild(*_num_den(Product(tuple(canonicalize(c) for c in e.children))))
+    if isinstance(e, Quotient):
+        return _rebuild(*_num_den(Quotient(canonicalize(e.num), canonicalize(e.den))))
     raise ExprError(f"unknown node {type(e).__name__}")
-
-
-def _needs_push(e: Expr) -> bool:
-    return not (isinstance(e, Atom) or isinstance(e, One)
-                or (isinstance(e, Restrict) and isinstance(e.child, Atom)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,25 +493,13 @@ def _render_latex(e: Expr) -> str:
     if isinstance(e, One):
         return "1"
     if isinstance(e, Atom):
-        body = ",".join(_latex_name(v) for v in e.vars)
-        if e.ctx:
-            body += r" \mid " + ",".join(_latex_name(v) for v in e.ctx)
-        return f"{e.law}({body})"
-    if isinstance(e, Restrict):
         pins = dict(e.pins)
-        if isinstance(e.child, Atom):
-            a = e.child
-            vs = [f"{_latex_name(v)}={pins[v]}" if v in pins else _latex_name(v)
-                  for v in a.vars]
-            cs = [f"{_latex_name(v)}={pins[v]}" if v in pins else _latex_name(v)
-                  for v in a.ctx]
-            body = ",".join(vs)
-            if cs:
-                body += r" \mid " + ",".join(cs)
-            return f"{a.law}({body})"
-        inner = _render_latex(e.child)
-        at = ",".join(f"{_latex_name(k)}={v}" for k, v in e.pins)
-        return rf"\left.{inner}\right|_{{{at}}}"
+        vs, cs = ([f"{_latex_name(v)}={pins[v]}" if v in pins else _latex_name(v)
+                   for v in names] for names in (e.vars, e.ctx))
+        body = ",".join(vs)
+        if cs:
+            body += r" \mid " + ",".join(cs)
+        return f"{e.law}({body})"
     if isinstance(e, Marginal):
         return rf"\sum_{{{','.join(_latex_name(v) for v in e.over)}}} {_render_latex(e.child)}"
     if isinstance(e, Product):
@@ -579,10 +519,10 @@ def _render_sexpr(e: Expr) -> str:
     if isinstance(e, One):
         return "(one)"
     if isinstance(e, Atom):
-        return f"(atom {e.law} ({' '.join(e.vars)}) ({' '.join(e.ctx)}))"
-    if isinstance(e, Restrict):
-        pins = " ".join(f"({k} {v})" for k, v in e.pins)
-        return f"(at {_render_sexpr(e.child)} ({pins}))"
+        atom = f"(atom {e.law} ({' '.join(e.vars)}) ({' '.join(e.ctx)}))"
+        if not e.pins:
+            return atom
+        return f"(at {atom} ({' '.join(f'({k} {v})' for k, v in e.pins)}))"
     if isinstance(e, Marginal):
         return f"(marg {_render_sexpr(e.child)} ({' '.join(e.over)}))"
     if isinstance(e, Product):
@@ -633,8 +573,8 @@ def _build(form) -> Expr:
             raise ExprError("atom expects name, vars, ctx")
         return Atom(form[1], tuple(form[2]), tuple(form[3]))
     if head == "at":
-        pins = tuple((p[0], _coerce(p[1])) for p in form[2])
-        return Restrict(_build(form[1]), pins)
+        pins = _pins((p[0], _coerce(p[1])) for p in form[2])
+        return _push_restrict(_build(form[1]), dict(pins))
     if head == "marg":
         return Marginal(_build(form[1]), tuple(form[2]))
     if head == "prod":
@@ -663,19 +603,13 @@ def parse(text: str) -> Expr:
 class NamedTable:
     """Dense array with named, value-labelled axes.
 
-    ``domains`` labels the array's axes.  ``full`` holds each axis's whole
-    domain and defaults to ``domains``; a table made during evaluation may
-    leave out of ``domains`` values of ``full`` at which all its cells are
-    zero (the support rule in the module docstring)."""
+    ``domains`` labels the array's axes.  A table made during evaluation may
+    leave out of an axis's domain values at which all its cells are zero
+    (the support rule in the module docstring); ``padded`` puts them back."""
 
     dims: tuple[str, ...]
     domains: dict[str, tuple[Value, ...]]
     data: np.ndarray
-    full: dict[str, tuple[Value, ...]] | None = None
-
-    def __post_init__(self):
-        if self.full is None:
-            self.full = self.domains
 
     @classmethod
     def scalar(cls, value: float) -> "NamedTable":
@@ -690,34 +624,29 @@ class NamedTable:
             return self
         axes = tuple(self.axis(n) for n in names)
         keep = tuple(d for d in self.dims if d not in names)
-        return NamedTable(keep, {d: self.domains[d] for d in keep},
-                          self.data.sum(axis=axes), {d: self.full[d] for d in keep})
+        return NamedTable(keep, {d: self.domains[d] for d in keep}, self.data.sum(axis=axes))
 
     def take(self, pins: Mapping[str, Value]) -> "NamedTable":
         """The table at fixed values of some of its axes, which leave the
-        axes.  A value of an axis's full domain that its domain leaves out
-        gives zero cells; a value outside the full domain raises."""
+        axes; a value outside an axis's domain raises."""
         out = self
         for name, val in pins.items():
             if name not in out.dims:
                 continue
-            if val not in out.full[name]:
+            if val not in out.domains[name]:
                 raise ExprError(f"value {val!r} outside the domain of {name!r}")
             ax = out.axis(name)
-            dom = out.domains[name]
-            data = (np.take(out.data, dom.index(val), axis=ax) if val in dom
-                    else np.zeros(out.data.shape[:ax] + out.data.shape[ax + 1:]))
             keep = tuple(d for d in out.dims if d != name)
-            out = NamedTable(keep, {d: out.domains[d] for d in keep}, data,
-                             {d: out.full[d] for d in keep})
+            out = NamedTable(keep, {d: out.domains[d] for d in keep},
+                             np.take(out.data, out.domains[name].index(val), axis=ax))
         return out
 
-    def padded(self) -> "NamedTable":
-        """The table over its full domains, zero at the values its domains
-        leave out."""
+    def padded(self, domains: Mapping[str, tuple[Value, ...]]) -> "NamedTable":
+        """The table over the given domains of its axes, each holding the
+        axis's own: zero at the values its own leave out."""
         out = self
         for d in self.dims:
-            out = _reindex(out, d, self.full[d])
+            out = _reindex(out, d, domains[d])
         return out
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
@@ -742,28 +671,18 @@ class NamedTable:
         The tables may differ in an axis's domain, since a table is zero at
         the values its domain leaves out.  So a product runs over the
         intersection of the two domains, and a quotient over the numerator's
-        domain: a denominator value the numerator leaves out is dropped
-        unless the denominator holds a NaN there (0/NaN stays NaN), and a
-        numerator value the denominator leaves out is divided by 0.  The
-        result's full domain is the union of the two, in the longer one's
-        order.
+        domain plus the denominator values where the denominator holds a NaN
+        (0/NaN stays NaN); a numerator value the denominator leaves out is
+        divided by 0.
         """
         dims = tuple(sorted(set(a.dims) | set(b.dims)))
-        full: dict[str, tuple[Value, ...]] = {}
-        for d in dims:
-            fa = a.full.get(d, ())
-            fb = b.full.get(d, ())
-            if len(fa) < len(fb):
-                fa, fb = fb, fa
-            full[d] = fa if fa == fb else fa + tuple(v for v in fb if v not in fa)
         for d in dims:
             da = a.domains.get(d)
             db = b.domains.get(d)
             if da is None or db is None or da == db:
                 continue
             if op is np.divide:
-                undefined = _undefined_values(b, d, da)
-                dom = tuple(v for v in full[d] if v in da or v in undefined)
+                dom = da + _undefined_values(b, d, da)
             else:
                 dom = tuple(v for v in da if v in db)
             a, b = _reindex(a, d, dom), _reindex(b, d, dom)
@@ -777,12 +696,20 @@ class NamedTable:
         if bad.any():       # a NaN or an infinity is a NaN marker, unless zeros absorb it
             zero = (xa == 0) & (xb == 0) if op is np.divide else (xa == 0) | (xb == 0)
             data = np.where(zero, 0.0, np.where(bad, np.nan, data))
-        return NamedTable(dims, domains, data, full)
+        return NamedTable(dims, domains, data)
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
 
     def max_abs_diff(self, other: "NamedTable") -> float:
+        """The largest cell gap, NaN cells left out (NaN when every cell is
+        NaN); an axis the tables share must have one value set, in any
+        order, and an axis only one table has broadcasts."""
+        for d in set(self.dims) & set(other.dims):
+            if set(self.domains[d]) != set(other.domains[d]):
+                raise ExprError(f"axis {d!r} has values {self.domains[d]} in one table"
+                                f" and {other.domains[d]} in the other")
+            other = _reindex(other, d, self.domains[d])
         dims = tuple(sorted(set(self.dims) | set(other.dims)))
         domains = dict(self.domains)
         domains.update(other.domains)
@@ -796,8 +723,8 @@ class NamedTable:
 
 
 def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
-    """The table with axis name over dom, a part of its full domain: zero at
-    the values its domain leaves out, without the values dom leaves out."""
+    """The table with axis name over dom: zero at the values of dom its
+    domain leaves out, without the values dom leaves out."""
     have = tab.domains[name]
     if have == dom:
         return tab
@@ -810,19 +737,20 @@ def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
         at[ax] = hit
         padded[tuple(at)] = data
         data = padded
-    return NamedTable(tab.dims, {**tab.domains, name: dom}, data, tab.full)
+    return NamedTable(tab.dims, {**tab.domains, name: dom}, data)
 
 
-def _undefined_values(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> set:
+def _undefined_values(tab: NamedTable, name: str,
+                      dom: tuple[Value, ...]) -> tuple[Value, ...]:
     """The values of axis name outside dom at which the table holds a NaN."""
     have = tab.domains[name]
     outside = [i for i, v in enumerate(have) if v not in dom]
     if not outside:
-        return set()
+        return ()
     ax = tab.axis(name)
     nan = np.isnan(np.take(tab.data, outside, axis=ax))
     hit = nan.any(axis=tuple(i for i in range(nan.ndim) if i != ax))
-    return {have[i] for i, h in zip(outside, hit) if h}
+    return tuple(have[i] for i, h in zip(outside, hit) if h)
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -832,10 +760,9 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
     if len(set(dims)) != len(dims):
         raise ExprError("axis rename collision")
     domains = {mapping.get(d, d): dom for d, dom in tab.domains.items()}
-    full = {mapping.get(d, d): dom for d, dom in tab.full.items()}
     order = tuple(np.argsort(dims))
     data = np.transpose(tab.data, order) if tab.dims else tab.data
-    return NamedTable(tuple(sorted(dims)), domains, data, full)
+    return NamedTable(tuple(sorted(dims)), domains, data)
 
 
 def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
@@ -866,8 +793,7 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
 
     Given the tables' ``zero_pattern``, every table is also sliced at the
     support (``_support``), so no step spans a value outside it, and the
-    result's domains are the supports of the kept variables, its ``full``
-    domains the tables' own.
+    result's domains are the supports of the kept variables.
 
     The variable whose tables span the fewest axes is eliminated first (ties
     by name); a step multiplies its tables by ``np.einsum`` in pairs and
@@ -890,7 +816,7 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
         arrays.append(np.einsum(*args, out))
     if not arrays:
         return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]), plan.full)
+    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]))
 
 
 _EINSUM_LABELS = 52     # np.einsum's sublist labels are 0 to 51
@@ -901,7 +827,6 @@ class _Plan(NamedTuple):
     steps: tuple            # (operand positions, their sublists, output sublist)
     dims: tuple[str, ...]   # the last operand's axes
     domains: dict           # their supports
-    full: dict              # their whole domains
 
 
 def _union(operands) -> tuple[str, ...]:
@@ -998,19 +923,19 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     if len(work) > 1 or (work and work[0][1] != _union(work)):
         work = [step(work, _union(work))]
     dims = _union(work)
-    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims},
-                 {d: full[d] for d in dims})
+    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
-    .name, .variables, .on_support(names, evidence) -> NamedTable over names
-    minus the evidence, sliced at it, whose domains may leave out values
-    without mass).  An atom, restricted or not, asks the law for its joint
-    and its context with its pins as evidence; shared subexpressions are
-    evaluated once.  Every table is kept on its support, and the result is
-    padded back to the law's full domains with zeros."""
-    return _evaluate(e, law, {}).padded()
+    .name, .variables, the full domain of each variable, and
+    .on_support(names, evidence) -> NamedTable over names minus the
+    evidence, sliced at it, whose domains may leave out values without
+    mass).  An atom asks the law for its joint and its context with its pins
+    as evidence; shared subexpressions are evaluated once.  Every table is
+    kept on its support, and the result is padded to the law's domains with
+    zeros."""
+    return _evaluate(e, law, {}).padded(law.variables)
 
 
 def _evaluate(e: Expr, law, memo: dict) -> NamedTable:
@@ -1026,23 +951,19 @@ def _evaluate(e: Expr, law, memo: dict) -> NamedTable:
 def _evaluate_raw(e: Expr, law, memo: dict) -> NamedTable:
     if isinstance(e, One):
         return NamedTable.scalar(1.0)
-    parts = _leaf_parts(e)
-    if parts is not None:       # an atom is a restriction with no pins
-        name, joint_vars, ctx, pins = parts
-        if name != law.name:
-            raise ExprError(f"atom law {name!r} not resolvable from {law.name!r}")
-        want = joint_vars | ctx
+    if isinstance(e, Atom):
+        if e.law != law.name:
+            raise ExprError(f"atom law {e.law!r} not resolvable from {law.name!r}")
+        want = set(e.vars) | set(e.ctx)
         missing = want - set(law.variables)
         if missing:
             raise ExprError(f"law has no variables {sorted(missing)}")
-        joint = law.on_support(want, {k: v for k, v in pins.items() if k in want})
-        if not ctx:
+        joint = law.on_support(want, dict(e.pins))
+        if not e.ctx:
             return joint
         return NamedTable.join(
-            joint, law.on_support(ctx, {k: v for k, v in pins.items() if k in ctx}),
+            joint, law.on_support(e.ctx, {k: v for k, v in e.pins if k in e.ctx}),
             np.divide)
-    if isinstance(e, Restrict):
-        return _evaluate(e.child, law, memo).take(dict(e.pins))
     if isinstance(e, Marginal):
         return _evaluate(e.child, law, memo).sum_out(e.over)
     if isinstance(e, Product):

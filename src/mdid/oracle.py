@@ -13,13 +13,14 @@ models never materialize the full joint.  A marginal may carry evidence
 factors are zero once; the contraction plan is cached by the factors' axes
 and that zero pattern, so every sampled law of one model with the same
 zeros (e.g. random positive CPTs beside the deterministic proxy CPTs)
-reuses it.  ``marginal`` returns full domains; ``on_support``, which
-expression evaluation reads, leaves out the values without mass.  The
-observed law handed to expression evaluation keeps the full law's CPTs and
-only restricts the variable set, so an atom's joint and its context are
-each one elimination with the atom's pins as evidence, and no trial builds
-the observed joint.  A dense law is a FactoredLaw with a single
-factor (``dense``).
+reuses it.  The law holds the full domain of each variable, and every
+factor axis over a variable has that domain; ``marginal`` pads its result
+to them, while ``on_support``, which expression evaluation reads, leaves
+out the values without mass.  The observed law handed to expression
+evaluation keeps the full law's CPTs and only restricts the variable set,
+so an atom's joint and its context are each one elimination with the
+atom's pins as evidence, and no trial builds the observed joint.  A dense
+law is a FactoredLaw with a single factor (``dense``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class OracleError(ValueError):
 class FactoredLaw:
     """Law over named finite variables, held as factors whose product is the
     joint over (a superset of) ``variables``; marginals by ``kernel.contract``.
-    Every factor must be finite and non-negative."""
+    Every factor must be finite and non-negative, and an axis over one of
+    ``variables`` must have its domain there."""
 
     name: str
     variables: dict[str, tuple]
@@ -63,6 +65,10 @@ class FactoredLaw:
             if not np.isfinite(f.data).all() or (f.data < 0).any():
                 raise OracleError(f"factor over {list(f.dims)} has a negative"
                                   " or non-finite cell")
+            for d in f.dims:
+                if d in self.variables and f.domains[d] != self.variables[d]:
+                    raise OracleError(f"factor axis {d!r} has values {f.domains[d]},"
+                                      f" the law {self.variables[d]}")
         self._pattern = zero_pattern(self.factors)
 
     def marginal(self, names: Iterable[str],
@@ -70,15 +76,17 @@ class FactoredLaw:
         """The marginal over names sliced at the evidence, i.e.
         ``marginal(names | evidence).take(evidence)``, over the full domains
         of names minus the evidence."""
-        return self.on_support(names, evidence).padded()
+        names = frozenset(names)
+        if not names <= self.variables.keys():
+            raise OracleError(f"law has no variables {sorted(names - self.variables.keys())}")
+        return self.on_support(names, evidence).padded(self.variables)
 
     def on_support(self, names: Iterable[str],
                    evidence: Mapping[str, object] | None = None) -> NamedTable:
         """The same marginal over the support at the evidence: its domains
-        leave out the values without mass, its ``full`` domains do not.
-        Every factor is sliced at the evidence and the support before
-        elimination, so no table carries an evidence axis or a value
-        without mass."""
+        leave out the values without mass.  Every factor is sliced at the
+        evidence and the support before elimination, so no table carries an
+        evidence axis or a value without mass."""
         ev = dict(evidence or {})
         key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:

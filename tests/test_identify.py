@@ -152,6 +152,17 @@ def test_deadline_is_reported_as_its_own_reason(monkeypatch):
         "R1: budget exhausted after 2 schedules: deadline of 2.5 s reached")
 
 
+def test_drained_search_says_so():
+    # the self-censored X1(1) -> R1 leaves the R1 search three schedules to
+    # try; the closing line tells a drained space apart from a hit cap
+    md = md_dag([("X1(1)", "R1"), ("X1(1)", "X2(1)"), ("R1", "R2")], ["X1", "X2"])
+    res = identify_indicator(md, "R1")
+    assert res.status == "unknown"
+    assert res.transcript[-1] == "R1: search space drained after 3 schedules"
+    assert sum("->" in line for line in res.transcript) == 3
+    assert not any("budget exhausted after" in line for line in res.transcript)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_schedules=0)

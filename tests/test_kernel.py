@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mdid import kernel as K
 from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.graph import Cadmg
-from mdid.identify import identify_target
+from mdid.identify import identify_full, identify_target
 from mdid.model import MdDag
 from mdid import oracle as O
 
@@ -33,12 +33,14 @@ def test_marginalize_atom_and_identity():
 def test_restrict_values():
     p = K.Atom("p", ("R1", "X"))
     r = K.restrict_values(p, {"R1": 1})
-    assert r == K.Restrict(p, (("R1", 1),))
+    assert r == K.Atom("p", ("R1", "X"), pins=(("R1", 1),))
     assert K.restrict_values(r, {"R1": 1}) == r          # idempotent
     with pytest.raises(K.ExprError):
         K.restrict_values(p, {"Z": 1})
     with pytest.raises(K.ExprError):
         K.restrict_values(r, {"R1": 0})                   # conflicting value
+    with pytest.raises(K.ExprError, match="pins a variable it does not mention"):
+        K.Atom("p", ("R1", "X"), pins=(("Z", 1),))
 
 
 def test_fixing_algebra_produces_published_shapes():
@@ -76,12 +78,29 @@ def test_render_and_parse_round_trip():
     folded = K.marginalize(K.product([K.Atom("p", ("A", "Y"), ("B", "M")),
                                    K.Atom("p", ("B",))]), ["B"])
     assert K.render(folded, "latex") == r"\sum_{B} p(A,Y \mid B,M)\, p(B)"
-    for expr in [p, folded, K.restrict_values(folded, {"A": 0})]:
+    pinned = K.restrict_values(K.Atom("p", ("R2", "X2"), ("R1", "X1")), {"R1": 1, "X2": 0})
+    assert K.render(pinned) == "(at (atom p (R2 X2) (R1 X1)) ((R1 1) (X2 0)))"
+    assert K.render(pinned, "latex") == r"p(R2,X2=0 \mid R1=1,X1)"
+    for expr in [p, folded, pinned, K.restrict_values(folded, {"A": 0})]:
         back = K.canonicalize(K.parse(K.render(expr)))
         assert back == expr
     # conditionals are built as quotients; there is no conditional node
     with pytest.raises(K.ExprError):
         K.parse("(cond (atom p (A B) ()) (B))")
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+def test_emitted_expressions_parse_back_without_canonicalizing(name):
+    # a pinned atom is one node, so the text of every emitted propensity and
+    # functional reads back as the same tree
+    md = load(name)
+    target, full = identify_target(md), identify_full(md)
+    exprs = [*target.propensities.values(), target.functional.expr,
+             *full.propensities.values()]
+    if full.functional is not None:
+        exprs.append(full.functional.numerator)
+    for e in exprs:
+        assert K.parse(K.render(e)) == e
 
 
 def test_normalization_of_kernels():
@@ -159,9 +178,8 @@ def test_product_runs_over_the_intersection_of_domains():
                      np.array([[1.0, 2.0], [3.0, 4.0]]))
     got = K.NamedTable.join(a, b, np.multiply)
     assert got.dims == ("A", "B") and got.domains == {"A": (1, "?"), "B": (0, 1)}
-    assert got.full == {"A": (0, 1, "?"), "B": (0, 1)}
     np.testing.assert_allclose(got.data, [[0.3, 0.6], [1.5, 2.0]])
-    padded = got.padded()
+    padded = got.padded({"A": (0, 1, "?"), "B": (0, 1)})
     assert padded.domains == {"A": (0, 1, "?"), "B": (0, 1)}
     np.testing.assert_allclose(padded.data, [[0.0, 0.0], [0.3, 0.6], [1.5, 2.0]])
 
@@ -180,8 +198,21 @@ def test_quotient_reads_a_value_the_denominator_leaves_out_as_zero():
     num = K.NamedTable(("A",), {"A": (1,)}, np.array([0.5]))
     den = K.NamedTable(("A",), {"A": (0, 1, "?")}, np.array([np.nan, 0.25, 0.5]))
     got = K.NamedTable.join(num, den, np.divide)
-    assert got.domains == {"A": (0, 1)} and got.full == {"A": (0, 1, "?")}
-    np.testing.assert_allclose(got.data, [np.nan, 2.0])
+    assert set(got.domains["A"]) == {0, 1}
+    np.testing.assert_allclose(got.padded({"A": (0, 1)}).data, [np.nan, 2.0])
+
+
+def test_max_abs_diff_matches_cells_by_value():
+    a = K.NamedTable(("X",), {"X": (0, 1)}, np.array([0.2, 0.8]))
+    b = K.NamedTable(("X",), {"X": (1, 0)}, np.array([0.8, 0.2]))
+    assert a.max_abs_diff(b) == 0.0 and b.max_abs_diff(a) == 0.0
+    # an axis only one table has broadcasts
+    c = K.NamedTable(("X", "Y"), {"X": (1, 0), "Y": (0, 1)},
+                     np.array([[0.8, 0.8], [0.2, 0.2]]))
+    assert a.max_abs_diff(c) == 0.0
+    d = K.NamedTable(("X",), {"X": (0, 1, "?")}, np.array([0.2, 0.8, 0.0]))
+    with pytest.raises(K.ExprError, match="axis 'X' has values"):
+        a.max_abs_diff(d)
 
 
 def narrowed_table() -> K.NamedTable:
@@ -189,15 +220,6 @@ def narrowed_table() -> K.NamedTable:
     a = K.NamedTable(("A", "B"), {"A": (0, 1, "?"), "B": (0, 1)}, np.full((3, 2), 0.5))
     b = K.NamedTable(("A",), {"A": (0, 1)}, np.array([0.4, 0.6]))
     return K.NamedTable.join(a, b, np.multiply)
-
-
-def test_take_outside_the_support_gives_zeros():
-    tab = narrowed_table()
-    assert tab.domains["A"] == (0, 1) and tab.full["A"] == (0, 1, "?")
-    at = tab.take({"A": "?"})
-    assert at.dims == ("B",) and at.domains == at.full == {"B": (0, 1)}
-    np.testing.assert_array_equal(at.data, [0.0, 0.0])
-    np.testing.assert_allclose(tab.take({"A": 1}).data, [0.3, 0.3])
 
 
 def test_take_outside_the_domain_raises():
@@ -276,8 +298,8 @@ def test_contract_on_the_support_matches_pairwise_join_elimination(case):
     want = reference_elimination_marginal([t.take(ev) for t in tables],
                                           frozenset(keep) - set(ev))
     got = K.contract(tables, keep, ev, K.zero_pattern(tables))
-    assert all(set(got.domains[d]) <= set(got.full[d]) for d in got.dims)
-    assert_same_cells(got.padded(), want)
+    assert all(set(got.domains[d]) <= set(want.domains[d]) for d in got.dims)
+    assert_same_cells(got.padded(want.domains), want)
 
 
 def test_support_shrinks_to_a_fixed_point():
@@ -288,8 +310,8 @@ def test_support_shrinks_to_a_fixed_point():
     bc = K.NamedTable(("B", "C"), {"B": (0, 1), "C": (0, 1)},
                       np.array([[0.5, 0.5], [0.0, 1.0]]))
     got = K.contract([ab, bc], ["A"], {"C": 0}, K.zero_pattern([ab, bc]))
-    assert got.domains == {"A": (0,)} and got.full == {"A": (0, 1)}
-    np.testing.assert_allclose(got.padded().data, [0.25, 0.0])
+    assert got.domains == {"A": (0,)}
+    np.testing.assert_allclose(got.padded({"A": (0, 1)}).data, [0.25, 0.0])
 
 
 @settings(max_examples=40, deadline=None)

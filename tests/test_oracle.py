@@ -59,6 +59,17 @@ def test_law_rejects_negative_or_non_finite_factors():
             O.FactoredLaw("p", {"A": (0, 1)}, (half, table(("A",), {"A": (0, 1)}, cells)))
 
 
+def test_law_rejects_a_factor_axis_off_its_domain():
+    # marginals are padded to the law's domains, which every factor must share
+    for doms in ({"A": (1, 0)}, {"A": (0, 1, "?")}):
+        cells = np.full(len(doms["A"]), 1 / len(doms["A"]))
+        with pytest.raises(O.OracleError, match="factor axis 'A' has values"):
+            O.FactoredLaw("p", {"A": (0, 1)}, (table(("A",), doms, cells),))
+    # an axis outside the law's variables is summed out and not checked
+    O.FactoredLaw("p", {"A": (0, 1)}, (table(("A", "U"), {"A": (0, 1), "U": (0, 1, 2)},
+                                             np.full((2, 3), 1 / 6)),))
+
+
 def test_mcar_two_triples_is_product_law():
     md = md_dag([], ["X1", "X2"])
     law = O.sample_full_law(md, 2, seed=1)
@@ -262,8 +273,7 @@ def reference_evaluate(e: K.Expr, law, memo: dict) -> NamedTable:
             out = law.marginal(set(e.vars) | set(e.ctx))
             if e.ctx:
                 out = NamedTable.join(out, out.sum_out(e.vars), np.divide)
-        elif isinstance(e, K.Restrict):
-            out = reference_evaluate(e.child, law, memo).take(dict(e.pins))
+            out = out.take(dict(e.pins))
         elif isinstance(e, K.Marginal):
             out = reference_evaluate(e.child, law, memo).sum_out(e.over)
         elif isinstance(e, K.Product):
@@ -372,11 +382,19 @@ def test_marginal_on_the_support_leaves_out_values_without_mass():
     narrow = law.on_support({"X1", "X2"}, {"R1": 1})
     # R1 = 1 reveals X1, so its "?" row carries no mass
     assert narrow.domains == {"X1": (0, 1), "X2": (0, 1, "?")}
-    assert narrow.full == {"X1": (0, 1, "?"), "X2": (0, 1, "?")}
     wide = law.marginal({"X1", "X2"}, {"R1": 1})
-    assert wide.domains == narrow.full
+    assert wide.domains == {"X1": (0, 1, "?"), "X2": (0, 1, "?")}
+    assert wide.max_abs_diff(narrow.padded(law.variables)) == 0.0
     assert wide.max_abs_diff(law.marginal({"X1", "X2", "R1"}).take({"R1": 1})) <= 1e-12
     np.testing.assert_array_equal(wide.take({"X1": "?"}).data, 0.0)
+
+
+def test_marginal_outside_the_law_variables_raises():
+    md = load("colluder_pair")
+    obs = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    # the observed law's CPTs span the censored X1(1), which it does not hold
+    with pytest.raises(O.OracleError, match=r"no variables \['X1\(1\)'\]"):
+        obs.marginal({"X1(1)", "R1"})
 
 
 def test_dense_law_over_max_cells_raises():

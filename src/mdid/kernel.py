@@ -20,6 +20,18 @@ tables by variable elimination in ``np.einsum`` steps, from a plan cached
 by the tables' axes.  No join or contraction step builds more than
 ``MAX_CELLS`` cells.
 
+Work is shared wherever its structure repeats.  Every factor slice and
+every einsum step of a plan has an id: a slice's is the factor's position
+with its evidence and support indices, a step's its operands' ids with its
+sublists.  Equal ids mean equal arrays for one sequence of tables, so a
+caller that holds a cache of arrays by id for its tables (a law does) runs
+each distinct step once, however many marginals share it; the cached
+arrays are read-only, since several tables share them.  ``NamedTable.join``
+takes its structure (the result's axes and domains, each operand's reindex,
+transpose and broadcast, the cell check) from a plan cached by both
+operands' axes with their domains and by the op; only the arithmetic runs
+per call.
+
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
 at the evidence (``_support``, shrunk to a fixed point); for the
@@ -39,6 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -217,18 +231,24 @@ def restrict_values(e: Expr, assignments) -> Expr:
     another, and each occurrence must be sliced.
     """
     pins = _pins(assignments)
-    known = e.free() | e.contexts() | set(e.pinned())
+    _check_pins(e, pins)
+    new = tuple((v, x) for v, x in pins
+                if v in e.free() or v in e.contexts())
+    if not new:
+        return e
+    return canonicalize(_push_restrict(canonicalize(e), dict(new)))
+
+
+def _check_pins(e: Expr, pins: Pins) -> None:
+    """A restriction may pin only variables the expression mentions, and a
+    pinned one only at its value."""
+    known = e.mentioned()
     cur = e.pinned()
     for var, val in pins:
         if var not in known:
             raise ExprError(f"cannot restrict unknown variable {var!r}")
         if var in cur and cur[var] != val:
             raise ExprError(f"conflicting restriction for {var!r}")
-    new = tuple((v, x) for v, x in pins
-                if v in e.free() or v in e.contexts())
-    if not new:
-        return e
-    return canonicalize(_push_restrict(canonicalize(e), dict(new)))
 
 
 def product(children: Iterable[Expr]) -> Expr:
@@ -540,17 +560,23 @@ def render(e: Expr, fmt: str = "sexpr") -> str:
     raise ExprError(f"unknown format {fmt!r}")
 
 
+# a name may end in parenthesized suffixes without spaces, as X1(1) does
+_TOKEN = re.compile(r"[()]|[^\s()]+(?:\([^\s()]*\))*")
+
+
 def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+    return _TOKEN.findall(text)
 
 
 def _read(tokens: list[str], pos: int):
+    if pos == len(tokens):
+        raise ExprError("unbalanced parentheses: the expression ends early")
     if tokens[pos] != "(":
         return tokens[pos], pos + 1
     out = []
     pos += 1
-    while tokens[pos] != ")":
-        item, pos = _read(tokens, pos)
+    while pos == len(tokens) or tokens[pos] != ")":
+        item, pos = _read(tokens, pos)      # raises at the end of the tokens
         out.append(item)
     return out, pos + 1
 
@@ -574,7 +600,9 @@ def _build(form) -> Expr:
         return Atom(form[1], tuple(form[2]), tuple(form[3]))
     if head == "at":
         pins = _pins((p[0], _coerce(p[1])) for p in form[2])
-        return _push_restrict(_build(form[1]), dict(pins))
+        inner = _build(form[1])
+        _check_pins(inner, pins)
+        return _push_restrict(inner, dict(pins))
     if head == "marg":
         return Marginal(_build(form[1]), tuple(form[2]))
     if head == "prod":
@@ -650,12 +678,7 @@ class NamedTable:
         return out
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
-        src = self.data
-        order = [d for d in dims if d in self.dims]
-        perm = [self.axis(d) for d in order]
-        src = np.transpose(src, perm) if perm else src.reshape(())
-        shape = [len(domains[d]) if d in self.dims else 1 for d in dims]
-        return src.reshape(shape)
+        return _aligned(self.data, *_alignment(self.dims, dims, domains))
 
     @staticmethod
     def join(a: "NamedTable", b: "NamedTable", op) -> "NamedTable":
@@ -674,29 +697,31 @@ class NamedTable:
         domain plus the denominator values where the denominator holds a NaN
         (0/NaN stays NaN); a numerator value the denominator leaves out is
         divided by 0.
+
+        The structure (the result's axes and domains, how each operand is
+        reindexed, transposed and broadcast, the ``MAX_CELLS`` check) comes
+        from ``_join_plan``, made once per pair of axes with their domains,
+        op and those NaN-extended values; only the arithmetic runs per call.
         """
-        dims = tuple(sorted(set(a.dims) | set(b.dims)))
-        for d in dims:
-            da = a.domains.get(d)
-            db = b.domains.get(d)
-            if da is None or db is None or da == db:
-                continue
-            if op is np.divide:
-                dom = da + _undefined_values(b, d, da)
-            else:
-                dom = tuple(v for v in da if v in db)
-            a, b = _reindex(a, d, dom), _reindex(b, d, dom)
-        domains = {d: (a.domains if d in a.dims else b.domains)[d] for d in dims}
-        _check_cells(dims, domains)
-        xa = a.aligned(dims, domains)
-        xb = b.aligned(dims, domains)
+        divide = op is np.divide
+        undefined: tuple = ()
+        if divide:      # the one part of the structure that reads the data
+            undefined = tuple((d, u) for d in b.dims if d in a.domains
+                              and a.domains[d] != b.domains[d]
+                              and (u := _undefined_values(b, d, a.domains[d])))
+        plan = _join_plan(a.dims, tuple(map(a.domains.__getitem__, a.dims)),
+                          b.dims, tuple(map(b.domains.__getitem__, b.dims)),
+                          divide, undefined)
+        (steps_a, perm_a, shape_a), (steps_b, perm_b, shape_b) = plan.operands
+        xa = _aligned(_reindexed(a.data, steps_a), perm_a, shape_a)
+        xb = _aligned(_reindexed(b.data, steps_b), perm_b, shape_b)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             data = np.asarray(op(xa, xb))
-        bad = ~np.isfinite(data)
-        if bad.any():       # a NaN or an infinity is a NaN marker, unless zeros absorb it
-            zero = (xa == 0) & (xb == 0) if op is np.divide else (xa == 0) | (xb == 0)
-            data = np.where(zero, 0.0, np.where(bad, np.nan, data))
-        return NamedTable(dims, domains, data)
+        finite = np.isfinite(data)
+        if not finite.all():    # a NaN or an infinity is a NaN marker, unless zeros absorb it
+            zero = (xa == 0) & (xb == 0) if divide else (xa == 0) | (xb == 0)
+            data = np.where(zero, 0.0, np.where(~finite, np.nan, data))
+        return NamedTable(plan.dims, plan.domains, data)
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -728,16 +753,75 @@ def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
     have = tab.domains[name]
     if have == dom:
         return tab
-    ax = tab.axis(name)
+    return NamedTable(tab.dims, {**tab.domains, name: dom},
+                      _reindexed(tab.data, (_reindex_step(tab.axis(name), have, dom),)))
+
+
+def _reindex_step(ax: int, have: tuple[Value, ...], dom: tuple[Value, ...]) -> tuple:
+    """How axis ax moves from the values have to dom: the positions in have
+    of the values of dom it holds, the length of dom, and the index at which
+    they go into a zero array over dom (None when have holds all of dom)."""
     hit = [i for i, v in enumerate(dom) if v in have]
-    data = np.take(tab.data, [have.index(dom[i]) for i in hit], axis=ax)
+    take = [have.index(dom[i]) for i in hit]
+    at = None
     if len(hit) < len(dom):
-        padded = np.zeros(data.shape[:ax] + (len(dom),) + data.shape[ax + 1:])
-        at = [slice(None)] * data.ndim
-        at[ax] = hit
-        padded[tuple(at)] = data
-        data = padded
-    return NamedTable(tab.dims, {**tab.domains, name: dom}, data)
+        at = tuple(hit if j == ax else slice(None) for j in range(ax + 1))
+    return ax, take, len(dom), at
+
+
+def _reindexed(data: np.ndarray, steps: Iterable[tuple]) -> np.ndarray:
+    for ax, take, size, at in steps:
+        data = np.take(data, take, axis=ax)
+        if at is not None:
+            padded = np.zeros(data.shape[:ax] + (size,) + data.shape[ax + 1:])
+            padded[at] = data
+            data = padded
+    return data
+
+
+def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
+               domains: Mapping[str, tuple[Value, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that puts axes have in the order of dims, and the shape
+    that broadcasts the result over dims."""
+    perm = tuple(have.index(d) for d in dims if d in have)
+    return perm, tuple(len(domains[d]) if d in have else 1 for d in dims)
+
+
+def _aligned(data: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    return (np.transpose(data, perm) if perm else data.reshape(())).reshape(shape)
+
+
+class _JoinPlan(NamedTuple):
+    dims: tuple[str, ...]
+    domains: dict
+    operands: tuple     # per operand: its reindex steps, transpose and shape
+
+
+@functools.lru_cache(maxsize=1024)
+def _join_plan(dims_a: tuple[str, ...], doms_a: tuple[tuple[Value, ...], ...],
+               dims_b: tuple[str, ...], doms_b: tuple[tuple[Value, ...], ...], divide: bool,
+               undefined: tuple[tuple[str, tuple[Value, ...]], ...]) -> _JoinPlan:
+    """The structure of ``NamedTable.join`` of tables over dims_a and dims_b
+    with those domains: a product over the intersection of the domains, a
+    quotient over the numerator's domain extended by the undefined
+    denominator values (found from the data by the caller)."""
+    da, db, extra = dict(zip(dims_a, doms_a)), dict(zip(dims_b, doms_b)), dict(undefined)
+    dims = tuple(sorted(da.keys() | db.keys()))
+    domains = {}
+    for d in dims:
+        if d not in da or d not in db or da[d] == db[d]:
+            domains[d] = da.get(d, db.get(d))
+        elif divide:
+            domains[d] = da[d] + extra.get(d, ())
+        else:
+            domains[d] = tuple(v for v in da[d] if v in db[d])
+    _check_cells(dims, domains)
+    operands = []
+    for names, have in ((dims_a, da), (dims_b, db)):
+        steps = tuple(_reindex_step(names.index(d), have[d], domains[d])
+                      for d in sorted(names) if have[d] != domains[d])
+        operands.append((steps, *_alignment(names, dims, domains)))
+    return _JoinPlan(dims, domains, tuple(operands))
 
 
 def _undefined_values(tab: NamedTable, name: str,
@@ -787,7 +871,8 @@ def zero_pattern(tables: Sequence[NamedTable]) -> ZeroPattern:
 
 def contract(tables: Sequence[NamedTable], keep: Iterable[str],
              evidence: Mapping[str, Value] | None = None,
-             pattern: ZeroPattern | None = None) -> NamedTable:
+             pattern: ZeroPattern | None = None,
+             cache: dict | None = None) -> NamedTable:
     """The product of the tables, each sliced at the evidence, summed over
     every axis outside keep; the result's axes are sorted.
 
@@ -801,30 +886,71 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
     axes and domains, keep, the evidence and the zero pattern, so it is made
     once per such key; no step may span more than ``MAX_CELLS`` cells.  The
     tables must be finite and non-negative: einsum multiplies plainly,
-    without the NaN absorption of ``NamedTable.join``."""
+    without the NaN absorption of ``NamedTable.join``.
+
+    Every slice and step of the plan has an id that names the arrays it is
+    computed from, so equal ids mean equal arrays for one sequence of
+    tables.  Given a cache (a dict that belongs to that one sequence, e.g. a
+    law's), a slice or step already in it is read from it, and one computed
+    is stored in it read-only: a step that several contractions share runs
+    once."""
     axes, zeros = pattern if pattern is not None else (_axes(tables), None)
     plan = _contraction_plan(axes, frozenset(keep),
                              tuple(sorted((evidence or {}).items())), zeros)
+    if cache is None:
+        cache = {}
     arrays = []
-    for t, (at, ix) in zip(tables, plan.slices):
-        x = t.data if at is None else t.data[at]
-        arrays.append(x if ix is None else x[ix])
-    for inputs, subscripts, out in plan.steps:
-        args: list = []
-        for i, sub in zip(inputs, subscripts):
-            args += (arrays[i], sub)
-        arrays.append(np.einsum(*args, out))
+    for t, (node, at, ix) in zip(tables, plan.slices):
+        x = cache.get(node)
+        if x is None:
+            # a view, so that freezing it leaves the factor writable
+            x = t.data[... if at is None else at]
+            x = cache[node] = _frozen(x if ix is None else x[ix])
+        arrays.append(x)
+    for node, inputs, subscripts, out in plan.steps:
+        x = cache.get(node)
+        if x is None:
+            args: list = []
+            for i, sub in zip(inputs, subscripts):
+                args += (arrays[i], sub)
+            x = cache[node] = _frozen(np.einsum(*args, out))
+        arrays.append(x)
     if not arrays:
         return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, np.asarray(arrays[-1]))
+    return NamedTable(plan.dims, plan.domains, arrays[-1])
+
+
+def _frozen(x) -> np.ndarray:
+    """x read-only, for an array that several tables share."""
+    x = np.asarray(x)
+    x.flags.writeable = False
+    return x
+
+
+class _Node:
+    """The id of a slice or a step of a contraction plan.  ``_node`` keeps
+    one per structure while a cached plan or a cache of arrays holds it, so
+    ids compare and hash by identity."""
+
+    __slots__ = ("__weakref__",)
+
+
+_NODES: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
+
+
+def _node(structure: tuple) -> _Node:
+    node = _NODES.get(structure)
+    if node is None:
+        node = _NODES[structure] = _Node()
+    return node
 
 
 _EINSUM_LABELS = 52     # np.einsum's sublist labels are 0 to 51
 
 
 class _Plan(NamedTuple):
-    slices: tuple           # per table: its index at the evidence, then at the support
-    steps: tuple            # (operand positions, their sublists, output sublist)
+    slices: tuple           # per table: its id, its index at the evidence, then at the support
+    steps: tuple            # per step: its id, operand positions, their sublists, output sublist
     dims: tuple[str, ...]   # the last operand's axes
     domains: dict           # their supports
 
@@ -883,14 +1009,18 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     support = dict(_support(tables, zeros, evidence)) if zeros is not None else {}
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
-    slices, steps, work = [], [], []     # work: (operand position, axes)
+    # work: (operand position, axes); ids: per operand position, its id
+    slices, steps, work, ids = [], [], [], []
     for pos, table in enumerate(tables):
         live = tuple(d for d, _ in table if d not in ev)
+        pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
         at = None if len(live) == len(table) else tuple(
-            dom.index(ev[d]) if d in ev else slice(None) for d, dom in table)
-        ix = None if not set(live) & set(support) else np.ix_(*(
-            np.array(support.get(d, range(len(full[d]))), dtype=np.intp) for d in live))
-        slices.append((at, ix))
+            slice(None) if i is None else i for i in pinned)
+        kept = None if not set(live) & set(support) else tuple(
+            tuple(support.get(d, range(len(full[d])))) for d in live)
+        ix = None if kept is None else np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
+        ids.append(_node((pos, pinned, kept)))
+        slices.append((ids[-1], at, ix))
         work.append((pos, live))
 
     def einsum(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
@@ -900,9 +1030,12 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
             raise ExprError(f"a step over {len(labels)} axes exceeds einsum's"
                             f" {_EINSUM_LABELS} labels")
         number = {d: n for n, d in enumerate(labels)}
-        steps.append((tuple(p for p, _ in operands),
-                      tuple(tuple(number[d] for d in axes) for _, axes in operands),
-                      tuple(number[d] for d in out)))
+        subscripts = tuple(tuple(number[d] for d in axes) for _, axes in operands)
+        sub_out = tuple(number[d] for d in out)
+        # the operands' ids fix their axes, so the sublists, numbered by the
+        # sorted names of the step's axes, say the rest
+        ids.append(_node((subscripts, sub_out, *(ids[p] for p, _ in operands))))
+        steps.append((ids[-1], tuple(p for p, _ in operands), subscripts, sub_out))
         return len(tables) + len(steps) - 1, out
 
     def step(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:

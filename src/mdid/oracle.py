@@ -13,14 +13,18 @@ models never materialize the full joint.  A marginal may carry evidence
 factors are zero once; the contraction plan is cached by the factors' axes
 and that zero pattern, so every sampled law of one model with the same
 zeros (e.g. random positive CPTs beside the deterministic proxy CPTs)
-reuses it.  The law holds the full domain of each variable, and every
-factor axis over a variable has that domain; ``marginal`` pads its result
-to them, while ``on_support``, which expression evaluation reads, leaves
-out the values without mass.  The observed law handed to expression
-evaluation keeps the full law's CPTs and only restricts the variable set,
-so an atom's joint and its context are each one elimination with the
-atom's pins as evidence, and no trial builds the observed joint.  A dense
-law is a FactoredLaw with a single factor (``dense``).
+reuses it.  The law also keeps every slice and einsum step it has
+computed, by the plan's ids, so a step that several of its marginals share
+runs once per law; these arrays and the cached marginals are read-only,
+and they are freed with the law.  The law holds the full domain of each
+variable, and every factor axis over a variable has that domain;
+``marginal`` pads its result to them, while ``on_support``, which
+expression evaluation reads, leaves out the values without mass.  The
+observed law handed to expression evaluation keeps the full law's CPTs and
+only restricts the variable set, so an atom's joint and its context are
+each one elimination with the atom's pins as evidence, and no trial builds
+the observed joint.  A dense law is a FactoredLaw with a single factor
+(``dense``).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class FactoredLaw:
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
+    _arrays: dict = field(default_factory=dict, repr=False)    # contract's cache by id
     _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,7 +95,8 @@ class FactoredLaw:
         ev = dict(evidence or {})
         key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
-            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern)
+            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern,
+                                             self._arrays)
         return self._marginals[key]
 
     @property

@@ -89,6 +89,31 @@ def test_render_and_parse_round_trip():
         K.parse("(cond (atom p (A B) ()) (B))")
 
 
+def test_parse_round_trips_a_pinned_censored_atom():
+    # a variable name may carry a parenthesized suffix, as X1(1) does
+    atom = K.Atom("p", ("R1", "X1(1)"), ("X2(1)",), pins=(("R1", 1), ("X1(1)", 0)))
+    assert K.render(atom) == "(at (atom p (R1 X1(1)) (X2(1))) ((R1 1) (X1(1) 0)))"
+    assert K.parse(K.render(atom)) == atom
+    assert K.parse(K.render(K.Atom("p", ("X1(1)",)))) == K.Atom("p", ("X1(1)",))
+
+
+def test_parse_at_form_rejects_what_restrict_values_rejects():
+    atom = K.Atom("p", ("A",))
+    with pytest.raises(K.ExprError, match="cannot restrict unknown variable 'Z'"):
+        K.restrict_values(atom, {"Z": 1})
+    with pytest.raises(K.ExprError, match="cannot restrict unknown variable 'Z'"):
+        K.parse("(at (atom p (A) ()) ((Z 1)))")
+    with pytest.raises(K.ExprError, match="conflicting restriction for 'A'"):
+        K.parse("(at (at (atom p (A) ()) ((A 0))) ((A 1)))")
+
+
+@pytest.mark.parametrize("text", ["(atom p (A) ()", "(", "(prod (atom p (A) ())",
+                                  "(at (atom p (A) ()) ((A 1)"])
+def test_parse_rejects_unbalanced_input(text):
+    with pytest.raises(K.ExprError, match="unbalanced"):
+        K.parse(text)
+
+
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
 def test_emitted_expressions_parse_back_without_canonicalizing(name):
     # a pinned atom is one node, so the text of every emitted propensity and
@@ -200,6 +225,41 @@ def test_quotient_reads_a_value_the_denominator_leaves_out_as_zero():
     got = K.NamedTable.join(num, den, np.divide)
     assert set(got.domains["A"]) == {0, 1}
     np.testing.assert_allclose(got.padded({"A": (0, 1)}).data, [np.nan, 2.0])
+
+
+def test_joins_with_equal_axes_and_different_domains_share_no_plan():
+    # values no other test uses, so every plan below is new to the cache
+    a = K.NamedTable(("A",), {"A": (10, 11, 12)}, np.array([0.2, 0.3, 0.5]))
+    b = K.NamedTable(("A",), {"A": (11, 12)}, np.array([2.0, 4.0]))
+    c = K.NamedTable(("A",), {"A": (10, 11)}, np.array([2.0, 4.0]))
+    misses = K._join_plan.cache_info().misses
+    bc = K.NamedTable.join(a, b, np.multiply), K.NamedTable.join(a, c, np.multiply)
+    assert K._join_plan.cache_info().misses == misses + 2
+    assert bc[0].domains == {"A": (11, 12)} and bc[1].domains == {"A": (10, 11)}
+    np.testing.assert_array_equal(bc[0].data, [0.6, 2.0])
+    np.testing.assert_array_equal(bc[1].data, [0.4, 1.2])
+    # a second join of the same structure replays its plan
+    again = K.NamedTable.join(a, b, np.multiply)
+    assert K._join_plan.cache_info().misses == misses + 2
+    np.testing.assert_array_equal(again.data, bc[0].data)
+    # a quotient's plan also depends on where the denominator holds a NaN
+    num = K.NamedTable(("A",), {"A": (11,)}, np.array([0.5]))
+    nan = K.NamedTable(("A",), {"A": (10, 11)}, np.array([np.nan, 0.25]))
+    finite = K.NamedTable(("A",), {"A": (10, 11)}, np.array([0.5, 0.25]))
+    assert K.NamedTable.join(num, nan, np.divide).domains == {"A": (11, 10)}
+    assert K.NamedTable.join(num, finite, np.divide).domains == {"A": (11,)}
+    assert K._join_plan.cache_info().misses == misses + 4
+
+
+def test_join_over_max_cells_raises_every_time():
+    # a refused plan is not cached, and a smaller join of the same axes runs
+    a = K.NamedTable(("A",), {"A": tuple(range(4097))}, np.ones(4097))
+    b = K.NamedTable(("B",), {"B": tuple(range(4097))}, np.ones(4097))
+    for _ in range(2):
+        with pytest.raises(K.ExprError, match=r"16785409 cells over \['A', 'B'\]"):
+            K.NamedTable.join(a, b, np.multiply)
+    small = K.NamedTable(("B",), {"B": (0, 1)}, np.ones(2))
+    assert K.NamedTable.join(a, small, np.multiply).data.shape == (4097, 2)
 
 
 def test_max_abs_diff_matches_cells_by_value():
@@ -369,3 +429,65 @@ def test_contract_folds_more_operands_than_one_einsum_takes():
     # a single np.einsum refuses 64 operands; a step folds them in pairs
     scalars = [K.NamedTable.scalar(1.5) for _ in range(70)]
     assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
+
+
+def counting_einsum(monkeypatch):
+    """Count np.einsum calls and keep each call's operands and result."""
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args):
+        out = einsum(*args)
+        calls.append((args[:-1:2], out))
+        return out
+
+    monkeypatch.setattr(K.np, "einsum", counted)
+    return calls
+
+
+def test_second_evaluation_on_a_law_makes_no_einsum_call(monkeypatch):
+    md = load("joint_quartet")
+    functional = identify_target(md).functional
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    calls = counting_einsum(monkeypatch)
+    first = functional.evaluate(law)
+    assert calls
+    calls.clear()
+    assert np.array_equal(functional.evaluate(law).data, first.data, equal_nan=True)
+    assert not calls
+    # the step cache alone: a contraction run again with the cache is free
+    cache: dict = {}
+    K.contract(law.factors, ["X1", "X2"], {"R1": 1}, law._pattern, cache)
+    calls.clear()
+    K.contract(law.factors, ["X1", "X2"], {"R1": 1}, law._pattern, cache)
+    assert not calls
+
+
+def test_marginals_that_share_a_step_reuse_its_array(monkeypatch):
+    # A, then B, is eliminated first for both marginals of the chain
+    law = O.sample_dag_law(Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")]), 2, 0)
+    calls = counting_einsum(monkeypatch)
+    law.on_support({"D"})
+    first = [out for _, out in calls]
+    calls.clear()
+    c = law.on_support({"C"})
+    operands = [x for args, _ in calls for x in args]
+    assert any(x is y for x in operands for y in first)
+    shared = len(calls)
+    calls.clear()
+    fresh = K.contract(law.factors, ["C"])
+    assert shared == len(calls) - 2
+    assert np.array_equal(c.data, fresh.data)
+
+
+def test_shared_tables_are_read_only():
+    law = O.sample_dag_law(Cadmg("ABC", [("A", "B"), ("B", "C")]), 2, 0)
+    tab = law.on_support({"A", "C"})
+    assert law.on_support({"A", "C"}) is tab
+    with pytest.raises(ValueError, match="read-only"):
+        tab.data[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        law.on_support({"A", "B", "C"}, {"B": 1}).data[...] = 0.0
+    assert law._arrays and not any(x.flags.writeable for x in law._arrays.values())
+    # the law's own factors stay as they were
+    assert all(f.data.flags.writeable for f in law.factors)

@@ -308,6 +308,36 @@ def target_functional(name: str):
     return rep.functional
 
 
+
+class FreshCacheLaw:
+    """A law's interface to ``evaluate_numeric`` that contracts every
+    marginal it is asked for with a cache of its own."""
+
+    def __init__(self, law: O.FactoredLaw):
+        self.law, self.name, self.variables = law, law.name, law.variables
+
+    def on_support(self, names, evidence):
+        ev = dict(evidence)
+        return K.contract(self.law.factors, set(names) - ev.keys(), ev, self.law._pattern)
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
+    # one law evaluates the target functional and every propensity, so later
+    # marginals read the steps of earlier ones; each table must equal the one
+    # made from marginals that share nothing, cell for cell, NaN included
+    md = load(name)
+    functional = target_functional(name)
+    law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
+    alone = FreshCacheLaw(law)
+    for e in [functional.expr, *(q for _, q in sorted(functional.propensities.items()))]:
+        got, want = K.evaluate_numeric(e, law), K.evaluate_numeric(e, alone)
+        assert got.dims == want.dims and got.domains == want.domains
+        assert np.array_equal(got.data, want.data, equal_nan=True)
+    assert law._arrays
+
+
 def cpt_with_rows(md: MdDag, v: str, rows, seed: int) -> NamedTable:
     """v's binary CPT, one row per parent configuration in the order of
     np.ndindex over the sorted parents: a value puts all the row's mass on

@@ -2,8 +2,9 @@
 
     mdid check    GRAPH            validate + collider certificate scan
     mdid identify GRAPH --query target|full|indicator:R2 [--latex]
-    mdid verify   GRAPH --query ... --trials N --seed S --tol T
-    mdid fixtures                  run every built-in example
+    mdid verify   GRAPH --query ... --trials N --seed S --tol T --cardinality C
+    mdid fixtures [--trials N --seed S --tol T --cardinality C]
+                                   run every built-in example
 
 GRAPH is a graph file path or ``fixture:NAME``.  Exit codes: 0 identified /
 verified, 2 not identified, 3 unknown, 1 error.  Budget fields may be
@@ -151,16 +152,14 @@ def cmd_verify(args) -> int:
     if report.status != "identified":
         _emit({"status": report.status}, args.json)
         return _STATUS_CODE[report.status]
+    sampling = {"trials": args.trials, "seed": args.seed, "cardinality": args.cardinality}
     if args.query == "target":
-        rep = O.verify_target_functional(model, report.functional,
-                                         trials=args.trials, seed=args.seed)
+        rep = O.verify_target_functional(model, report.functional, **sampling)
     elif args.query == "full":
-        rep = O.verify_full_functional(model, report.functional,
-                                       trials=args.trials, seed=args.seed)
+        rep = O.verify_full_functional(model, report.functional, **sampling)
     else:
         r = args.query.split(":", 1)[1]
-        rep = O.verify_indicator_functional(model, r, report.propensities[r],
-                                            trials=args.trials, seed=args.seed)
+        rep = O.verify_indicator_functional(model, r, report.propensities[r], **sampling)
     ok = rep.ok(args.tol)
     _emit({"status": "verified" if ok else "failed",
            "trials": rep.trials,
@@ -188,13 +187,21 @@ def cmd_fixtures(args) -> int:
         if rf.certificate:
             bits.append("certificate=(%s, %s)" % rf.certificate)
         if rt.status == "identified" and args.trials:
-            rep = O.verify_target_functional(model, rt.functional,
-                                             trials=args.trials, seed=args.seed)
+            rep = O.verify_target_functional(model, rt.functional, trials=args.trials,
+                                             seed=args.seed, cardinality=args.cardinality)
             bits.append(f"target_err={rep.max_error:.2e}")
             if not rep.ok(args.tol):
                 failures += 1
         print(f"{name}: " + " ".join(bits))
     return EXIT_OK if failures == 0 else EXIT_ERROR
+
+
+def _cardinality(text: str) -> int:
+    """The values of each substantive variable in sampled laws: at least 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"cardinality must be at least 2, not {n}")
+    return n
 
 
 def main(argv=None) -> int:
@@ -220,6 +227,7 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--cardinality", type=_cardinality, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -227,6 +235,7 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--cardinality", type=_cardinality, default=2)
     p.set_defaults(fn=cmd_fixtures)
 
     args = top.parse_args(argv)

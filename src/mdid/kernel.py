@@ -16,21 +16,26 @@ Numeric evaluation is dense, over named axes; positive mass over zero
 becomes a NaN marker (an explicit "undefined" signal, counted by callers)
 rather than raising, and 0/0 is a structural zero.  An atom is asked of the
 law with its pins as evidence.  ``contract`` sums a product of factor
-tables by variable elimination in ``np.einsum`` steps, from a plan cached
-by the tables' axes.  No join or contraction step builds more than
-``MAX_CELLS`` cells.
+tables by variable elimination, from a plan cached by the tables' axes;
+each step is lowered at plan time to fixed transposes and reshapes around
+one ``np.matmul`` (or one sum, for a step over one table).  Its sums run
+in another order than a cell-by-cell product would, so tables agree with
+a plain elimination to within 1e-12, not bit for bit.  No join or
+contraction step builds more than ``MAX_CELLS`` cells.
 
 Work is shared wherever its structure repeats.  Every factor slice and
-every einsum step of a plan has an id: a slice's is the factor's position
-with its evidence and support indices, a step's its operands' ids with its
-sublists.  Equal ids mean equal arrays for one sequence of tables, so a
-caller that holds a cache of arrays by id for its tables (a law does) runs
-each distinct step once, however many marginals share it; the cached
+every step of a plan has an id: a slice's is the factor's position with
+its evidence and support indices, a step's its operands' ids with its
+output's axes.  Equal ids mean equal arrays for one sequence of tables, so
+a caller that holds a cache of arrays by id for its tables (a law does)
+runs each distinct step once, however many marginals share it; the cached
 arrays are read-only, since several tables share them.  ``NamedTable.join``
 takes its structure (the result's axes and domains, each operand's reindex,
 transpose and broadcast, the cell check) from a plan cached by both
 operands' axes with their domains and by the op; only the arithmetic runs
-per call.
+per call.  ``evaluate_numeric`` compiles an expression once per law
+structure into a flat program of slices, steps, joins and sums, so that an
+oracle trial on a law of that structure runs only their arithmetic.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
@@ -704,24 +709,11 @@ class NamedTable:
         op and those NaN-extended values; only the arithmetic runs per call.
         """
         divide = op is np.divide
-        undefined: tuple = ()
-        if divide:      # the one part of the structure that reads the data
-            undefined = tuple((d, u) for d in b.dims if d in a.domains
-                              and a.domains[d] != b.domains[d]
-                              and (u := _undefined_values(b, d, a.domains[d])))
         plan = _join_plan(a.dims, tuple(map(a.domains.__getitem__, a.dims)),
-                          b.dims, tuple(map(b.domains.__getitem__, b.dims)),
-                          divide, undefined)
-        (steps_a, perm_a, shape_a), (steps_b, perm_b, shape_b) = plan.operands
-        xa = _aligned(_reindexed(a.data, steps_a), perm_a, shape_a)
-        xb = _aligned(_reindexed(b.data, steps_b), perm_b, shape_b)
+                          b.dims, tuple(map(b.domains.__getitem__, b.dims)), divide,
+                          _undefined(a.domains, b.dims, b.domains, b.data) if divide else ())
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            data = np.asarray(op(xa, xb))
-        finite = np.isfinite(data)
-        if not finite.all():    # a NaN or an infinity is a NaN marker, unless zeros absorb it
-            zero = (xa == 0) & (xb == 0) if divide else (xa == 0) | (xb == 0)
-            data = np.where(zero, 0.0, np.where(~finite, np.nan, data))
-        return NamedTable(plan.dims, plan.domains, data)
+            return NamedTable(plan.dims, plan.domains, _joined(a.data, b.data, plan, divide))
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -788,7 +780,7 @@ def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
 
 
 def _aligned(data: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    return (np.transpose(data, perm) if perm else data.reshape(())).reshape(shape)
+    return (data.transpose(perm) if perm else data.reshape(())).reshape(shape)
 
 
 class _JoinPlan(NamedTuple):
@@ -824,17 +816,35 @@ def _join_plan(dims_a: tuple[str, ...], doms_a: tuple[tuple[Value, ...], ...],
     return _JoinPlan(dims, domains, tuple(operands))
 
 
-def _undefined_values(tab: NamedTable, name: str,
-                      dom: tuple[Value, ...]) -> tuple[Value, ...]:
-    """The values of axis name outside dom at which the table holds a NaN."""
-    have = tab.domains[name]
-    outside = [i for i, v in enumerate(have) if v not in dom]
-    if not outside:
-        return ()
-    ax = tab.axis(name)
-    nan = np.isnan(np.take(tab.data, outside, axis=ax))
-    hit = nan.any(axis=tuple(i for i in range(nan.ndim) if i != ax))
-    return tuple(have[i] for i, h in zip(outside, hit) if h)
+def _joined(x: np.ndarray, y: np.ndarray, plan: _JoinPlan, divide: bool) -> np.ndarray:
+    """The arithmetic of ``NamedTable.join`` on its operands' arrays, under
+    the caller's ``np.errstate``."""
+    (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = plan.operands
+    x = _aligned(_reindexed(x, steps_x), perm_x, shape_x)
+    y = _aligned(_reindexed(y, steps_y), perm_y, shape_y)
+    data = np.asarray(np.divide(x, y) if divide else np.multiply(x, y))
+    finite = np.isfinite(data)
+    if not finite.all():    # a NaN or an infinity is a NaN marker, unless zeros absorb it
+        zero = (x == 0) & (y == 0) if divide else (x == 0) | (y == 0)
+        data = np.where(zero, 0.0, np.where(~finite, np.nan, data))
+    return data
+
+
+def _undefined(num: Mapping[str, tuple[Value, ...]], dims: tuple[str, ...],
+               domains: Mapping[str, tuple[Value, ...]],
+               data: np.ndarray) -> tuple[tuple[str, tuple[Value, ...]], ...]:
+    """Per axis of a quotient's denominator (data over dims with those
+    domains), the values that the numerator's domains num leave out and at
+    which the denominator holds a NaN, for the axes that have any."""
+    out = []
+    for ax, d in enumerate(dims):
+        if d in num and num[d] != domains[d]:
+            outside = [i for i, v in enumerate(domains[d]) if v not in num[d]]
+            hit = np.isnan(np.take(data, outside, axis=ax)).any(
+                axis=tuple(k for k in range(len(dims)) if k != ax))
+            if hit.any():
+                out.append((d, tuple(domains[d][i] for i, h in zip(outside, hit) if h)))
+    return tuple(out)
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -881,12 +891,12 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
     result's domains are the supports of the kept variables.
 
     The variable whose tables span the fewest axes is eliminated first (ties
-    by name); a step multiplies its tables by ``np.einsum`` in pairs and
-    sums the variable out in the last.  The plan depends only on the tables'
-    axes and domains, keep, the evidence and the zero pattern, so it is made
-    once per such key; no step may span more than ``MAX_CELLS`` cells.  The
-    tables must be finite and non-negative: einsum multiplies plainly,
-    without the NaN absorption of ``NamedTable.join``.
+    by name); a step multiplies its tables in pairs and sums the variable out
+    in the last, each pair by ``np.matmul`` (``_Step``).  The plan depends
+    only on the tables' axes and domains, keep, the evidence and the zero
+    pattern, so it is made once per such key; no step may span more than
+    ``MAX_CELLS`` cells.  The tables must be finite and non-negative: a step
+    multiplies plainly, without the NaN absorption of ``NamedTable.join``.
 
     Every slice and step of the plan has an id that names the arrays it is
     computed from, so equal ids mean equal arrays for one sequence of
@@ -897,27 +907,32 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
     axes, zeros = pattern if pattern is not None else (_axes(tables), None)
     plan = _contraction_plan(axes, frozenset(keep),
                              tuple(sorted((evidence or {}).items())), zeros)
-    if cache is None:
-        cache = {}
-    arrays = []
-    for t, (node, at, ix) in zip(tables, plan.slices):
+    arrays: list = []
+    _replay(plan.ops, tables, {} if cache is None else cache, arrays)
+    return NamedTable(plan.dims, plan.domains, arrays[-1]) if arrays else NamedTable.scalar(1.0)
+
+
+def _replay(ops, tables: Sequence[NamedTable], cache: dict, regs: list) -> None:
+    """Run ops (a plan's or a program's) on the tables, appending each op's
+    array to regs.  An op with an id reads its array from the cache, or
+    stores it there read-only."""
+    for node, op, args in ops:
         x = cache.get(node)
         if x is None:
-            # a view, so that freezing it leaves the factor writable
-            x = t.data[... if at is None else at]
-            x = cache[node] = _frozen(x if ix is None else x[ix])
-        arrays.append(x)
-    for node, inputs, subscripts, out in plan.steps:
-        x = cache.get(node)
-        if x is None:
-            args: list = []
-            for i, sub in zip(inputs, subscripts):
-                args += (arrays[i], sub)
-            x = cache[node] = _frozen(np.einsum(*args, out))
-        arrays.append(x)
-    if not arrays:
-        return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, arrays[-1])
+            x = op(regs, tables, *args)
+            if node is not None:
+                x = cache[node] = _frozen(x)
+        regs.append(x)
+
+
+def _slice_op(regs, tables, pos, at, ix):
+    # a view, so that freezing it leaves the factor writable
+    x = tables[pos].data[... if at is None else at]
+    return x if ix is None else x[ix]
+
+
+def _step_op(regs, tables, step, inputs):
+    return step(*map(regs.__getitem__, inputs))
 
 
 def _frozen(x) -> np.ndarray:
@@ -945,14 +960,85 @@ def _node(structure: tuple) -> _Node:
     return node
 
 
-_EINSUM_LABELS = 52     # np.einsum's sublist labels are 0 to 51
+_MAX_STEP_AXES = 52     # the most axes one contraction step may span
 
 
 class _Plan(NamedTuple):
-    slices: tuple           # per table: its id, its index at the evidence, then at the support
-    steps: tuple            # per step: its id, operand positions, their sublists, output sublist
-    dims: tuple[str, ...]   # the last operand's axes
+    ops: tuple              # a _slice_op per table, then a _step_op per step, with their ids
+    dims: tuple[str, ...]   # the last op's axes
     domains: dict           # their supports
+
+
+class _Step(NamedTuple):
+    """A contraction step as the numpy calls fixed at plan time.  One
+    operand is summed over the axes the output drops and transposed to the
+    output's order.  Two operands drop no axis that only one of them spans
+    (the plan sums a variable out where all its tables meet): they are
+    transposed and reshaped to (batch, left, contracted) and (batch,
+    contracted, right), multiplied by ``np.matmul``, and the product is
+    reshaped to its batch, left and right axes.  None stands for a call the
+    step does not need."""
+
+    sum: tuple[int, ...] | None     # one operand: the axes summed out
+    forms: tuple | None             # two operands: per operand, its transpose and matrix shape
+    shape: tuple[int, ...] | None   # two operands: the product's shape over its axes
+    perm: tuple[int, ...] | None    # the transpose to the output's order
+
+    def __call__(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        if b is None:
+            x = a if self.sum is None else a.sum(axis=self.sum)
+        else:
+            x = np.matmul(_formed(a, *self.forms[0]), _formed(b, *self.forms[1]))
+            if self.shape is not None:
+                x = x.reshape(self.shape)
+        return x if self.perm is None else x.transpose(self.perm)
+
+
+def _formed(x: np.ndarray, perm: tuple[int, ...] | None,
+            shape: tuple[int, ...] | None) -> np.ndarray:
+    x = x if perm is None else x.transpose(perm)
+    return x if shape is None else x.reshape(shape)
+
+
+def _perm(have: Sequence[str], want: Sequence[str]) -> tuple[int, ...] | None:
+    """The transpose from axes have to axes want, None when they agree."""
+    perm = tuple(have.index(d) for d in want)
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+def _lower(operands: tuple[tuple[str, ...], ...], out: tuple[str, ...], ordered: bool,
+           size: Mapping[str, int]) -> tuple[_Step, tuple[str, ...], int]:
+    """The step over tables with the operands' axes that keeps the axes of
+    out, in out's order if ordered, else in the order the step leaves them
+    (batch, left, right, each in its operand's order); with the cells of
+    the operands it transposes."""
+    if len(operands) == 1:
+        (a,) = operands
+        summed = tuple(k for k, d in enumerate(a) if d not in out)
+        kept = tuple(d for d in a if d in out)
+        axes = out if ordered else kept
+        return _Step(summed or None, None, None, _perm(kept, axes)), axes, 0
+    a, b = operands
+    batch = tuple(d for d in a if d in b and d in out)
+    left = tuple(d for d in a if d not in b)
+    right = tuple(d for d in b if d not in a)
+    summed = tuple(d for d in a if d in b and d not in out)
+
+    def n(axes):
+        return math.prod(size[d] for d in axes)
+
+    def form(axes, order, matrix):
+        return _perm(axes, order), None if matrix == tuple(size[d] for d in order) else matrix
+
+    lead = (n(batch),) if batch else ()
+    forms = (form(a, batch + left + summed, lead + (n(left), n(summed))),
+             form(b, batch + summed + right, lead + (n(summed), n(right))))
+    made = batch + left + right
+    shape = tuple(size[d] for d in made)
+    axes = out if ordered else made
+    return (_Step(None, forms, None if shape == lead + (n(left), n(right)) else shape,
+                  _perm(made, axes)), axes,
+            sum(n(x) for x, (perm, _) in zip(operands, forms) if perm is not None))
 
 
 def _union(operands) -> tuple[str, ...]:
@@ -1010,7 +1096,7 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
     # work: (operand position, axes); ids: per operand position, its id
-    slices, steps, work, ids = [], [], [], []
+    ops, work, ids = [], [], []
     for pos, table in enumerate(tables):
         live = tuple(d for d, _ in table if d not in ev)
         pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
@@ -1020,93 +1106,201 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
             tuple(support.get(d, range(len(full[d])))) for d in live)
         ix = None if kept is None else np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
         ids.append(_node((pos, pinned, kept)))
-        slices.append((ids[-1], at, ix))
+        ops.append((ids[-1], _slice_op, (pos, at, ix)))
         work.append((pos, live))
 
-    def einsum(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    def call(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
         labels = _union(operands)
         _check_cells(labels, domains)
-        if len(labels) > _EINSUM_LABELS:
-            raise ExprError(f"a step over {len(labels)} axes exceeds einsum's"
-                            f" {_EINSUM_LABELS} labels")
-        number = {d: n for n, d in enumerate(labels)}
-        subscripts = tuple(tuple(number[d] for d in axes) for _, axes in operands)
-        sub_out = tuple(number[d] for d in out)
-        # the operands' ids fix their axes, so the sublists, numbered by the
-        # sorted names of the step's axes, say the rest
-        ids.append(_node((subscripts, sub_out, *(ids[p] for p, _ in operands))))
-        steps.append((ids[-1], tuple(p for p, _ in operands), subscripts, sub_out))
-        return len(tables) + len(steps) - 1, out
+        if len(labels) > _MAX_STEP_AXES:
+            raise ExprError(f"a step over {len(labels)} axes exceeds the"
+                            f" {_MAX_STEP_AXES} a contraction step may span")
+        size = {d: len(domains[d]) for d in labels}
+        # either table may be the left one: take the order that copies fewer cells
+        step, axes, _, operands = min(
+            ((*_lower(tuple(x for _, x in order), out, ordered, size), order)
+             for order in (operands, operands[::-1])), key=lambda option: option[2])
+        # the operands' ids fix their axes, so the output's axes say the rest
+        ids.append(_node((axes, *(ids[p] for p, _ in operands))))
+        ops.append((ids[-1], _step_op, (step, tuple(p for p, _ in operands))))
+        return len(ops) - 1, axes
 
-    def step(operands, out: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-        # numpy's two-operand loops are far faster than its generic loop for
-        # three or more, so a step folds its operands in pairs, smallest first
+    def step(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
+        # a step folds its operands in pairs, smallest first, so that each
+        # call is one np.matmul
         first, *rest = sorted(operands, key=lambda w: math.prod(len(domains[d]) for d in w[1]))
         for i, nxt in enumerate(rest):
-            first = einsum([first, nxt], out if i == len(rest) - 1 else _union([first, nxt]))
-        return first if rest else einsum([first], out)
+            last = i == len(rest) - 1
+            first = call([first, nxt], out if last else _union([first, nxt]), ordered and last)
+        return first if rest else call([first], out, ordered)
 
     elim = sorted(set(_union(work)) - keep)
     while elim:     # the variable whose tables span the fewest axes, ties by name
         v = min(elim, key=lambda v: len(_union([w for w in work if v in w[1]])))
         involved = [w for w in work if v in w[1]]
         work = [w for w in work if v not in w[1]] + [
-            step(involved, tuple(d for d in _union(involved) if d != v))]
+            step(involved, tuple(d for d in _union(involved) if d != v), False)]
         elim.remove(v)
     if len(work) > 1 or (work and work[0][1] != _union(work)):
-        work = [step(work, _union(work))]
+        work = [step(work, _union(work), True)]
     dims = _union(work)
-    return _Plan(tuple(slices), tuple(steps), dims, {d: domains[d] for d in dims})
+    return _Plan(tuple(ops), dims, {d: domains[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
-    .name, .variables, the full domain of each variable, and
-    .on_support(names, evidence) -> NamedTable over names minus the
-    evidence, sliced at it, whose domains may leave out values without
-    mass).  An atom asks the law for its joint and its context with its pins
-    as evidence; shared subexpressions are evaluated once.  Every table is
-    kept on its support, and the result is padded to the law's domains with
-    zeros."""
-    return _evaluate(e, law, {}).padded(law.variables)
+    .name, .variables with their full domains, .factors, their
+    ``zero_pattern`` as ._pattern and ._arrays, the factors' cache for
+    ``contract``).  An atom is the law's marginal over its variables with its
+    pins as evidence, divided by the one over its context.  Every table is
+    kept on its support, and the result is padded to the law's domains.
+    The walk runs once per expression and law structure (name, variables,
+    zero pattern), compiling a ``_Program`` that later laws only run."""
+    program = _program(e, law.name, tuple(law.variables.items()), law._pattern)
+    if program.ops:
+        try:
+            return program.run(law)
+        except _Stale:
+            pass
+    return program.compile(e, law)
 
 
-def _evaluate(e: Expr, law, memo: dict) -> NamedTable:
-    key = e
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _evaluate_raw(e, law, memo)
-    memo[key] = out
-    return out
+@functools.lru_cache(maxsize=1024)
+def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> "_Program":
+    """e's program on laws of this structure, empty until one compiles it."""
+    return _Program()
 
 
-def _evaluate_raw(e: Expr, law, memo: dict) -> NamedTable:
-    if isinstance(e, One):
-        return NamedTable.scalar(1.0)
-    if isinstance(e, Atom):
-        if e.law != law.name:
-            raise ExprError(f"atom law {e.law!r} not resolvable from {law.name!r}")
-        want = set(e.vars) | set(e.ctx)
-        missing = want - set(law.variables)
-        if missing:
-            raise ExprError(f"law has no variables {sorted(missing)}")
-        joint = law.on_support(want, dict(e.pins))
-        if not e.ctx:
-            return joint
-        return NamedTable.join(
-            joint, law.on_support(e.ctx, {k: v for k, v in e.pins if k in e.ctx}),
-            np.divide)
-    if isinstance(e, Marginal):
-        return _evaluate(e.child, law, memo).sum_out(e.over)
-    if isinstance(e, Product):
-        if not e.children:
-            return NamedTable.scalar(1.0)
-        out = _evaluate(e.children[0], law, memo)
-        for c in e.children[1:]:
-            out = NamedTable.join(out, _evaluate(c, law, memo), np.multiply)
-        return out
-    if isinstance(e, Quotient):
-        return NamedTable.join(_evaluate(e.num, law, memo),
-                               _evaluate(e.den, law, memo), np.divide)
-    raise ExprError(f"unknown node {type(e).__name__}")
+class _Stale(Exception):
+    """A law's NaN markers give a quotient another domain than its program's."""
+
+
+class _Program:
+    """An expression's evaluation as a flat sequence of ops, each appending
+    one array to the run's registers: a factor slice or contraction step
+    (read from or kept in the law's cache by its id), a join, a sum, or the
+    final pad.  It holds no law's arrays.  The one part of the structure
+    that reads data is a quotient's NaN-extended domain (``_undefined``): a
+    run checks it where the operands' domains differ, and on a mismatch the
+    law is compiled afresh."""
+
+    ops: tuple = ()     # per op: its id (None if no cache keeps it), function, arguments
+
+    def run(self, law) -> NamedTable:
+        regs: list = []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _replay(self.ops, law.factors, law._arrays, regs)
+        return NamedTable(self.dims, dict(self.domains), regs[-1])
+
+    def compile(self, e: Expr, law) -> NamedTable:
+        """Evaluate e on law by walking the tree, keeping the ops it runs."""
+        walk = _Compiler(law)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out, dims, domains = walk.visit(e)
+            walk.emit(None, _pad_op, out, tuple(
+                _reindex_step(ax, domains[d], law.variables[d])
+                for ax, d in enumerate(dims) if domains[d] != law.variables[d]))
+        self.ops, self.dims = tuple(walk.ops), dims
+        self.domains = {d: law.variables[d] for d in dims}
+        return NamedTable(dims, dict(self.domains), walk.regs[-1])
+
+
+def _join_op(regs, tables, i, j, plan, divide, guard, undefined):
+    if guard and _undefined(*guard, regs[j]) != undefined:
+        raise _Stale
+    return _joined(regs[i], regs[j], plan, divide)
+
+
+def _sum_op(regs, tables, i, axes):
+    return regs[i].sum(axis=axes)
+
+
+def _one_op(regs, tables):
+    return np.asarray(1.0)
+
+
+def _pad_op(regs, tables, i, steps):
+    return _reindexed(regs[i], steps)
+
+
+class _Compiler:
+    """The tree walk that evaluates an expression on one law, recording
+    every op it runs; a node's table is (register, axes, domains)."""
+
+    def __init__(self, law):
+        self.law, self.ops, self.regs = law, [], []
+        self.made: dict = {}        # register by the id of a slice or step
+        self.memo: dict = {}        # register, axes and domains by expression
+
+    def emit(self, node, op, *args) -> int:
+        """Run and record op, unless its id is recorded; its register."""
+        if node in self.made:
+            return self.made[node]
+        self.ops.append((node, op, args))
+        _replay(self.ops[-1:], self.law.factors, self.law._arrays, self.regs)
+        if node is not None:
+            self.made[node] = len(self.regs) - 1
+        return len(self.regs) - 1
+
+    def one(self) -> tuple:
+        return self.emit(None, _one_op), (), {}
+
+    def marginal(self, names: Iterable[str], evidence: dict) -> tuple:
+        axes, zeros = self.law._pattern
+        plan = _contraction_plan(axes, frozenset(names).difference(evidence),
+                                 tuple(sorted(evidence.items())), zeros)
+        at: list = []       # register by position in the plan
+        for node, op, args in plan.ops:
+            if op is _step_op:
+                args = (args[0], tuple(at[i] for i in args[1]))
+            at.append(self.emit(node, op, *args))
+        return (at[-1], plan.dims, plan.domains) if at else self.one()
+
+    def join(self, a: tuple, b: tuple, divide: bool) -> tuple:
+        (i, dims_a, doms_a), (j, dims_b, doms_b) = a, b
+        # a quotient's domain reads the data only where the domains differ
+        guard = (doms_a, dims_b, doms_b) if divide and any(
+            d in doms_a and doms_a[d] != doms_b[d] for d in dims_b) else None
+        undefined = _undefined(*guard, self.regs[j]) if guard else ()
+        plan = _join_plan(dims_a, tuple(map(doms_a.__getitem__, dims_a)),
+                          dims_b, tuple(map(doms_b.__getitem__, dims_b)), divide, undefined)
+        return (self.emit(None, _join_op, i, j, plan, divide, guard, undefined),
+                plan.dims, plan.domains)
+
+    def visit(self, e: Expr) -> tuple:
+        if e not in self.memo:
+            self.memo[e] = self.walk(e)
+        return self.memo[e]
+
+    def walk(self, e: Expr) -> tuple:
+        if isinstance(e, One):
+            return self.one()
+        if isinstance(e, Atom):
+            if e.law != self.law.name:
+                raise ExprError(f"atom law {e.law!r} not resolvable from {self.law.name!r}")
+            want = set(e.vars) | set(e.ctx)
+            missing = want - set(self.law.variables)
+            if missing:
+                raise ExprError(f"law has no variables {sorted(missing)}")
+            joint = self.marginal(want, dict(e.pins))
+            if not e.ctx:
+                return joint
+            return self.join(joint, self.marginal(
+                e.ctx, {k: v for k, v in e.pins if k in e.ctx}), True)
+        if isinstance(e, Marginal):
+            i, dims, domains = self.visit(e.child)
+            axes = tuple(dims.index(n) for n in e.over if n in dims)
+            if not axes:
+                return i, dims, domains
+            keep = tuple(d for d in dims if d not in e.over)
+            return self.emit(None, _sum_op, i, axes), keep, {d: domains[d] for d in keep}
+        if isinstance(e, Product):
+            if not e.children:
+                return self.one()
+            out = self.visit(e.children[0])
+            for c in e.children[1:]:
+                out = self.join(out, self.visit(c), False)
+            return out
+        if isinstance(e, Quotient):
+            return self.join(self.visit(e.num), self.visit(e.den), True)
+        raise ExprError(f"unknown node {type(e).__name__}")

@@ -10,21 +10,26 @@ computed from them by variable elimination (``kernel.contract``), and large
 models never materialize the full joint.  A marginal may carry evidence
 (fixed values): every factor is sliced at it, and at the support it leaves
 (the values with mass), before elimination.  The law finds where its
-factors are zero once; the contraction plan is cached by the factors' axes
-and that zero pattern, so every sampled law of one model with the same
-zeros (e.g. random positive CPTs beside the deterministic proxy CPTs)
-reuses it.  The law also keeps every slice and einsum step it has
-computed, by the plan's ids, so a step that several of its marginals share
-runs once per law; these arrays and the cached marginals are read-only,
-and they are freed with the law.  The law holds the full domain of each
-variable, and every factor axis over a variable has that domain;
-``marginal`` pads its result to them, while ``on_support``, which
-expression evaluation reads, leaves out the values without mass.  The
-observed law handed to expression evaluation keeps the full law's CPTs and
-only restricts the variable set, so an atom's joint and its context are
-each one elimination with the atom's pins as evidence, and no trial builds
-the observed joint.  A dense law is a FactoredLaw with a single factor
-(``dense``).
+factors are zero once; the contraction plan, and the program that
+``kernel.evaluate_numeric`` compiles for an expression, are cached by the
+factors' axes and that zero pattern, so every sampled law of one model
+with the same zeros (e.g. random positive CPTs beside the deterministic
+proxy CPTs) reuses them and runs only their arithmetic.  The law also keeps
+every factor slice and contraction step it has computed, by the plan's
+ids, so a step that several of its marginals or expressions share runs
+once per law; these arrays and the cached marginals are read-only, and
+they are freed with the law (no cached plan or program holds them).  The
+law holds the full domain of each variable, and every factor axis over a
+variable has that domain; ``marginal`` pads its result to them, while
+``on_support`` leaves out the values without mass, as expression
+evaluation does until its final pad.  The observed law handed to
+expression evaluation keeps the full law's CPTs and only restricts the
+variable set, so an atom's joint and its context are each one elimination
+with the atom's pins as evidence, and no trial builds the observed joint.
+A dense law is a FactoredLaw with a single factor (``dense``).
+
+A verification passes only when every trial's largest cell gap is within
+the tolerance and no evaluated cell is undefined (NaN).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class FactoredLaw:
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
-    _arrays: dict = field(default_factory=dict, repr=False)    # contract's cache by id
+    _arrays: dict = field(default_factory=dict, repr=False)    # contract's and programs' cache by id
     _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -226,7 +231,9 @@ class VerifyReport:
     per_trial: list[float]
 
     def ok(self, tol: float) -> bool:
-        return self.trials > 0 and self.max_error <= tol
+        """Every trial ran within tol and left no cell undefined (a NaN
+        error, from a trial with every cell undefined, fails)."""
+        return self.trials > 0 and self.max_error <= tol and self.undefined_cells == 0
 
 
 def _verify(md: MdDag, trials: int, seed: int, cardinality: int,
@@ -241,7 +248,8 @@ def _verify(md: MdDag, trials: int, seed: int, cardinality: int,
         truth, got = compare(full, derive_observed_law(md, full))
         undef += got.undefined_count()
         errs.append(truth.max_abs_diff(got))
-    return VerifyReport(trials, max(errs) if errs else float("nan"), undef, errs)
+    # np.max, unlike max, returns NaN when any trial's error is NaN
+    return VerifyReport(trials, float(np.max(errs)) if errs else float("nan"), undef, errs)
 
 
 def verify_target_functional(md: MdDag, functional, trials: int = 100,

@@ -8,6 +8,7 @@ from mdid.cli import main
 from mdid.fixtures import FIXTURE_NAMES, fixture_text, load
 from mdid.gfile import ParseError, parse_graph_file, render_graph_file
 from mdid.model import MdDag
+from mdid import oracle as O
 
 
 def run_cli(args, capsys):
@@ -99,6 +100,25 @@ def test_verify_full_law_command(capsys):
                             "--trials", "3"], capsys)
     assert code == 0
     assert "status: verified" in out and "trials: 3" in out
+
+
+def test_verify_and_fixtures_sample_at_the_cardinality_asked(capsys, monkeypatch):
+    asked = set()
+    sample = O.sample_full_law
+
+    def recorded(md, cardinality=2, *args, **kw):
+        asked.add(cardinality)
+        return sample(md, cardinality, *args, **kw)
+
+    monkeypatch.setattr(O, "sample_full_law", recorded)
+    code, out, _ = run_cli(["verify", "fixture:staggered_trio", "--trials", "3",
+                            "--cardinality", "3"], capsys)
+    assert code == 0 and "status: verified" in out and asked == {3}
+    code, _, _ = run_cli(["fixtures", "--trials", "1", "--cardinality", "4"], capsys)
+    assert code == 0 and asked == {3, 4}
+    with pytest.raises(SystemExit):
+        main(["verify", "fixture:staggered_trio", "--cardinality", "1"])
+    assert "cardinality must be at least 2, not 1" in capsys.readouterr().err
 
 
 # every fixture line of `mdid fixtures`, up to the target law's error

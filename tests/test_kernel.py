@@ -418,7 +418,7 @@ def test_contraction_step_over_einsum_labels_raises_at_plan_time():
         return [K.NamedTable((f"V{i:02d}",), {f"V{i:02d}": (0,)}, data)
                 for i in range(n)]
 
-    # np.einsum numbers labels 0 to 51: 52 one-cell axes still contract
+    # a step may span 52 axes: 52 one-cell axes still contract
     tab = K.contract(units(52, np.full(1, 0.5)), [f"V{i:02d}" for i in range(52)])
     assert tab.data.shape == (1,) * 52 and tab.data.item() == 0.5 ** 52
     with pytest.raises(K.ExprError, match="53 axes"):
@@ -431,25 +431,25 @@ def test_contract_folds_more_operands_than_one_einsum_takes():
     assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
 
 
-def counting_einsum(monkeypatch):
-    """Count np.einsum calls and keep each call's operands and result."""
+def counting_steps(monkeypatch):
+    """Count contraction steps run and keep each one's operands and result."""
     calls = []
-    einsum = np.einsum
+    run = K._Step.__call__
 
-    def counted(*args):
-        out = einsum(*args)
-        calls.append((args[:-1:2], out))
+    def counted(step, *xs):
+        out = run(step, *xs)
+        calls.append((xs, out))
         return out
 
-    monkeypatch.setattr(K.np, "einsum", counted)
+    monkeypatch.setattr(K._Step, "__call__", counted)
     return calls
 
 
-def test_second_evaluation_on_a_law_makes_no_einsum_call(monkeypatch):
+def test_second_evaluation_on_a_law_runs_no_step(monkeypatch):
     md = load("joint_quartet")
     functional = identify_target(md).functional
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
-    calls = counting_einsum(monkeypatch)
+    calls = counting_steps(monkeypatch)
     first = functional.evaluate(law)
     assert calls
     calls.clear()
@@ -466,7 +466,7 @@ def test_second_evaluation_on_a_law_makes_no_einsum_call(monkeypatch):
 def test_marginals_that_share_a_step_reuse_its_array(monkeypatch):
     # A, then B, is eliminated first for both marginals of the chain
     law = O.sample_dag_law(Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")]), 2, 0)
-    calls = counting_einsum(monkeypatch)
+    calls = counting_steps(monkeypatch)
     law.on_support({"D"})
     first = [out for _, out in calls]
     calls.clear()

@@ -1,5 +1,7 @@
 import functools
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -158,6 +160,34 @@ def test_verify_functional_negative_control():
     assert failures >= 95
 
 
+class UndefinedOnTrial:
+    """A target functional that evaluates as the given one, except on one
+    trial (counted from 1), where every cell is undefined."""
+
+    def __init__(self, functional, trial: int):
+        self.functional, self.trial, self.calls = functional, trial, 0
+
+    def evaluate(self, obs):
+        self.calls += 1
+        tab = self.functional.evaluate(obs)
+        if self.calls != self.trial:
+            return tab
+        return NamedTable(tab.dims, tab.domains, np.full(tab.data.shape, np.nan))
+
+
+def test_verification_fails_a_trial_that_goes_undefined():
+    md = load("crisscross")
+    rep = O.verify_target_functional(md, UndefinedOnTrial(target_functional("crisscross"), 2),
+                                     trials=3)
+    assert rep.per_trial[0] <= 1e-9 and np.isnan(rep.per_trial[1])
+    assert np.isnan(rep.max_error) and rep.undefined_cells > 0
+    assert not rep.ok(1e-9)
+    # undefined cells fail a report, and so does a NaN error
+    assert not O.VerifyReport(2, 1e-12, 4, [1e-12, 1e-12]).ok(1e-9)
+    assert not O.VerifyReport(2, float("nan"), 0, [1e-12, float("nan")]).ok(1e-9)
+    assert O.VerifyReport(2, 1e-12, 0, [1e-12, 1e-12]).ok(1e-9)
+
+
 def test_colluder_witness_quantitative():
     md = load("colluder_pair")
     pair = colluder_scan(md)[0]
@@ -309,16 +339,32 @@ def target_functional(name: str):
 
 
 
-class FreshCacheLaw:
-    """A law's interface to ``evaluate_numeric`` that contracts every
-    marginal it is asked for with a cache of its own."""
+def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
+    """The tree walk that ``evaluate_numeric`` compiles, run node by node,
+    with each atom's joint and context contracted by a cache of their own,
+    so that no marginal reads the steps of another."""
+    if e not in memo:
+        if isinstance(e, K.One):
+            out = NamedTable.scalar(1.0)
+        elif isinstance(e, K.Atom):
+            def alone(names):
+                ev = {k: v for k, v in e.pins if k in names}
+                return K.contract(law.factors, set(names) - ev.keys(), ev, law._pattern)
 
-    def __init__(self, law: O.FactoredLaw):
-        self.law, self.name, self.variables = law, law.name, law.variables
-
-    def on_support(self, names, evidence):
-        ev = dict(evidence)
-        return K.contract(self.law.factors, set(names) - ev.keys(), ev, self.law._pattern)
+            out = alone(set(e.vars) | set(e.ctx))
+            if e.ctx:
+                out = NamedTable.join(out, alone(e.ctx), np.divide)
+        elif isinstance(e, K.Marginal):
+            out = evaluate_alone(e.child, law, memo).sum_out(e.over)
+        elif isinstance(e, K.Product):
+            out = evaluate_alone(e.children[0], law, memo)
+            for c in e.children[1:]:
+                out = NamedTable.join(out, evaluate_alone(c, law, memo), np.multiply)
+        else:
+            out = NamedTable.join(evaluate_alone(e.num, law, memo),
+                                  evaluate_alone(e.den, law, memo), np.divide)
+        memo[e] = out
+    return memo[e]
 
 
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
@@ -330,12 +376,94 @@ def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
     md = load(name)
     functional = target_functional(name)
     law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
-    alone = FreshCacheLaw(law)
     for e in [functional.expr, *(q for _, q in sorted(functional.propensities.items()))]:
-        got, want = K.evaluate_numeric(e, law), K.evaluate_numeric(e, alone)
+        got = K.evaluate_numeric(e, law)
+        want = evaluate_alone(e, law, {}).padded(law.variables)
         assert got.dims == want.dims and got.domains == want.domains
         assert np.array_equal(got.data, want.data, equal_nan=True)
     assert law._arrays
+
+
+def counting_compiles(monkeypatch) -> list:
+    """Record every program compile."""
+    compiles = []
+    compile_ = K._Program.compile
+
+    def counted(program, e, law):
+        compiles.append(program)
+        return compile_(program, e, law)
+
+    monkeypatch.setattr(K._Program, "compile", counted)
+    return compiles
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_replayed_program_equals_a_fresh_compile(name, cardinality, monkeypatch):
+    # a second law of the model has the same zeros, so it replays the
+    # program the first compiled, and gets the tables a compile would
+    md = load(name)
+    expr = target_functional(name).expr
+
+    def law(seed):
+        return O.derive_observed_law(md, O.sample_full_law(md, cardinality, seed))
+
+    K.evaluate_numeric(expr, law(0))
+    compiles = counting_compiles(monkeypatch)
+    replayed = K.evaluate_numeric(expr, law(1))
+    assert not compiles
+    fresh = K._Program().compile(expr, law(1))
+    assert replayed.dims == fresh.dims and replayed.domains == fresh.domains
+    assert np.array_equal(replayed.data, fresh.data, equal_nan=True)
+
+
+def test_cached_programs_hold_no_array_of_a_law():
+    # a law's factors and the arrays it caches are freed with it, though
+    # the program compiled on it stays cached
+    md = load("joint_quartet")
+    expr = target_functional("joint_quartet").expr
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    K.evaluate_numeric(expr, law)
+    arrays = [*law._arrays.values(), *(f.data for f in law.factors)]
+    refs = [weakref.ref(x.base if x.base is not None else x) for x in arrays]
+    del law, arrays
+    gc.collect()
+    assert refs and not any(r() is not None for r in refs)
+
+
+def test_a_nan_the_program_did_not_see_compiles_afresh(monkeypatch):
+    # p(A, C=0) / (p(A) / p(A, D=0)): C = 0 rules out A = 1 in the
+    # numerator, so the quotient's domain of A holds 1 only where the
+    # denominator is NaN there.  With p(A=1 | C=1) = 1e-150 and
+    # p(D=0 | A=1) = 1e-200, p(A=1, D=0) underflows to 0.0 while p(A=1)
+    # does not: the same zeros in the factors, but a NaN at A = 1
+    def law(tiny_a, tiny_d):
+        ac = table(("A", "C"), {"A": (0, 1), "C": (0, 1)},
+                   np.array([[1.0, 1 - tiny_a], [0.0, tiny_a]]))
+        ad = table(("A", "D"), {"A": (0, 1), "D": (0, 1)},
+                   np.array([[0.5, 0.5], [tiny_d, 1 - tiny_d]]))
+        c = table(("C",), {"C": (0, 1)}, np.array([0.5, 0.5]))
+        return O.FactoredLaw("p", {v: (0, 1) for v in "ACD"}, (ac, ad, c))
+
+    expr = K.Quotient(K.Atom("p", ("A", "C"), (), (("C", 0),)),
+                      K.Quotient(K.Atom("p", ("A",)), K.Atom("p", ("A", "D"), (), (("D", 0),))))
+    plain, underflow = law(0.5, 0.5), law(1e-150, 1e-200)
+    assert plain._pattern == underflow._pattern
+    compiles = counting_compiles(monkeypatch)
+    for first, second in ((plain, underflow), (underflow, plain)):
+        K._program.cache_clear()
+        K.evaluate_numeric(expr, first)
+        compiles.clear()
+        got = K.evaluate_numeric(expr, O.FactoredLaw(second.name, second.variables,
+                                                     second.factors))
+        assert len(compiles) == 1
+        fresh = K._Program().compile(expr, second)
+        assert got.dims == fresh.dims == ("A",) and got.domains == fresh.domains
+        assert np.array_equal(got.data, fresh.data, equal_nan=True)
+        want = reference_evaluate(expr, second, {})
+        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+    assert np.isnan(K.evaluate_numeric(expr, underflow).take({"A": 1}).data)
+    assert not np.isnan(K.evaluate_numeric(expr, plain).data).any()
 
 
 def cpt_with_rows(md: MdDag, v: str, rows, seed: int) -> NamedTable:
@@ -388,22 +516,25 @@ def test_evaluation_on_the_support_matches_reference_under_deterministic_rows(na
 def test_laws_with_different_zero_patterns_share_no_plan(monkeypatch):
     md = load("joint_quartet")
     functional = target_functional("joint_quartet")
-    keys = []
-    plan = K._contraction_plan
-    monkeypatch.setattr(K, "_contraction_plan", lambda *key: keys.append(key) or plan(*key))
+    used = []
+    program = K._program
+    monkeypatch.setattr(K, "_program", lambda *key: used.append(program(*key)) or used[-1])
+    compiles = counting_compiles(monkeypatch)
 
-    def plan_keys(full):
-        keys.clear()
+    def programs(full):
+        used.clear()
         functional.evaluate(O.derive_observed_law(md, full))
-        return set(keys)
+        return {id(p) for p in used}
 
     # R4's only parent is X1(1): at X1(1) = 0 the indicator is always 1
     tables = {"R4": cpt_with_rows(md, "R4", [1, None], 0)}
-    positive = plan_keys(O.sample_full_law(md, 2, 0))
-    deterministic = plan_keys(O.sample_full_law(md, 2, 0, tables=tables))
+    positive = programs(O.sample_full_law(md, 2, 0))
+    deterministic = programs(O.sample_full_law(md, 2, 0, tables=tables))
     assert positive and deterministic and not positive & deterministic
-    # a law with the same zeros replays the same plans
-    assert plan_keys(O.sample_full_law(md, 2, 1, tables=tables)) == deterministic
+    # a law with the same zeros replays the same program, compiling nothing
+    compiles.clear()
+    assert programs(O.sample_full_law(md, 2, 1, tables=tables)) == deterministic
+    assert not compiles
 
 
 def test_marginal_on_the_support_leaves_out_values_without_mass():

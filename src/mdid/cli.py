@@ -7,9 +7,10 @@
                                    run every built-in example
 
 GRAPH is a graph file path or ``fixture:NAME``.  Exit codes: 0 identified /
-verified, 2 not identified, 3 unknown, 1 error.  Budget fields may be
-overridden with MDID_BUDGET_MAX_SET_SIZE, MDID_BUDGET_MAX_LATENT_SUBSETS,
-MDID_BUDGET_MAX_SCHEDULES and MDID_BUDGET_TIME_LIMIT.
+verified, 2 not identified, 3 unknown, 1 error (a usage error too).  Budget
+fields may be overridden with MDID_BUDGET_MAX_SET_SIZE,
+MDID_BUDGET_MAX_LATENT_SUBSETS, MDID_BUDGET_MAX_SCHEDULES and
+MDID_BUDGET_TIME_LIMIT.
 """
 
 from __future__ import annotations
@@ -238,7 +239,10 @@ def main(argv=None) -> int:
     p.add_argument("--cardinality", type=_cardinality, default=2)
     p.set_defaults(fn=cmd_fixtures)
 
-    args = top.parse_args(argv)
+    try:
+        args = top.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except BrokenPipeError:

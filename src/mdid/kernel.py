@@ -21,21 +21,19 @@ each step is lowered at plan time to fixed transposes and reshapes around
 one ``np.matmul`` (or one sum, for a step over one table).  Its sums run
 in another order than a cell-by-cell product would, so tables agree with
 a plain elimination to within 1e-12, not bit for bit.  No join or
-contraction step builds more than ``MAX_CELLS`` cells.
+contraction step builds more than ``MAX_CELLS`` cells or ``MAX_AXES`` axes.
 
-Work is shared wherever its structure repeats.  Every factor slice and
-every step of a plan has an id: a slice's is the factor's position with
-its evidence and support indices, a step's its operands' ids with its
-output's axes.  Equal ids mean equal arrays for one sequence of tables, so
-a caller that holds a cache of arrays by id for its tables (a law does)
-runs each distinct step once, however many marginals share it; the cached
-arrays are read-only, since several tables share them.  ``NamedTable.join``
-takes its structure (the result's axes and domains, each operand's reindex,
+Work is shared wherever its structure repeats.  ``NamedTable.join`` takes
+its structure (the result's axes and domains, each operand's reindex,
 transpose and broadcast, the cell check) from a plan cached by both
 operands' axes with their domains and by the op; only the arithmetic runs
 per call.  ``evaluate_numeric`` compiles an expression once per law
 structure into a flat program of slices, steps, joins and sums, so that an
-oracle trial on a law of that structure runs only their arithmetic.
+oracle trial on a law of that structure runs only their arithmetic.  The
+compiler records a factor slice or a contraction step once, however many
+of the expression's marginals share it: a slice by its factor's position
+with its evidence and support indices, a step by the step with its input
+registers.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
@@ -57,7 +55,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -71,6 +68,7 @@ class ExprError(ValueError):
 Value = object  # domain values: ints or strings ("?" for censored proxies)
 Pins = tuple[tuple[str, Value], ...]
 MAX_CELLS = 2 ** 24  # a larger table raises ExprError, not MemoryError
+MAX_AXES = 32        # the most axes numpy before 2.0 allows an array
 Axes = tuple[tuple[str, tuple[Value, ...]], ...]     # a table's axes with their domains
 ZeroPattern = tuple[tuple[Axes, ...], tuple[bytes | None, ...]]   # see zero_pattern
 
@@ -860,6 +858,8 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
 
 
 def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
+    if len(dims) > MAX_AXES:
+        raise ExprError(f"a table over {len(dims)} axes exceeds MAX_AXES = {MAX_AXES}")
     cells = math.prod(len(domains[d]) for d in dims)
     if cells > MAX_CELLS:
         raise ExprError(f"a table of {cells} cells over {list(dims)} exceeds"
@@ -881,10 +881,10 @@ def zero_pattern(tables: Sequence[NamedTable]) -> ZeroPattern:
 
 def contract(tables: Sequence[NamedTable], keep: Iterable[str],
              evidence: Mapping[str, Value] | None = None,
-             pattern: ZeroPattern | None = None,
-             cache: dict | None = None) -> NamedTable:
+             pattern: ZeroPattern | None = None) -> NamedTable:
     """The product of the tables, each sliced at the evidence, summed over
-    every axis outside keep; the result's axes are sorted.
+    every axis outside keep; the result's axes are sorted.  Its data may be
+    a view of a table's, so it is read-only.
 
     Given the tables' ``zero_pattern``, every table is also sliced at the
     support (``_support``), so no step spans a value outside it, and the
@@ -895,34 +895,18 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
     in the last, each pair by ``np.matmul`` (``_Step``).  The plan depends
     only on the tables' axes and domains, keep, the evidence and the zero
     pattern, so it is made once per such key; no step may span more than
-    ``MAX_CELLS`` cells.  The tables must be finite and non-negative: a step
-    multiplies plainly, without the NaN absorption of ``NamedTable.join``.
-
-    Every slice and step of the plan has an id that names the arrays it is
-    computed from, so equal ids mean equal arrays for one sequence of
-    tables.  Given a cache (a dict that belongs to that one sequence, e.g. a
-    law's), a slice or step already in it is read from it, and one computed
-    is stored in it read-only: a step that several contractions share runs
-    once."""
+    ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
+    non-negative: a step multiplies plainly, without the NaN absorption of
+    ``NamedTable.join``."""
     axes, zeros = pattern if pattern is not None else (_axes(tables), None)
     plan = _contraction_plan(axes, frozenset(keep),
                              tuple(sorted((evidence or {}).items())), zeros)
     arrays: list = []
-    _replay(plan.ops, tables, {} if cache is None else cache, arrays)
-    return NamedTable(plan.dims, plan.domains, arrays[-1]) if arrays else NamedTable.scalar(1.0)
-
-
-def _replay(ops, tables: Sequence[NamedTable], cache: dict, regs: list) -> None:
-    """Run ops (a plan's or a program's) on the tables, appending each op's
-    array to regs.  An op with an id reads its array from the cache, or
-    stores it there read-only."""
-    for node, op, args in ops:
-        x = cache.get(node)
-        if x is None:
-            x = op(regs, tables, *args)
-            if node is not None:
-                x = cache[node] = _frozen(x)
-        regs.append(x)
+    for _, op, args in plan.ops:
+        arrays.append(op(arrays, tables, *args))
+    if not arrays:
+        return NamedTable.scalar(1.0)
+    return NamedTable(plan.dims, plan.domains, _frozen(arrays[-1]))
 
 
 def _slice_op(regs, tables, pos, at, ix):
@@ -936,35 +920,14 @@ def _step_op(regs, tables, step, inputs):
 
 
 def _frozen(x) -> np.ndarray:
-    """x read-only, for an array that several tables share."""
+    """x read-only, for an array that may be a view of a factor's."""
     x = np.asarray(x)
     x.flags.writeable = False
     return x
 
 
-class _Node:
-    """The id of a slice or a step of a contraction plan.  ``_node`` keeps
-    one per structure while a cached plan or a cache of arrays holds it, so
-    ids compare and hash by identity."""
-
-    __slots__ = ("__weakref__",)
-
-
-_NODES: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
-
-
-def _node(structure: tuple) -> _Node:
-    node = _NODES.get(structure)
-    if node is None:
-        node = _NODES[structure] = _Node()
-    return node
-
-
-_MAX_STEP_AXES = 52     # the most axes one contraction step may span
-
-
 class _Plan(NamedTuple):
-    ops: tuple              # a _slice_op per table, then a _step_op per step, with their ids
+    ops: tuple              # per op: its key (a slice's, else None), function, arguments
     dims: tuple[str, ...]   # the last op's axes
     domains: dict           # their supports
 
@@ -1095,8 +1058,8 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     support = dict(_support(tables, zeros, evidence)) if zeros is not None else {}
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
-    # work: (operand position, axes); ids: per operand position, its id
-    ops, work, ids = [], [], []
+    # work: (operand position, axes)
+    ops, work = [], []
     for pos, table in enumerate(tables):
         live = tuple(d for d, _ in table if d not in ev)
         pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
@@ -1105,24 +1068,19 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
         kept = None if not set(live) & set(support) else tuple(
             tuple(support.get(d, range(len(full[d])))) for d in live)
         ix = None if kept is None else np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
-        ids.append(_node((pos, pinned, kept)))
-        ops.append((ids[-1], _slice_op, (pos, at, ix)))
+        # equal keys mean equal slices of one sequence of tables
+        ops.append(((pos, pinned, kept), _slice_op, (pos, at, ix)))
         work.append((pos, live))
 
     def call(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
         labels = _union(operands)
         _check_cells(labels, domains)
-        if len(labels) > _MAX_STEP_AXES:
-            raise ExprError(f"a step over {len(labels)} axes exceeds the"
-                            f" {_MAX_STEP_AXES} a contraction step may span")
         size = {d: len(domains[d]) for d in labels}
         # either table may be the left one: take the order that copies fewer cells
         step, axes, _, operands = min(
             ((*_lower(tuple(x for _, x in order), out, ordered, size), order)
              for order in (operands, operands[::-1])), key=lambda option: option[2])
-        # the operands' ids fix their axes, so the output's axes say the rest
-        ids.append(_node((axes, *(ids[p] for p, _ in operands))))
-        ops.append((ids[-1], _step_op, (step, tuple(p for p, _ in operands))))
+        ops.append((None, _step_op, (step, tuple(p for p, _ in operands))))
         return len(ops) - 1, axes
 
     def step(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
@@ -1149,13 +1107,14 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
-    .name, .variables with their full domains, .factors, their
-    ``zero_pattern`` as ._pattern and ._arrays, the factors' cache for
-    ``contract``).  An atom is the law's marginal over its variables with its
-    pins as evidence, divided by the one over its context.  Every table is
-    kept on its support, and the result is padded to the law's domains.
-    The walk runs once per expression and law structure (name, variables,
-    zero pattern), compiling a ``_Program`` that later laws only run."""
+    .name, .variables with their full domains, .factors and their
+    ``zero_pattern`` as ._pattern).  An atom is the law's marginal over its
+    variables with its pins as evidence, divided by the one over its
+    context.  Every table is kept on its support, and the result is padded
+    to the law's domains; its data may be a view of a factor's, so it is
+    read-only.  The walk runs once per expression and law structure (name,
+    variables, zero pattern), compiling a ``_Program`` that later laws only
+    run."""
     program = _program(e, law.name, tuple(law.variables.items()), law._pattern)
     if program.ops:
         try:
@@ -1177,20 +1136,21 @@ class _Stale(Exception):
 
 class _Program:
     """An expression's evaluation as a flat sequence of ops, each appending
-    one array to the run's registers: a factor slice or contraction step
-    (read from or kept in the law's cache by its id), a join, a sum, or the
-    final pad.  It holds no law's arrays.  The one part of the structure
-    that reads data is a quotient's NaN-extended domain (``_undefined``): a
-    run checks it where the operands' domains differ, and on a mismatch the
-    law is compiled afresh."""
+    one array to the run's registers: a factor slice, a contraction step, a
+    join, a sum, or the final pad.  A slice or step that several marginals
+    share appears once.  It holds no law's arrays.  The one part of the
+    structure that reads data is a quotient's NaN-extended domain
+    (``_undefined``): a run checks it where the operands' domains differ,
+    and on a mismatch the law is compiled afresh."""
 
-    ops: tuple = ()     # per op: its id (None if no cache keeps it), function, arguments
+    ops: tuple = ()     # per op: its function and arguments
 
     def run(self, law) -> NamedTable:
         regs: list = []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _replay(self.ops, law.factors, law._arrays, regs)
-        return NamedTable(self.dims, dict(self.domains), regs[-1])
+            for op, args in self.ops:
+                regs.append(op(regs, law.factors, *args))
+        return NamedTable(self.dims, dict(self.domains), _frozen(regs[-1]))
 
     def compile(self, e: Expr, law) -> NamedTable:
         """Evaluate e on law by walking the tree, keeping the ops it runs."""
@@ -1202,7 +1162,7 @@ class _Program:
                 for ax, d in enumerate(dims) if domains[d] != law.variables[d]))
         self.ops, self.dims = tuple(walk.ops), dims
         self.domains = {d: law.variables[d] for d in dims}
-        return NamedTable(dims, dict(self.domains), walk.regs[-1])
+        return NamedTable(dims, dict(self.domains), _frozen(walk.regs[-1]))
 
 
 def _join_op(regs, tables, i, j, plan, divide, guard, undefined):
@@ -1229,17 +1189,17 @@ class _Compiler:
 
     def __init__(self, law):
         self.law, self.ops, self.regs = law, [], []
-        self.made: dict = {}        # register by the id of a slice or step
+        self.made: dict = {}        # register by the key of a slice or step
         self.memo: dict = {}        # register, axes and domains by expression
 
-    def emit(self, node, op, *args) -> int:
-        """Run and record op, unless its id is recorded; its register."""
-        if node in self.made:
-            return self.made[node]
-        self.ops.append((node, op, args))
-        _replay(self.ops[-1:], self.law.factors, self.law._arrays, self.regs)
-        if node is not None:
-            self.made[node] = len(self.regs) - 1
+    def emit(self, key, op, *args) -> int:
+        """Run and record op, unless its key is recorded; its register."""
+        if key in self.made:
+            return self.made[key]
+        self.ops.append((op, args))
+        self.regs.append(op(self.regs, self.law.factors, *args))
+        if key is not None:
+            self.made[key] = len(self.regs) - 1
         return len(self.regs) - 1
 
     def one(self) -> tuple:
@@ -1250,10 +1210,10 @@ class _Compiler:
         plan = _contraction_plan(axes, frozenset(names).difference(evidence),
                                  tuple(sorted(evidence.items())), zeros)
         at: list = []       # register by position in the plan
-        for node, op, args in plan.ops:
-            if op is _step_op:
-                args = (args[0], tuple(at[i] for i in args[1]))
-            at.append(self.emit(node, op, *args))
+        for key, op, args in plan.ops:
+            if op is _step_op:      # a step's key: the step and its input registers
+                key = args = (args[0], tuple(at[i] for i in args[1]))
+            at.append(self.emit(key, op, *args))
         return (at[-1], plan.dims, plan.domains) if at else self.one()
 
     def join(self, a: tuple, b: tuple, divide: bool) -> tuple:

@@ -14,18 +14,16 @@ factors are zero once; the contraction plan, and the program that
 ``kernel.evaluate_numeric`` compiles for an expression, are cached by the
 factors' axes and that zero pattern, so every sampled law of one model
 with the same zeros (e.g. random positive CPTs beside the deterministic
-proxy CPTs) reuses them and runs only their arithmetic.  The law also keeps
-every factor slice and contraction step it has computed, by the plan's
-ids, so a step that several of its marginals or expressions share runs
-once per law; these arrays and the cached marginals are read-only, and
-they are freed with the law (no cached plan or program holds them).  The
-law holds the full domain of each variable, and every factor axis over a
-variable has that domain; ``marginal`` pads its result to them, while
-``on_support`` leaves out the values without mass, as expression
-evaluation does until its final pad.  The observed law handed to
-expression evaluation keeps the full law's CPTs and only restricts the
-variable set, so an atom's joint and its context are each one elimination
-with the atom's pins as evidence, and no trial builds the observed joint.
+proxy CPTs) reuses them and runs only their arithmetic.  The law caches
+its marginals, read-only, and they are freed with it (no cached plan or
+program holds a law's arrays).  The law holds the full domain of each
+variable, and every factor axis over a variable has that domain;
+``marginal`` pads its result to them, while ``on_support`` leaves out the
+values without mass, as expression evaluation does until its final pad.
+The observed law handed to expression evaluation keeps the full law's
+CPTs and only restricts the variable set, so an atom's joint and its
+context are each one elimination with the atom's pins as evidence, and no
+trial builds the observed joint.
 A dense law is a FactoredLaw with a single factor (``dense``).
 
 A verification passes only when every trial's largest cell gap is within
@@ -67,7 +65,6 @@ class FactoredLaw:
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
     _marginals: dict = field(default_factory=dict, repr=False)
-    _arrays: dict = field(default_factory=dict, repr=False)    # contract's and programs' cache by id
     _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -100,8 +97,7 @@ class FactoredLaw:
         ev = dict(evidence or {})
         key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
-            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern,
-                                             self._arrays)
+            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern)
         return self._marginals[key]
 
     @property

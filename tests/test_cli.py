@@ -116,9 +116,18 @@ def test_verify_and_fixtures_sample_at_the_cardinality_asked(capsys, monkeypatch
     assert code == 0 and "status: verified" in out and asked == {3}
     code, _, _ = run_cli(["fixtures", "--trials", "1", "--cardinality", "4"], capsys)
     assert code == 0 and asked == {3, 4}
-    with pytest.raises(SystemExit):
-        main(["verify", "fixture:staggered_trio", "--cardinality", "1"])
+    assert main(["verify", "fixture:staggered_trio", "--cardinality", "1"]) == 1
     assert "cardinality must be at least 2, not 1" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # 2 means "not identified": a mistyped flag must not read as a verdict
+    for argv in (["verify", "fixture:staggered_trio", "--trials", "abc"],
+                 ["identify"], ["nosuch"], ["check", "fixture:octet", "--bogus"]):
+        assert main(argv) == 1
+        assert "usage: mdid" in capsys.readouterr().err
+    assert main(["verify", "--help"]) == 0
+    assert "--cardinality" in capsys.readouterr().out
 
 
 # every fixture line of `mdid fixtures`, up to the target law's error

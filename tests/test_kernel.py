@@ -413,20 +413,27 @@ def test_contraction_step_over_max_cells_raises_at_plan_time():
         K.contract([axes("A", n=4097), axes("B", n=4097)], ["A", "B"])
 
 
-def test_contraction_step_over_einsum_labels_raises_at_plan_time():
-    def units(n, data):
-        return [K.NamedTable((f"V{i:02d}",), {f"V{i:02d}": (0,)}, data)
-                for i in range(n)]
+def test_tables_over_max_axes_raise_at_plan_time():
+    def units(names, data):
+        return K.NamedTable(tuple(names), {v: (0,) for v in names}, data)
 
-    # a step may span 52 axes: 52 one-cell axes still contract
-    tab = K.contract(units(52, np.full(1, 0.5)), [f"V{i:02d}" for i in range(52)])
-    assert tab.data.shape == (1,) * 52 and tab.data.item() == 0.5 ** 52
-    with pytest.raises(K.ExprError, match="53 axes"):
-        K.contract(units(53, np.empty(0)), [f"V{i:02d}" for i in range(53)])
+    names = [f"V{i:02d}" for i in range(K.MAX_AXES + 1)]
+    # 32 one-cell axes still contract and join
+    tab = K.contract([units([v], np.full(1, 0.5)) for v in names[:32]], names[:32])
+    assert tab.data.shape == (1,) * 32 and tab.data.item() == 0.5 ** 32
+    tab = K.NamedTable.join(units(names[:17], np.full((1,) * 17, 0.5)),
+                            units(names[16:32], np.full((1,) * 16, 0.5)), np.multiply)
+    assert tab.dims == tuple(names[:32]) and tab.data.item() == 0.25
+    # 33 are refused before any cell is read
+    with pytest.raises(K.ExprError, match="33 axes exceeds MAX_AXES = 32"):
+        K.contract([units([v], np.empty(0)) for v in names], names)
+    with pytest.raises(K.ExprError, match="33 axes exceeds MAX_AXES = 32"):
+        K.NamedTable.join(units(names[:17], np.empty(0)), units(names[16:], np.empty(0)),
+                          np.multiply)
 
 
-def test_contract_folds_more_operands_than_one_einsum_takes():
-    # a single np.einsum refuses 64 operands; a step folds them in pairs
+def test_contract_folds_many_operands_in_pairs():
+    # a step folds its operands in pairs, each one np.matmul
     scalars = [K.NamedTable.scalar(1.5) for _ in range(70)]
     assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
 
@@ -445,39 +452,24 @@ def counting_steps(monkeypatch):
     return calls
 
 
-def test_second_evaluation_on_a_law_runs_no_step(monkeypatch):
-    md = load("joint_quartet")
-    functional = identify_target(md).functional
-    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
-    calls = counting_steps(monkeypatch)
-    first = functional.evaluate(law)
-    assert calls
-    calls.clear()
-    assert np.array_equal(functional.evaluate(law).data, first.data, equal_nan=True)
-    assert not calls
-    # the step cache alone: a contraction run again with the cache is free
-    cache: dict = {}
-    K.contract(law.factors, ["X1", "X2"], {"R1": 1}, law._pattern, cache)
-    calls.clear()
-    K.contract(law.factors, ["X1", "X2"], {"R1": 1}, law._pattern, cache)
-    assert not calls
-
-
-def test_marginals_that_share_a_step_reuse_its_array(monkeypatch):
+def test_atoms_that_share_a_step_compile_it_once(monkeypatch):
     # A, then B, is eliminated first for both marginals of the chain
-    law = O.sample_dag_law(Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")]), 2, 0)
+    chain = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
+    law = O.sample_dag_law(chain, 2, 0)
+    e = K.Product((K.Atom("p", ("D",)), K.Atom("p", ("C",))))
     calls = counting_steps(monkeypatch)
-    law.on_support({"D"})
-    first = [out for _, out in calls]
+    alone = [K.contract(law.factors, [v]) for v in "DC"]
+    separate = len(calls)
     calls.clear()
-    c = law.on_support({"C"})
-    operands = [x for args, _ in calls for x in args]
-    assert any(x is y for x in operands for y in first)
-    shared = len(calls)
+    got = K.evaluate_numeric(e, law)
+    program = K._program(e, law.name, tuple(law.variables.items()), law._pattern)
+    compiled = sum(op is K._step_op for op, _ in program.ops)
+    assert len(calls) == compiled == separate - 2
+    assert np.array_equal(got.data, K.NamedTable.join(*alone, np.multiply).data)
+    # a replay on another law runs exactly the steps the program holds
     calls.clear()
-    fresh = K.contract(law.factors, ["C"])
-    assert shared == len(calls) - 2
-    assert np.array_equal(c.data, fresh.data)
+    K.evaluate_numeric(e, O.sample_dag_law(chain, 2, 1))
+    assert len(calls) == compiled
 
 
 def test_shared_tables_are_read_only():
@@ -488,6 +480,16 @@ def test_shared_tables_are_read_only():
         tab.data[0, 0] = 0.5
     with pytest.raises(ValueError, match="read-only"):
         law.on_support({"A", "B", "C"}, {"B": 1}).data[...] = 0.0
-    assert law._arrays and not any(x.flags.writeable for x in law._arrays.values())
     # the law's own factors stay as they were
     assert all(f.data.flags.writeable for f in law.factors)
+    # an evaluated table can be a view of a factor: compiled and replayed,
+    # it refuses a write, and the factor stays writable and unchanged
+    factor = K.NamedTable(("A", "B"), {"A": (0, 1), "B": (0, 1)},
+                          np.array([[0.1, 0.2], [0.3, 0.4]]))
+    one = O.FactoredLaw("p", dict(factor.domains), (factor,))
+    for _ in range(2):
+        got = K.evaluate_numeric(K.Atom("p", ("A", "B")), one)
+        assert np.shares_memory(got.data, factor.data)
+        with pytest.raises(ValueError, match="read-only"):
+            got.data[0, 0] = 0.5
+    assert factor.data.flags.writeable and factor.data[0, 0] == 0.1

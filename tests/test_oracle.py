@@ -341,8 +341,8 @@ def target_functional(name: str):
 
 def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
     """The tree walk that ``evaluate_numeric`` compiles, run node by node,
-    with each atom's joint and context contracted by a cache of their own,
-    so that no marginal reads the steps of another."""
+    with each atom's joint and context contracted alone, so that no
+    marginal reads the steps of another."""
     if e not in memo:
         if isinstance(e, K.One):
             out = NamedTable.scalar(1.0)
@@ -370,8 +370,8 @@ def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
 @pytest.mark.parametrize("cardinality", [2, 3])
 def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
-    # one law evaluates the target functional and every propensity, so later
-    # marginals read the steps of earlier ones; each table must equal the one
+    # a program runs a step that several of its marginals share once; each
+    # table of the target functional and every propensity must equal the one
     # made from marginals that share nothing, cell for cell, NaN included
     md = load(name)
     functional = target_functional(name)
@@ -381,7 +381,6 @@ def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
         want = evaluate_alone(e, law, {}).padded(law.variables)
         assert got.dims == want.dims and got.domains == want.domains
         assert np.array_equal(got.data, want.data, equal_nan=True)
-    assert law._arrays
 
 
 def counting_compiles(monkeypatch) -> list:
@@ -418,15 +417,15 @@ def test_replayed_program_equals_a_fresh_compile(name, cardinality, monkeypatch)
 
 
 def test_cached_programs_hold_no_array_of_a_law():
-    # a law's factors and the arrays it caches are freed with it, though
-    # the program compiled on it stays cached
+    # a law's factors and the table evaluated on it are freed with them,
+    # though the program compiled on the law stays cached
     md = load("joint_quartet")
     expr = target_functional("joint_quartet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
-    K.evaluate_numeric(expr, law)
-    arrays = [*law._arrays.values(), *(f.data for f in law.factors)]
+    got = K.evaluate_numeric(expr, law)
+    arrays = [got.data, *(f.data for f in law.factors)]
     refs = [weakref.ref(x.base if x.base is not None else x) for x in arrays]
-    del law, arrays
+    del law, got, arrays
     gc.collect()
     assert refs and not any(r() is not None for r in refs)
 

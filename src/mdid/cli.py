@@ -40,14 +40,20 @@ _STATUS_CODE = {"identified": EXIT_OK, "not-identified": EXIT_NOT_IDENTIFIED,
 
 
 def _budget_from_env() -> SearchBudget:
+    """The default budget with each field set in the environment; a value
+    that is not a positive number raises a ValueError naming its variable."""
     kw = {}
-    for field, env in (("max_set_size", "MDID_BUDGET_MAX_SET_SIZE"),
-                       ("max_latent_subsets", "MDID_BUDGET_MAX_LATENT_SUBSETS"),
-                       ("max_schedules", "MDID_BUDGET_MAX_SCHEDULES")):
-        if os.environ.get(env):
-            kw[field] = int(os.environ[env])
-    if os.environ.get("MDID_BUDGET_TIME_LIMIT"):
-        kw["time_limit"] = float(os.environ["MDID_BUDGET_TIME_LIMIT"])
+    for field, kind in (("max_set_size", int), ("max_latent_subsets", int),
+                        ("max_schedules", int), ("time_limit", float)):
+        env = "MDID_BUDGET_" + field.upper()
+        text = os.environ.get(env)
+        if text:
+            try:
+                kw[field] = kind(text)
+                SearchBudget(**{field: kw[field]})
+            except ValueError:
+                what = "integer" if kind is int else "number of seconds"
+                raise ValueError(f"{env}={text!r} is not a positive {what}") from None
     return SearchBudget(**kw)
 
 

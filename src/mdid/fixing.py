@@ -16,16 +16,16 @@ an explicit m-separation check, and selection indicators pinned to 1.
 Selected-to-1 markers propagate to later subproblems and are auto-conditioned
 in every separation query; they are never fixable.
 
-``validate_schedule`` runs a schedule in one forward pass along its linear
-extension, where every class comes after its cone, so each class step reads
-the recorded results of its cone and nothing is computed twice.  A step
-builds the class's subproblem graph and first runs every check that reads
-only the graph: the clash with earlier selections (ii), monotone promotions,
-the observability of fixed censored variables, the member and district
-conditions, (i), (iii), and the conditioning set of each member.  Only then
-does it canonicalize the subproblem kernel and build the class denominator.
-The SchedulePlan is the record of the run: each class's r_z and
-denominator, the dropped-variable notes, and the state after every class.
+``validate_schedule`` runs a schedule as one step per class along its
+linear extension, where every class comes after its cone, so each class step
+reads the recorded results of its cone and nothing is computed twice.  A
+step builds the class's subproblem graph and first runs every check that
+reads only the graph: the clash with earlier selections (ii), monotone
+promotions, the member and district conditions, (i), (iii), and the
+conditioning set of each member.  Only then does it canonicalize the
+subproblem kernel and build the class denominator.  The SchedulePlan is the
+record of the run: each class's r_z and denominator, and the
+dropped-variable notes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import kernel as K
-from .graph import Cadmg, RANDOM, SELECTED
+from .graph import Cadmg, RANDOM
 from .kernel import Expr
 from .model import MdDag
 from .projection import latent_project_out
@@ -185,10 +185,8 @@ class FixingSchedule:
     def n(self) -> int:
         return len(self.classes)
 
-    def cone(self, k: int | None = None) -> frozenset[int]:
-        """Strict predecessor cone of class k (all classes when k is None)."""
-        if k is None:
-            return frozenset(range(self.n))
+    def cone(self, k: int) -> frozenset[int]:
+        """Strict predecessor cone of class k."""
         return self._cones[k]
 
     def linear_extension(self) -> tuple[int, ...]:
@@ -241,18 +239,13 @@ class Subproblem:
             if v not in self.md.truths or v in self.merged)
 
 
-def _plain_kernel(md: MdDag) -> Expr:
-    return K.Atom("p", tuple(sorted(md.observed_columns)))
-
-
 class SchedulePlan:
     """The record of one run of a schedule over a model.
 
     ``subproblem`` is one step of the run; ``validate_schedule`` takes the
     steps along the linear extension.  The record holds, by class index, the
     indicators each checked class selects (``r_z``) and its denominator
-    (``denominators``), the dropped-variable ``notes``, and the ``final``
-    state after every class (None until the whole schedule has passed).
+    (``denominators``), and the dropped-variable ``notes``.
     """
 
     def __init__(self, md: MdDag, sched: FixingSchedule):
@@ -261,22 +254,18 @@ class SchedulePlan:
         self.r_z: dict[int, frozenset[str]] = {}
         self.denominators: dict[int, Expr] = {}
         self.notes: list[str] = []
-        self.final: Subproblem | None = None
 
-    def subproblem(self, k: int | None) -> Subproblem:
+    def subproblem(self, k: int) -> Subproblem:
         """Build the state in which class k is checked, check class k in it
-        and record its r_z and denominator; k=None builds and records the
-        state after every class.  Every class of k's cone must be recorded
-        already.  Raises ScheduleInvalid on the first violated condition.
+        and record its r_z and denominator.  Every class of k's cone must be
+        recorded already.  Raises ScheduleInvalid on the first violated
+        condition.
 
         The graph is built and every graph-only check passes before the
         kernel is canonicalized."""
         md = self.md
         cone = self.sched.cone(k)
         g, merged, pins_r = self._graph(k, cone)
-        if k is None:
-            self.final = Subproblem(md, g, self._kernel(cone, pins_r), merged)
-            return self.final
         mb = self._check_class(k, g)
         conds = self._member_conditionals(k, g, merged, mb, self.r_z[k])
         sub = Subproblem(md, g, self._kernel(cone, pins_r), merged)
@@ -286,45 +275,31 @@ class SchedulePlan:
                                sub.free_cols)
             at = {r: 1 for r in pins
                   if r in fac.free() or r in fac.contexts() or r in fac.pinned()}
-            factors.append(K.restrict_values(fac, at) if at else fac)
+            factors.append(K.restrict_values(fac, at))
         self.denominators[k] = K.product(factors) if len(factors) > 1 else factors[0]
         return sub
 
-    def _graph(self, k: int | None, cone: frozenset[int]):
+    def _graph(self, k: int, cone: frozenset[int]):
         """The cone's graph for class k, its merged censored variables and
         its pinned indicators; checks the cone state against class k."""
         md, sched = self.md, self.sched
         fixed = frozenset().union(*(sched.classes[j] for j in cone))
         selected = frozenset().union(*(self.r_z[j] for j in cone)) - fixed
-        if k is None:
-            # every promotion, and each censored variable whose indicator
-            # is fixed or selected: it is read off its proxy
-            visible = frozenset().union(*sched.promotions) | frozenset(
-                t.truth for t in md.triples
-                if t.indicator in fixed or t.indicator in selected)
-        else:
-            clash = selected & sched.classes[k]
-            if clash:
+        clash = selected & sched.classes[k]
+        if clash:
+            raise ScheduleInvalid(Violation(
+                "ii", k,
+                f"members {sorted(clash)} were selected by earlier classes",
+                tuple(sorted(clash))))
+        visible = sched.promotions[k]
+        # promotion sanity: monotone along the order
+        for j in cone:
+            extra = sched.promotions[j] - visible
+            if extra:
                 raise ScheduleInvalid(Violation(
-                    "ii", k,
-                    f"members {sorted(clash)} were selected by earlier classes",
-                    tuple(sorted(clash))))
-            visible = sched.promotions[k]
-            # promotion sanity: monotone along the order
-            for j in cone:
-                extra = sched.promotions[j] - visible
-                if extra:
-                    raise ScheduleInvalid(Violation(
-                        "structure", k,
-                        f"promotions not monotone: {sorted(extra)} visible at "
-                        f"class {j} but not later", tuple(sorted(extra))))
-        for u in (fixed & md.truths):
-            t = md.triple_of(u)
-            if t.indicator not in fixed | selected:
-                raise ScheduleInvalid(Violation(
-                    "observability", k,
-                    f"{u!r} fixed while its indicator {t.indicator!r} is not "
-                    f"pinned to 1", (u,)))
+                    "structure", k,
+                    f"promotions not monotone: {sorted(extra)} visible at "
+                    f"class {j} but not later", tuple(sorted(extra))))
 
         pins_r = (fixed | selected) & md.indicators
         g = md.graph.with_statuses(fixed=fixed, selected={s: 1 for s in selected})
@@ -338,16 +313,14 @@ class SchedulePlan:
 
     def _kernel(self, cone: frozenset[int], pins_r: frozenset[str]) -> Expr:
         """The observed law, pinned, over the cone's class denominators."""
-        pins = {r: 1 for r in pins_r}
-        num = _plain_kernel(self.md)
-        if pins:
-            num = K.restrict_values(num, pins)
+        num = K.restrict_values(K.Atom("p", tuple(sorted(self.md.observed_columns))),
+                                {r: 1 for r in pins_r})
         dens = []
         for j in sorted(cone):
             den = self.denominators[j]
             at = {r: 1 for r in pins_r
                   if r in den.free() or r in den.contexts()}
-            dens.append(K.restrict_values(den, at) if at else den)
+            dens.append(K.restrict_values(den, at))
         return K.quotient(num, K.product(dens)) if dens else num
 
     def _check_class(self, k: int, g: Cadmg):
@@ -361,13 +334,6 @@ class SchedulePlan:
                 raise ScheduleInvalid(Violation(
                     "member", k, f"member {m!r} is not visible in the class "
                     f"subproblem (hidden or already removed)", (m,)))
-            st = g.vertex(m).status
-            if st == SELECTED:
-                raise ScheduleInvalid(Violation(
-                    "ii", k, f"member {m!r} is selected", (m,)))
-            if st != RANDOM:
-                raise ScheduleInvalid(Violation(
-                    "member", k, f"member {m!r} is not random", (m,)))
             if m in md.proxies:
                 raise ScheduleInvalid(Violation(
                     "member", k, f"proxy {m!r} cannot be fixed", (m,)))
@@ -438,13 +404,7 @@ class SchedulePlan:
             for u in sorted(cond):
                 if u in md.truths:
                     if u not in merged:
-                        ind = md.triple_of(u).indicator
-                        if ind not in rz_new and ind not in earlier:
-                            raise ScheduleInvalid(Violation(
-                                "observability", k,
-                                f"conditioning set of {m!r} contains the censored "
-                                f"variable {u!r} with no pinned indicator", (u,)))
-                        pins[ind] = 1
+                        pins[md.triple_of(u).indicator] = 1
                     cols.add(md.triple_of(u).proxy)
                 else:
                     cols.add(u)
@@ -467,13 +427,12 @@ class SchedulePlan:
 
 
 def validate_schedule(md: MdDag, sched: FixingSchedule):
-    """Run the schedule in one pass along its linear extension, then build
-    the state after it; return (ok, violation-or-None, plan)."""
+    """Run the schedule's class steps along its linear extension; return
+    (ok, violation-or-None, plan)."""
     plan = SchedulePlan(md, sched)
     try:
         for k in sched.linear_extension():
             plan.subproblem(k)
-        plan.subproblem(None)
     except ScheduleInvalid as exc:
         return False, exc.violation, plan
     return True, None, plan

@@ -103,18 +103,12 @@ def _priority(md: MdDag, state: SearchState) -> tuple:
 def _schedule_from_state(md: MdDag, state: SearchState, target: str,
                          forbid: frozenset[str]) -> FixingSchedule | None:
     """The state's schedule, with every class ordered before the target's
-    singleton class; None when there is no such class or the order has a
-    cycle."""
-    final = None
-    for c in state.classes:
-        if target in c:
-            final = c
-    if final is None or len(final) != 1:
-        return None
+    singleton class, which every search state holds; None when the order has
+    a cycle."""
     ordered = sorted(state.classes, key=sorted)
     idx = {c: i for i, c in enumerate(ordered)}
-    order = {(idx[a], idx[b]) for a, b in state.edges if a in idx and b in idx}
-    fi = idx[final]
+    order = {(idx[a], idx[b]) for a, b in state.edges}
+    fi = idx[frozenset({target})]
     for c, i in idx.items():
         if i != fi:
             order.add((i, fi))
@@ -144,7 +138,7 @@ def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
     classes, edges, hidden = state.classes, state.edges, state.hidden
     out: list[SearchState] = []
     k = viol.class_index
-    zk = sched.classes[k] if k is not None and k < sched.n else frozenset({target})
+    zk = sched.classes[k] if k is not None else frozenset({target})
 
     def class_of(member: str):
         for c in classes:
@@ -165,7 +159,7 @@ def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
             out.append(SearchState(classes, edges | {(holder, zk)}, hidden))
 
     def hide(truth: str):
-        if truth not in md.truths or truth in hidden:
+        if truth in hidden:
             return
         if any(truth in c for c in classes):
             return
@@ -192,11 +186,10 @@ def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
         nonindicator_candidates()
     elif viol.condition == "i":
         g = md.graph
+        kids = sorted(g.children(zk) - md.proxies)
         for s in viol.vertices:
-            if s not in g:
-                continue
-            for c in sorted(g.children(zk & frozenset(g.vertex_names))):
-                if c not in md.proxies and (c == s or s in g.descendants([c])):
+            for c in kids:
+                if c == s or s in g.descendants([c]):
                     add_before(c)
         grow = set(zk) | set(viol.vertices)
         if all(v not in md.proxies for v in grow):
@@ -245,8 +238,7 @@ def _full_law_check(md: MdDag, indicator: str, q: Expr) -> Violation | None:
 
 def identify_indicator(md: MdDag, indicator: str,
                        budget: SearchBudget | None = None,
-                       full_mode: bool = False,
-                       use_fast_path: bool = True) -> IndicatorResult:
+                       full_mode: bool = False) -> IndicatorResult:
     """Search for a valid fixing schedule whose final class is the indicator;
     emit the final class denominator as the identified propensity.
 
@@ -299,7 +291,7 @@ def identify_indicator(md: MdDag, indicator: str,
         return viol, plan, fi, q
 
     # fast path: the ancestrality-induced schedule
-    if use_fast_path and not full_mode and ancestral_precondition(md):
+    if not full_mode and ancestral_precondition(md):
         sched = ancestral_schedule(md, indicator)
         viol, plan, fi, q = try_schedule(sched)
         if viol is None:

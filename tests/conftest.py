@@ -6,11 +6,13 @@ code."""
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mdid.graph import Cadmg
+from mdid.identify import identify_indicator
 from mdid.kernel import NamedTable
 from mdid.model import MdDag, Triple, validate_md_dag
 from mdid import oracle as O
@@ -79,6 +81,14 @@ def random_mddag(rng: np.random.Generator, k: int, n_obs: int = 0,
         edges += [(t.indicator, t.proxy), (t.truth, t.proxy)]
     names = substantive + [t.indicator for t in triples] + [t.proxy for t in triples]
     return validate_md_dag(Cadmg(names, edges), triples, obs)
+
+
+def general_search(md: MdDag, indicator: str, budget=None):
+    """identify_indicator with the ancestral fast path switched off, so the
+    general schedule search runs even on a model where the fast path
+    applies."""
+    with mock.patch("mdid.identify.ancestral_precondition", return_value=False):
+        return identify_indicator(md, indicator, budget)
 
 
 def ci_check(law: O.FactoredLaw, a, b, c=()) -> float:

@@ -10,15 +10,15 @@ from mdid.causal import InterventionQuery, identify_interventional
 from mdid.fixing import (FixingSchedule, fix_sequence, is_fixable_vertex,
                          validate_schedule)
 from mdid.fixtures import load
-from mdid.identify import identify_full, identify_indicator, identify_target
+from mdid.identify import identify_full, identify_target
 from mdid import kernel as K
 from mdid.missing import ancestral_precondition, ancestral_schedule, \
     colluder_scan, drop_censored_rows
 from mdid import oracle as O
 from mdid.separation import m_separated
 
-from conftest import admg_law, ci_check, hidden_dag_for, random_admg, random_dag, \
-    random_mddag
+from conftest import admg_law, ci_check, general_search, hidden_dag_for, \
+    random_admg, random_dag, random_mddag
 
 TOL = 1e-9
 
@@ -410,7 +410,7 @@ def test_criterion_8_ancestral_fast_path():
             assert ok, (r, viol)
             fi = next(i for i, c in enumerate(sched.classes) if r in c)
             fast_q = plan.denominators[fi]
-            slow = identify_indicator(md, r, use_fast_path=False)
+            slow = general_search(md, r)
             if slow.status != "identified":
                 continue
             for s in range(3):

@@ -174,7 +174,23 @@ def test_fixtures_command_rejects_bad_budget(capsys, monkeypatch, value):
     monkeypatch.setenv("MDID_BUDGET_MAX_SCHEDULES", value)
     code, out, err = run_cli(["fixtures", "--trials", "0"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: MDID_BUDGET_MAX_SCHEDULES={value!r}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("env,value", [
+    ("MDID_BUDGET_MAX_SCHEDULES", "1e3"),
+    ("MDID_BUDGET_MAX_SCHEDULES", "0"),
+    ("MDID_BUDGET_MAX_SET_SIZE", "-2"),
+    ("MDID_BUDGET_TIME_LIMIT", "abc"),
+    ("MDID_BUDGET_TIME_LIMIT", "nan"),
+])
+@pytest.mark.parametrize("command", ["identify", "verify"])
+def test_bad_budget_variable_names_itself(capsys, monkeypatch, env, value, command):
+    monkeypatch.setenv(env, value)
+    code, out, err = run_cli([command, "fixture:crisscross"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {env}={value!r} is not a positive ")
 
 
 @pytest.mark.parametrize("command", ["identify", "check", "verify"])

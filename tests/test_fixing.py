@@ -9,6 +9,7 @@ from mdid.fixing import (FixError, FixingSchedule, fix_sequence, fix_vertex,
 from mdid.graph import Cadmg
 from mdid import kernel as K
 from mdid.missing import drop_censored_rows
+from mdid.model import md_dag
 from mdid import oracle as O
 
 from conftest import admg_law, random_admg
@@ -73,6 +74,48 @@ def test_is_fixable_set_examples():
     assert not ok and viol.condition == "ii" and viol.vertices == ("R3",)
 
 
+# X2(1) -> X1(1), and both censored variables cause R1
+SMALL = md_dag([("X2(1)", "X1(1)"), ("X2(1)", "R1"), ("X1(1)", "R1")],
+               ["X1", "X2"])
+
+# (classes with their promotions, in a chain; condition, class index,
+# vertices, detail): every violation a class step can raise
+VIOLATIONS = [
+    ([({"X2(1)"}, {"X2(1)"}), ({"R2"}, {"X2(1)"})],
+     "ii", 1, ("R2",), "were selected by earlier classes"),
+    ([({"R2"}, {"X1(1)"}), ({"R1"}, set())],
+     "structure", 1, ("X1(1)",), "promotions not monotone"),
+    ([({"X1(1)"}, set())],
+     "member", 0, ("X1(1)",), "is not visible in the class subproblem"),
+    ([({"X1"}, set())],
+     "member", 0, ("X1",), "proxy 'X1' cannot be fixed"),
+    ([({"R1", "R2"}, set())],
+     "district", 0, ("R1", "R2"), "spans multiple districts"),
+    ([({"X1(1)"}, {"X1(1)"})],
+     "i", 0, ("R1",), "of the class stay in its district"),
+    ([({"X1(1)"}, {"X1(1)", "X2(1)"})],
+     "iii", 0, ("R1", "R2"), "not separated from"),
+    ([({"R1"}, {"X1(1)"})],
+     "observability", 0, ("X1(1)",), "cannot drop ['X1(1)'] from the conditional"),
+    ([({"X1(1)", "R1"}, {"X1(1)"})],
+     "observability", 0, ("X1(1)",), "has no observable column"),
+]
+
+
+@pytest.mark.parametrize("steps,condition,index,vertices,detail", VIOLATIONS,
+                         ids=[f"{v[1]}-{v[4].split()[0]}" for v in VIOLATIONS])
+def test_each_violation_from_one_schedule(steps, condition, index, vertices, detail):
+    sched = FixingSchedule(tuple(frozenset(c) for c, _ in steps),
+                           tuple((i, i + 1) for i in range(len(steps) - 1)),
+                           tuple(frozenset(p) for _, p in steps))
+    ok, viol, plan = validate_schedule(SMALL, sched)
+    assert not ok
+    assert (viol.condition, viol.class_index, viol.vertices) == (condition, index, vertices)
+    assert detail in viol.detail
+    # the run stops at the failing class: only earlier classes are recorded
+    assert sorted(plan.denominators) == list(range(index))
+
+
 def test_schedule_runs_in_one_pass(monkeypatch):
     """Each class is checked once, along the linear extension, and a class
     that fails a graph check builds no subproblem kernel."""
@@ -87,15 +130,15 @@ def test_schedule_runs_in_one_pass(monkeypatch):
     md3 = load("staggered_trio")
     ok, viol, plan = validate_schedule(md3, one_subproblem(md3, [["R3"]]))
     assert not ok and viol.condition == "iii"
-    assert built == [] and plan.denominators == {} and plan.final is None
+    assert built == [] and plan.denominators == {}
     md = load("block_sequential")
     sched = FixingSchedule(
         (frozenset({"R1"}), frozenset({"R2"}), frozenset({"R3"})),
         ((0, 1), (1, 2)), (md.truths,) * 3)
     ok, viol, plan = validate_schedule(md, sched)
     assert ok, viol
-    # one state per class, then the state after every class
-    assert len(built) == 4 and built[-1] is plan.final.kernel
+    # one state per class, and nothing after the last class
+    assert len(built) == 3
     assert sorted(plan.denominators) == sorted(plan.r_z) == [0, 1, 2]
 
 
@@ -111,7 +154,6 @@ def test_fix_set_joint_quartet_denominator():
         K.Atom("p", ("R3",), ("R2", "R4", "X2", "X4")),
     ])
     assert plan.denominators[0] == expected
-    assert plan.final.graph.fixed_vertices == {"R1", "R3"}
 
 
 def test_fix_set_latent_trio_parallel_classes():
@@ -150,11 +192,15 @@ def test_schedule_final_kernel_block_sequential():
         ((0, 1), (1, 2)), (md.truths,) * 3)
     ok, viol, plan = validate_schedule(md, sched)
     assert ok, viol
-    final = plan.final
-    # the final kernel is the target law over proxies at all indicators one
+    # the observed law at every indicator one, over the class denominators,
+    # is the target law over proxies
+    ones = {r: 1 for r in md.indicators}
+    observed = K.Atom("p", tuple(sorted(md.observed_columns)))
+    final = K.quotient(K.restrict_values(observed, ones),
+                       K.restrict_values(K.product(plan.denominators.values()), ones))
     law = O.sample_full_law(md, 2, seed=21)
     obs = O.derive_observed_law(md, law)
-    got = K.evaluate_numeric(final.kernel, obs)
+    got = K.evaluate_numeric(final, obs)
     truth = O.target_law(md, law)
     truth = K.rename_axes(truth, {t.truth: t.proxy for t in md.triples})
     got = drop_censored_rows(md, got)
@@ -165,8 +211,8 @@ def test_empty_schedule_is_identity():
     md = load("block_sequential")
     sched = FixingSchedule((), (), ())
     ok, viol, plan = validate_schedule(md, sched)
-    assert ok and sched.linear_extension() == ()
-    assert plan.final.kernel == K.Atom("p", tuple(sorted(md.observed_columns)))
+    assert ok and viol is None and sched.linear_extension() == ()
+    assert plan.r_z == {} and plan.denominators == {} and plan.notes == []
 
 
 def test_schedule_structure_errors():
@@ -193,7 +239,6 @@ def test_schedule_cones_and_linear_extension():
     assert [chain.cone(k) for k in range(4)] == [
         {1, 2, 3}, {3}, {1, 3}, frozenset()]
     assert chain.linear_extension() == (3, 1, 2, 0)
-    assert chain.cone(None) == {0, 1, 2, 3}
     # diamond 2 -> {0, 3} -> 1: the join sees both branches and the root
     diamond = FixingSchedule(singletons, ((2, 0), (2, 3), (0, 1), (3, 1)))
     assert diamond.cone(1) == {0, 2, 3}

@@ -12,7 +12,7 @@ from mdid.missing import drop_censored_rows
 from mdid.model import md_dag
 from mdid import oracle as O
 
-from conftest import random_mddag
+from conftest import general_search, random_mddag
 
 
 def total_order_schedule(md, order, promotions=None):
@@ -137,16 +137,14 @@ def test_verdict_monotone_in_budget():
 
 def test_deadline_is_reported_as_its_own_reason(monkeypatch):
     md = load("latent_trio")
-    capped = identify_indicator(md, "R1", SearchBudget(max_schedules=2),
-                                use_fast_path=False)
+    capped = general_search(md, "R1", SearchBudget(max_schedules=2))
     assert capped.status == "unknown"
     assert capped.transcript[-1] == "R1: budget exhausted after 2 schedules"
     # a clock that advances one second per reading: the search starts at 0
     # and its third deadline check reads 3 > 2.5
     ticks = iter(range(10_000))
     monkeypatch.setattr("mdid.identify.time.monotonic", lambda: float(next(ticks)))
-    timed = identify_indicator(md, "R1", SearchBudget(time_limit=2.5),
-                               use_fast_path=False)
+    timed = general_search(md, "R1", SearchBudget(time_limit=2.5))
     assert timed.status == "unknown"
     assert timed.transcript[-1] == (
         "R1: budget exhausted after 2 schedules: deadline of 2.5 s reached")
@@ -184,8 +182,9 @@ def test_fast_path_consistency():
         if not __import__("mdid.missing", fromlist=["x"]).ancestral_precondition(md):
             continue
         for r in md.sorted_indicators():
-            fast = identify_indicator(md, r, use_fast_path=True)
-            slow = identify_indicator(md, r, use_fast_path=False)
+            fast = identify_indicator(md, r)
+            slow = general_search(md, r)
+            assert not any("fast path" in line for line in slow.transcript)
             if slow.status != "identified":
                 continue
             assert fast.status == "identified"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -160,13 +161,17 @@ def cmd_verify(args) -> int:
         _emit({"status": report.status}, args.json)
         return _STATUS_CODE[report.status]
     sampling = {"trials": args.trials, "seed": args.seed, "cardinality": args.cardinality}
-    if args.query == "target":
-        rep = O.verify_target_functional(model, report.functional, **sampling)
-    elif args.query == "full":
-        rep = O.verify_full_functional(model, report.functional, **sampling)
-    else:
-        r = args.query.split(":", 1)[1]
-        rep = O.verify_indicator_functional(model, r, report.propensities[r], **sampling)
+    try:
+        if args.query == "target":
+            rep = O.verify_target_functional(model, report.functional, **sampling)
+        elif args.query == "full":
+            rep = O.verify_full_functional(model, report.functional, **sampling)
+        else:
+            r = args.query.split(":", 1)[1]
+            rep = O.verify_indicator_functional(model, r, report.propensities[r], **sampling)
+    except ValueError as exc:   # ExprError and OracleError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     ok = rep.ok(args.tol)
     _emit({"status": "verified" if ok else "failed",
            "trials": rep.trials,
@@ -194,8 +199,12 @@ def cmd_fixtures(args) -> int:
         if rf.certificate:
             bits.append("certificate=(%s, %s)" % rf.certificate)
         if rt.status == "identified" and args.trials:
-            rep = O.verify_target_functional(model, rt.functional, trials=args.trials,
-                                             seed=args.seed, cardinality=args.cardinality)
+            try:
+                rep = O.verify_target_functional(model, rt.functional, trials=args.trials,
+                                                 seed=args.seed, cardinality=args.cardinality)
+            except ValueError as exc:
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                return EXIT_ERROR
             bits.append(f"target_err={rep.max_error:.2e}")
             if not rep.ok(args.tol):
                 failures += 1
@@ -203,12 +212,23 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
-def _cardinality(text: str) -> int:
-    """The values of each substantive variable in sampled laws: at least 2."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"cardinality must be at least 2, not {n}")
-    return n
+def _int_at_least(least: int, what: str):
+    """An argparse type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, not {n}")
+        return n
+    parse.__name__ = "int"      # argparse names the type in "invalid int value"
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """A verification tolerance: finite and at least 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and at least 0, not {text}")
+    return tol
 
 
 def main(argv=None) -> int:
@@ -231,18 +251,19 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="identify, then check numerically")
     p.add_argument("graph")
     p.add_argument("--query", default="target")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cardinality", type=_cardinality, default=2)
+    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=100)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--cardinality", type=_int_at_least(2, "cardinality"), default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("fixtures", help="run the built-in examples")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cardinality", type=_cardinality, default=2)
+    # --trials 0 skips verification
+    p.add_argument("--trials", type=_int_at_least(0, "trials"), default=20)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--cardinality", type=_int_at_least(2, "cardinality"), default=2)
     p.set_defaults(fn=cmd_fixtures)
 
     try:

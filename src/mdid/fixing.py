@@ -16,16 +16,16 @@ an explicit m-separation check, and selection indicators pinned to 1.
 Selected-to-1 markers propagate to later subproblems and are auto-conditioned
 in every separation query; they are never fixable.
 
-``validate_schedule`` runs a schedule as one step per class along its
-linear extension, where every class comes after its cone, so each class step
-reads the recorded results of its cone and nothing is computed twice.  A
-step builds the class's subproblem graph and first runs every check that
-reads only the graph: the clash with earlier selections (ii), monotone
-promotions, the member and district conditions, (i), (iii), and the
-conditioning set of each member.  Only then does it canonicalize the
-subproblem kernel and build the class denominator.  The SchedulePlan is the
-record of the run: each class's r_z and denominator, and the
-dropped-variable notes.
+Validity is decided on graphs.  ``validate_schedule`` runs a schedule's
+classes along its linear extension, where every class comes after its cone.
+The graph step of a class builds its cone's graph and runs every condition
+on it: the clash with earlier selections (ii), monotone promotions, the
+member and district conditions, (i), (iii), and the conditioning set of each
+member.  Only once every class has passed does the run take the kernel
+steps, in the same order: each canonicalizes its cone kernel and writes down
+the class denominator, so kernels are written only for an accepted schedule.
+The SchedulePlan is the record of the run: each class's r_z and denominator,
+and the dropped-variable notes.
 """
 
 from __future__ import annotations
@@ -218,34 +218,16 @@ class ScheduleInvalid(FixError):
 
 
 # ---------------------------------------------------------------------------
-# subproblems
+# schedule runs
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Subproblem:
-    """The graph/kernel state in which one class is checked and fixed."""
-
-    md: MdDag
-    graph: Cadmg
-    kernel: Expr
-    merged: frozenset[str]          # censored variables identified with proxies
-    free_cols: frozenset[str] = field(init=False)   # observable random columns
-
-    def __post_init__(self):
-        self.free_cols = frozenset(
-            self.md.triple_of(v).proxy if v in self.merged else v
-            for v in self.graph.random_vertices
-            if v not in self.md.truths or v in self.merged)
-
-
 class SchedulePlan:
-    """The record of one run of a schedule over a model.
-
-    ``subproblem`` is one step of the run; ``validate_schedule`` takes the
-    steps along the linear extension.  The record holds, by class index, the
-    indicators each checked class selects (``r_z``) and its denominator
-    (``denominators``), and the dropped-variable ``notes``.
+    """The record of one run of a schedule over a model: by class index, the
+    indicators each checked class selects (``r_z``) and, once the schedule
+    is accepted, each denominator; and the dropped-variable ``notes``.
+    Validity is decided on graphs: ``subproblem`` is a class's graph step,
+    and its kernel step runs only once every class has passed.
     """
 
     def __init__(self, md: MdDag, sched: FixingSchedule):
@@ -254,30 +236,39 @@ class SchedulePlan:
         self.r_z: dict[int, frozenset[str]] = {}
         self.denominators: dict[int, Expr] = {}
         self.notes: list[str] = []
+        # by class index, what its kernel step reads: the pinned indicators,
+        # the observable random columns and the member conditionals
+        self._steps: dict[int, tuple] = {}
 
-    def subproblem(self, k: int) -> Subproblem:
-        """Build the state in which class k is checked, check class k in it
-        and record its r_z and denominator.  Every class of k's cone must be
-        recorded already.  Raises ScheduleInvalid on the first violated
-        condition.
-
-        The graph is built and every graph-only check passes before the
-        kernel is canonicalized."""
+    def subproblem(self, k: int) -> Cadmg:
+        """The graph step of class k: build the cone's graph, check class k
+        in it, record its r_z, notes and what its kernel step reads, and
+        return the graph.  Every class of k's cone must have passed its
+        graph step already.  Raises ScheduleInvalid on the first violated
+        condition."""
         md = self.md
-        cone = self.sched.cone(k)
-        g, merged, pins_r = self._graph(k, cone)
+        g, merged, pins_r = self._graph(k, self.sched.cone(k))
         mb = self._check_class(k, g)
         conds = self._member_conditionals(k, g, merged, mb, self.r_z[k])
-        sub = Subproblem(md, g, self._kernel(cone, pins_r), merged)
+        free = frozenset(md.triple_of(v).proxy if v in merged else v
+                         for v in g.random_vertices
+                         if v not in md.truths or v in merged)
+        self._steps[k] = (pins_r, free, conds)
+        return g
+
+    def _kernel_step(self, k: int) -> None:
+        """Write down class k's denominator: divide the cone kernel by one
+        conditional per member.  Every class of k's cone must have its
+        denominator already."""
+        pins_r, free, conds = self._steps[k]
+        q = self._kernel(self.sched.cone(k), pins_r)
         factors = []
         for m_col, cols, pins in conds:
-            fac = _conditional(sub.kernel, [m_col], (cols | set(pins)) & sub.free_cols,
-                               sub.free_cols)
+            fac = _conditional(q, [m_col], (cols | set(pins)) & free, free)
             at = {r: 1 for r in pins
                   if r in fac.free() or r in fac.contexts() or r in fac.pinned()}
             factors.append(K.restrict_values(fac, at))
         self.denominators[k] = K.product(factors) if len(factors) > 1 else factors[0]
-        return sub
 
     def _graph(self, k: int, cone: frozenset[int]):
         """The cone's graph for class k, its merged censored variables and
@@ -427,12 +418,16 @@ class SchedulePlan:
 
 
 def validate_schedule(md: MdDag, sched: FixingSchedule):
-    """Run the schedule's class steps along its linear extension; return
-    (ok, violation-or-None, plan)."""
+    """Run the schedule's graph steps along its linear extension and, once
+    every class has passed, its kernel steps in the same order; return
+    (ok, violation-or-None, plan).  A failing schedule writes no kernel."""
     plan = SchedulePlan(md, sched)
+    order = sched.linear_extension()
     try:
-        for k in sched.linear_extension():
+        for k in order:
             plan.subproblem(k)
     except ScheduleInvalid as exc:
         return False, exc.violation, plan
+    for k in order:
+        plan._kernel_step(k)
     return True, None, plan

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mdid import kernel as K
 from mdid.cli import main
 from mdid.fixtures import FIXTURE_NAMES, fixture_text, load
 from mdid.gfile import ParseError, parse_graph_file, render_graph_file
@@ -126,8 +127,47 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
                  ["identify"], ["nosuch"], ["check", "fixture:octet", "--bogus"]):
         assert main(argv) == 1
         assert "usage: mdid" in capsys.readouterr().err
+    # a value no verification can use is a usage error, not a failed functional
+    for argv, message in (
+            (["verify", "fixture:crisscross", "--trials", "0"],
+             "trials must be at least 1, not 0"),
+            (["verify", "fixture:crisscross", "--trials", "-2"],
+             "trials must be at least 1, not -2"),
+            (["fixtures", "--trials", "-1"], "trials must be at least 0, not -1"),
+            (["fixtures", "--seed", "-1"], "seed must be at least 0, not -1"),
+            (["verify", "fixture:crisscross", "--tol", "nan"],
+             "tolerance must be finite and at least 0, not nan"),
+            (["verify", "fixture:crisscross", "--tol", "inf"],
+             "tolerance must be finite and at least 0, not inf"),
+            (["fixtures", "--tol", "-0.5"],
+             "tolerance must be finite and at least 0, not -0.5")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage: mdid" in err and message in err
     assert main(["verify", "--help"]) == 0
     assert "--cardinality" in capsys.readouterr().out
+
+
+def test_fixtures_trials_0_skips_verification(capsys, monkeypatch):
+    monkeypatch.setattr("mdid.cli.FIXTURE_NAMES", ("staggered_trio",))
+    code, out, err = run_cli(["fixtures", "--trials", "0", "--tol", "0"], capsys)
+    assert (code, out, err) == (0, "staggered_trio: target=identified full=identified\n", "")
+
+
+def test_failed_verification_is_one_error_line(capsys, monkeypatch):
+    """An error inside verification, such as a law past MAX_CELLS, exits 1
+    with one error line instead of a traceback."""
+    def too_large(md, full):
+        raise K.ExprError("a table of 19131876 cells exceeds MAX_CELLS")
+
+    monkeypatch.setattr(O, "target_law", too_large)
+    code, out, err = run_cli(["verify", "fixture:crisscross", "--trials", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 19131876 cells exceeds MAX_CELLS\n"
+    monkeypatch.setattr("mdid.cli.FIXTURE_NAMES", ("confounded_chain", "crisscross"))
+    code, out, err = run_cli(["fixtures", "--trials", "1"], capsys)
+    assert (code, out) == (1, "confounded_chain: mixed graph (4 vertices)\n")
+    assert err == "error: crisscross: a table of 19131876 cells exceeds MAX_CELLS\n"
 
 
 # every fixture line of `mdid fixtures`, up to the target law's error

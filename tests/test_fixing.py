@@ -112,34 +112,57 @@ def test_each_violation_from_one_schedule(steps, condition, index, vertices, det
     assert not ok
     assert (viol.condition, viol.class_index, viol.vertices) == (condition, index, vertices)
     assert detail in viol.detail
-    # the run stops at the failing class: only earlier classes are recorded
-    assert sorted(plan.denominators) == list(range(index))
+    # the run stops at the failing class and writes no kernel: r_z holds the
+    # earlier classes, and the failing one when its (iii) or observability
+    # check runs after its r_z is recorded
+    assert plan.denominators == {}
+    late = condition in ("iii", "observability")
+    assert sorted(plan.r_z) == list(range(index + late))
+
+
+def count_kernel_steps(monkeypatch) -> list[int]:
+    """Record the class index of every kernel step from now on."""
+    steps = []
+    real = fixing.SchedulePlan._kernel_step
+
+    def counting(plan, k):
+        steps.append(k)
+        return real(plan, k)
+
+    monkeypatch.setattr(fixing.SchedulePlan, "_kernel_step", counting)
+    return steps
 
 
 def test_schedule_runs_in_one_pass(monkeypatch):
     """Each class is checked once, along the linear extension, and a class
-    that fails a graph check builds no subproblem kernel."""
-    built = []
-    real = fixing.Subproblem
-
-    def counting(md, graph, kernel, merged):
-        built.append(kernel)
-        return real(md, graph, kernel, merged)
-
-    monkeypatch.setattr(fixing, "Subproblem", counting)
+    that fails a graph check writes no kernel."""
+    steps = count_kernel_steps(monkeypatch)
     md3 = load("staggered_trio")
     ok, viol, plan = validate_schedule(md3, one_subproblem(md3, [["R3"]]))
     assert not ok and viol.condition == "iii"
-    assert built == [] and plan.denominators == {}
+    assert steps == [] and plan.denominators == {}
     md = load("block_sequential")
     sched = FixingSchedule(
         (frozenset({"R1"}), frozenset({"R2"}), frozenset({"R3"})),
         ((0, 1), (1, 2)), (md.truths,) * 3)
     ok, viol, plan = validate_schedule(md, sched)
     assert ok, viol
-    # one state per class, and nothing after the last class
-    assert len(built) == 3
+    # one kernel step per class, along the linear extension
+    assert steps == [0, 1, 2]
     assert sorted(plan.denominators) == sorted(plan.r_z) == [0, 1, 2]
+
+
+def test_failing_last_class_writes_no_kernel(monkeypatch):
+    """An earlier class that passes its graph step writes no kernel when the
+    last class fails: validity is decided on graphs first."""
+    steps = count_kernel_steps(monkeypatch)
+    md = load("latent_trio")
+    sched = FixingSchedule((frozenset({"R3"}), frozenset({"R1"})), ((0, 1),),
+                           (md.truths, md.truths))
+    ok, viol, plan = validate_schedule(md, sched)
+    assert not ok and (viol.condition, viol.class_index) == ("iii", 1)
+    assert sorted(plan.r_z) == [0, 1]
+    assert steps == [] and plan.denominators == {}
 
 
 def test_fix_set_joint_quartet_denominator():

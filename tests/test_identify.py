@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdid import fixing, identify
 from mdid.fixtures import load
 from mdid.fixing import FixingSchedule, validate_schedule
 from mdid.identify import (SearchBudget, identify_full, identify_indicator,
                            identify_target)
 from mdid import kernel as K
-from mdid.missing import drop_censored_rows
-from mdid.model import md_dag
+from mdid.missing import colluder_scan, drop_censored_rows
+from mdid.model import md_dag, triple_for
 from mdid import oracle as O
 
 from conftest import general_search, random_mddag
@@ -89,6 +91,29 @@ def test_identify_target_fixture_statuses():
                  "latent_trio", "joint_quartet", "context_fix"):
         rep = identify_target(load(name))
         assert rep.status == "identified", name
+
+
+def test_octet_target_search_work_counts(monkeypatch):
+    """The octet target search validates 1,244 schedules, runs 2,052 class
+    graph steps, and writes the kernels of only the 19 classes of its
+    accepted schedules.  A memo of class graph steps may lower the graph
+    steps; a change that moves any of these counts must explain why."""
+    counts = {"validate": 0, "graph": 0, "kernel": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(identify, "validate_schedule",
+                        counting("validate", identify.validate_schedule))
+    monkeypatch.setattr(fixing.SchedulePlan, "subproblem",
+                        counting("graph", fixing.SchedulePlan.subproblem))
+    monkeypatch.setattr(fixing.SchedulePlan, "_kernel_step",
+                        counting("kernel", fixing.SchedulePlan._kernel_step))
+    assert identify_target(load("octet")).status == "identified"
+    assert counts == {"validate": 1244, "graph": 2052, "kernel": 19}
 
 
 def test_context_fix_schedule_fixes_nonindicators():
@@ -236,3 +261,48 @@ def test_search_soundness_under_self_censoring():
             rep = O.verify_indicator_functional(md, r, res.propensity,
                                                 trials=4, seed=m_i * 7)
             assert rep.max_error <= 1e-9, (md.graph, r)
+
+
+def relabel(md, bases, observed):
+    """The model with its censored triples, in sorted order, renamed to the
+    triples of ``bases`` and its observed variables to ``observed``; returns
+    the model and the map from old names to new."""
+    name = {}
+    for t, base in zip(sorted(md.triples, key=lambda t: t.truth), bases):
+        new = triple_for(base)
+        name.update({t.truth: new.truth, t.indicator: new.indicator, t.proxy: new.proxy})
+    name.update(zip(sorted(md.observed), observed))
+    edges = [(name[a], name[b]) for a, b in md.graph.directed_edges
+             if b not in md.proxies]
+    return md_dag(edges, bases, [name[o] for o in sorted(md.observed)]), name
+
+
+def capped(report) -> bool:
+    """The search stopped at the schedule cap."""
+    return any(line.endswith(" schedules") and "budget exhausted" in line
+               for line in report.transcript)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 4), n_obs=st.integers(0, 1),
+       bases=st.permutations(("X1", "X2", "X3", "X4", "X7", "A", "Y", "Zed")),
+       observed=st.sampled_from(("O1", "B", "W2")))
+def test_renaming_the_variables_changes_no_verdict(seed, k, n_obs, bases, observed):
+    """Renaming a model's variables changes no verdict.  Schedules may
+    differ, since the search breaks ties by name, so only the statuses of
+    searches that did not stop at the schedule cap are compared; every
+    certificate names a colluder pair of the original model, and every
+    identified functional of the renamed model verifies."""
+    md = random_mddag(np.random.default_rng(seed), k, n_obs=n_obs)
+    md2, name = relabel(md, bases[:k], [observed] * n_obs)
+    back = {new: old for old, new in name.items()}
+    budget = SearchBudget(max_schedules=500)
+    for query, verify in ((identify_target, O.verify_target_functional),
+                          (identify_full, O.verify_full_functional)):
+        rep, rep2 = query(md, budget), query(md2, budget)
+        if not (capped(rep) or capped(rep2)):
+            assert rep.status == rep2.status, (query.__name__, md.graph)
+        if rep2.certificate:
+            assert tuple(back[r] for r in rep2.certificate) in colluder_scan(md)
+        if rep2.status == "identified":
+            assert verify(md2, rep2.functional, trials=2).ok(1e-9), (query.__name__, md2.graph)

@@ -36,7 +36,7 @@ def test_staggered_trio_after_fixing_r2():
     # step the schedule up to the subproblem in which R3 is checked
     plan = SchedulePlan(md, sched)
     plan.subproblem(0)
-    g = plan.subproblem(1).graph
+    g = plan.subproblem(1)
     assert g.vertex("R1").status == "selected"
     assert m_separated(g, ["R3"], ["R1"], [])
 

@@ -42,12 +42,13 @@ deterministic proxy CPTs of a missing-data law it drops, e.g., the "?" row
 of a proxy whose indicator is pinned to 1.  It is found from the factors'
 ``zero_pattern``, made once per law, and the pattern is part of the cached
 plan's key, so one plan slices every factor at the evidence and at the
-support, and a second law with the same zeros replays it.  Inside
-evaluation a table's ``domains`` may leave out values at which it is zero:
-``NamedTable.join`` multiplies over the intersection of two domains and
-divides over the numerator's (a dropped denominator cell counts as 0).
-Only the law holds the full domains, and ``evaluate_numeric`` pads its
-result to them.
+support, and a second law with the same zeros replays it.  A table's
+``domains`` may leave out values at which it is zero: ``NamedTable.join``
+multiplies over the intersection of two domains and divides over the
+numerator's (a dropped denominator cell counts as 0).  Only the law holds
+the full domains.  ``evaluate_numeric`` returns its result on the support
+too, and a caller that wants other domains pads it (``NamedTable.padded``,
+checked against ``MAX_CELLS`` like every join and step).
 """
 
 from __future__ import annotations
@@ -673,8 +674,10 @@ class NamedTable:
         return out
 
     def padded(self, domains: Mapping[str, tuple[Value, ...]]) -> "NamedTable":
-        """The table over the given domains of its axes, each holding the
-        axis's own: zero at the values its own leave out."""
+        """The table over the given domains of its axes: zero at the values
+        its own leave out, without the values the given ones leave out.  A
+        result over ``MAX_CELLS`` raises before anything is allocated."""
+        _check_cells(self.dims, domains)
         out = self
         for d in self.dims:
             out = _reindex(out, d, domains[d])
@@ -1110,11 +1113,11 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
     .name, .variables with their full domains, .factors and their
     ``zero_pattern`` as ._pattern).  An atom is the law's marginal over its
     variables with its pins as evidence, divided by the one over its
-    context.  Every table is kept on its support, and the result is padded
-    to the law's domains; its data may be a view of a factor's, so it is
-    read-only.  The walk runs once per expression and law structure (name,
-    variables, zero pattern), compiling a ``_Program`` that later laws only
-    run."""
+    context.  Every table is kept on its support, the result too: its
+    domains leave out values at which it is zero, and its data may be a view
+    of a factor's, so it is read-only.  The walk runs once per expression
+    and law structure (name, variables, zero pattern), compiling a
+    ``_Program`` that later laws only run."""
     program = _program(e, law.name, tuple(law.variables.items()), law._pattern)
     if program.ops:
         try:
@@ -1137,11 +1140,12 @@ class _Stale(Exception):
 class _Program:
     """An expression's evaluation as a flat sequence of ops, each appending
     one array to the run's registers: a factor slice, a contraction step, a
-    join, a sum, or the final pad.  A slice or step that several marginals
-    share appears once.  It holds no law's arrays.  The one part of the
-    structure that reads data is a quotient's NaN-extended domain
-    (``_undefined``): a run checks it where the operands' domains differ,
-    and on a mismatch the law is compiled afresh."""
+    join or a sum.  A slice or step that several marginals share appears
+    once.  It records the result's register, axes and support domains, and
+    holds no law's arrays.  The one part of the structure that reads data
+    is a quotient's NaN-extended domain (``_undefined``): a run checks it
+    where the operands' domains differ, and on a mismatch the law is
+    compiled afresh."""
 
     ops: tuple = ()     # per op: its function and arguments
 
@@ -1150,19 +1154,15 @@ class _Program:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for op, args in self.ops:
                 regs.append(op(regs, law.factors, *args))
-        return NamedTable(self.dims, dict(self.domains), _frozen(regs[-1]))
+        return NamedTable(self.dims, dict(self.domains), _frozen(regs[self.out]))
 
     def compile(self, e: Expr, law) -> NamedTable:
         """Evaluate e on law by walking the tree, keeping the ops it runs."""
         walk = _Compiler(law)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out, dims, domains = walk.visit(e)
-            walk.emit(None, _pad_op, out, tuple(
-                _reindex_step(ax, domains[d], law.variables[d])
-                for ax, d in enumerate(dims) if domains[d] != law.variables[d]))
-        self.ops, self.dims = tuple(walk.ops), dims
-        self.domains = {d: law.variables[d] for d in dims}
-        return NamedTable(dims, dict(self.domains), _frozen(walk.regs[-1]))
+            self.out, self.dims, self.domains = walk.visit(e)
+        self.ops = tuple(walk.ops)
+        return NamedTable(self.dims, dict(self.domains), _frozen(walk.regs[self.out]))
 
 
 def _join_op(regs, tables, i, j, plan, divide, guard, undefined):
@@ -1177,10 +1177,6 @@ def _sum_op(regs, tables, i, axes):
 
 def _one_op(regs, tables):
     return np.asarray(1.0)
-
-
-def _pad_op(regs, tables, i, steps):
-    return _reindexed(regs[i], steps)
 
 
 class _Compiler:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from . import kernel as K
 from .fixing import FixingSchedule
 from .kernel import Expr, NamedTable, rename_axes
@@ -26,24 +24,17 @@ class AssemblyError(ValueError):
     pass
 
 
-def drop_censored_rows(md: MdDag, tab: NamedTable) -> NamedTable:
-    """Remove the missing-value rows of any proxy axis."""
-    for t in md.triples:
-        if t.proxy in tab.dims:
-            ax = tab.axis(t.proxy)
-            dom = tab.domains[t.proxy]
-            keep = [v for v in dom if v != MISSING_TOKEN]
-            idx = [dom.index(v) for v in keep]
-            domains = dict(tab.domains)
-            domains[t.proxy] = tuple(keep)
-            tab = NamedTable(tab.dims, domains,
-                             np.take(tab.data, idx, axis=ax))
-    return tab
+def without_censored_rows(law, tab: NamedTable) -> NamedTable:
+    """The table over the law's domains without the missing-value token:
+    zero at the values its own domains leave out, the "?" rows of proxy
+    axes dropped."""
+    return tab.padded({d: tuple(v for v in law.variables[d] if v != MISSING_TOKEN)
+                       for d in tab.dims})
 
 
-def proxy_to_truth_axes(md: MdDag, tab: NamedTable) -> NamedTable:
-    """Drop censored rows of proxy axes and rename them to truth names."""
-    return rename_axes(drop_censored_rows(md, tab),
+def _on_truths(md: MdDag, law, e: Expr) -> NamedTable:
+    """e evaluated on law, without "?" rows, proxy axes renamed to truths."""
+    return rename_axes(without_censored_rows(law, K.evaluate_numeric(e, law)),
                        {t.proxy: t.truth for t in md.triples})
 
 
@@ -57,8 +48,7 @@ class TargetLawFunctional:
     propensities: dict[str, Expr]
 
     def evaluate(self, law) -> NamedTable:
-        tab = K.evaluate_numeric(self.expr, law)
-        return proxy_to_truth_axes(self.md, tab)
+        return _on_truths(self.md, law, self.expr)
 
     def render(self, fmt: str = "latex") -> str:
         return K.render(self.expr, fmt)
@@ -73,15 +63,12 @@ class FullLawFunctional:
     propensities: dict[str, Expr]
 
     def evaluate(self, law) -> NamedTable:
-        md = self.md
-        num = proxy_to_truth_axes(md, K.evaluate_numeric(self.numerator, law))
-        out = num
-        for r, q in sorted(self.propensities.items()):
-            tab = proxy_to_truth_axes(md, K.evaluate_numeric(q, law))
-            at_one = tab.take({rr: 1 for rr in md.indicators if rr in tab.dims})
-            out = NamedTable.join(out, tab, np.multiply)
-            out = NamedTable.join(out, at_one, np.divide)
-        return out
+        """One expression, (((num q1) / q1|R=1) q2) / q2|R=1 ..., evaluated
+        once; its nodes are built raw, so canonicalization merges nothing."""
+        e = self.numerator
+        for _, q in sorted(self.propensities.items()):
+            e = K.Quotient(K.Product((e, q)), _pin_free_indicators(self.md, q))
+        return _on_truths(self.md, law, e)
 
     def render(self, fmt: str = "latex") -> str:
         parts = [K.render(q, fmt) for _, q in sorted(self.propensities.items())]

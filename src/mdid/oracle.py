@@ -19,7 +19,9 @@ its marginals, read-only, and they are freed with it (no cached plan or
 program holds a law's arrays).  The law holds the full domain of each
 variable, and every factor axis over a variable has that domain;
 ``marginal`` pads its result to them, while ``on_support`` leaves out the
-values without mass, as expression evaluation does until its final pad.
+values without mass, as expression evaluation does; a functional's value
+is padded once, to the law's domains without "?"
+(``missing.without_censored_rows``).
 The observed law handed to expression evaluation keeps the full law's
 CPTs and only restricts the variable set, so an atom's joint and its
 context are each one elimination with the atom's pins as evidence, and no
@@ -39,10 +41,11 @@ import numpy as np
 
 from .graph import Cadmg
 from .kernel import NamedTable, contract, evaluate_numeric, rename_axes, zero_pattern
-from .missing import drop_censored_rows
+from .missing import without_censored_rows
 from .model import MISSING_TOKEN, MdDag, Triple
 
 CPT_FLOOR = 0.01
+WITNESS_RETRIES = 20    # seeds colluder_witness tries before it gives up
 
 
 class OracleError(ValueError):
@@ -83,9 +86,6 @@ class FactoredLaw:
         """The marginal over names sliced at the evidence, i.e.
         ``marginal(names | evidence).take(evidence)``, over the full domains
         of names minus the evidence."""
-        names = frozenset(names)
-        if not names <= self.variables.keys():
-            raise OracleError(f"law has no variables {sorted(names - self.variables.keys())}")
         return self.on_support(names, evidence).padded(self.variables)
 
     def on_support(self, names: Iterable[str],
@@ -93,9 +93,13 @@ class FactoredLaw:
         """The same marginal over the support at the evidence: its domains
         leave out the values without mass.  Every factor is sliced at the
         evidence and the support before elimination, so no table carries an
-        evidence axis or a value without mass."""
-        ev = dict(evidence or {})
-        key = (frozenset(names).difference(ev), tuple(sorted(ev.items())))
+        evidence axis or a value without mass.  A name or an evidence
+        variable that is not a variable of the law raises."""
+        names, ev = frozenset(names), dict(evidence or {})
+        unknown = (names | ev.keys()) - self.variables.keys()
+        if unknown:
+            raise OracleError(f"law has no variables {sorted(unknown)}")
+        key = (names.difference(ev), tuple(sorted(ev.items())))
         if key not in self._marginals:
             self._marginals[key] = contract(self.factors, key[0], ev, self._pattern)
         return self._marginals[key]
@@ -273,7 +277,7 @@ def verify_indicator_functional(md: MdDag, indicator: str, expr,
     pins[indicator] = 1
 
     def compare(full, obs):
-        got = drop_censored_rows(md, evaluate_numeric(expr, obs)).take(pins)
+        got = without_censored_rows(obs, evaluate_numeric(expr, obs)).take(pins)
         truth = propensity_truth(md, full, indicator).take(pins)
         # express over proxy columns so axes line up with the functional
         return rename_axes(truth, {t.truth: t.proxy for t in md.triples}), got
@@ -286,8 +290,7 @@ def verify_indicator_functional(md: MdDag, indicator: str, expr,
 # ---------------------------------------------------------------------------
 
 
-def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0,
-                     retries: int = 20):
+def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0):
     """Two full laws agreeing on the observed law but differing in the full
     law, built around the collider structure: the censored parent's law is
     made context-free and the collider row is perturbed along the surface
@@ -299,7 +302,7 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0,
     if rj not in pa_i or tj.truth not in pa_i:
         raise OracleError(f"({ri}, {rj}) is not a collider-certificate pair")
 
-    for attempt in range(retries):
+    for attempt in range(WITNESS_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         domains_truth = (0, 1)
         # context-free law for the censored parent
@@ -360,7 +363,7 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0,
         full_gap = law1.table.max_abs_diff(law2.table)
         if obs_gap <= 1e-12 and full_gap >= 1e-3:
             return law1, law2
-    raise OracleError(f"no witness pair found for {pair} after {retries} tries")
+    raise OracleError(f"no witness pair found for {pair} after {WITNESS_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------

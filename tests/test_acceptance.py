@@ -13,7 +13,7 @@ from mdid.fixtures import load
 from mdid.identify import identify_full, identify_target
 from mdid import kernel as K
 from mdid.missing import ancestral_precondition, ancestral_schedule, \
-    colluder_scan, drop_censored_rows
+    colluder_scan, without_censored_rows
 from mdid import oracle as O
 from mdid.separation import m_separated
 
@@ -255,9 +255,9 @@ def test_criterion_4_octet():
         for s in range(5):
             full = O.sample_full_law(md, 2, seed=3000 + s)
             obs = O.derive_observed_law(md, full)
-            a = drop_censored_rows(md, K.evaluate_numeric(q_paper, obs))
-            b = drop_censored_rows(
-                md, K.evaluate_numeric(rep.propensities[r], obs))
+            a = without_censored_rows(obs, K.evaluate_numeric(q_paper, obs))
+            b = without_censored_rows(
+                obs, K.evaluate_numeric(rep.propensities[r], obs))
             rpar = md.graph.parents([r]) & md.indicators
             a = a.take({x: 1 for x in rpar if x in a.dims})
             b = b.take({x: 1 for x in rpar if x in b.dims})
@@ -416,9 +416,9 @@ def test_criterion_8_ancestral_fast_path():
             for s in range(3):
                 full = O.sample_full_law(md, 2, seed=900 + s)
                 obs = O.derive_observed_law(md, full)
-                a = drop_censored_rows(md, K.evaluate_numeric(fast_q, obs))
-                b = drop_censored_rows(md,
-                                       K.evaluate_numeric(slow.propensity, obs))
+                a = without_censored_rows(obs, K.evaluate_numeric(fast_q, obs))
+                b = without_censored_rows(
+                    obs, K.evaluate_numeric(slow.propensity, obs))
                 rpar = md.graph.parents([r]) & md.indicators
                 a = a.take({x: 1 for x in rpar if x in a.dims})
                 b = b.take({x: 1 for x in rpar if x in b.dims})

@@ -10,7 +10,7 @@ from mdid.fixing import FixingSchedule, validate_schedule
 from mdid.identify import (SearchBudget, identify_full, identify_indicator,
                            identify_target)
 from mdid import kernel as K
-from mdid.missing import colluder_scan, drop_censored_rows
+from mdid.missing import colluder_scan, without_censored_rows
 from mdid.model import md_dag, triple_for
 from mdid import oracle as O
 
@@ -216,8 +216,8 @@ def test_fast_path_consistency():
             for s in range(5):
                 full = O.sample_full_law(md, 2, seed=600 + s)
                 obs = O.derive_observed_law(md, full)
-                a = drop_censored_rows(md, K.evaluate_numeric(fast.propensity, obs))
-                b = drop_censored_rows(md, K.evaluate_numeric(slow.propensity, obs))
+                a = without_censored_rows(obs, K.evaluate_numeric(fast.propensity, obs))
+                b = without_censored_rows(obs, K.evaluate_numeric(slow.propensity, obs))
                 rpar = md.graph.parents([r]) & md.indicators
                 a = a.take({x: 1 for x in rpar if x in a.dims})
                 b = b.take({x: 1 for x in rpar if x in b.dims})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ def test_join_over_max_cells_raises():
     b = K.NamedTable(("B",), {"B": tuple(range(4097))}, np.ones(4097))
     with pytest.raises(K.ExprError, match=r"16785409 cells over \['A', 'B'\]"):
         K.NamedTable.join(a, b, np.multiply)
+
+
+def test_pad_over_max_cells_raises_before_allocating():
+    # 5000^2 cells is past MAX_CELLS = 2^24; the 200 MB pad is never made
+    tab = K.NamedTable(("A", "B"), {"A": (0,), "B": (0,)}, np.ones((1, 1)))
+    wide = {"A": tuple(range(5000)), "B": tuple(range(5000))}
+    tracemalloc.start()
+    try:
+        with pytest.raises(K.ExprError, match=r"25000000 cells over \['A', 'B'\]"):
+            tab.padded(wide)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_product_runs_over_the_intersection_of_domains():

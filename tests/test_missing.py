@@ -10,7 +10,7 @@ from mdid.fixing import FixingSchedule
 from mdid.missing import (AssemblyError, ancestral_precondition,
                           ancestral_schedule,
                           assemble_full_law, assemble_target_law,
-                          colluder_scan)
+                          colluder_scan, without_censored_rows)
 from mdid.model import ModelError, Triple, md_dag, validate_md_dag
 from mdid import oracle as O
 
@@ -119,6 +119,31 @@ def test_full_law_mcar_trivial():
     assert rep.status == "identified"
     chk = O.verify_full_functional(md, rep.functional, trials=30, seed=11)
     assert chk.max_error <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["crisscross", "staggered_trio"])
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_full_law_is_one_evaluation_of_the_term_by_term_product(name, cardinality,
+                                                                 monkeypatch):
+    # the numerator times each propensity over its value at R = 1, in the
+    # order of the indicators, each term evaluated and joined on its own
+    from mdid.identify import identify_full
+    md = load(name)
+    functional = identify_full(md).functional
+    obs = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 5))
+    want = without_censored_rows(obs, K.evaluate_numeric(functional.numerator, obs))
+    for _, q in sorted(functional.propensities.items()):
+        tab = without_censored_rows(obs, K.evaluate_numeric(q, obs))
+        at_one = tab.take({r: 1 for r in md.indicators if r in tab.dims})
+        want = K.NamedTable.join(K.NamedTable.join(want, tab, np.multiply), at_one, np.divide)
+    want = K.rename_axes(want, {t.proxy: t.truth for t in md.triples})
+    calls = []
+    evaluate = K.evaluate_numeric
+    monkeypatch.setattr(K, "evaluate_numeric", lambda e, law: calls.append(e) or evaluate(e, law))
+    got = functional.evaluate(obs)
+    assert len(calls) == 1
+    assert got.dims == want.dims and got.domains == want.domains
+    assert np.allclose(got.data, want.data, rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_target_assembly_matches_oracle_on_fixtures():

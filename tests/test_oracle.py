@@ -1,13 +1,16 @@
 import functools
 import gc
 import hashlib
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdid.fixtures import FIXTURE_NAMES, load
+from mdid.gfile import parse_graph_file
 from mdid.graph import Cadmg
 from mdid.identify import identify_target
 from mdid import kernel as K
@@ -17,6 +20,8 @@ from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
 from conftest import ci_check, hidden_dag_for, random_mddag
+
+DATA = Path(__file__).parent / "data"
 
 
 def table(dims, doms, data):
@@ -324,8 +329,9 @@ def test_target_functional_matches_reference_evaluation(name):
     assert rep.status == "identified"
     for seed in (0, 1):
         obs = O.derive_observed_law(md, O.sample_full_law(md, 2, seed))
-        got = K.evaluate_numeric(rep.functional.expr, obs)
         want = reference_evaluate(rep.functional.expr, obs, {})
+        # evaluation keeps the result on its support; the reference is padded
+        got = K.evaluate_numeric(rep.functional.expr, obs).padded(want.domains)
         assert got.dims == want.dims
         assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
         assert got.max_abs_diff(want) <= 1e-12
@@ -377,8 +383,8 @@ def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
     functional = target_functional(name)
     law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
     for e in [functional.expr, *(q for _, q in sorted(functional.propensities.items()))]:
-        got = K.evaluate_numeric(e, law)
         want = evaluate_alone(e, law, {}).padded(law.variables)
+        got = K.evaluate_numeric(e, law).padded(want.domains)
         assert got.dims == want.dims and got.domains == want.domains
         assert np.array_equal(got.data, want.data, equal_nan=True)
 
@@ -460,7 +466,7 @@ def test_a_nan_the_program_did_not_see_compiles_afresh(monkeypatch):
         assert got.dims == fresh.dims == ("A",) and got.domains == fresh.domains
         assert np.array_equal(got.data, fresh.data, equal_nan=True)
         want = reference_evaluate(expr, second, {})
-        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+        assert np.array_equal(np.isnan(got.padded(want.domains).data), np.isnan(want.data))
     assert np.isnan(K.evaluate_numeric(expr, underflow).take({"A": 1}).data)
     assert not np.isnan(K.evaluate_numeric(expr, plain).data).any()
 
@@ -496,16 +502,16 @@ def deterministic_rows(draw, md: MdDag):
 @given(data=st.data())
 def test_evaluation_on_the_support_matches_reference_under_deterministic_rows(name, data):
     # deterministic rows add zeros beyond the proxies', which narrow the
-    # supports further; the padded result keeps the full-domain evaluation's
-    # cells, NaN markers included
+    # supports further; the result, padded, keeps the full-domain
+    # evaluation's cells, NaN markers included
     md = load(name)
     v, rows = data.draw(deterministic_rows(md))
     seed = data.draw(st.integers(0, 1000))
     full = O.sample_full_law(md, 2, seed, tables={v: cpt_with_rows(md, v, rows, seed)})
     obs = O.derive_observed_law(md, full)
     expr = target_functional(name).expr
-    got = K.evaluate_numeric(expr, obs)
     want = reference_evaluate(expr, obs, {})
+    got = K.evaluate_numeric(expr, obs).padded(want.domains)
     assert got.dims == want.dims and got.domains == want.domains
     undefined = np.isnan(want.data)
     assert np.array_equal(np.isnan(got.data), undefined)
@@ -557,6 +563,13 @@ def test_marginal_outside_the_law_variables_raises():
         obs.marginal({"X1(1)", "R1"})
 
 
+def test_evidence_outside_the_law_variables_raises():
+    law = O.sample_full_law(load("crisscross"), 2, 0)
+    for marginal in (law.marginal, law.on_support):
+        with pytest.raises(O.OracleError, match=r"no variables \['NOPE'\]"):
+            marginal({"R1"}, {"NOPE": 1})
+
+
 def test_dense_law_over_max_cells_raises():
     # two censored variables of cardinality 64: the full joint has
     # 64^2 * 2^2 * 65^2 cells, past K.MAX_CELLS, while every join before the
@@ -576,3 +589,22 @@ def test_large_random_models_verify(seed, k, p):
     check = O.verify_target_functional(md, rep.functional, trials=3)
     assert check.max_error <= 1e-9
     assert check.undefined_cells == 0
+
+
+def test_k16_target_functional_evaluates_on_its_support():
+    # the result has 2^17 cells; padded to the proxies' domains with "?" it
+    # would have 3^16 * 2 = 86,093,442
+    md = parse_graph_file((DATA / "random_k16.graph").read_text())
+    rep = identify_target(md)
+    assert rep.status == "identified"
+    obs = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    tracemalloc.start()
+    try:
+        got = rep.functional.evaluate(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    assert got.data.size == 2 ** 17
+    check = O.verify_target_functional(md, rep.functional, trials=2)
+    assert check.max_error <= 1e-9 and check.undefined_cells == 0

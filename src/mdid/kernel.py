@@ -23,17 +23,15 @@ in another order than a cell-by-cell product would, so tables agree with
 a plain elimination to within 1e-12, not bit for bit.  No join or
 contraction step builds more than ``MAX_CELLS`` cells or ``MAX_AXES`` axes.
 
-Work is shared wherever its structure repeats.  ``NamedTable.join`` takes
-its structure (the result's axes and domains, each operand's reindex,
-transpose and broadcast, the cell check) from a plan cached by both
-operands' axes with their domains and by the op; only the arithmetic runs
-per call.  ``evaluate_numeric`` compiles an expression once per law
-structure into a flat program of slices, steps, joins and sums, so that an
-oracle trial on a law of that structure runs only their arithmetic.  The
-compiler records a factor slice or a contraction step once, however many
-of the expression's marginals share it: a slice by its factor's position
-with its evidence and support indices, a step by the step with its input
-registers.
+Work is shared wherever its structure repeats.  ``evaluate_numeric``
+plans an expression once per law structure (its name, variables and zero
+pattern) into a flat program of slices, steps, joins and sums, so that an
+oracle trial on a law of that structure runs only their arithmetic.
+Planning runs no op and reads no table's data, so a program depends only
+on that structure.  The planner records a factor slice or a contraction
+step once, however many of the expression's marginals share it: a slice
+by its factor's position with its evidence and support indices, a step by
+the step with its input registers.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
@@ -44,8 +42,8 @@ of a proxy whose indicator is pinned to 1.  It is found from the factors'
 plan's key, so one plan slices every factor at the evidence and at the
 support, and a second law with the same zeros replays it.  A table's
 ``domains`` may leave out values at which it is zero: ``NamedTable.join``
-multiplies over the intersection of two domains and divides over the
-numerator's (a dropped denominator cell counts as 0).  Only the law holds
+multiplies over the intersection of two domains and divides over their
+union, where a value one side leaves out reads as 0.  Only the law holds
 the full domains.  ``evaluate_numeric`` returns its result on the support
 too, and a caller that wants other domains pads it (``NamedTable.padded``,
 checked against ``MAX_CELLS`` like every join and step).
@@ -699,20 +697,18 @@ class NamedTable:
 
         The tables may differ in an axis's domain, since a table is zero at
         the values its domain leaves out.  So a product runs over the
-        intersection of the two domains, and a quotient over the numerator's
-        domain plus the denominator values where the denominator holds a NaN
-        (0/NaN stays NaN); a numerator value the denominator leaves out is
-        divided by 0.
+        intersection of the two domains, and a quotient over their union,
+        where a value one side leaves out reads as 0: 0/NaN stays NaN,
+        positive mass over a value the denominator leaves out is NaN, and
+        every other cell so added is a structural zero.
 
         The structure (the result's axes and domains, how each operand is
         reindexed, transposed and broadcast, the ``MAX_CELLS`` check) comes
-        from ``_join_plan``, made once per pair of axes with their domains,
-        op and those NaN-extended values; only the arithmetic runs per call.
+        from ``_join_plan``, which reads the operands' axes and domains and
+        the op, never their data.
         """
         divide = op is np.divide
-        plan = _join_plan(a.dims, tuple(map(a.domains.__getitem__, a.dims)),
-                          b.dims, tuple(map(b.domains.__getitem__, b.dims)), divide,
-                          _undefined(a.domains, b.dims, b.domains, b.data) if divide else ())
+        plan = _join_plan(a.dims, a.domains, b.dims, b.domains, divide)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return NamedTable(plan.dims, plan.domains, _joined(a.data, b.data, plan, divide))
 
@@ -790,22 +786,20 @@ class _JoinPlan(NamedTuple):
     operands: tuple     # per operand: its reindex steps, transpose and shape
 
 
-@functools.lru_cache(maxsize=1024)
-def _join_plan(dims_a: tuple[str, ...], doms_a: tuple[tuple[Value, ...], ...],
-               dims_b: tuple[str, ...], doms_b: tuple[tuple[Value, ...], ...], divide: bool,
-               undefined: tuple[tuple[str, tuple[Value, ...]], ...]) -> _JoinPlan:
+def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
+               dims_b: tuple[str, ...], doms_b: Mapping[str, tuple[Value, ...]],
+               divide: bool) -> _JoinPlan:
     """The structure of ``NamedTable.join`` of tables over dims_a and dims_b
     with those domains: a product over the intersection of the domains, a
-    quotient over the numerator's domain extended by the undefined
-    denominator values (found from the data by the caller)."""
-    da, db, extra = dict(zip(dims_a, doms_a)), dict(zip(dims_b, doms_b)), dict(undefined)
+    quotient over their union (the numerator's values first)."""
+    da, db = {d: doms_a[d] for d in dims_a}, {d: doms_b[d] for d in dims_b}
     dims = tuple(sorted(da.keys() | db.keys()))
     domains = {}
     for d in dims:
         if d not in da or d not in db or da[d] == db[d]:
             domains[d] = da.get(d, db.get(d))
         elif divide:
-            domains[d] = da[d] + extra.get(d, ())
+            domains[d] = da[d] + tuple(v for v in db[d] if v not in da[d])
         else:
             domains[d] = tuple(v for v in da[d] if v in db[d])
     _check_cells(dims, domains)
@@ -829,23 +823,6 @@ def _joined(x: np.ndarray, y: np.ndarray, plan: _JoinPlan, divide: bool) -> np.n
         zero = (x == 0) & (y == 0) if divide else (x == 0) | (y == 0)
         data = np.where(zero, 0.0, np.where(~finite, np.nan, data))
     return data
-
-
-def _undefined(num: Mapping[str, tuple[Value, ...]], dims: tuple[str, ...],
-               domains: Mapping[str, tuple[Value, ...]],
-               data: np.ndarray) -> tuple[tuple[str, tuple[Value, ...]], ...]:
-    """Per axis of a quotient's denominator (data over dims with those
-    domains), the values that the numerator's domains num leave out and at
-    which the denominator holds a NaN, for the axes that have any."""
-    out = []
-    for ax, d in enumerate(dims):
-        if d in num and num[d] != domains[d]:
-            outside = [i for i, v in enumerate(domains[d]) if v not in num[d]]
-            hit = np.isnan(np.take(data, outside, axis=ax)).any(
-                axis=tuple(k for k in range(len(dims)) if k != ax))
-            if hit.any():
-                out.append((d, tuple(domains[d][i] for i, h in zip(outside, hit) if h)))
-    return tuple(out)
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -1115,39 +1092,23 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
     variables with its pins as evidence, divided by the one over its
     context.  Every table is kept on its support, the result too: its
     domains leave out values at which it is zero, and its data may be a view
-    of a factor's, so it is read-only.  The walk runs once per expression
-    and law structure (name, variables, zero pattern), compiling a
-    ``_Program`` that later laws only run."""
-    program = _program(e, law.name, tuple(law.variables.items()), law._pattern)
-    if program.ops:
-        try:
-            return program.run(law)
-        except _Stale:
-            pass
-    return program.compile(e, law)
+    of a factor's, so it is read-only.  The expression's ``_Program``
+    depends only on the law's structure (name, variables, zero pattern), so
+    it is planned once per structure and every law of it only runs it."""
+    return _program(e, law.name, tuple(law.variables.items()), law._pattern).run(law)
 
 
-@functools.lru_cache(maxsize=1024)
-def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> "_Program":
-    """e's program on laws of this structure, empty until one compiles it."""
-    return _Program()
-
-
-class _Stale(Exception):
-    """A law's NaN markers give a quotient another domain than its program's."""
-
-
-class _Program:
+class _Program(NamedTuple):
     """An expression's evaluation as a flat sequence of ops, each appending
     one array to the run's registers: a factor slice, a contraction step, a
     join or a sum.  A slice or step that several marginals share appears
     once.  It records the result's register, axes and support domains, and
-    holds no law's arrays.  The one part of the structure that reads data
-    is a quotient's NaN-extended domain (``_undefined``): a run checks it
-    where the operands' domains differ, and on a mismatch the law is
-    compiled afresh."""
+    holds no law's arrays."""
 
-    ops: tuple = ()     # per op: its function and arguments
+    ops: tuple                  # per op: its function and arguments
+    out: int                    # the result's register
+    dims: tuple[str, ...]
+    domains: dict
 
     def run(self, law) -> NamedTable:
         regs: list = []
@@ -1156,18 +1117,8 @@ class _Program:
                 regs.append(op(regs, law.factors, *args))
         return NamedTable(self.dims, dict(self.domains), _frozen(regs[self.out]))
 
-    def compile(self, e: Expr, law) -> NamedTable:
-        """Evaluate e on law by walking the tree, keeping the ops it runs."""
-        walk = _Compiler(law)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.out, self.dims, self.domains = walk.visit(e)
-        self.ops = tuple(walk.ops)
-        return NamedTable(self.dims, dict(self.domains), _frozen(walk.regs[self.out]))
 
-
-def _join_op(regs, tables, i, j, plan, divide, guard, undefined):
-    if guard and _undefined(*guard, regs[j]) != undefined:
-        raise _Stale
+def _join_op(regs, tables, i, j, plan, divide):
     return _joined(regs[i], regs[j], plan, divide)
 
 
@@ -1179,84 +1130,79 @@ def _one_op(regs, tables):
     return np.asarray(1.0)
 
 
-class _Compiler:
-    """The tree walk that evaluates an expression on one law, recording
-    every op it runs; a node's table is (register, axes, domains)."""
+@functools.lru_cache(maxsize=1024)
+def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
+    """e's program on laws of this structure, planned by a walk of the tree
+    that runs no op; a node's table is (register, axes, domains)."""
+    ops: list = []
+    made: dict = {}         # register by the key of a slice or step
+    memo: dict = {}         # register, axes and domains by expression
+    known = {v for v, _ in variables}
 
-    def __init__(self, law):
-        self.law, self.ops, self.regs = law, [], []
-        self.made: dict = {}        # register by the key of a slice or step
-        self.memo: dict = {}        # register, axes and domains by expression
-
-    def emit(self, key, op, *args) -> int:
-        """Run and record op, unless its key is recorded; its register."""
-        if key in self.made:
-            return self.made[key]
-        self.ops.append((op, args))
-        self.regs.append(op(self.regs, self.law.factors, *args))
+    def emit(key, op, *args) -> int:
+        """Plan op, unless its key is planned; its register."""
+        if key in made:
+            return made[key]
+        ops.append((op, args))
         if key is not None:
-            self.made[key] = len(self.regs) - 1
-        return len(self.regs) - 1
+            made[key] = len(ops) - 1
+        return len(ops) - 1
 
-    def one(self) -> tuple:
-        return self.emit(None, _one_op), (), {}
+    def one() -> tuple:
+        return emit(None, _one_op), (), {}
 
-    def marginal(self, names: Iterable[str], evidence: dict) -> tuple:
-        axes, zeros = self.law._pattern
+    def marginal(names: Iterable[str], evidence: dict) -> tuple:
+        axes, zeros = pattern
         plan = _contraction_plan(axes, frozenset(names).difference(evidence),
                                  tuple(sorted(evidence.items())), zeros)
         at: list = []       # register by position in the plan
         for key, op, args in plan.ops:
             if op is _step_op:      # a step's key: the step and its input registers
                 key = args = (args[0], tuple(at[i] for i in args[1]))
-            at.append(self.emit(key, op, *args))
-        return (at[-1], plan.dims, plan.domains) if at else self.one()
+            at.append(emit(key, op, *args))
+        return (at[-1], plan.dims, plan.domains) if at else one()
 
-    def join(self, a: tuple, b: tuple, divide: bool) -> tuple:
+    def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, dims_a, doms_a), (j, dims_b, doms_b) = a, b
-        # a quotient's domain reads the data only where the domains differ
-        guard = (doms_a, dims_b, doms_b) if divide and any(
-            d in doms_a and doms_a[d] != doms_b[d] for d in dims_b) else None
-        undefined = _undefined(*guard, self.regs[j]) if guard else ()
-        plan = _join_plan(dims_a, tuple(map(doms_a.__getitem__, dims_a)),
-                          dims_b, tuple(map(doms_b.__getitem__, dims_b)), divide, undefined)
-        return (self.emit(None, _join_op, i, j, plan, divide, guard, undefined),
-                plan.dims, plan.domains)
+        plan = _join_plan(dims_a, doms_a, dims_b, doms_b, divide)
+        return emit(None, _join_op, i, j, plan, divide), plan.dims, plan.domains
 
-    def visit(self, e: Expr) -> tuple:
-        if e not in self.memo:
-            self.memo[e] = self.walk(e)
-        return self.memo[e]
+    def visit(e: Expr) -> tuple:
+        if e not in memo:
+            memo[e] = walk(e)
+        return memo[e]
 
-    def walk(self, e: Expr) -> tuple:
+    def walk(e: Expr) -> tuple:
         if isinstance(e, One):
-            return self.one()
+            return one()
         if isinstance(e, Atom):
-            if e.law != self.law.name:
-                raise ExprError(f"atom law {e.law!r} not resolvable from {self.law.name!r}")
+            if e.law != name:
+                raise ExprError(f"atom law {e.law!r} not resolvable from {name!r}")
             want = set(e.vars) | set(e.ctx)
-            missing = want - set(self.law.variables)
+            missing = want - known
             if missing:
                 raise ExprError(f"law has no variables {sorted(missing)}")
-            joint = self.marginal(want, dict(e.pins))
+            joint = marginal(want, dict(e.pins))
             if not e.ctx:
                 return joint
-            return self.join(joint, self.marginal(
-                e.ctx, {k: v for k, v in e.pins if k in e.ctx}), True)
+            return join(joint, marginal(e.ctx, {k: v for k, v in e.pins if k in e.ctx}), True)
         if isinstance(e, Marginal):
-            i, dims, domains = self.visit(e.child)
+            i, dims, domains = visit(e.child)
             axes = tuple(dims.index(n) for n in e.over if n in dims)
             if not axes:
                 return i, dims, domains
             keep = tuple(d for d in dims if d not in e.over)
-            return self.emit(None, _sum_op, i, axes), keep, {d: domains[d] for d in keep}
+            return emit(None, _sum_op, i, axes), keep, {d: domains[d] for d in keep}
         if isinstance(e, Product):
             if not e.children:
-                return self.one()
-            out = self.visit(e.children[0])
+                return one()
+            out = visit(e.children[0])
             for c in e.children[1:]:
-                out = self.join(out, self.visit(c), False)
+                out = join(out, visit(c), False)
             return out
         if isinstance(e, Quotient):
-            return self.join(self.visit(e.num), self.visit(e.den), True)
+            return join(visit(e.num), visit(e.den), True)
         raise ExprError(f"unknown node {type(e).__name__}")
+
+    out, dims, domains = visit(e)
+    return _Program(tuple(ops), out, dims, domains)

@@ -11,17 +11,19 @@ models never materialize the full joint.  A marginal may carry evidence
 (fixed values): every factor is sliced at it, and at the support it leaves
 (the values with mass), before elimination.  The law finds where its
 factors are zero once; the contraction plan, and the program that
-``kernel.evaluate_numeric`` compiles for an expression, are cached by the
-factors' axes and that zero pattern, so every sampled law of one model
-with the same zeros (e.g. random positive CPTs beside the deterministic
-proxy CPTs) reuses them and runs only their arithmetic.  The law caches
-its marginals, read-only, and they are freed with it (no cached plan or
-program holds a law's arrays).  The law holds the full domain of each
-variable, and every factor axis over a variable has that domain;
+``kernel.evaluate_numeric`` plans for an expression, are cached by the
+factors' axes and that zero pattern and read no data, so every sampled law
+of one model with the same zeros (e.g. random positive CPTs beside the
+deterministic proxy CPTs) reuses them and runs only their arithmetic.  No
+cached plan or program holds a law's arrays.  A quotient runs over the
+union of its operands' domains (``NamedTable.join``), so its structure
+never depends on where a law holds a NaN.  The law holds the full domain
+of each variable, and every factor axis over a variable has that domain;
 ``marginal`` pads its result to them, while ``on_support`` leaves out the
 values without mass, as expression evaluation does; a functional's value
 is padded once, to the law's domains without "?"
-(``missing.without_censored_rows``).
+(``missing.without_censored_rows``).  A law caches no marginal: each is
+one contraction.
 The observed law handed to expression evaluation keeps the full law's
 CPTs and only restricts the variable set, so an atom's joint and its
 context are each one elimination with the atom's pins as evidence, and no
@@ -67,7 +69,6 @@ class FactoredLaw:
     name: str
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
-    _marginals: dict = field(default_factory=dict, repr=False)
     _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -99,10 +100,7 @@ class FactoredLaw:
         unknown = (names | ev.keys()) - self.variables.keys()
         if unknown:
             raise OracleError(f"law has no variables {sorted(unknown)}")
-        key = (names.difference(ev), tuple(sorted(ev.items())))
-        if key not in self._marginals:
-            self._marginals[key] = contract(self.factors, key[0], ev, self._pattern)
-        return self._marginals[key]
+        return contract(self.factors, names.difference(ev), ev, self._pattern)
 
     @property
     def table(self) -> NamedTable:
@@ -360,7 +358,10 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0):
 
         obs_gap = derive_observed_law(md, law1).table.max_abs_diff(
             derive_observed_law(md, law2).table)
-        full_gap = law1.table.max_abs_diff(law2.table)
+        # the proxies are deterministic in (X(1), R), so the full laws
+        # differ exactly where their law over (X(1), R, O) does
+        full = md.truths | md.indicators | md.observed
+        full_gap = law1.marginal(full).max_abs_diff(law2.marginal(full))
         if obs_gap <= 1e-12 and full_gap >= 1e-3:
             return law1, law2
     raise OracleError(f"no witness pair found for {pair} after {WITNESS_RETRIES} tries")

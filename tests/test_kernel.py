@@ -228,45 +228,39 @@ def test_quotient_reads_a_value_the_denominator_leaves_out_as_zero():
                        np.array([[0.1, 0.0], [0.2, 0.3], [0.0, 0.0]]))
     den = K.NamedTable(("A",), {"A": (1, "?")}, np.array([0.5, 0.25]))
     got = K.NamedTable.join(num, den, np.divide)
-    # the numerator's domain: positive mass over the dropped A = 0 cell is
+    # the union of the domains: positive mass over the dropped A = 0 cell is
     # undefined, zero mass there stays a structural zero
     assert got.domains == {"A": (0, 1, "?"), "B": (0, 1)}
     np.testing.assert_allclose(got.data, [[np.nan, 0.0], [0.4, 0.6], [0.0, 0.0]])
-    # a denominator value the numerator leaves out is kept only where the
-    # denominator is undefined: zero mass over NaN stays NaN
+    # a denominator value the numerator leaves out reads as zero mass over
+    # the denominator: over NaN it stays NaN, else it is a structural zero
     num = K.NamedTable(("A",), {"A": (1,)}, np.array([0.5]))
     den = K.NamedTable(("A",), {"A": (0, 1, "?")}, np.array([np.nan, 0.25, 0.5]))
     got = K.NamedTable.join(num, den, np.divide)
-    assert set(got.domains["A"]) == {0, 1}
-    np.testing.assert_allclose(got.padded({"A": (0, 1)}).data, [np.nan, 2.0])
+    assert got.domains == {"A": (1, 0, "?")}
+    np.testing.assert_allclose(got.data, [2.0, np.nan, 0.0])
 
 
 def test_joins_with_equal_axes_and_different_domains_share_no_plan():
-    # values no other test uses, so every plan below is new to the cache
     a = K.NamedTable(("A",), {"A": (10, 11, 12)}, np.array([0.2, 0.3, 0.5]))
     b = K.NamedTable(("A",), {"A": (11, 12)}, np.array([2.0, 4.0]))
     c = K.NamedTable(("A",), {"A": (10, 11)}, np.array([2.0, 4.0]))
-    misses = K._join_plan.cache_info().misses
     bc = K.NamedTable.join(a, b, np.multiply), K.NamedTable.join(a, c, np.multiply)
-    assert K._join_plan.cache_info().misses == misses + 2
     assert bc[0].domains == {"A": (11, 12)} and bc[1].domains == {"A": (10, 11)}
     np.testing.assert_array_equal(bc[0].data, [0.6, 2.0])
     np.testing.assert_array_equal(bc[1].data, [0.4, 1.2])
-    # a second join of the same structure replays its plan
-    again = K.NamedTable.join(a, b, np.multiply)
-    assert K._join_plan.cache_info().misses == misses + 2
-    np.testing.assert_array_equal(again.data, bc[0].data)
-    # a quotient's plan also depends on where the denominator holds a NaN
+    # a quotient's domain is the union, wherever the denominator holds a NaN
     num = K.NamedTable(("A",), {"A": (11,)}, np.array([0.5]))
     nan = K.NamedTable(("A",), {"A": (10, 11)}, np.array([np.nan, 0.25]))
     finite = K.NamedTable(("A",), {"A": (10, 11)}, np.array([0.5, 0.25]))
-    assert K.NamedTable.join(num, nan, np.divide).domains == {"A": (11, 10)}
-    assert K.NamedTable.join(num, finite, np.divide).domains == {"A": (11,)}
-    assert K._join_plan.cache_info().misses == misses + 4
+    for den, cells in ((nan, [2.0, np.nan]), (finite, [2.0, 0.0])):
+        got = K.NamedTable.join(num, den, np.divide)
+        assert got.domains == {"A": (11, 10)}
+        np.testing.assert_array_equal(got.data, cells)
 
 
 def test_join_over_max_cells_raises_every_time():
-    # a refused plan is not cached, and a smaller join of the same axes runs
+    # a refused join raises each time, and a smaller join of the same axes runs
     a = K.NamedTable(("A",), {"A": tuple(range(4097))}, np.ones(4097))
     b = K.NamedTable(("B",), {"B": tuple(range(4097))}, np.ones(4097))
     for _ in range(2):
@@ -489,15 +483,14 @@ def test_atoms_that_share_a_step_compile_it_once(monkeypatch):
 def test_shared_tables_are_read_only():
     law = O.sample_dag_law(Cadmg("ABC", [("A", "B"), ("B", "C")]), 2, 0)
     tab = law.on_support({"A", "C"})
-    assert law.on_support({"A", "C"}) is tab
     with pytest.raises(ValueError, match="read-only"):
         tab.data[0, 0] = 0.5
     with pytest.raises(ValueError, match="read-only"):
         law.on_support({"A", "B", "C"}, {"B": 1}).data[...] = 0.0
     # the law's own factors stay as they were
     assert all(f.data.flags.writeable for f in law.factors)
-    # an evaluated table can be a view of a factor: compiled and replayed,
-    # it refuses a write, and the factor stays writable and unchanged
+    # an evaluated table can be a view of a factor: on every run of its
+    # program it refuses a write, and the factor stays writable and unchanged
     factor = K.NamedTable(("A", "B"), {"A": (0, 1), "B": (0, 1)},
                           np.array([[0.1, 0.2], [0.3, 0.4]]))
     one = O.FactoredLaw("p", dict(factor.domains), (factor,))

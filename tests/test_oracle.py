@@ -200,7 +200,12 @@ def test_colluder_witness_quantitative():
     o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
     assert o1.table.max_abs_diff(o2.table) <= 1e-12
     allv = frozenset(l1.variables)
-    assert l1.marginal(allv).max_abs_diff(l2.marginal(allv)) >= 1e-3
+    gap = l1.marginal(allv).max_abs_diff(l2.marginal(allv))
+    assert gap >= 1e-3
+    # the proxies are deterministic in (X(1), R): the laws without them
+    # differ by the same gap
+    core = md.truths | md.indicators | md.observed
+    assert l1.marginal(core).max_abs_diff(l2.marginal(core)) == pytest.approx(gap, abs=1e-15)
     for law in (l1, l2):
         joint = law.marginal(allv)
         assert abs(float(joint.data.sum()) - 1.0) <= 1e-12
@@ -218,6 +223,19 @@ def test_witness_on_embedded_colluder():
     assert o1.table.max_abs_diff(o2.table) <= 1e-12
     allv = frozenset(l1.variables)
     assert l1.marginal(allv).max_abs_diff(l2.marginal(allv)) >= 1e-3
+
+
+def test_witness_for_seven_censored_variables():
+    # the dense full law has 4^7 * 3^7 = 35,831,808 cells, past MAX_CELLS;
+    # the witness compares the laws over (X(1), R), 4^7 = 16,384 cells
+    md = md_dag([("X2(1)", "R1"), ("R2", "R1")], [f"X{i}" for i in range(1, 8)])
+    l1, l2 = O.colluder_witness(md, ("R1", "R2"))
+    o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
+    assert o1.table.max_abs_diff(o2.table) <= 1e-12
+    core = md.truths | md.indicators | md.observed
+    assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
+    with pytest.raises(K.ExprError, match="exceeds MAX_CELLS"):
+        l1.table
 
 
 def factor_checksum(law) -> str:
@@ -346,7 +364,7 @@ def target_functional(name: str):
 
 
 def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
-    """The tree walk that ``evaluate_numeric`` compiles, run node by node,
+    """The tree walk that ``evaluate_numeric`` plans, run node by node,
     with each atom's joint and context contracted alone, so that no
     marginal reads the steps of another."""
     if e not in memo:
@@ -389,24 +407,19 @@ def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
         assert np.array_equal(got.data, want.data, equal_nan=True)
 
 
-def counting_compiles(monkeypatch) -> list:
-    """Record every program compile."""
-    compiles = []
-    compile_ = K._Program.compile
-
-    def counted(program, e, law):
-        compiles.append(program)
-        return compile_(program, e, law)
-
-    monkeypatch.setattr(K._Program, "compile", counted)
-    return compiles
+def counting_compiles():
+    """The number of programs planned from now on: misses of the program
+    cache."""
+    programs = K._program
+    start = programs.cache_info().misses
+    return lambda: programs.cache_info().misses - start
 
 
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
 @pytest.mark.parametrize("cardinality", [2, 3])
-def test_replayed_program_equals_a_fresh_compile(name, cardinality, monkeypatch):
+def test_replayed_program_equals_a_fresh_compile(name, cardinality):
     # a second law of the model has the same zeros, so it replays the
-    # program the first compiled, and gets the tables a compile would
+    # program the first planned, and gets the tables a fresh plan would
     md = load(name)
     expr = target_functional(name).expr
 
@@ -414,12 +427,39 @@ def test_replayed_program_equals_a_fresh_compile(name, cardinality, monkeypatch)
         return O.derive_observed_law(md, O.sample_full_law(md, cardinality, seed))
 
     K.evaluate_numeric(expr, law(0))
-    compiles = counting_compiles(monkeypatch)
-    replayed = K.evaluate_numeric(expr, law(1))
-    assert not compiles
-    fresh = K._Program().compile(expr, law(1))
+    compiles = counting_compiles()
+    second = law(1)
+    replayed = K.evaluate_numeric(expr, second)
+    assert not compiles()
+    fresh = K._program.__wrapped__(expr, second.name, tuple(second.variables.items()),
+                                   second._pattern).run(second)
     assert replayed.dims == fresh.dims and replayed.domains == fresh.domains
     assert np.array_equal(replayed.data, fresh.data, equal_nan=True)
+
+
+def test_planning_runs_no_op(monkeypatch):
+    # a program is planned from the law's structure alone: no join, step or
+    # other op runs until a law runs it
+    md = load("octet")
+    expr = target_functional("octet").expr
+    laws = [O.derive_observed_law(md, O.sample_full_law(md, 2, seed)) for seed in (0, 1)]
+    first = laws[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an op ran while planning")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(K, "_joined", refuse)
+        patch.setattr(K._Step, "__call__", refuse)
+        program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
+                                         first._pattern)
+    assert any(op is K._join_op for op, _ in program.ops)
+    assert any(op is K._step_op for op, _ in program.ops)
+    for law in laws:
+        want = reference_evaluate(expr, law, {})
+        got = program.run(law).padded(want.domains)
+        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+        assert got.max_abs_diff(want) <= 1e-12
 
 
 def test_cached_programs_hold_no_array_of_a_law():
@@ -436,12 +476,12 @@ def test_cached_programs_hold_no_array_of_a_law():
     assert refs and not any(r() is not None for r in refs)
 
 
-def test_a_nan_the_program_did_not_see_compiles_afresh(monkeypatch):
+def test_one_program_serves_laws_whose_nans_differ():
     # p(A, C=0) / (p(A) / p(A, D=0)): C = 0 rules out A = 1 in the
-    # numerator, so the quotient's domain of A holds 1 only where the
-    # denominator is NaN there.  With p(A=1 | C=1) = 1e-150 and
-    # p(D=0 | A=1) = 1e-200, p(A=1, D=0) underflows to 0.0 while p(A=1)
-    # does not: the same zeros in the factors, but a NaN at A = 1
+    # numerator, so the quotient runs over the union of the domains of A.
+    # With p(A=1 | C=1) = 1e-150 and p(D=0 | A=1) = 1e-200, p(A=1, D=0)
+    # underflows to 0.0 while p(A=1) does not: the same zeros in the
+    # factors, but a NaN at A = 1 that the plain law does not have
     def law(tiny_a, tiny_d):
         ac = table(("A", "C"), {"A": (0, 1), "C": (0, 1)},
                    np.array([[1.0, 1 - tiny_a], [0.0, tiny_a]]))
@@ -454,19 +494,16 @@ def test_a_nan_the_program_did_not_see_compiles_afresh(monkeypatch):
                       K.Quotient(K.Atom("p", ("A",)), K.Atom("p", ("A", "D"), (), (("D", 0),))))
     plain, underflow = law(0.5, 0.5), law(1e-150, 1e-200)
     assert plain._pattern == underflow._pattern
-    compiles = counting_compiles(monkeypatch)
     for first, second in ((plain, underflow), (underflow, plain)):
         K._program.cache_clear()
-        K.evaluate_numeric(expr, first)
-        compiles.clear()
-        got = K.evaluate_numeric(expr, O.FactoredLaw(second.name, second.variables,
-                                                     second.factors))
-        assert len(compiles) == 1
-        fresh = K._Program().compile(expr, second)
-        assert got.dims == fresh.dims == ("A",) and got.domains == fresh.domains
-        assert np.array_equal(got.data, fresh.data, equal_nan=True)
-        want = reference_evaluate(expr, second, {})
-        assert np.array_equal(np.isnan(got.padded(want.domains).data), np.isnan(want.data))
+        compiles = counting_compiles()
+        got = [K.evaluate_numeric(expr, x) for x in (first, second)]
+        assert compiles() == 1
+        for x, tab in zip((first, second), got):
+            assert tab.dims == ("A",) and tab.domains == {"A": (0, 1)}
+            want = reference_evaluate(expr, x, {})
+            assert np.array_equal(np.isnan(tab.padded(want.domains).data),
+                                  np.isnan(want.data))
     assert np.isnan(K.evaluate_numeric(expr, underflow).take({"A": 1}).data)
     assert not np.isnan(K.evaluate_numeric(expr, plain).data).any()
 
@@ -524,7 +561,6 @@ def test_laws_with_different_zero_patterns_share_no_plan(monkeypatch):
     used = []
     program = K._program
     monkeypatch.setattr(K, "_program", lambda *key: used.append(program(*key)) or used[-1])
-    compiles = counting_compiles(monkeypatch)
 
     def programs(full):
         used.clear()
@@ -536,10 +572,10 @@ def test_laws_with_different_zero_patterns_share_no_plan(monkeypatch):
     positive = programs(O.sample_full_law(md, 2, 0))
     deterministic = programs(O.sample_full_law(md, 2, 0, tables=tables))
     assert positive and deterministic and not positive & deterministic
-    # a law with the same zeros replays the same program, compiling nothing
-    compiles.clear()
+    # a law with the same zeros replays the same program, planning nothing
+    misses = program.cache_info().misses
     assert programs(O.sample_full_law(md, 2, 1, tables=tables)) == deterministic
-    assert not compiles
+    assert program.cache_info().misses == misses
 
 
 def test_marginal_on_the_support_leaves_out_values_without_mass():

@@ -23,24 +23,36 @@ in another order than a cell-by-cell product would, so tables agree with
 a plain elimination to within 1e-12, not bit for bit.  No join or
 contraction step builds more than ``MAX_CELLS`` cells or ``MAX_AXES`` axes.
 
+A law may name each factor's head, the variable it is a conditional of
+(a CPT's child), and the law checks that the factor sums to 1 over it.
+A marginal does only the arithmetic its answer reads: a headed table whose
+head is neither kept nor evidence, and that no other table left spans, is
+barren (it sums to 1 out of the product), so the plan leaves it out, and
+then, repeatedly, each table that becomes barren once it is gone (Baker &
+Boult, "Pruning Bayesian networks for efficient computation", 1990).
+
 Work is shared wherever its structure repeats.  ``evaluate_numeric``
-plans an expression once per law structure (its name, variables and zero
-pattern) into a flat program of slices, steps, joins and sums, so that an
-oracle trial on a law of that structure runs only their arithmetic.
-Planning runs no op and reads no table's data, so a program depends only
-on that structure.  The planner records a factor slice or a contraction
-step once, however many of the expression's marginals share it: a slice
-by its factor's position with its evidence and support indices, a step by
-the step with its input registers.
+plans an expression once per law structure (its name, variables, zero
+pattern and heads) into a flat program of slices, steps, joins and sums.
+Each is one call with its constants and input registers bound at plan
+time, so that an oracle trial on a law of that structure runs only their
+arithmetic, in the loop that ``contract`` runs too (``_run``).  Planning
+runs no call and reads no table's data, so a program depends only on that
+structure.  The planner records a factor slice or a contraction step
+once, however many of the expression's marginals share it: a slice by its
+factor's position with its evidence and support indices, a step by the
+step with its input registers.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
 at the evidence (``_support``, shrunk to a fixed point); for the
 deterministic proxy CPTs of a missing-data law it drops, e.g., the "?" row
 of a proxy whose indicator is pinned to 1.  It is found from the factors'
-``zero_pattern``, made once per law, and the pattern is part of the cached
-plan's key, so one plan slices every factor at the evidence and at the
-support, and a second law with the same zeros replays it.  A table's
+``zero_pattern``, made once per law with their heads, and the pattern is
+part of the cached plan's key, so one plan slices every factor at the
+evidence and at the support, and a second law with the same zeros replays
+it.  The supports are found over every factor, barren ones too, so leaving
+a barren one out changes no table's axes or domains.  A table's
 ``domains`` may leave out values at which it is zero: ``NamedTable.join``
 multiplies over the intersection of two domains and divides over their
 union, where a value one side leaves out reads as 0.  Only the law holds
@@ -69,7 +81,8 @@ Pins = tuple[tuple[str, Value], ...]
 MAX_CELLS = 2 ** 24  # a larger table raises ExprError, not MemoryError
 MAX_AXES = 32        # the most axes numpy before 2.0 allows an array
 Axes = tuple[tuple[str, tuple[Value, ...]], ...]     # a table's axes with their domains
-ZeroPattern = tuple[tuple[Axes, ...], tuple[bytes | None, ...]]   # see zero_pattern
+ZeroPattern = tuple[tuple[Axes, ...], tuple[bytes | None, ...],
+                    tuple[str | None, ...]]    # see zero_pattern
 
 
 def _names(xs: Iterable[str]) -> tuple[str, ...]:
@@ -710,7 +723,8 @@ class NamedTable:
         divide = op is np.divide
         plan = _join_plan(a.dims, a.domains, b.dims, b.domains, divide)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return NamedTable(plan.dims, plan.domains, _joined(a.data, b.data, plan, divide))
+            return NamedTable(plan.dims, plan.domains,
+                              _bind_join(0, 1, plan, divide)((a.data, b.data), ()))
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -783,7 +797,7 @@ def _aligned(data: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) ->
 class _JoinPlan(NamedTuple):
     dims: tuple[str, ...]
     domains: dict
-    operands: tuple     # per operand: its reindex steps, transpose and shape
+    operands: tuple     # per operand: its reindex steps, transpose and shape (None: not needed)
 
 
 def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
@@ -807,22 +821,42 @@ def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
     for names, have in ((dims_a, da), (dims_b, db)):
         steps = tuple(_reindex_step(names.index(d), have[d], domains[d])
                       for d in sorted(names) if have[d] != domains[d])
-        operands.append((steps, *_alignment(names, dims, domains)))
+        perm, shape = _alignment(names, dims, domains)
+        # an operand over the trailing axes of the result broadcasts as it is
+        trailing = dims[len(dims) - len(perm):] == tuple(d for d in dims if d in names)
+        operands.append((steps, None if perm == tuple(range(len(perm))) else perm,
+                         None if trailing else shape))
     return _JoinPlan(dims, domains, tuple(operands))
 
 
-def _joined(x: np.ndarray, y: np.ndarray, plan: _JoinPlan, divide: bool) -> np.ndarray:
-    """The arithmetic of ``NamedTable.join`` on its operands' arrays, under
-    the caller's ``np.errstate``."""
+def _bind_join(i: int, j: int, plan: _JoinPlan, divide: bool):
+    """The call that joins registers i and j as ``NamedTable.join`` does,
+    under the caller's ``np.errstate``."""
     (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = plan.operands
-    x = _aligned(_reindexed(x, steps_x), perm_x, shape_x)
-    y = _aligned(_reindexed(y, steps_y), perm_y, shape_y)
-    data = np.asarray(np.divide(x, y) if divide else np.multiply(x, y))
-    finite = np.isfinite(data)
-    if not finite.all():    # a NaN or an infinity is a NaN marker, unless zeros absorb it
+    op, total = np.divide if divide else np.multiply, np.add.reduce
+
+    def join(regs, tables):
+        x, y = regs[i], regs[j]
+        if steps_x:
+            x = _reindexed(x, steps_x)
+        if perm_x is not None:
+            x = x.transpose(perm_x)
+        if shape_x is not None:
+            x = x.reshape(shape_x)
+        if steps_y:
+            y = _reindexed(y, steps_y)
+        if perm_y is not None:
+            y = y.transpose(perm_y)
+        if shape_y is not None:
+            y = y.reshape(shape_y)
+        data = np.asarray(op(x, y))
+        # the sum is finite only if every cell is
+        if math.isfinite(total(data, None)):
+            return data
+        # a NaN or an infinity is a NaN marker, unless zeros absorb it
         zero = (x == 0) & (y == 0) if divide else (x == 0) | (y == 0)
-        data = np.where(zero, 0.0, np.where(~finite, np.nan, data))
-    return data
+        return np.where(zero, 0.0, np.where(np.isfinite(data), data, np.nan))
+    return join
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -850,13 +884,18 @@ def _axes(tables: Sequence[NamedTable]) -> tuple[Axes, ...]:
     return tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables)
 
 
-def zero_pattern(tables: Sequence[NamedTable]) -> ZeroPattern:
-    """The tables' axes with their domains, and where each table is zero
-    (the packed bits of its nonzero cells, None for a table without a zero):
-    the key from which ``contract`` finds the support, made once per set of
-    tables (a law's factors) rather than in every contraction."""
-    return _axes(tables), tuple(None if t.data.all() else np.packbits(t.data != 0).tobytes()
-                                for t in tables)
+def zero_pattern(tables: Sequence[NamedTable],
+                 heads: Sequence[str | None] | None = None) -> ZeroPattern:
+    """The tables' axes with their domains, where each table is zero (the
+    packed bits of its nonzero cells, None for a table without a zero), and
+    each table's head (the variable it is a conditional of, None when
+    unknown): the key from which ``contract`` finds the support and the
+    barren tables, made once per set of tables (a law's factors) rather than
+    in every contraction."""
+    return (_axes(tables),
+            tuple(None if np.count_nonzero(t.data) == t.data.size
+                  else np.packbits(t.data != 0).tobytes() for t in tables),
+            tuple(heads) if heads is not None else (None,) * len(tables))
 
 
 def contract(tables: Sequence[NamedTable], keep: Iterable[str],
@@ -868,35 +907,45 @@ def contract(tables: Sequence[NamedTable], keep: Iterable[str],
 
     Given the tables' ``zero_pattern``, every table is also sliced at the
     support (``_support``), so no step spans a value outside it, and the
-    result's domains are the supports of the kept variables.
+    result's domains are the supports of the kept variables.  A table whose
+    head is neither kept nor evidence, and spanned by no other table left,
+    is barren: it sums to 1 over its head, so it is left out, and so,
+    repeatedly, are the tables that become barren once it is gone.  The
+    supports are found over every table, barren ones included, so leaving
+    them out changes no axis or domain of the result.
 
     The variable whose tables span the fewest axes is eliminated first (ties
     by name); a step multiplies its tables in pairs and sums the variable out
     in the last, each pair by ``np.matmul`` (``_Step``).  The plan depends
-    only on the tables' axes and domains, keep, the evidence and the zero
+    only on the tables' axes and domains, keep, the evidence and the
     pattern, so it is made once per such key; no step may span more than
     ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
     non-negative: a step multiplies plainly, without the NaN absorption of
     ``NamedTable.join``."""
-    axes, zeros = pattern if pattern is not None else (_axes(tables), None)
+    axes, zeros, heads = pattern if pattern is not None else (_axes(tables), None, None)
     plan = _contraction_plan(axes, frozenset(keep),
-                             tuple(sorted((evidence or {}).items())), zeros)
-    arrays: list = []
-    for _, op, args in plan.ops:
-        arrays.append(op(arrays, tables, *args))
-    if not arrays:
+                             tuple(sorted((evidence or {}).items())), zeros, heads)
+    if not plan.calls:
         return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, _frozen(arrays[-1]))
+    return NamedTable(plan.dims, plan.domains, _frozen(_run(plan.calls, tables)[-1]))
 
 
-def _slice_op(regs, tables, pos, at, ix):
-    # a view, so that freezing it leaves the factor writable
-    x = tables[pos].data[... if at is None else at]
-    return x if ix is None else x[ix]
+def _run(calls: Sequence, tables: Sequence[NamedTable]) -> list:
+    """The registers after each call in turn appends its array: the loop of
+    a contraction plan and of a program."""
+    regs: list = []
+    for call in calls:
+        regs.append(call(regs, tables))
+    return regs
 
 
-def _step_op(regs, tables, step, inputs):
-    return step(*map(regs.__getitem__, inputs))
+def _bind_slice(pos: int, at: tuple | None, ix: tuple | None):
+    """The call that slices table pos at the evidence (at) and at the
+    support (ix, an open mesh of index arrays)."""
+    at = ... if at is None else at      # a view, so that freezing it leaves the factor writable
+    if ix is None:
+        return lambda regs, tables: tables[pos].data[at]
+    return lambda regs, tables: tables[pos].data[at][ix]
 
 
 def _frozen(x) -> np.ndarray:
@@ -907,7 +956,9 @@ def _frozen(x) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    ops: tuple              # per op: its key (a slice's, else None), function, arguments
+    keys: tuple             # per op: a slice's (position, evidence and support
+                            # indices), or a step's (_Step, input positions)
+    calls: tuple            # per op: the call that appends its array (see _run)
     dims: tuple[str, ...]   # the last op's axes
     domains: dict           # their supports
 
@@ -920,27 +971,45 @@ class _Step(NamedTuple):
     transposed and reshaped to (batch, left, contracted) and (batch,
     contracted, right), multiplied by ``np.matmul``, and the product is
     reshaped to its batch, left and right axes.  None stands for a call the
-    step does not need."""
+    step does not need.  Equal steps on equal input registers make equal
+    arrays, so a step with its inputs is the key that shares it."""
 
     sum: tuple[int, ...] | None     # one operand: the axes summed out
     forms: tuple | None             # two operands: per operand, its transpose and matrix shape
     shape: tuple[int, ...] | None   # two operands: the product's shape over its axes
     perm: tuple[int, ...] | None    # the transpose to the output's order
 
-    def __call__(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        if b is None:
-            x = a if self.sum is None else a.sum(axis=self.sum)
-        else:
-            x = np.matmul(_formed(a, *self.forms[0]), _formed(b, *self.forms[1]))
-            if self.shape is not None:
-                x = x.reshape(self.shape)
-        return x if self.perm is None else x.transpose(self.perm)
+    def bind(self, inputs: tuple[int, ...]):
+        """The step as one call that reads its operands from the registers
+        inputs."""
+        summed, forms, shape, perm = self
+        if forms is None:
+            (i,) = inputs
+            reduce = np.add.reduce
 
+            def one(regs, tables):
+                x = regs[i] if summed is None else reduce(regs[i], summed)
+                return x if perm is None else x.transpose(perm)
+            return one
+        i, j = inputs
+        (perm_a, shape_a), (perm_b, shape_b) = forms
+        matmul = np.matmul
 
-def _formed(x: np.ndarray, perm: tuple[int, ...] | None,
-            shape: tuple[int, ...] | None) -> np.ndarray:
-    x = x if perm is None else x.transpose(perm)
-    return x if shape is None else x.reshape(shape)
+        def two(regs, tables):
+            a, b = regs[i], regs[j]
+            if perm_a is not None:
+                a = a.transpose(perm_a)
+            if shape_a is not None:
+                a = a.reshape(shape_a)
+            if perm_b is not None:
+                b = b.transpose(perm_b)
+            if shape_b is not None:
+                b = b.reshape(shape_b)
+            x = matmul(a, b)
+            if shape is not None:
+                x = x.reshape(shape)
+            return x if perm is None else x.transpose(perm)
+        return two
 
 
 def _perm(have: Sequence[str], want: Sequence[str]) -> tuple[int, ...] | None:
@@ -1024,9 +1093,32 @@ def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
                  for d, a in sorted(alive.items()) if d not in ev and not a.all())
 
 
+def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...] | None,
+              keep: frozenset[str], evidence: Mapping[str, Value]) -> list[int]:
+    """The positions of the tables left once barren ones are dropped, one at
+    a time until none is: a table whose head is neither kept nor evidence
+    and is spanned by no other table left (see ``contract``)."""
+    left = list(range(len(tables)))
+    if heads is None:
+        return left
+    spans = [{d for d, _ in table} for table in tables]
+    dropped = True
+    while dropped:
+        dropped = False
+        for pos in left:
+            h = heads[pos]
+            if (h is not None and h not in keep and h not in evidence
+                    and not any(h in spans[q] for q in left if q != pos)):
+                left.remove(pos)
+                dropped = True
+                break
+    return left
+
+
 @functools.lru_cache(maxsize=1024)
 def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: Pins,
-                      zeros: tuple[bytes | None, ...] | None) -> _Plan:
+                      zeros: tuple[bytes | None, ...] | None,
+                      heads: tuple[str | None, ...] | None) -> _Plan:
     ev = dict(evidence)
     full: dict[str, tuple[Value, ...]] = {}
     for table in tables:
@@ -1035,12 +1127,14 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
                 raise ExprError(f"domain mismatch on axis {d!r}")
             if d in ev and ev[d] not in dom:
                 raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
+    # the supports are found over every table, barren ones too
     support = dict(_support(tables, zeros, evidence)) if zeros is not None else {}
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
-    # work: (operand position, axes)
-    ops, work = [], []
-    for pos, table in enumerate(tables):
+    # work: (register, axes)
+    keys, calls, work = [], [], []
+    for pos in _unbarren(tables, heads, keep, ev):
+        table = tables[pos]
         live = tuple(d for d, _ in table if d not in ev)
         pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
         at = None if len(live) == len(table) else tuple(
@@ -1049,8 +1143,9 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
             tuple(support.get(d, range(len(full[d])))) for d in live)
         ix = None if kept is None else np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
         # equal keys mean equal slices of one sequence of tables
-        ops.append(((pos, pinned, kept), _slice_op, (pos, at, ix)))
-        work.append((pos, live))
+        keys.append((pos, pinned, kept))
+        calls.append(_bind_slice(pos, at, ix))
+        work.append((len(keys) - 1, live))
 
     def call(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
         labels = _union(operands)
@@ -1060,8 +1155,10 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
         step, axes, _, operands = min(
             ((*_lower(tuple(x for _, x in order), out, ordered, size), order)
              for order in (operands, operands[::-1])), key=lambda option: option[2])
-        ops.append((None, _step_op, (step, tuple(p for p, _ in operands))))
-        return len(ops) - 1, axes
+        inputs = tuple(p for p, _ in operands)
+        keys.append((step, inputs))
+        calls.append(step.bind(inputs))
+        return len(keys) - 1, axes
 
     def step(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
         # a step folds its operands in pairs, smallest first, so that each
@@ -1082,90 +1179,90 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     if len(work) > 1 or (work and work[0][1] != _union(work)):
         work = [step(work, _union(work), True)]
     dims = _union(work)
-    return _Plan(tuple(ops), dims, {d: domains[d] for d in dims})
+    return _Plan(tuple(keys), tuple(calls), dims, {d: domains[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
     """Evaluate against a law (duck-typed, e.g. oracle.FactoredLaw: needs
     .name, .variables with their full domains, .factors and their
-    ``zero_pattern`` as ._pattern).  An atom is the law's marginal over its
+    ``zero_pattern`` with their heads as ._pattern).  An atom is the law's marginal over its
     variables with its pins as evidence, divided by the one over its
     context.  Every table is kept on its support, the result too: its
     domains leave out values at which it is zero, and its data may be a view
     of a factor's, so it is read-only.  The expression's ``_Program``
-    depends only on the law's structure (name, variables, zero pattern), so
-    it is planned once per structure and every law of it only runs it."""
+    depends only on the law's structure (name, variables, zero pattern and
+    heads), so it is planned once per structure and every law of it only
+    runs it."""
     return _program(e, law.name, tuple(law.variables.items()), law._pattern).run(law)
 
 
 class _Program(NamedTuple):
-    """An expression's evaluation as a flat sequence of ops, each appending
-    one array to the run's registers: a factor slice, a contraction step, a
-    join or a sum.  A slice or step that several marginals share appears
-    once.  It records the result's register, axes and support domains, and
-    holds no law's arrays."""
+    """An expression's evaluation as a flat sequence of calls, each
+    appending one array to the run's registers: a factor slice, a
+    contraction step, a join or a sum, with its constants and input
+    registers bound at plan time.  A slice or step that several marginals
+    share appears once.  It records the result's register, axes and support
+    domains, and holds no law's arrays: a call binds index arrays and the
+    position of the factor it reads, never a factor."""
 
-    ops: tuple                  # per op: its function and arguments
+    ops: tuple                  # per op: its call (see _run)
     out: int                    # the result's register
     dims: tuple[str, ...]
     domains: dict
 
     def run(self, law) -> NamedTable:
-        regs: list = []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for op, args in self.ops:
-                regs.append(op(regs, law.factors, *args))
+            regs = _run(self.ops, law.factors)
         return NamedTable(self.dims, dict(self.domains), _frozen(regs[self.out]))
 
 
-def _join_op(regs, tables, i, j, plan, divide):
-    return _joined(regs[i], regs[j], plan, divide)
+def _bind_sum(i: int, axes: tuple[int, ...]):
+    reduce = np.add.reduce
+    return lambda regs, tables: reduce(regs[i], axes)
 
 
-def _sum_op(regs, tables, i, axes):
-    return regs[i].sum(axis=axes)
-
-
-def _one_op(regs, tables):
+def _one(regs, tables):
     return np.asarray(1.0)
 
 
 @functools.lru_cache(maxsize=1024)
 def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
     """e's program on laws of this structure, planned by a walk of the tree
-    that runs no op; a node's table is (register, axes, domains)."""
+    that binds every call and runs none; a node's table is (register, axes,
+    domains)."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step
     memo: dict = {}         # register, axes and domains by expression
     known = {v for v, _ in variables}
 
-    def emit(key, op, *args) -> int:
-        """Plan op, unless its key is planned; its register."""
+    def emit(key, call) -> int:
+        """Plan call, unless its key is planned; its register."""
         if key in made:
             return made[key]
-        ops.append((op, args))
+        ops.append(call)
         if key is not None:
             made[key] = len(ops) - 1
         return len(ops) - 1
 
     def one() -> tuple:
-        return emit(None, _one_op), (), {}
+        return emit(None, _one), (), {}
 
     def marginal(names: Iterable[str], evidence: dict) -> tuple:
-        axes, zeros = pattern
+        axes, zeros, heads = pattern
         plan = _contraction_plan(axes, frozenset(names).difference(evidence),
-                                 tuple(sorted(evidence.items())), zeros)
+                                 tuple(sorted(evidence.items())), zeros, heads)
         at: list = []       # register by position in the plan
-        for key, op, args in plan.ops:
-            if op is _step_op:      # a step's key: the step and its input registers
-                key = args = (args[0], tuple(at[i] for i in args[1]))
-            at.append(emit(key, op, *args))
+        for key, call in zip(plan.keys, plan.calls):
+            if isinstance(key[0], _Step):   # a step's key: the step and its input registers
+                step, inputs = key[0], tuple(at[i] for i in key[1])
+                key, call = (step, inputs), step.bind(inputs)
+            at.append(emit(key, call))
         return (at[-1], plan.dims, plan.domains) if at else one()
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, dims_a, doms_a), (j, dims_b, doms_b) = a, b
         plan = _join_plan(dims_a, doms_a, dims_b, doms_b, divide)
-        return emit(None, _join_op, i, j, plan, divide), plan.dims, plan.domains
+        return emit(None, _bind_join(i, j, plan, divide)), plan.dims, plan.domains
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1192,7 +1289,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if not axes:
                 return i, dims, domains
             keep = tuple(d for d in dims if d not in e.over)
-            return emit(None, _sum_op, i, axes), keep, {d: domains[d] for d in keep}
+            return emit(None, _bind_sum(i, axes)), keep, {d: domains[d] for d in keep}
         if isinstance(e, Product):
             if not e.children:
                 return one()

@@ -9,19 +9,28 @@ A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
 computed from them by variable elimination (``kernel.contract``), and large
 models never materialize the full joint.  A marginal may carry evidence
 (fixed values): every factor is sliced at it, and at the support it leaves
-(the values with mass), before elimination.  The law finds where its
-factors are zero once; the contraction plan, and the program that
+(the values with mass), before elimination.  A sampled law heads each CPT
+by its vertex (``FactoredLaw.heads``), and a marginal leaves out the CPTs
+that are barren for it: a CPT whose child is neither kept nor evidence and
+feeds no factor left sums to 1 out of the product (``kernel.contract``).
+So the target law, the marginal over the censored and fully observed
+variables, multiplies only the censored variables' CPTs.  The law checks
+its factors once when it is made: finite, non-negative, on the law's
+domains, each headed factor summing to 1 over its head within 1e-12, and
+it finds where they are zero.  The observed law of a trial shares the full
+law's checked factors, heads and zero pattern, so a trial checks its law
+once.  The contraction plan, and the program that
 ``kernel.evaluate_numeric`` plans for an expression, are cached by the
-factors' axes and that zero pattern and read no data, so every sampled law
-of one model with the same zeros (e.g. random positive CPTs beside the
-deterministic proxy CPTs) reuses them and runs only their arithmetic.  No
-cached plan or program holds a law's arrays.  A quotient runs over the
-union of its operands' domains (``NamedTable.join``), so its structure
-never depends on where a law holds a NaN.  The law holds the full domain
-of each variable, and every factor axis over a variable has that domain;
-``marginal`` pads its result to them, while ``on_support`` leaves out the
-values without mass, as expression evaluation does; a functional's value
-is padded once, to the law's domains without "?"
+factors' axes, that zero pattern and the heads, and read no data, so every
+sampled law of one model with the same zeros (e.g. random positive CPTs
+beside the deterministic proxy CPTs) reuses them and runs only their
+arithmetic.  No cached plan or program holds a law's arrays.  A quotient
+runs over the union of its operands' domains (``NamedTable.join``), so its
+structure never depends on where a law holds a NaN.  The law holds the
+full domain of each variable, and every factor axis over a variable has
+that domain; ``marginal`` pads its result to them, while ``on_support``
+leaves out the values without mass, as expression evaluation does; a
+functional's value is padded once, to the law's domains without "?"
 (``missing.without_censored_rows``).  A law caches no marginal: each is
 one contraction.
 The observed law handed to expression evaluation keeps the full law's
@@ -36,6 +45,7 @@ the tolerance and no evaluated cell is undefined (NaN).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -64,23 +74,46 @@ class FactoredLaw:
     """Law over named finite variables, held as factors whose product is the
     joint over (a superset of) ``variables``; marginals by ``kernel.contract``.
     Every factor must be finite and non-negative, and an axis over one of
-    ``variables`` must have its domain there."""
+    ``variables`` must have its domain there.
+
+    ``heads`` names, per factor, the variable it is a conditional of (a
+    CPT's child), or None where that is unknown; a headed factor must sum to
+    1 over its head within 1e-12.  A marginal leaves out the factors it
+    finds barren by their heads (``kernel.contract``).  The checks and the
+    zero pattern are made once, here."""
 
     name: str
     variables: dict[str, tuple]
     factors: tuple[NamedTable, ...]
+    heads: tuple[str | None, ...] | None = None
     _pattern: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for f in self.factors:
-            if not np.isfinite(f.data).all() or (f.data < 0).any():
+        self.heads = (None,) * len(self.factors) if self.heads is None else tuple(self.heads)
+        if len(self.heads) != len(self.factors):
+            raise OracleError(f"{len(self.heads)} heads for {len(self.factors)} factors")
+        least, most = np.minimum.reduce, np.maximum.reduce
+        for f, head in zip(self.factors, self.heads):
+            # NaN fails both comparisons
+            if not (least(f.data, None, initial=0.0) >= 0
+                    and most(f.data, None, initial=0.0) < np.inf):
                 raise OracleError(f"factor over {list(f.dims)} has a negative"
                                   " or non-finite cell")
             for d in f.dims:
                 if d in self.variables and f.domains[d] != self.variables[d]:
                     raise OracleError(f"factor axis {d!r} has values {f.domains[d]},"
                                       f" the law {self.variables[d]}")
-        self._pattern = zero_pattern(self.factors)
+            if head is None:
+                continue
+            if head not in f.dims:
+                raise OracleError(f"head {head!r} is not an axis of the factor"
+                                  f" over {list(f.dims)}")
+            sums = np.add.reduce(f.data, f.axis(head))
+            if not (least(sums, None) >= 1 - 1e-12 and most(sums, None) <= 1 + 1e-12):
+                gap = float(np.abs(sums - 1.0).max())
+                raise OracleError(f"factor over {list(f.dims)} sums to 1 over its"
+                                  f" head {head!r} only within {gap:.3g}, not 1e-12")
+        self._pattern = zero_pattern(self.factors, self.heads)
 
     def marginal(self, names: Iterable[str],
                  evidence: Mapping[str, object] | None = None) -> NamedTable:
@@ -148,27 +181,36 @@ def _random_cpt(rng: np.random.Generator, child: str, child_dom: tuple,
 
 
 def _proxy_cpt(t: Triple, truth_dom: tuple) -> NamedTable:
-    proxy_dom = tuple(truth_dom) + (MISSING_TOKEN,)
+    """The proxy is the truth where the indicator is 1, else "?"."""
     dims = tuple(sorted([t.proxy, t.indicator, t.truth]))
-    domains = {t.proxy: proxy_dom, t.indicator: (0, 1), t.truth: truth_dom}
-    shape = tuple(len(domains[d]) for d in dims)
-    data = np.zeros(shape)
-    for idx in np.ndindex(shape):
-        vals = {d: domains[d][i] for d, i in zip(dims, idx)}
-        want = vals[t.truth] if vals[t.indicator] == 1 else MISSING_TOKEN
-        if vals[t.proxy] == want:
-            data[idx] = 1.0
-    return NamedTable(dims, domains, data)
+    domains = {t.proxy: tuple(truth_dom) + (MISSING_TOKEN,), t.indicator: (0, 1),
+               t.truth: truth_dom}
+    k = len(truth_dom)
+    data = np.zeros((k + 1, 2, k))      # over (proxy, indicator, truth)
+    data[np.arange(k), 1, np.arange(k)] = 1.0
+    data[k, 0] = 1.0
+    order = (t.proxy, t.indicator, t.truth)
+    return NamedTable(dims, domains,
+                      np.ascontiguousarray(data.transpose([order.index(d) for d in dims])))
 
 
-def _sample_cpts(g: Cadmg, domains: dict[str, tuple], rng: np.random.Generator,
-                 fixed: Mapping[str, NamedTable]) -> tuple[NamedTable, ...]:
-    """One CPT per vertex in topological order: the fixed table where one is
-    given (drawing nothing), else a random strictly positive table."""
-    return tuple(
+def _values(cardinality: int) -> tuple[int, ...]:
+    """The values of a sampled variable of this cardinality, at least 2."""
+    if cardinality < 2:
+        raise OracleError("cardinality must be at least 2")
+    return tuple(range(cardinality))
+
+
+def _sample_cpts(name: str, g: Cadmg, domains: dict[str, tuple], rng: np.random.Generator,
+                 fixed: Mapping[str, NamedTable]) -> FactoredLaw:
+    """The law with one CPT per vertex in topological order, headed by the
+    vertex: the fixed table where one is given (drawing nothing), else a
+    random strictly positive table."""
+    order = g.topological_order()
+    return FactoredLaw(name, domains, tuple(
         fixed[v] if v in fixed
         else _random_cpt(rng, v, domains[v], {p: domains[p] for p in g.parents([v])})
-        for v in g.topological_order())
+        for v in order), tuple(order))
 
 
 def make_cpts(md: MdDag, cardinality: int = 2,
@@ -176,19 +218,18 @@ def make_cpts(md: MdDag, cardinality: int = 2,
               rng: np.random.Generator | None = None) -> FactoredLaw:
     """The full law of the model with random strictly positive CPTs for
     substantive vertices (unless supplied) and deterministic proxy CPTs."""
-    if cardinality < 2:
-        raise OracleError("cardinality must be at least 2")
+    values = _values(cardinality)
     rng = rng or np.random.default_rng(0)
     domains: dict[str, tuple] = {}
     for t in md.triples:
-        domains[t.truth] = tuple(range(cardinality))
+        domains[t.truth] = values
         domains[t.indicator] = (0, 1)
-        domains[t.proxy] = tuple(range(cardinality)) + (MISSING_TOKEN,)
+        domains[t.proxy] = values + (MISSING_TOKEN,)
     for o in md.observed:
-        domains[o] = tuple(range(cardinality))
+        domains[o] = values
     fixed = dict(tables or {})
     fixed.update((t.proxy, _proxy_cpt(t, domains[t.truth])) for t in md.triples)
-    return FactoredLaw("full", domains, _sample_cpts(md.graph, domains, rng, fixed))
+    return _sample_cpts("full", md.graph, domains, rng, fixed)
 
 
 def sample_full_law(md: MdDag, cardinality: int = 2, seed: int = 0,
@@ -200,9 +241,13 @@ def sample_full_law(md: MdDag, cardinality: int = 2, seed: int = 0,
 
 def derive_observed_law(md: MdDag, full: FactoredLaw) -> FactoredLaw:
     """The law of (R, O, X): the full law's CPTs over the observed columns,
-    so the censored variables are summed out of each marginal asked for."""
-    return FactoredLaw("p", {v: full.variables[v] for v in sorted(md.observed_columns)},
-                       full.factors)
+    so the censored variables are summed out of each marginal asked for.  It
+    shares the full law's factors, heads and zero pattern, checked once when
+    the full law was made."""
+    obs = copy.copy(full)
+    obs.name = "p"
+    obs.variables = {v: full.variables[v] for v in sorted(md.observed_columns)}
+    return obs
 
 
 def target_law(md: MdDag, full: FactoredLaw) -> NamedTable:
@@ -354,7 +399,8 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0):
         data2[cell(1, 0, 1)] = 1 - f2
         cpt_i2 = NamedTable(cpt_i.dims, cpt_i.domains, data2)
         law2 = FactoredLaw("full", dict(law1.variables),
-                           tuple(cpt_i2 if t is cpt_i else t for t in law1.factors))
+                           tuple(cpt_i2 if t is cpt_i else t for t in law1.factors),
+                           law1.heads)
 
         obs_gap = derive_observed_law(md, law1).table.max_abs_diff(
             derive_observed_law(md, law2).table)
@@ -377,9 +423,9 @@ def sample_dag_law(g: Cadmg, cardinality: int = 2, seed: int = 0) -> FactoredLaw
     rejected)."""
     if g.bidirected_edges:
         raise OracleError("sample_dag_law needs a DAG")
-    domains = {v: tuple(range(cardinality)) for v in g.vertex_names}
-    return FactoredLaw("p", domains,
-                       _sample_cpts(g, domains, np.random.default_rng(seed), {}))
+    values = _values(cardinality)
+    return _sample_cpts("p", g, {v: values for v in g.vertex_names},
+                        np.random.default_rng(seed), {})
 
 
 def interventional_truth(g: Cadmg, law: FactoredLaw, outcomes: Iterable[str],

@@ -394,6 +394,69 @@ def test_contract_matches_pairwise_join_elimination_on_fixture_laws(data):
                    {v: data.draw(st.sampled_from(law.variables[v])) for v in pinned})
 
 
+@st.composite
+def dag_laws_with_barren_tables(draw):
+    """A law of a random DAG, some of its CPT rows deterministic, with keep
+    and evidence sets drawn from its vertices; often a vertex downstream of
+    both is barren."""
+    seed = draw(st.integers(0, 10_000))
+    g = random_dag(np.random.default_rng(seed), draw(st.integers(2, 7)))
+    law = O.sample_dag_law(g, draw(st.sampled_from([2, 3])), seed)
+    factors = list(law.factors)
+    for pos in draw(st.sets(st.integers(0, len(factors) - 1), max_size=2)):
+        f, head = factors[pos], law.heads[pos]
+        rows = np.moveaxis(f.data, f.axis(head), -1).copy()
+        flat = rows.reshape(-1, rows.shape[-1])
+        for r in draw(st.sets(st.integers(0, len(flat) - 1), min_size=1)):
+            flat[r] = np.eye(len(flat[r]))[draw(st.integers(0, len(flat[r]) - 1))]
+        factors[pos] = K.NamedTable(f.dims, f.domains,
+                                    np.moveaxis(flat.reshape(rows.shape), -1, f.axis(head)))
+    law = O.FactoredLaw(law.name, law.variables, tuple(factors), law.heads)
+    names = sorted(law.variables)
+    keep = draw(st.sets(st.sampled_from(names), max_size=3))
+    pinned = draw(st.sets(st.sampled_from(names), max_size=2))
+    return law, keep, {v: draw(st.sampled_from(law.variables[v])) for v in pinned}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dag_laws_with_barren_tables())
+def test_contract_without_barren_tables_matches_pairwise_join_elimination(case):
+    # a CPT whose child is neither kept nor evidence and feeds no table left
+    # sums to 1 over the child, so leaving it out changes no axis, domain or
+    # zero cell, and no cell by more than rounding
+    law, keep, ev = case
+    got = K.contract(law.factors, keep, ev, law._pattern)
+    axes, zeros, _ = law._pattern
+    every = K.contract(law.factors, keep, ev, (axes, zeros, (None,) * len(law.factors)))
+    assert got.dims == every.dims and got.domains == every.domains
+    want = reference_elimination_marginal([t.take(ev) for t in law.factors],
+                                          frozenset(keep) - set(ev))
+    padded = got.padded(want.domains)
+    assert padded.dims == want.dims
+    assert np.array_equal(padded.data == 0, want.data == 0)
+    assert np.all(np.abs(padded.data - want.data) <= 1e-12)
+
+
+def test_contract_leaves_out_tables_that_become_barren():
+    # keeping A: D's CPT is barren, then C's, then B's, while a CPT whose
+    # child another table spans, or whose child is evidence, is kept
+    chain = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
+    law = O.sample_dag_law(chain, 2, 0)
+    axes, zeros, heads = law._pattern
+
+    def sliced(keep, evidence=()):
+        plan = K._contraction_plan(axes, frozenset(keep), evidence, zeros, heads)
+        return sorted(heads[key[0]] for key in plan.keys if not isinstance(key[0], K._Step))
+
+    assert sliced("A") == ["A"]
+    assert sliced("B") == ["A", "B"]
+    assert sliced("A", (("C", 1),)) == ["A", "B", "C"]
+    assert sliced("AD") == ["A", "B", "C", "D"]
+    # without heads, nothing is barren
+    plan = K._contraction_plan(axes, frozenset("A"), (), zeros, None)
+    assert len([key for key in plan.keys if not isinstance(key[0], K._Step)]) == 4
+
+
 def test_second_law_of_a_model_adds_no_plan_misses():
     md = load("joint_quartet")
     functional = identify_target(md).functional
@@ -446,38 +509,51 @@ def test_contract_folds_many_operands_in_pairs():
     assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
 
 
-def counting_steps(monkeypatch):
-    """Count contraction steps run and keep each one's operands and result."""
-    calls = []
-    run = K._Step.__call__
+@pytest.fixture
+def step_runs(monkeypatch):
+    """The result of every contraction step run during the test: the plan
+    and program caches are emptied, so that every step is bound afresh
+    through a counting wrapper, which carries its step as ``.step``."""
+    runs = []
+    bind = K._Step.bind
 
-    def counted(step, *xs):
-        out = run(step, *xs)
-        calls.append((xs, out))
-        return out
+    def counted(step, inputs):
+        call = bind(step, inputs)
 
-    monkeypatch.setattr(K._Step, "__call__", counted)
-    return calls
+        def run(regs, tables):
+            runs.append(call(regs, tables))
+            return runs[-1]
+        run.step = step
+        return run
+
+    monkeypatch.setattr(K._Step, "bind", counted)
+    K._contraction_plan.cache_clear()
+    K._program.cache_clear()
+    yield runs
+    # no cached plan keeps a wrapper past the test
+    K._contraction_plan.cache_clear()
+    K._program.cache_clear()
 
 
-def test_atoms_that_share_a_step_compile_it_once(monkeypatch):
-    # A, then B, is eliminated first for both marginals of the chain
+def test_atoms_that_share_a_step_compile_it_once(step_runs):
+    # A, then B, is eliminated first for both marginals of the chain, and
+    # p(C) leaves out the barren CPT of D
     chain = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
     law = O.sample_dag_law(chain, 2, 0)
     e = K.Product((K.Atom("p", ("D",)), K.Atom("p", ("C",))))
-    calls = counting_steps(monkeypatch)
-    alone = [K.contract(law.factors, [v]) for v in "DC"]
-    separate = len(calls)
-    calls.clear()
+    alone = [K.contract(law.factors, [v], pattern=law._pattern) for v in "DC"]
+    separate = len(step_runs)
+    assert separate == 5
+    step_runs.clear()
     got = K.evaluate_numeric(e, law)
     program = K._program(e, law.name, tuple(law.variables.items()), law._pattern)
-    compiled = sum(op is K._step_op for op, _ in program.ops)
-    assert len(calls) == compiled == separate - 2
+    compiled = sum(hasattr(op, "step") for op in program.ops)
+    assert len(step_runs) == compiled == separate - 2
     assert np.array_equal(got.data, K.NamedTable.join(*alone, np.multiply).data)
     # a replay on another law runs exactly the steps the program holds
-    calls.clear()
+    step_runs.clear()
     K.evaluate_numeric(e, O.sample_dag_law(chain, 2, 1))
-    assert len(calls) == compiled
+    assert len(step_runs) == compiled
 
 
 def test_shared_tables_are_read_only():

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import hashlib
@@ -75,6 +76,77 @@ def test_law_rejects_a_factor_axis_off_its_domain():
     # an axis outside the law's variables is summed out and not checked
     O.FactoredLaw("p", {"A": (0, 1)}, (table(("A", "U"), {"A": (0, 1), "U": (0, 1, 2)},
                                              np.full((2, 3), 1 / 6)),))
+
+
+def test_law_rejects_a_head_that_is_no_conditional():
+    # a headed factor is left out of a marginal that does not need its head,
+    # which is sound only if it sums to 1 over the head
+    cpt = table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [[0.3, 0.7], [0.6, 0.4]])
+    domains = {"A": (0, 1), "B": (0, 1)}
+    O.FactoredLaw("p", domains, (cpt,), ("B",))
+    with pytest.raises(O.OracleError, match="sums to 1 over its head 'A' only within 0.1"):
+        O.FactoredLaw("p", domains, (cpt,), ("A",))
+    off = table(("A", "B"), domains, [[0.3, 0.7], [0.6, 0.4 + 1e-11]])
+    with pytest.raises(O.OracleError, match="head 'B' only within 1e-11"):
+        O.FactoredLaw("p", domains, (off,), ("B",))
+    with pytest.raises(O.OracleError, match="head 'C' is not an axis"):
+        O.FactoredLaw("p", domains, (cpt,), ("C",))
+    with pytest.raises(O.OracleError, match="2 heads for 1 factors"):
+        O.FactoredLaw("p", domains, (cpt,), ("B", None))
+    # a factor whose role is unknown is not checked
+    assert O.FactoredLaw("p", domains, (cpt,)).heads == (None,)
+
+
+def test_sampled_laws_head_each_cpt_by_its_vertex():
+    md = load("octet")
+    full = O.sample_full_law(md, 2, 0)
+    assert full.heads == md.graph.topological_order()
+    assert all(set(f.dims) == {v} | md.graph.parents([v])
+               for f, v in zip(full.factors, full.heads))
+    dag = hidden_dag_for(load("confounded_chain"))
+    assert O.sample_dag_law(dag, 2, 0).heads == dag.topological_order()
+    assert full.dense(md.truths).heads == (None,)
+
+
+def test_laws_that_differ_only_in_heads_share_no_plan():
+    # the same axes and zeros, but only the first law says that B's factor
+    # is a CPT, so only its marginal of A may leave that factor out
+    a = table(("A",), {"A": (0, 1)}, [0.4, 0.6])
+    b = table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [[0.3, 0.7], [0.6, 0.4]])
+    domains = {"A": (0, 1), "B": (0, 1)}
+    for first in (True, False):
+        K._contraction_plan.cache_clear()
+        headed = O.FactoredLaw("p", domains, (a, b), ("A", "B"))
+        twice = O.FactoredLaw("p", domains, (a, table(b.dims, b.domains, 2 * b.data)))
+        laws = (headed, twice) if first else (twice, headed)
+        got = {law is headed: law.marginal({"A"}).data for law in laws}
+        np.testing.assert_allclose(got[True], [0.4, 0.6], rtol=1e-12)
+        np.testing.assert_allclose(got[False], [0.8, 1.2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("cardinality", [-1, 0, 1])
+def test_sampled_laws_need_two_values_per_variable(cardinality):
+    # a cardinality of 0 used to give sample_dag_law a law of mass 0.0
+    with pytest.raises(O.OracleError, match="cardinality must be at least 2"):
+        O.sample_dag_law(Cadmg(["A", "B"], [("A", "B")]), cardinality=cardinality)
+    with pytest.raises(O.OracleError, match="cardinality must be at least 2"):
+        O.make_cpts(load("crisscross"), cardinality)
+
+
+def test_observed_law_reuses_the_full_law_checks(monkeypatch):
+    md = load("octet")
+    full = O.sample_full_law(md, 2, 0)
+    variables = dict(full.variables)
+
+    def refuse(law):
+        raise AssertionError("a law was checked again")
+
+    monkeypatch.setattr(O.FactoredLaw, "__post_init__", refuse)
+    obs = O.derive_observed_law(md, full)
+    assert obs.factors is full.factors and obs.heads is full.heads
+    assert obs._pattern is full._pattern
+    assert (obs.name, set(obs.variables)) == ("p", md.observed_columns)
+    assert (full.name, full.variables) == ("full", variables)
 
 
 def test_mcar_two_triples_is_product_law():
@@ -438,28 +510,76 @@ def test_replayed_program_equals_a_fresh_compile(name, cardinality):
 
 
 def test_planning_runs_no_op(monkeypatch):
-    # a program is planned from the law's structure alone: no join, step or
-    # other op runs until a law runs it
+    # a program is planned from the law's structure alone: every join and
+    # step is bound to its registers, and none runs until a law runs it
     md = load("octet")
     expr = target_functional("octet").expr
     laws = [O.derive_observed_law(md, O.sample_full_law(md, 2, seed)) for seed in (0, 1)]
     first = laws[0]
+    bound, runs = [], []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an op ran while planning")
+    def counting(bind):
+        def bind_counted(*args):
+            call = bind(*args)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(K, "_joined", refuse)
-        patch.setattr(K._Step, "__call__", refuse)
-        program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
-                                         first._pattern)
-    assert any(op is K._join_op for op, _ in program.ops)
-    assert any(op is K._step_op for op, _ in program.ops)
+            def run(regs, tables):
+                runs.append(run)
+                return call(regs, tables)
+            bound.append(run)
+            return run
+        return bind_counted
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(K, "_bind_join", counting(K._bind_join))
+            patch.setattr(K._Step, "bind", counting(K._Step.bind))
+            program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
+                                             first._pattern)
+    finally:
+        # no cached contraction plan keeps a wrapper past the test
+        K._contraction_plan.cache_clear()
+    assert not runs
+    counted = [op for op in program.ops if op in bound]
+    assert len(counted) == 91 + 301    # the joins and steps (test_octet_program_op_counts)
     for law in laws:
+        runs.clear()
         want = reference_evaluate(expr, law, {})
         got = program.run(law).padded(want.domains)
+        assert runs == counted
         assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
         assert got.max_abs_diff(want) <= 1e-12
+
+
+def test_octet_program_op_counts():
+    # barren CPTs are left out: a proxy's where the atom neither keeps nor
+    # pins it, then the indicators and censored variables that fed only
+    # those (58 slices and 415 steps before)
+    md = load("octet")
+    expr = target_functional("octet").expr
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
+    kinds = collections.Counter(op.__qualname__.split(".<locals>")[0] for op in program.ops)
+    assert kinds["_bind_slice"] <= 47 and kinds["_Step.bind"] <= 301
+    assert (kinds["_bind_join"], kinds["_bind_sum"]) == (91, 24)
+    assert sum(kinds.values()) == len(program.ops)
+    # the target law needs only the CPTs of the censored variables
+    full = O.sample_full_law(md, 2, 0)
+    axes, zeros, heads = full._pattern
+    plan = K._contraction_plan(axes, frozenset(md.truths | md.observed), (), zeros, heads)
+    sliced = [key[0] for key in plan.keys if not isinstance(key[0], K._Step)]
+    assert {heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
+
+
+def bound_arrays(call) -> list[np.ndarray]:
+    """The arrays a call binds in its closure, inside tuples too."""
+    out, todo = [], [cell.cell_contents for cell in call.__closure__ or ()]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            out.append(x)
+        elif isinstance(x, tuple):
+            todo.extend(x)
+    return out
 
 
 def test_cached_programs_hold_no_array_of_a_law():
@@ -469,6 +589,10 @@ def test_cached_programs_hold_no_array_of_a_law():
     expr = target_functional("joint_quartet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     got = K.evaluate_numeric(expr, law)
+    # a call binds index arrays (a slice's support), never a law's data
+    program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
+    arrays = [x for op in program.ops for x in bound_arrays(op)]
+    assert arrays and all(x.dtype == np.intp for x in arrays)
     arrays = [got.data, *(f.data for f in law.factors)]
     refs = [weakref.ref(x.base if x.base is not None else x) for x in arrays]
     del law, got, arrays

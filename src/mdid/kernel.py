@@ -15,13 +15,14 @@ rendered text.
 Numeric evaluation is dense, over named axes; positive mass over zero
 becomes a NaN marker (an explicit "undefined" signal, counted by callers)
 rather than raising, and 0/0 is a structural zero.  An atom is asked of the
-law with its pins as evidence.  ``contract`` sums a product of factor
-tables by variable elimination, from a plan cached by the tables' axes;
-each step is lowered at plan time to fixed transposes and reshapes around
-one ``np.matmul`` (or one sum, for a step over one table).  Its sums run
-in another order than a cell-by-cell product would, so tables agree with
-a plain elimination to within 1e-12, not bit for bit.  No join or
-contraction step builds more than ``MAX_CELLS`` cells or ``MAX_AXES`` axes.
+law with its pins as evidence: the product of the law's factors summed by
+variable elimination, from a plan cached by the factors' structure
+(``_contraction_plan``); each step is lowered at plan time to fixed
+transposes and reshapes around one ``np.matmul`` (or one sum, for a step
+over one table).  Its sums run in another order than a cell-by-cell
+product would, so tables agree with a plain elimination to within 1e-12,
+not bit for bit.  No join or contraction step builds more than
+``MAX_CELLS`` cells or ``MAX_AXES`` axes.
 
 A law may name each factor's head, the variable it is a conditional of
 (a CPT's child), and the law checks that the factor sums to 1 over it.
@@ -36,12 +37,12 @@ plans an expression once per law structure (its name, variables, zero
 pattern and heads) into a flat program of slices, steps, joins and sums.
 Each is one call with its constants and input registers bound at plan
 time, so that an oracle trial on a law of that structure runs only their
-arithmetic, in the loop that ``contract`` runs too (``_run``).  Planning
-runs no call and reads no table's data, so a program depends only on that
-structure.  The planner records a factor slice or a contraction step
-once, however many of the expression's marginals share it: a slice by its
-factor's position with its evidence and support indices, a step by the
-step with its input registers.
+arithmetic (``_Program.run``); a law's marginal is the program of one
+atom.  Planning runs no call and reads no table's data, so a program
+depends only on that structure.  The planner binds a factor slice or a
+contraction step once, however many of the expression's marginals share
+it: a slice by its factor's position with its evidence and support
+indices, a step by the step with its input registers.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
@@ -603,23 +604,38 @@ def _coerce(v: str) -> Value:
         return v
 
 
+_ARITY = {"one": 0, "atom": 3, "at": 2, "marg": 2, "quot": 2}   # (prod takes any number)
+
+
+def _name_list(form) -> tuple[str, ...]:
+    if not isinstance(form, list) or not all(isinstance(x, str) for x in form):
+        raise ExprError(f"expected a list of names, not {form!r}")
+    return tuple(form)
+
+
 def _build(form) -> Expr:
     if not isinstance(form, list) or not form:
         raise ExprError(f"bad s-expression fragment: {form!r}")
     head = form[0]
+    if head in _ARITY and len(form) != 1 + _ARITY[head]:
+        raise ExprError(f"{head} expects {_ARITY[head]} arguments, not {len(form) - 1}")
     if head == "one":
         return One()
     if head == "atom":
-        if len(form) != 4:
-            raise ExprError("atom expects name, vars, ctx")
-        return Atom(form[1], tuple(form[2]), tuple(form[3]))
+        if not isinstance(form[1], str):
+            raise ExprError(f"atom expects a law name, not {form[1]!r}")
+        return Atom(form[1], _name_list(form[2]), _name_list(form[3]))
     if head == "at":
-        pins = _pins((p[0], _coerce(p[1])) for p in form[2])
+        pairs = form[2] if isinstance(form[2], list) else [form[2]]
+        if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                   for p in pairs):
+            raise ExprError(f"at expects a list of (name value) pins, not {form[2]!r}")
+        pins = _pins((var, _coerce(val)) for var, val in pairs)
         inner = _build(form[1])
         _check_pins(inner, pins)
         return _push_restrict(inner, dict(pins))
     if head == "marg":
-        return Marginal(_build(form[1]), tuple(form[2]))
+        return Marginal(_build(form[1]), _name_list(form[2]))
     if head == "prod":
         return Product(tuple(_build(f) for f in form[1:]))
     if head == "quot":
@@ -654,10 +670,6 @@ class NamedTable:
     domains: dict[str, tuple[Value, ...]]
     data: np.ndarray
 
-    @classmethod
-    def scalar(cls, value: float) -> "NamedTable":
-        return cls((), {}, np.asarray(value, dtype=float))
-
     def axis(self, name: str) -> int:
         return self.dims.index(name)
 
@@ -688,7 +700,7 @@ class NamedTable:
         """The table over the given domains of its axes: zero at the values
         its own leave out, without the values the given ones leave out.  A
         result over ``MAX_CELLS`` raises before anything is allocated."""
-        _check_cells(self.dims, domains)
+        check_cells(self.dims, domains)
         out = self
         for d in self.dims:
             out = _reindex(out, d, domains[d])
@@ -816,7 +828,7 @@ def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
             domains[d] = da[d] + tuple(v for v in db[d] if v not in da[d])
         else:
             domains[d] = tuple(v for v in da[d] if v in db[d])
-    _check_cells(dims, domains)
+    check_cells(dims, domains)
     operands = []
     for names, have in ((dims_a, da), (dims_b, db)):
         steps = tuple(_reindex_step(names.index(d), have[d], domains[d])
@@ -871,7 +883,9 @@ def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
     return NamedTable(tuple(sorted(dims)), domains, data)
 
 
-def _check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
+def check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]]) -> None:
+    """Raise ExprError for a table over dims with more than ``MAX_AXES`` axes
+    or ``MAX_CELLS`` cells, before anything is allocated."""
     if len(dims) > MAX_AXES:
         raise ExprError(f"a table over {len(dims)} axes exceeds MAX_AXES = {MAX_AXES}")
     cells = math.prod(len(domains[d]) for d in dims)
@@ -884,81 +898,36 @@ def _axes(tables: Sequence[NamedTable]) -> tuple[Axes, ...]:
     return tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables)
 
 
-def zero_pattern(tables: Sequence[NamedTable],
-                 heads: Sequence[str | None] | None = None) -> ZeroPattern:
+def zero_pattern(tables: Sequence[NamedTable], heads: Sequence[str | None]) -> ZeroPattern:
     """The tables' axes with their domains, where each table is zero (the
     packed bits of its nonzero cells, None for a table without a zero), and
     each table's head (the variable it is a conditional of, None when
-    unknown): the key from which ``contract`` finds the support and the
-    barren tables, made once per set of tables (a law's factors) rather than
-    in every contraction."""
+    unknown): the key from which a contraction plan finds the support and
+    the barren tables, made once per set of tables (a law's factors) rather
+    than in every contraction."""
     return (_axes(tables),
             tuple(None if np.count_nonzero(t.data) == t.data.size
                   else np.packbits(t.data != 0).tobytes() for t in tables),
-            tuple(heads) if heads is not None else (None,) * len(tables))
+            tuple(heads))
 
 
-def contract(tables: Sequence[NamedTable], keep: Iterable[str],
-             evidence: Mapping[str, Value] | None = None,
-             pattern: ZeroPattern | None = None) -> NamedTable:
-    """The product of the tables, each sliced at the evidence, summed over
-    every axis outside keep; the result's axes are sorted.  Its data may be
-    a view of a table's, so it is read-only.
-
-    Given the tables' ``zero_pattern``, every table is also sliced at the
-    support (``_support``), so no step spans a value outside it, and the
-    result's domains are the supports of the kept variables.  A table whose
-    head is neither kept nor evidence, and spanned by no other table left,
-    is barren: it sums to 1 over its head, so it is left out, and so,
-    repeatedly, are the tables that become barren once it is gone.  The
-    supports are found over every table, barren ones included, so leaving
-    them out changes no axis or domain of the result.
-
-    The variable whose tables span the fewest axes is eliminated first (ties
-    by name); a step multiplies its tables in pairs and sums the variable out
-    in the last, each pair by ``np.matmul`` (``_Step``).  The plan depends
-    only on the tables' axes and domains, keep, the evidence and the
-    pattern, so it is made once per such key; no step may span more than
-    ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
-    non-negative: a step multiplies plainly, without the NaN absorption of
-    ``NamedTable.join``."""
-    axes, zeros, heads = pattern if pattern is not None else (_axes(tables), None, None)
-    plan = _contraction_plan(axes, frozenset(keep),
-                             tuple(sorted((evidence or {}).items())), zeros, heads)
-    if not plan.calls:
-        return NamedTable.scalar(1.0)
-    return NamedTable(plan.dims, plan.domains, _frozen(_run(plan.calls, tables)[-1]))
-
-
-def _run(calls: Sequence, tables: Sequence[NamedTable]) -> list:
-    """The registers after each call in turn appends its array: the loop of
-    a contraction plan and of a program."""
-    regs: list = []
-    for call in calls:
-        regs.append(call(regs, tables))
-    return regs
-
-
-def _bind_slice(pos: int, at: tuple | None, ix: tuple | None):
-    """The call that slices table pos at the evidence (at) and at the
-    support (ix, an open mesh of index arrays)."""
-    at = ... if at is None else at      # a view, so that freezing it leaves the factor writable
-    if ix is None:
+def _bind_slice(pos: int, pinned: tuple, kept: tuple | None):
+    """The call that slices table pos at the evidence (pinned: per axis, the
+    index of its evidence value, None for an axis left) and at the support
+    (kept: per axis left, the indices of its support; None when no axis
+    loses a value)."""
+    # a view, so that freezing it leaves the factor writable
+    at = ... if all(i is None for i in pinned) else tuple(
+        slice(None) if i is None else i for i in pinned)
+    if kept is None:
         return lambda regs, tables: tables[pos].data[at]
+    ix = np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
     return lambda regs, tables: tables[pos].data[at][ix]
-
-
-def _frozen(x) -> np.ndarray:
-    """x read-only, for an array that may be a view of a factor's."""
-    x = np.asarray(x)
-    x.flags.writeable = False
-    return x
 
 
 class _Plan(NamedTuple):
     keys: tuple             # per op: a slice's (position, evidence and support
                             # indices), or a step's (_Step, input positions)
-    calls: tuple            # per op: the call that appends its array (see _run)
     dims: tuple[str, ...]   # the last op's axes
     domains: dict           # their supports
 
@@ -1093,14 +1062,12 @@ def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
                  for d, a in sorted(alive.items()) if d not in ev and not a.all())
 
 
-def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...] | None,
+def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
               keep: frozenset[str], evidence: Mapping[str, Value]) -> list[int]:
     """The positions of the tables left once barren ones are dropped, one at
     a time until none is: a table whose head is neither kept nor evidence
-    and is spanned by no other table left (see ``contract``)."""
+    and is spanned by no other table left: it sums to 1 over its head."""
     left = list(range(len(tables)))
-    if heads is None:
-        return left
     spans = [{d for d, _ in table} for table in tables]
     dropped = True
     while dropped:
@@ -1116,9 +1083,18 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...] | None,
 
 
 @functools.lru_cache(maxsize=1024)
-def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: Pins,
-                      zeros: tuple[bytes | None, ...] | None,
-                      heads: tuple[str | None, ...] | None) -> _Plan:
+def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins) -> _Plan:
+    """The marginal over keep at the evidence of tables with this
+    ``zero_pattern``: each table left once the barren ones are dropped
+    (``_unbarren``) is sliced at the evidence and at the support
+    (``_support``), and the variable whose tables span the fewest axes is
+    eliminated first (ties by name), a step multiplying its tables in pairs
+    by ``np.matmul`` (``_Step``).  The result's axes are sorted, over the
+    supports of the kept variables.  No step may span more than
+    ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
+    non-negative: a step multiplies plainly, without the NaN absorption of
+    ``NamedTable.join``."""
+    tables, zeros, heads = pattern
     ev = dict(evidence)
     full: dict[str, tuple[Value, ...]] = {}
     for table in tables:
@@ -1128,36 +1104,30 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
             if d in ev and ev[d] not in dom:
                 raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
     # the supports are found over every table, barren ones too
-    support = dict(_support(tables, zeros, evidence)) if zeros is not None else {}
+    support = dict(_support(tables, zeros, evidence))
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
-    # work: (register, axes)
-    keys, calls, work = [], [], []
+    # work: (position of the op, axes)
+    keys, work = [], []
     for pos in _unbarren(tables, heads, keep, ev):
         table = tables[pos]
         live = tuple(d for d, _ in table if d not in ev)
         pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
-        at = None if len(live) == len(table) else tuple(
-            slice(None) if i is None else i for i in pinned)
         kept = None if not set(live) & set(support) else tuple(
             tuple(support.get(d, range(len(full[d])))) for d in live)
-        ix = None if kept is None else np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
         # equal keys mean equal slices of one sequence of tables
         keys.append((pos, pinned, kept))
-        calls.append(_bind_slice(pos, at, ix))
         work.append((len(keys) - 1, live))
 
     def call(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
         labels = _union(operands)
-        _check_cells(labels, domains)
+        check_cells(labels, domains)
         size = {d: len(domains[d]) for d in labels}
         # either table may be the left one: take the order that copies fewer cells
         step, axes, _, operands = min(
             ((*_lower(tuple(x for _, x in order), out, ordered, size), order)
              for order in (operands, operands[::-1])), key=lambda option: option[2])
-        inputs = tuple(p for p, _ in operands)
-        keys.append((step, inputs))
-        calls.append(step.bind(inputs))
+        keys.append((step, tuple(p for p, _ in operands)))
         return len(keys) - 1, axes
 
     def step(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
@@ -1179,7 +1149,7 @@ def _contraction_plan(tables: tuple[Axes, ...], keep: frozenset[str], evidence: 
     if len(work) > 1 or (work and work[0][1] != _union(work)):
         work = [step(work, _union(work), True)]
     dims = _union(work)
-    return _Plan(tuple(keys), tuple(calls), dims, {d: domains[d] for d in dims})
+    return _Plan(tuple(keys), dims, {d: domains[d] for d in dims})
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
@@ -1205,15 +1175,20 @@ class _Program(NamedTuple):
     domains, and holds no law's arrays: a call binds index arrays and the
     position of the factor it reads, never a factor."""
 
-    ops: tuple                  # per op: its call (see _run)
+    ops: tuple                  # per op: its call (see run)
     out: int                    # the result's register
     dims: tuple[str, ...]
     domains: dict
 
     def run(self, law) -> NamedTable:
+        regs: list = []
+        tables = law.factors
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            regs = _run(self.ops, law.factors)
-        return NamedTable(self.dims, dict(self.domains), _frozen(regs[self.out]))
+            for call in self.ops:
+                regs.append(call(regs, tables))
+        out = np.asarray(regs[self.out])
+        out.flags.writeable = False     # it may be a view of a factor's
+        return NamedTable(self.dims, dict(self.domains), out)
 
 
 def _bind_sum(i: int, axes: tuple[int, ...]):
@@ -1235,34 +1210,30 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     memo: dict = {}         # register, axes and domains by expression
     known = {v for v, _ in variables}
 
-    def emit(key, call) -> int:
-        """Plan call, unless its key is planned; its register."""
-        if key in made:
-            return made[key]
+    def emit(call) -> int:
         ops.append(call)
-        if key is not None:
-            made[key] = len(ops) - 1
         return len(ops) - 1
 
     def one() -> tuple:
-        return emit(None, _one), (), {}
+        return emit(_one), (), {}
 
     def marginal(names: Iterable[str], evidence: dict) -> tuple:
-        axes, zeros, heads = pattern
-        plan = _contraction_plan(axes, frozenset(names).difference(evidence),
-                                 tuple(sorted(evidence.items())), zeros, heads)
+        plan = _contraction_plan(pattern, frozenset(names).difference(evidence),
+                                 tuple(sorted(evidence.items())))
         at: list = []       # register by position in the plan
-        for key, call in zip(plan.keys, plan.calls):
-            if isinstance(key[0], _Step):   # a step's key: the step and its input registers
-                step, inputs = key[0], tuple(at[i] for i in key[1])
-                key, call = (step, inputs), step.bind(inputs)
-            at.append(emit(key, call))
+        for key in plan.keys:
+            step = key[0] if isinstance(key[0], _Step) else None
+            if step is not None:    # a step's key: the step and its input registers
+                key = step, tuple(at[i] for i in key[1])
+            if key not in made:     # bound once, however many marginals share it
+                made[key] = emit(_bind_slice(*key) if step is None else step.bind(key[1]))
+            at.append(made[key])
         return (at[-1], plan.dims, plan.domains) if at else one()
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, dims_a, doms_a), (j, dims_b, doms_b) = a, b
         plan = _join_plan(dims_a, doms_a, dims_b, doms_b, divide)
-        return emit(None, _bind_join(i, j, plan, divide)), plan.dims, plan.domains
+        return emit(_bind_join(i, j, plan, divide)), plan.dims, plan.domains
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1289,7 +1260,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if not axes:
                 return i, dims, domains
             keep = tuple(d for d in dims if d not in e.over)
-            return emit(None, _bind_sum(i, axes)), keep, {d: domains[d] for d in keep}
+            return emit(_bind_sum(i, axes)), keep, {d: domains[d] for d in keep}
         if isinstance(e, Product):
             if not e.children:
                 return one()

@@ -5,34 +5,35 @@ missing-data model, derives observed laws, verifies emitted functionals
 against enumerated truths, and constructs witness pairs certifying full-law
 non-identifiability.
 
-A law is a FactoredLaw: its CPT factors, one per vertex, and marginals are
-computed from them by variable elimination (``kernel.contract``), and large
-models never materialize the full joint.  A marginal may carry evidence
-(fixed values): every factor is sliced at it, and at the support it leaves
-(the values with mass), before elimination.  A sampled law heads each CPT
-by its vertex (``FactoredLaw.heads``), and a marginal leaves out the CPTs
-that are barren for it: a CPT whose child is neither kept nor evidence and
-feeds no factor left sums to 1 out of the product (``kernel.contract``).
-So the target law, the marginal over the censored and fully observed
-variables, multiplies only the censored variables' CPTs.  The law checks
-its factors once when it is made: finite, non-negative, on the law's
-domains, each headed factor summing to 1 over its head within 1e-12, and
-it finds where they are zero.  The observed law of a trial shares the full
-law's checked factors, heads and zero pattern, so a trial checks its law
-once.  The contraction plan, and the program that
-``kernel.evaluate_numeric`` plans for an expression, are cached by the
-factors' axes, that zero pattern and the heads, and read no data, so every
-sampled law of one model with the same zeros (e.g. random positive CPTs
-beside the deterministic proxy CPTs) reuses them and runs only their
-arithmetic.  No cached plan or program holds a law's arrays.  A quotient
-runs over the union of its operands' domains (``NamedTable.join``), so its
-structure never depends on where a law holds a NaN.  The law holds the
-full domain of each variable, and every factor axis over a variable has
-that domain; ``marginal`` pads its result to them, while ``on_support``
-leaves out the values without mass, as expression evaluation does; a
-functional's value is padded once, to the law's domains without "?"
+A law is a FactoredLaw: its CPT factors, one per vertex, and a marginal
+is the program of one atom (``kernel.evaluate_numeric``), which sums them
+by variable elimination, so large models never materialize the full
+joint.  A marginal may carry evidence (fixed values): every factor is
+sliced at it, and at the support it leaves (the values with mass), before
+elimination.  A sampled law heads each CPT by its vertex
+(``FactoredLaw.heads``), and a marginal leaves out the CPTs that are
+barren for it: a CPT whose child is neither kept nor evidence and feeds
+no factor left sums to 1 out of the product.  So the target law, the
+marginal over the censored and fully observed variables, multiplies only
+the censored variables' CPTs.  The law checks its factors once when it is
+made: finite, non-negative, on the law's domains, each headed factor
+summing to 1 over its head within 1e-12, and it finds where they are
+zero.  The observed law of a trial shares the full law's checked factors,
+heads and zero pattern, so a trial checks its law once.  The contraction
+plan, and the program that ``kernel.evaluate_numeric`` plans for an
+expression or a marginal, are cached by the factors' axes, that zero
+pattern and the heads, and read no data, so every sampled law of one
+model with the same zeros (e.g. random positive CPTs beside the
+deterministic proxy CPTs) reuses them and runs only their arithmetic.  No
+cached plan or program holds a law's arrays.  A quotient runs over the
+union of its operands' domains (``NamedTable.join``), so its structure
+never depends on where a law holds a NaN.  The law holds the full domain
+of each variable, and every factor axis over a variable has that domain;
+``marginal`` pads its result to them, while ``on_support`` leaves out the
+values without mass, as expression evaluation does; a functional's value
+is padded once, to the law's domains without "?"
 (``missing.without_censored_rows``).  A law caches no marginal: each is
-one contraction.
+one run of a program.
 The observed law handed to expression evaluation keeps the full law's
 CPTs and only restricts the variable set, so an atom's joint and its
 context are each one elimination with the atom's pins as evidence, and no
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .graph import Cadmg
-from .kernel import NamedTable, contract, evaluate_numeric, rename_axes, zero_pattern
+from .kernel import Atom, NamedTable, check_cells, evaluate_numeric, rename_axes, zero_pattern
 from .missing import without_censored_rows
 from .model import MISSING_TOKEN, MdDag, Triple
 
@@ -72,15 +73,16 @@ class OracleError(ValueError):
 @dataclass(eq=False)
 class FactoredLaw:
     """Law over named finite variables, held as factors whose product is the
-    joint over (a superset of) ``variables``; marginals by ``kernel.contract``.
-    Every factor must be finite and non-negative, and an axis over one of
-    ``variables`` must have its domain there.
+    joint over (a superset of) ``variables``; a marginal is the program of
+    one atom (``kernel.evaluate_numeric``).  Every factor must be finite and
+    non-negative, and an axis over one of ``variables`` must have its domain
+    there.
 
     ``heads`` names, per factor, the variable it is a conditional of (a
     CPT's child), or None where that is unknown; a headed factor must sum to
     1 over its head within 1e-12.  A marginal leaves out the factors it
-    finds barren by their heads (``kernel.contract``).  The checks and the
-    zero pattern are made once, here."""
+    finds barren by their heads.  The checks and the zero pattern are made
+    once, here."""
 
     name: str
     variables: dict[str, tuple]
@@ -133,7 +135,7 @@ class FactoredLaw:
         unknown = (names | ev.keys()) - self.variables.keys()
         if unknown:
             raise OracleError(f"law has no variables {sorted(unknown)}")
-        return contract(self.factors, names.difference(ev), ev, self._pattern)
+        return evaluate_numeric(Atom(self.name, names | ev.keys(), pins=ev), self)
 
     @property
     def table(self) -> NamedTable:
@@ -171,6 +173,7 @@ def _random_cpt(rng: np.random.Generator, child: str, child_dom: tuple,
                 parent_doms: dict[str, tuple]) -> NamedTable:
     dims = tuple(sorted([child] + list(parent_doms)))
     domains = {child: child_dom, **parent_doms}
+    check_cells(dims, domains)      # before drawing
     shape = tuple(len(domains[d]) for d in dims)
     raw = rng.uniform(size=shape)
     ax = dims.index(child)
@@ -431,5 +434,6 @@ def sample_dag_law(g: Cadmg, cardinality: int = 2, seed: int = 0) -> FactoredLaw
 def interventional_truth(g: Cadmg, law: FactoredLaw, outcomes: Iterable[str],
                          treatments: Mapping[str, object]) -> NamedTable:
     """p(Y(a)) by direct enumeration of the truncated factorization."""
-    cpts = [_cpt_of(g, law, v) for v in g.topological_order() if v not in treatments]
-    return contract(cpts, frozenset(outcomes), treatments)
+    kept = [v for v in g.topological_order() if v not in treatments]
+    return FactoredLaw(law.name, law.variables, tuple(_cpt_of(g, law, v) for v in kept),
+                       tuple(kept)).marginal(outcomes, treatments)

@@ -112,7 +112,7 @@ def reference_elimination_marginal(factors, keep) -> NamedTable:
     with one ``NamedTable.join`` per pair of factors."""
     work = list(factors)
     if not work:
-        return NamedTable.scalar(1.0)
+        return NamedTable((), {}, np.asarray(1.0))
     if len(work) == 1:          # a dense law: one sum over all dropped axes
         return work[0].sum_out(set(work[0].dims) - keep)
     all_vars: set[str] = set()

@@ -115,6 +115,17 @@ def test_parse_rejects_unbalanced_input(text):
         K.parse(text)
 
 
+@pytest.mark.parametrize("text", ["(at (atom p (A) ()) ((A)))", "(quot (one))",
+                                  "(atom p AB ())", "(at (atom p (A) ()) ((A 1 2)))",
+                                  "(one (one))", "(atom (p) (A) ())", "(atom p ((A)) ())",
+                                  "(marg (atom p (A B) ()) B)", "(at (atom p (A) ()) (A 1))"])
+def test_parse_rejects_malformed_forms(text):
+    # a form of the wrong arity, or a name list that is no list of names,
+    # raises instead of being misread
+    with pytest.raises(K.ExprError):
+        K.parse(text)
+
+
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
 def test_emitted_expressions_parse_back_without_canonicalizing(name):
     # a pinned atom is one node, so the text of every emitted propensity and
@@ -326,16 +337,28 @@ def assert_same_cells(got: K.NamedTable, want: K.NamedTable) -> None:
     assert got.max_abs_diff(want) <= 1e-12
 
 
-def check_contract(tables, keep, ev):
-    want = reference_elimination_marginal([t.take(ev) for t in tables],
+def law_of(tables, variables=None) -> O.FactoredLaw:
+    """The law whose factors are the tables, none headed, over their axes'
+    domains unless variables are given."""
+    if variables is None:
+        variables = {d: t.domains[d] for t in tables for d in t.dims}
+    return O.FactoredLaw("p", dict(variables), tuple(tables))
+
+
+def check_contract(law, keep, ev):
+    # sliced at the support of their zero pattern, the factors contract to
+    # the same cells once the result is padded back to the full domains
+    want = reference_elimination_marginal([t.take(ev) for t in law.factors],
                                           frozenset(keep) - set(ev))
-    assert_same_cells(K.contract(tables, keep, ev), want)
+    got = law.on_support(keep, ev)
+    assert all(set(got.domains[d]) <= set(want.domains[d]) for d in got.dims)
+    assert_same_cells(got.padded(want.domains), want)
 
 
 @st.composite
 def factor_sets(draw):
-    """Up to five tables over five variables whose domains may be of size
-    one or carry "?", with zero-heavy cells; scalars included."""
+    """A law of up to five tables over five variables whose domains may be
+    of size one or carry "?", with zero-heavy cells; scalars included."""
     names = "ABCDE"
     doms = {v: draw(st.sampled_from([(0,), (0, 1), (0, 1, "?"), (0, 1, 2)])) for v in names}
     tables = []
@@ -348,26 +371,13 @@ def factor_sets(draw):
                                    np.array(cells).reshape(shape)))
     keep = draw(st.sets(st.sampled_from(names)))
     pinned = draw(st.sets(st.sampled_from(names), max_size=3))
-    return tables, keep, {v: draw(st.sampled_from(doms[v])) for v in pinned}
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=factor_sets())
-def test_contract_matches_pairwise_join_elimination(case):
-    check_contract(*case)
+    return law_of(tables, doms), keep, {v: draw(st.sampled_from(doms[v])) for v in pinned}
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=factor_sets())
 def test_contract_on_the_support_matches_pairwise_join_elimination(case):
-    # sliced at the support of their zero pattern, the tables contract to
-    # the same cells once the result is padded back to the full domains
-    tables, keep, ev = case
-    want = reference_elimination_marginal([t.take(ev) for t in tables],
-                                          frozenset(keep) - set(ev))
-    got = K.contract(tables, keep, ev, K.zero_pattern(tables))
-    assert all(set(got.domains[d]) <= set(want.domains[d]) for d in got.dims)
-    assert_same_cells(got.padded(want.domains), want)
+    check_contract(*case)
 
 
 def test_support_shrinks_to_a_fixed_point():
@@ -377,7 +387,7 @@ def test_support_shrinks_to_a_fixed_point():
                       np.array([[0.5, 0.5], [0.0, 0.5]]))
     bc = K.NamedTable(("B", "C"), {"B": (0, 1), "C": (0, 1)},
                       np.array([[0.5, 0.5], [0.0, 1.0]]))
-    got = K.contract([ab, bc], ["A"], {"C": 0}, K.zero_pattern([ab, bc]))
+    got = law_of([ab, bc]).on_support(["A"], {"C": 0})
     assert got.domains == {"A": (0,)}
     np.testing.assert_allclose(got.padded({"A": (0, 1)}).data, [0.25, 0.0])
 
@@ -390,8 +400,7 @@ def test_contract_matches_pairwise_join_elimination_on_fixture_laws(data):
     names = sorted(law.variables)
     keep = data.draw(st.sets(st.sampled_from(names), max_size=5))
     pinned = data.draw(st.sets(st.sampled_from(names), max_size=4))
-    check_contract(law.factors, keep,
-                   {v: data.draw(st.sampled_from(law.variables[v])) for v in pinned})
+    check_contract(law, keep, {v: data.draw(st.sampled_from(law.variables[v])) for v in pinned})
 
 
 @st.composite
@@ -425,9 +434,8 @@ def test_contract_without_barren_tables_matches_pairwise_join_elimination(case):
     # sums to 1 over the child, so leaving it out changes no axis, domain or
     # zero cell, and no cell by more than rounding
     law, keep, ev = case
-    got = K.contract(law.factors, keep, ev, law._pattern)
-    axes, zeros, _ = law._pattern
-    every = K.contract(law.factors, keep, ev, (axes, zeros, (None,) * len(law.factors)))
+    got = law.on_support(keep, ev)
+    every = law_of(law.factors, law.variables).on_support(keep, ev)
     assert got.dims == every.dims and got.domains == every.domains
     want = reference_elimination_marginal([t.take(ev) for t in law.factors],
                                           frozenset(keep) - set(ev))
@@ -445,7 +453,7 @@ def test_contract_leaves_out_tables_that_become_barren():
     axes, zeros, heads = law._pattern
 
     def sliced(keep, evidence=()):
-        plan = K._contraction_plan(axes, frozenset(keep), evidence, zeros, heads)
+        plan = K._contraction_plan(law._pattern, frozenset(keep), evidence)
         return sorted(heads[key[0]] for key in plan.keys if not isinstance(key[0], K._Step))
 
     assert sliced("A") == ["A"]
@@ -453,7 +461,7 @@ def test_contract_leaves_out_tables_that_become_barren():
     assert sliced("A", (("C", 1),)) == ["A", "B", "C"]
     assert sliced("AD") == ["A", "B", "C", "D"]
     # without heads, nothing is barren
-    plan = K._contraction_plan(axes, frozenset("A"), (), zeros, None)
+    plan = K._contraction_plan((axes, zeros, (None,) * 4), frozenset("A"), ())
     assert len([key for key in plan.keys if not isinstance(key[0], K._Step)]) == 4
 
 
@@ -479,9 +487,9 @@ def test_contraction_step_over_max_cells_raises_at_plan_time():
 
     # eliminating B multiplies A, B and C: the table the join chain refused
     with pytest.raises(K.ExprError, match=r"27000000 cells over \['A', 'B', 'C'\]"):
-        K.contract([axes("A", "B", n=300), axes("B", "C", n=300)], ["A", "C"])
+        law_of([axes("A", "B", n=300), axes("B", "C", n=300)]).on_support(["A", "C"])
     with pytest.raises(K.ExprError, match=r"16785409 cells over \['A', 'B'\]"):
-        K.contract([axes("A", n=4097), axes("B", n=4097)], ["A", "B"])
+        law_of([axes("A", n=4097), axes("B", n=4097)]).on_support(["A", "B"])
 
 
 def test_tables_over_max_axes_raise_at_plan_time():
@@ -490,14 +498,14 @@ def test_tables_over_max_axes_raise_at_plan_time():
 
     names = [f"V{i:02d}" for i in range(K.MAX_AXES + 1)]
     # 32 one-cell axes still contract and join
-    tab = K.contract([units([v], np.full(1, 0.5)) for v in names[:32]], names[:32])
+    tab = law_of([units([v], np.full(1, 0.5)) for v in names[:32]]).on_support(names[:32])
     assert tab.data.shape == (1,) * 32 and tab.data.item() == 0.5 ** 32
     tab = K.NamedTable.join(units(names[:17], np.full((1,) * 17, 0.5)),
                             units(names[16:32], np.full((1,) * 16, 0.5)), np.multiply)
     assert tab.dims == tuple(names[:32]) and tab.data.item() == 0.25
     # 33 are refused before any cell is read
     with pytest.raises(K.ExprError, match="33 axes exceeds MAX_AXES = 32"):
-        K.contract([units([v], np.empty(0)) for v in names], names)
+        law_of([units([v], np.empty(0)) for v in names]).on_support(names)
     with pytest.raises(K.ExprError, match="33 axes exceeds MAX_AXES = 32"):
         K.NamedTable.join(units(names[:17], np.empty(0)), units(names[16:], np.empty(0)),
                           np.multiply)
@@ -505,8 +513,8 @@ def test_tables_over_max_axes_raise_at_plan_time():
 
 def test_contract_folds_many_operands_in_pairs():
     # a step folds its operands in pairs, each one np.matmul
-    scalars = [K.NamedTable.scalar(1.5) for _ in range(70)]
-    assert K.contract(scalars, []).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
+    scalars = [K.NamedTable((), {}, np.asarray(1.5)) for _ in range(70)]
+    assert law_of(scalars).on_support([]).data.item() == pytest.approx(1.5 ** 70, rel=1e-12)
 
 
 @pytest.fixture
@@ -541,7 +549,7 @@ def test_atoms_that_share_a_step_compile_it_once(step_runs):
     chain = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
     law = O.sample_dag_law(chain, 2, 0)
     e = K.Product((K.Atom("p", ("D",)), K.Atom("p", ("C",))))
-    alone = [K.contract(law.factors, [v], pattern=law._pattern) for v in "DC"]
+    alone = [law.on_support([v]) for v in "DC"]
     separate = len(step_runs)
     assert separate == 5
     step_runs.clear()

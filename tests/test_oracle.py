@@ -393,7 +393,7 @@ def reference_evaluate(e: K.Expr, law, memo: dict) -> NamedTable:
     first and slices it at the pins afterwards."""
     if e not in memo:
         if isinstance(e, K.One):
-            out = NamedTable.scalar(1.0)
+            out = NamedTable((), {}, np.asarray(1.0))
         elif isinstance(e, K.Atom):
             out = law.marginal(set(e.vars) | set(e.ctx))
             if e.ctx:
@@ -402,7 +402,7 @@ def reference_evaluate(e: K.Expr, law, memo: dict) -> NamedTable:
         elif isinstance(e, K.Marginal):
             out = reference_evaluate(e.child, law, memo).sum_out(e.over)
         elif isinstance(e, K.Product):
-            out = NamedTable.scalar(1.0)
+            out = NamedTable((), {}, np.asarray(1.0))
             for c in e.children:
                 out = NamedTable.join(out, reference_evaluate(c, law, memo), np.multiply)
         else:
@@ -437,15 +437,15 @@ def target_functional(name: str):
 
 def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
     """The tree walk that ``evaluate_numeric`` plans, run node by node,
-    with each atom's joint and context contracted alone, so that no
-    marginal reads the steps of another."""
+    with each atom's joint and context a marginal of the law alone, so that
+    no marginal reads the steps of another."""
     if e not in memo:
         if isinstance(e, K.One):
-            out = NamedTable.scalar(1.0)
+            out = NamedTable((), {}, np.asarray(1.0))
         elif isinstance(e, K.Atom):
             def alone(names):
                 ev = {k: v for k, v in e.pins if k in names}
-                return K.contract(law.factors, set(names) - ev.keys(), ev, law._pattern)
+                return law.on_support(set(names) - ev.keys(), ev)
 
             out = alone(set(e.vars) | set(e.ctx))
             if e.ctx:
@@ -559,15 +559,29 @@ def test_octet_program_op_counts():
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
     kinds = collections.Counter(op.__qualname__.split(".<locals>")[0] for op in program.ops)
-    assert kinds["_bind_slice"] <= 47 and kinds["_Step.bind"] <= 301
+    assert (kinds["_bind_slice"], kinds["_Step.bind"]) == (47, 301)
     assert (kinds["_bind_join"], kinds["_bind_sum"]) == (91, 24)
     assert sum(kinds.values()) == len(program.ops)
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
-    axes, zeros, heads = full._pattern
-    plan = K._contraction_plan(axes, frozenset(md.truths | md.observed), (), zeros, heads)
+    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), ())
     sliced = [key[0] for key in plan.keys if not isinstance(key[0], K._Step)]
-    assert {heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
+    assert {full.heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
+
+
+def test_planning_binds_each_step_once(monkeypatch):
+    # a plan holds keys only, so a step is bound once it is a step of the
+    # program, never again for another marginal that shares it
+    md = load("octet")
+    expr = target_functional("octet").expr
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    binds = []
+    bind = K._Step.bind
+    monkeypatch.setattr(K._Step, "bind", lambda step, inputs: binds.append(step) or bind(step, inputs))
+    K._contraction_plan.cache_clear()
+    program = K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
+    steps = sum(op.__qualname__.startswith("_Step.bind") for op in program.ops)
+    assert len(binds) == steps == 301
 
 
 def bound_arrays(call) -> list[np.ndarray]:
@@ -737,6 +751,23 @@ def test_dense_law_over_max_cells_raises():
     law = O.sample_full_law(md_dag([], ["X1", "X2"]), 64, 0)
     with pytest.raises(K.ExprError, match="69222400 cells"):
         law.dense()
+
+
+@pytest.mark.parametrize("parents, message", [(24, "33554432 cells"),
+                                               (32, "33 axes exceeds MAX_AXES")])
+def test_cpt_over_max_cells_raises_before_drawing(parents, message):
+    # O's CPT spans O and its censored parents: 2^25 cells, or 33 axes, are
+    # refused before a cell is drawn, by the rule for joins and pads
+    md = md_dag([(f"X{i}(1)", "O") for i in range(parents)],
+                [f"X{i}" for i in range(parents)], ["O"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(K.ExprError, match=message):
+            O.sample_full_law(md, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
 
 
 @pytest.mark.parametrize("seed, k, p", [(0, 10, 0.3), (0, 12, 0.15), (1, 12, 0.15)])

@@ -16,7 +16,7 @@ Numeric evaluation is dense, over named axes; positive mass over zero
 becomes a NaN marker (an explicit "undefined" signal, counted by callers)
 rather than raising, and 0/0 is a structural zero.  An atom is asked of the
 law with its pins as evidence: the product of the law's factors summed by
-variable elimination, from a plan cached by the factors' structure
+variable elimination, from a plan of the factors' structure
 (``_contraction_plan``); each step is lowered at plan time to fixed
 transposes and reshapes around one ``np.matmul`` (or one sum, for a step
 over one table).  Its sums run in another order than a cell-by-cell
@@ -33,26 +33,23 @@ then, repeatedly, each table that becomes barren once it is gone (Baker &
 Boult, "Pruning Bayesian networks for efficient computation", 1990).
 
 Work is shared wherever its structure repeats.  ``evaluate_numeric``
-plans an expression once per law structure (its name, variables, zero
-pattern and heads) into a flat program of slices, steps, joins and sums.
-Each is one call with its constants and input registers bound at plan
-time, so that an oracle trial on a law of that structure runs only their
-arithmetic (``_Program.run``); a law's marginal is the program of one
-atom.  Planning runs no call and reads no table's data, so a program
-depends only on that structure.  The planner binds a factor slice or a
-contraction step once, however many of the expression's marginals share
-it: a slice by its factor's position with its evidence and support
-indices, a step by the step with its input registers.
+plans an expression into a flat program of slices, steps, joins and sums,
+each one call with its constants and input registers bound at plan time,
+and caches it by the law's structure (its name, variables, zero pattern
+and heads): the kernel's one cache (``_program``).  An oracle trial on a
+law of that structure runs only the calls' arithmetic (``_Program.run``);
+a law's marginal is the program of one atom.  Planning runs no call and
+reads no table's data.  The planner plans each distinct marginal once and
+keeps the plans only while it plans; it binds a factor slice or a
+contraction step once, however many marginals share it.
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
 at the evidence (``_support``, shrunk to a fixed point); for the
 deterministic proxy CPTs of a missing-data law it drops, e.g., the "?" row
 of a proxy whose indicator is pinned to 1.  It is found from the factors'
-``zero_pattern``, made once per law with their heads, and the pattern is
-part of the cached plan's key, so one plan slices every factor at the
-evidence and at the support, and a second law with the same zeros replays
-it.  The supports are found over every factor, barren ones too, so leaving
+``zero_pattern``, made once per law, so a second law with the same zeros
+replays the program.  The supports are found over every factor, barren ones too, so leaving
 a barren one out changes no table's axes or domains.  A table's
 ``domains`` may leave out values at which it is zero: ``NamedTable.join``
 multiplies over the intersection of two domains and divides over their
@@ -103,9 +100,25 @@ def _pins(assignments) -> Pins:
     return tuple(sorted(out.items()))
 
 
+def _hash_once(cls):
+    """The node class with its dataclass hash stored at the first call: an
+    expression keys its program's cache, and a stored hash reads no child."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", field_hash(self))
+        return self._hash
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class Expr:
     """Base class; concrete nodes below."""
+
+    def __getstate__(self):     # a copy in another process hashes its names afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def free(self) -> frozenset[str]:
         raise NotImplementedError
@@ -120,6 +133,7 @@ class Expr:
         return self.free() | self.contexts() | frozenset(self.pinned())
 
 
+@_hash_once
 @dataclass(frozen=True)
 class One(Expr):
     """Multiplicative unit: a fully summed-out normalized kernel."""
@@ -134,6 +148,7 @@ class One(Expr):
         return {}
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom(Expr):
     """p_law(vars | ctx) at the pins, a conditional table of the named law;
@@ -163,6 +178,7 @@ class Atom(Expr):
         return dict(self.pins)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Marginal(Expr):
     """Child summed over the given variables."""
@@ -183,6 +199,7 @@ class Marginal(Expr):
         return self.child.pinned()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Product(Expr):
     children: tuple[Expr, ...]
@@ -206,6 +223,7 @@ class Product(Expr):
         return out
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Quotient(Expr):
     num: Expr
@@ -280,12 +298,9 @@ def quotient(num: Expr, den: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_parts(e: Expr):
-    """Return (law, joint vars, ctx vars, pins dict) when e is an atom,
-    else None."""
-    if isinstance(e, Atom):
-        return e.law, set(e.vars), set(e.ctx), dict(e.pins)
-    return None
+def _leaf_parts(e: Atom):
+    """An atom's law, joint vars, ctx vars and pins dict."""
+    return e.law, set(e.vars), set(e.ctx), dict(e.pins)
 
 
 def _make_leaf(law: str, joint: set[str], ctx: set[str], pins: dict[str, Value]) -> Expr:
@@ -314,12 +329,10 @@ def _merge_leaf_quotient(n: Expr, d: Expr):
     """Chain-rule merge p(J1|G1) / p(J2|G2) -> p(J1-J2-D | J2+D+G1) p(D|G1)
     where D = G2-G1, valid when J2 and D sit inside J1.  Returns a list of
     replacement factors or None."""
-    pn = _leaf_parts(n)
-    pd = _leaf_parts(d)
-    if pn is None or pd is None:
+    if not (isinstance(n, Atom) and isinstance(d, Atom)):
         return None
-    law1, j1, g1, pin1 = pn
-    law2, j2, g2, pin2 = pd
+    law1, j1, g1, pin1 = _leaf_parts(n)
+    law2, j2, g2, pin2 = _leaf_parts(d)
     if law1 != law2:
         return None
     if not _pins_aligned(j1, g1, pin1, j2, g2, pin2):
@@ -340,12 +353,10 @@ def _merge_leaf_quotient(n: Expr, d: Expr):
 
 def _merge_leaf_product(a: Expr, b: Expr):
     """Chain-rule recomposition p(J1 | J2+G2) p(J2 | G2) -> p(J1+J2 | G2)."""
-    pa_ = _leaf_parts(a)
-    pb_ = _leaf_parts(b)
-    if pa_ is None or pb_ is None:
+    if not (isinstance(a, Atom) and isinstance(b, Atom)):
         return None
-    law1, j1, g1, pin1 = pa_
-    law2, j2, g2, pin2 = pb_
+    law1, j1, g1, pin1 = _leaf_parts(a)
+    law2, j2, g2, pin2 = _leaf_parts(b)
     if law1 != law2 or not _pins_aligned(j1, g1, pin1, j2, g2, pin2):
         return None
     if g1 == (j2 | g2):
@@ -580,10 +591,6 @@ def render(e: Expr, fmt: str = "sexpr") -> str:
 _TOKEN = re.compile(r"[()]|[^\s()]+(?:\([^\s()]*\))*")
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
-
-
 def _read(tokens: list[str], pos: int):
     if pos == len(tokens):
         raise ExprError("unbalanced parentheses: the expression ends early")
@@ -644,7 +651,7 @@ def _build(form) -> Expr:
 
 
 def parse(text: str) -> Expr:
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ExprError("empty expression")
     form, pos = _read(tokens, 0)
@@ -707,7 +714,8 @@ class NamedTable:
         return out
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
-        return _aligned(self.data, *_alignment(self.dims, dims, domains))
+        perm, shape = _alignment(self.dims, dims, domains)
+        return (self.data.transpose(perm) if perm else self.data.reshape(())).reshape(shape)
 
     @staticmethod
     def join(a: "NamedTable", b: "NamedTable", op) -> "NamedTable":
@@ -802,10 +810,6 @@ def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
     return perm, tuple(len(domains[d]) if d in have else 1 for d in dims)
 
 
-def _aligned(data: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    return (data.transpose(perm) if perm else data.reshape(())).reshape(shape)
-
-
 class _JoinPlan(NamedTuple):
     dims: tuple[str, ...]
     domains: dict
@@ -894,10 +898,6 @@ def check_cells(dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]])
                         f" MAX_CELLS = {MAX_CELLS}")
 
 
-def _axes(tables: Sequence[NamedTable]) -> tuple[Axes, ...]:
-    return tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables)
-
-
 def zero_pattern(tables: Sequence[NamedTable], heads: Sequence[str | None]) -> ZeroPattern:
     """The tables' axes with their domains, where each table is zero (the
     packed bits of its nonzero cells, None for a table without a zero), and
@@ -905,7 +905,7 @@ def zero_pattern(tables: Sequence[NamedTable], heads: Sequence[str | None]) -> Z
     unknown): the key from which a contraction plan finds the support and
     the barren tables, made once per set of tables (a law's factors) rather
     than in every contraction."""
-    return (_axes(tables),
+    return (tuple(tuple((d, t.domains[d]) for d in t.dims) for t in tables),
             tuple(None if np.count_nonzero(t.data) == t.data.size
                   else np.packbits(t.data != 0).tobytes() for t in tables),
             tuple(heads))
@@ -1026,16 +1026,14 @@ def _union(operands) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(axes for _, axes in operands))))
 
 
-@functools.lru_cache(maxsize=1024)
 def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
-             evidence: Pins) -> tuple[tuple[str, tuple[int, ...]], ...]:
+             ev: Mapping[str, Value]) -> dict[str, tuple[int, ...]]:
     """The support of each variable outside the evidence: the values that
     keep nonzero mass in every table once each is sliced at the evidence and
-    at the other variables' supports, shrunk to a fixed point.  Lists the
-    positions of the values kept, only for variables that lose some; a value
+    at the other variables' supports, shrunk to a fixed point.  Maps each
+    variable that loses some to the positions of the values kept; a value
     left out has zero mass in the product of the tables.  A table without a
     zero removes no value, so only tables with zeros are read."""
-    ev = dict(evidence)
     alive = {d: np.array([v == ev[d] for v in dom]) if d in ev else np.ones(len(dom), bool)
              for table in tables for d, dom in table}
     masks = []
@@ -1052,14 +1050,14 @@ def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
             for i, d in enumerate(names):
                 live = live & alive[d].reshape([-1 if j == i else 1 for j in range(len(names))])
             if not live.any():          # the product is zero everywhere
-                return tuple((d, ()) for d in sorted(alive) if d not in ev)
+                return {d: () for d in alive if d not in ev}
             for i, d in enumerate(names):
                 kept = live.any(axis=tuple(j for j in range(len(names)) if j != i))
                 if kept.sum() < alive[d].sum():
                     alive[d] = kept
                     changed = True
-    return tuple((d, tuple(int(i) for i in np.flatnonzero(a)))
-                 for d, a in sorted(alive.items()) if d not in ev and not a.all())
+    return {d: tuple(np.flatnonzero(a).tolist()) for d, a in alive.items()
+            if d not in ev and not a.all()}
 
 
 def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
@@ -1082,10 +1080,10 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
     return left
 
 
-@functools.lru_cache(maxsize=1024)
 def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins) -> _Plan:
     """The marginal over keep at the evidence of tables with this
-    ``zero_pattern``: each table left once the barren ones are dropped
+    ``zero_pattern``, planned once per program that asks for it and kept by
+    none: each table left once the barren ones are dropped
     (``_unbarren``) is sliced at the evidence and at the support
     (``_support``), and the variable whose tables span the fewest axes is
     eliminated first (ties by name), a step multiplying its tables in pairs
@@ -1104,7 +1102,7 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             if d in ev and ev[d] not in dom:
                 raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
     # the supports are found over every table, barren ones too
-    support = dict(_support(tables, zeros, evidence))
+    support = _support(tables, zeros, ev)
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
     # work: (position of the op, axes)
@@ -1161,8 +1159,8 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
     domains leave out values at which it is zero, and its data may be a view
     of a factor's, so it is read-only.  The expression's ``_Program``
     depends only on the law's structure (name, variables, zero pattern and
-    heads), so it is planned once per structure and every law of it only
-    runs it."""
+    heads); it is the one thing the kernel caches, looked up by the
+    expression's stored hash, and every law of that structure only runs it."""
     return _program(e, law.name, tuple(law.variables.items()), law._pattern).run(law)
 
 
@@ -1204,10 +1202,11 @@ def _one(regs, tables):
 def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
     """e's program on laws of this structure, planned by a walk of the tree
     that binds every call and runs none; a node's table is (register, axes,
-    domains)."""
+    domains); each distinct marginal is planned once."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step
     memo: dict = {}         # register, axes and domains by expression
+    plans: dict = {}        # contraction plan by kept variables and evidence
     known = {v for v, _ in variables}
 
     def emit(call) -> int:
@@ -1218,8 +1217,10 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
         return emit(_one), (), {}
 
     def marginal(names: Iterable[str], evidence: dict) -> tuple:
-        plan = _contraction_plan(pattern, frozenset(names).difference(evidence),
-                                 tuple(sorted(evidence.items())))
+        asked = frozenset(names).difference(evidence), tuple(sorted(evidence.items()))
+        if asked not in plans:
+            plans[asked] = _contraction_plan(pattern, *asked)
+        plan = plans[asked]
         at: list = []       # register by position in the plan
         for key in plan.keys:
             step = key[0] if isinstance(key[0], _Step) else None

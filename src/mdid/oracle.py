@@ -5,40 +5,36 @@ missing-data model, derives observed laws, verifies emitted functionals
 against enumerated truths, and constructs witness pairs certifying full-law
 non-identifiability.
 
-A law is a FactoredLaw: its CPT factors, one per vertex, and a marginal
-is the program of one atom (``kernel.evaluate_numeric``), which sums them
-by variable elimination, so large models never materialize the full
-joint.  A marginal may carry evidence (fixed values): every factor is
-sliced at it, and at the support it leaves (the values with mass), before
-elimination.  A sampled law heads each CPT by its vertex
-(``FactoredLaw.heads``), and a marginal leaves out the CPTs that are
-barren for it: a CPT whose child is neither kept nor evidence and feeds
-no factor left sums to 1 out of the product.  So the target law, the
-marginal over the censored and fully observed variables, multiplies only
-the censored variables' CPTs.  The law checks its factors once when it is
-made: finite, non-negative, on the law's domains, each headed factor
-summing to 1 over its head within 1e-12, and it finds where they are
-zero.  The observed law of a trial shares the full law's checked factors,
-heads and zero pattern, so a trial checks its law once.  The contraction
-plan, and the program that ``kernel.evaluate_numeric`` plans for an
-expression or a marginal, are cached by the factors' axes, that zero
-pattern and the heads, and read no data, so every sampled law of one
-model with the same zeros (e.g. random positive CPTs beside the
-deterministic proxy CPTs) reuses them and runs only their arithmetic.  No
-cached plan or program holds a law's arrays.  A quotient runs over the
-union of its operands' domains (``NamedTable.join``), so its structure
-never depends on where a law holds a NaN.  The law holds the full domain
-of each variable, and every factor axis over a variable has that domain;
-``marginal`` pads its result to them, while ``on_support`` leaves out the
-values without mass, as expression evaluation does; a functional's value
-is padded once, to the law's domains without "?"
-(``missing.without_censored_rows``).  A law caches no marginal: each is
-one run of a program.
-The observed law handed to expression evaluation keeps the full law's
-CPTs and only restricts the variable set, so an atom's joint and its
-context are each one elimination with the atom's pins as evidence, and no
-trial builds the observed joint.
-A dense law is a FactoredLaw with a single factor (``dense``).
+A law is a FactoredLaw: its CPT factors, one per vertex, whose product
+is never materialized.  A marginal, with evidence (fixed values) or
+without, is the program of one atom (``kernel.evaluate_numeric``): every
+factor is sliced at the evidence and at the support it leaves (the
+values with mass), and summed by variable elimination.  A sampled law
+heads each CPT by its vertex (``FactoredLaw.heads``), and a marginal
+leaves out the CPTs that are barren for it: a CPT whose child is neither
+kept nor evidence and feeds no factor left sums to 1 out of the product.
+So the target law, the marginal over the censored and fully observed
+variables, multiplies only the censored variables' CPTs.
+
+The law checks its factors once when it is made (finite, non-negative,
+on the law's domains, each headed factor summing to 1 over its head
+within 1e-12) and finds where they are zero.  The observed law of a trial
+keeps the full law's checked factors, heads and zero pattern and only
+restricts the variable set, so a trial checks its law once and never
+builds the observed joint.  Programs are cached by the factors' axes,
+that zero pattern and the heads, and hold no law's arrays, so every
+sampled law of one model with the same zeros reuses them and runs only
+their arithmetic; a law caches no marginal.  Every table a verification
+compares, a propensity's truth too, is the result of a program.
+
+The law holds the full domain of each variable, and every factor axis
+over a variable has that domain.  ``marginal`` pads its result to them,
+while ``on_support`` leaves out the values without mass, as expression
+evaluation does; a functional's value is padded once, to the law's
+domains without "?" (``missing.without_censored_rows``).  A quotient
+runs over the union of its operands' domains (``NamedTable.join``), so
+its structure never depends on where a law holds a NaN.  A dense law is
+a FactoredLaw with a single factor (``dense``).
 
 A verification passes only when every trial's largest cell gap is within
 the tolerance and no evaluated cell is undefined (NaN).
@@ -258,10 +254,10 @@ def target_law(md: MdDag, full: FactoredLaw) -> NamedTable:
 
 
 def propensity_truth(md: MdDag, full: FactoredLaw, indicator: str) -> NamedTable:
-    """Ground truth p(R_i | pa(R_i)) as a table over {R_i} and its parents."""
-    pa = md.graph.parents([indicator])
-    joint = full.marginal(pa | {indicator})
-    return NamedTable.join(joint, joint.sum_out([indicator]), np.divide)
+    """Ground truth p(R_i | pa(R_i)) as a table over {R_i} and its parents:
+    the program of one atom of the full law, padded to the law's domains."""
+    atom = Atom(full.name, (indicator,), tuple(md.graph.parents([indicator])))
+    return evaluate_numeric(atom, full).padded(full.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +401,11 @@ def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0):
                            tuple(cpt_i2 if t is cpt_i else t for t in law1.factors),
                            law1.heads)
 
-        obs_gap = derive_observed_law(md, law1).table.max_abs_diff(
-            derive_observed_law(md, law2).table)
+        # each indicator is a function of its proxy (R_i = 1 iff X_i != "?"),
+        # so the observed laws agree where their law over (X, O) does
+        seen = md.proxies | md.observed
+        obs_gap = derive_observed_law(md, law1).marginal(seen).max_abs_diff(
+            derive_observed_law(md, law2).marginal(seen))
         # the proxies are deterministic in (X(1), R), so the full laws
         # differ exactly where their law over (X(1), R, O) does
         full = md.truths | md.indicators | md.observed

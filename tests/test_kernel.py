@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -71,6 +72,27 @@ def test_quotient_cancellation_and_chain_rule():
     den = K.restrict_values(K.Atom("p", ("R1", "X1")), {"R1": 1})
     got = K.quotient(num, den)
     assert got == K.restrict_values(K.Atom("p", ("R2",), ("R1", "X1")), {"R1": 1})
+
+
+def test_equal_trees_built_apart_hash_equal_and_once(monkeypatch):
+    def tree():
+        a = K.Atom("p", ("A", "B"), pins=(("B", 1),))
+        return K.Quotient(K.Product((a, K.Atom("p", ("C",)))), K.Marginal(a, ("A",)))
+
+    x, y = tree(), tree()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != K.Quotient(x.num, K.Marginal(x.den.child, ()))
+    # a copy in another process must hash its names afresh
+    copy = pickle.loads(pickle.dumps(x))
+    assert "_hash" not in vars(copy) and copy == x and hash(copy) == hash(x)
+    # a node's second hash reads the stored one, not its children
+    hashed = []
+    atom_hash = K.Atom.__hash__
+    monkeypatch.setattr(K.Atom, "__hash__", lambda a: hashed.append(a) or atom_hash(a))
+    hash(x)
+    assert not hashed
+    hash(tree())
+    assert hashed
 
 
 def test_render_and_parse_round_trip():
@@ -478,19 +500,30 @@ def test_contract_leaves_out_tables_that_become_barren():
     assert len([key for key in plan.keys if not isinstance(key[0], K._Step)]) == 4
 
 
-def test_second_law_of_a_model_adds_no_plan_misses():
+def test_second_law_of_a_model_adds_no_plan_misses(monkeypatch):
+    # a second law of the model has the first one's structure, so it replays
+    # the programs planned for the first and plans no marginal
     md = load("joint_quartet")
     functional = identify_target(md).functional
+    plans = []
+    plan = K._contraction_plan
+    monkeypatch.setattr(K, "_contraction_plan", lambda *key: plans.append(key) or plan(*key))
 
     def evaluate(seed):
         full = O.sample_full_law(md, 2, seed)
         functional.evaluate(O.derive_observed_law(md, full))
         O.target_law(md, full)
 
+    K._program.cache_clear()
     evaluate(0)
-    misses = K._contraction_plan.cache_info().misses
+    assert plans
+    plans.clear()
     evaluate(1)
-    assert K._contraction_plan.cache_info().misses == misses
+    assert not plans
+
+
+def test_the_program_is_the_kernels_only_cache():
+    assert [name for name, x in vars(K).items() if hasattr(x, "cache_info")] == ["_program"]
 
 
 def test_contraction_step_over_max_cells_raises_at_plan_time():
@@ -532,9 +565,9 @@ def test_contract_folds_many_operands_in_pairs():
 
 @pytest.fixture
 def step_runs(monkeypatch):
-    """The result of every contraction step run during the test: the plan
-    and program caches are emptied, so that every step is bound afresh
-    through a counting wrapper, which carries its step as ``.step``."""
+    """The result of every contraction step run during the test: the
+    program cache is emptied, so that every step is bound afresh through a
+    counting wrapper, which carries its step as ``.step``."""
     runs = []
     bind = K._Step.bind
 
@@ -548,11 +581,9 @@ def step_runs(monkeypatch):
         return run
 
     monkeypatch.setattr(K._Step, "bind", counted)
-    K._contraction_plan.cache_clear()
     K._program.cache_clear()
     yield runs
-    # no cached plan keeps a wrapper past the test
-    K._contraction_plan.cache_clear()
+    # no cached program keeps a wrapper past the test
     K._program.cache_clear()
 
 

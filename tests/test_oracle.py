@@ -115,7 +115,7 @@ def test_laws_that_differ_only_in_heads_share_no_plan():
     b = table(("A", "B"), {"A": (0, 1), "B": (0, 1)}, [[0.3, 0.7], [0.6, 0.4]])
     domains = {"A": (0, 1), "B": (0, 1)}
     for first in (True, False):
-        K._contraction_plan.cache_clear()
+        K._program.cache_clear()
         headed = O.FactoredLaw("p", domains, (a, b), ("A", "B"))
         twice = O.FactoredLaw("p", domains, (a, table(b.dims, b.domains, 2 * b.data)))
         laws = (headed, twice) if first else (twice, headed)
@@ -308,6 +308,25 @@ def test_witness_for_seven_censored_variables():
     assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
     with pytest.raises(K.ExprError, match="exceeds MAX_CELLS"):
         l1.table
+
+
+def test_witness_for_nine_censored_variables():
+    # each indicator is a function of its proxy, so the witness compares the
+    # observed laws over the proxies alone: 3^9 = 19,683 cells, where the
+    # observed joint with the indicators has 6^9, about 1e7
+    md = md_dag([("X2(1)", "R1"), ("R2", "R1")], [f"X{i}" for i in range(1, 10)])
+    tracemalloc.start()
+    try:
+        l1, l2 = O.colluder_witness(md, ("R1", "R2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 25
+    o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
+    seen = md.proxies | md.observed
+    assert o1.marginal(seen).max_abs_diff(o2.marginal(seen)) <= 1e-12
+    core = md.truths | md.indicators | md.observed
+    assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
 
 
 def factor_checksum(law) -> str:
@@ -529,15 +548,11 @@ def test_planning_runs_no_op(monkeypatch):
             return run
         return bind_counted
 
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(K, "_bind_join", counting(K._bind_join))
-            patch.setattr(K._Step, "bind", counting(K._Step.bind))
-            program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
-                                             first._pattern)
-    finally:
-        # no cached contraction plan keeps a wrapper past the test
-        K._contraction_plan.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(K, "_bind_join", counting(K._bind_join))
+        patch.setattr(K._Step, "bind", counting(K._Step.bind))
+        program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
+                                         first._pattern)
     assert not runs
     counted = [op for op in program.ops if op in bound]
     assert len(counted) == 91 + 301    # the joins and steps (test_octet_program_op_counts)
@@ -578,10 +593,32 @@ def test_planning_binds_each_step_once(monkeypatch):
     binds = []
     bind = K._Step.bind
     monkeypatch.setattr(K._Step, "bind", lambda step, inputs: binds.append(step) or bind(step, inputs))
-    K._contraction_plan.cache_clear()
     program = K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
     steps = sum(op.__qualname__.startswith("_Step.bind") for op in program.ops)
     assert len(binds) == steps == 301
+
+
+def test_planning_plans_each_distinct_marginal_once(monkeypatch):
+    # the octet functional's atoms ask for 59 marginals, 37 of them distinct:
+    # the planner keeps a plan for the program it plans, and no longer
+    md = load("octet")
+    expr = target_functional("octet").expr
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    atoms, todo = set(), [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, K.Atom):
+            atoms.add(e)
+        todo.extend(getattr(e, "children", ()) + tuple(
+            getattr(e, f) for f in ("child", "num", "den") if hasattr(e, f)))
+    assert sum(1 + bool(a.ctx) for a in atoms) == 59
+    plans = []
+    plan = K._contraction_plan
+    monkeypatch.setattr(K, "_contraction_plan", lambda *key: plans.append(key[1:]) or plan(*key))
+    for _ in range(2):
+        plans.clear()
+        K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
+        assert len(plans) == len(set(plans)) == 37
 
 
 def bound_arrays(call) -> list[np.ndarray]:

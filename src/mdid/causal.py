@@ -46,8 +46,8 @@ class CausalResult:
 
 
 def _check_query(g: Cadmg, q: InterventionQuery) -> None:
-    for v in q.outcomes | q.treated:
-        if g.vertex(v).status != "random":
+    for v in g._require(q.outcomes | q.treated):
+        if v not in g.random_vertices:
             raise CausalError(f"query variable {v!r} is not random")
 
 

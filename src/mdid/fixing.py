@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import kernel as K
-from .graph import Cadmg, RANDOM
+from .graph import Cadmg
 from .kernel import Expr
 from .model import MdDag
 from .projection import latent_project_out
@@ -60,7 +60,8 @@ class FixStepResult:
 
 def is_fixable_vertex(g: Cadmg, v: str) -> bool:
     """Fixable iff the vertex's descendants meet its district only at itself."""
-    if g.vertex(v).status != RANDOM:
+    g._require([v])
+    if v not in g.random_vertices:
         return False
     return g.descendants([v]) & g.district(v) == {v}
 
@@ -293,7 +294,7 @@ class SchedulePlan:
                     f"class {j} but not later", tuple(sorted(extra))))
 
         pins_r = (fixed | selected) & md.indicators
-        g = md.graph.with_statuses(fixed=fixed, selected={s: 1 for s in selected})
+        g = md.graph.with_statuses(fixed=fixed, selected=selected)
         merged = frozenset(t.truth for t in md.triples if t.indicator in pins_r
                            and (t.truth in visible or t.truth in fixed))
         # a merged variable is read off its proxy; the proxy has no children,

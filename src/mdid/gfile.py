@@ -13,7 +13,7 @@ least one missing variable parse into an MdDag, otherwise into a plain Cadmg.
 
 from __future__ import annotations
 
-from .graph import Cadmg
+from .graph import Cadmg, GraphError
 from .model import MdDag, ModelError, Triple, triple_for, validate_md_dag
 
 
@@ -69,26 +69,24 @@ def parse_graph_file(text: str) -> MdDag | Cadmg:
 
 
 def render_graph_file(model: MdDag | Cadmg) -> str:
-    """Inverse of parse_graph_file (round-trips modulo ordering)."""
+    """Inverse of parse_graph_file (round-trips modulo ordering).  The format
+    has no status syntax, so a graph with fixed or selected vertices raises
+    GraphError rather than coming back with them random."""
+    g = model.graph if isinstance(model, MdDag) else model
+    if g.fixed_vertices or g.selected_vertices:
+        raise GraphError(
+            f"the graph file format cannot carry vertex statuses: fixed "
+            f"{sorted(g.fixed_vertices)}, selected {sorted(g.selected_vertices)}")
     lines: list[str] = []
+    skip_edges: set[tuple[str, str]] = set()
     if isinstance(model, MdDag):
-        g = model.graph
-        skip_edges = set()
         for t in sorted(model.triples, key=lambda t: t.proxy):
             lines.append(f"var {t.proxy} missing")
             skip_edges |= {(t.indicator, t.proxy), (t.truth, t.proxy)}
-        for o in sorted(model.observed):
-            lines.append(f"var {o} observed")
-        for a, b in sorted(g.directed_edges):
-            if (a, b) not in skip_edges:
-                lines.append(f"edge {a} -> {b}")
-        for a, b in sorted(g.bidirected_edges):
-            lines.append(f"edge {a} <-> {b}")
+        lines += [f"var {o} observed" for o in sorted(model.observed)]
     else:
-        for v in model.vertex_names:
-            lines.append(f"var {v} observed")
-        for a, b in sorted(model.directed_edges):
-            lines.append(f"edge {a} -> {b}")
-        for a, b in sorted(model.bidirected_edges):
-            lines.append(f"edge {a} <-> {b}")
+        lines += [f"var {v} observed" for v in g.vertex_names]
+    lines += [f"edge {a} -> {b}" for a, b in sorted(g.directed_edges)
+              if (a, b) not in skip_edges]
+    lines += [f"edge {a} <-> {b}" for a, b in sorted(g.bidirected_edges)]
     return "\n".join(lines) + "\n"

@@ -15,15 +15,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .graph import RANDOM, Cadmg, GraphError
+from .graph import Cadmg, GraphError
 
 
 def latent_project_out(g: Cadmg, hide: Iterable[str]) -> Cadmg:
     """Project out the given random vertices."""
-    hs = frozenset(hide)
-    for h in hs:
-        if g.vertex(h).status != RANDOM:
-            raise GraphError(f"cannot project out non-random vertex {h!r}")
+    hs = g._require(hide)
+    if hs - g.random_vertices:
+        raise GraphError(f"cannot project out non-random vertices "
+                         f"{sorted(hs - g.random_vertices)}")
     if not hs:
         return g
     front: dict[str, frozenset[str]] = {}
@@ -36,4 +36,4 @@ def latent_project_out(g: Cadmg, hide: Iterable[str]) -> Cadmg:
                   for a in front[u] for b in front[v] if a != b}
     for h in hs:
         bidirected.update(combinations(front[h], 2))
-    return Cadmg((g.vertex(v) for v in kept), directed, bidirected)
+    return Cadmg(kept, directed, bidirected, g.fixed_vertices, g.selected_vertices)

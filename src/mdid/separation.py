@@ -39,12 +39,9 @@ def m_separated(g: Cadmg, a: Iterable[str], b: Iterable[str],
     a, b, c must be pairwise disjoint.  Selected vertices not under test are
     added to c automatically; fixed vertices act as always-blocked context.
     """
-    A = frozenset(a)
-    B = frozenset(b)
-    C = frozenset(c)
-    for s in (A, B, C):
-        for n in s:
-            g.vertex(n)
+    A = g._require(a)
+    B = g._require(b)
+    C = g._require(c)
     if A & B or A & C or B & C:
         raise GraphError("m_separated requires pairwise disjoint vertex sets")
     if not A or not B:

@@ -8,6 +8,7 @@ from mdid import kernel as K
 from mdid.cli import main
 from mdid.fixtures import FIXTURE_NAMES, fixture_text, load
 from mdid.gfile import ParseError, parse_graph_file, render_graph_file
+from mdid.graph import GraphError
 from mdid.model import MdDag
 from mdid import oracle as O
 
@@ -28,6 +29,14 @@ def test_parse_round_trip_all_fixtures():
             assert back.observed == model.observed
         else:
             assert back == model
+
+
+def test_render_refuses_statuses_the_format_cannot_carry():
+    g = load("confounded_chain")
+    with pytest.raises(GraphError, match=r"fixed \['A'\], selected \[\]"):
+        render_graph_file(g.with_statuses(fixed=["A"]))
+    with pytest.raises(GraphError, match=r"fixed \[\], selected \['B', 'M'\]"):
+        render_graph_file(g.with_statuses(selected=["M", "B"]))
 
 
 def test_parse_errors_carry_line_numbers():

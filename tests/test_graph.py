@@ -2,19 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdid.causal import InterventionQuery, g_formula, identify_interventional
+from mdid.fixing import is_fixable_vertex
 from mdid.fixtures import load
-from mdid.graph import Cadmg, GraphError, Vertex
+from mdid.graph import Cadmg, GraphError
+from mdid.projection import latent_project_out
+from mdid.separation import m_separated
 
 from conftest import random_admg
 
 
-def test_vertex_invariants():
-    with pytest.raises(GraphError):
-        Vertex("A", "selected")          # selected needs a value
-    with pytest.raises(GraphError):
-        Vertex("A", "random", selected_value=1)
-    with pytest.raises(GraphError):
-        Vertex("A", "bogus")
+def test_status_invariants():
+    with pytest.raises(GraphError, match="both fixed and selected"):
+        Cadmg("AB", fixed=["A"], selected=["A"])
+    with pytest.raises(GraphError, match="not vertices"):
+        Cadmg("AB", fixed=["C"])
+    with pytest.raises(GraphError, match="not vertices"):
+        Cadmg("AB", selected=["C"])
+    with pytest.raises(GraphError, match="into fixed vertex 'A'"):
+        Cadmg("AB", [("B", "A")], fixed=["A"])
+    with pytest.raises(GraphError, match="at fixed vertex 'A'"):
+        Cadmg("AB", [], [("A", "B")], fixed=["A"])
 
 
 def test_graph_invariants():
@@ -25,9 +33,59 @@ def test_graph_invariants():
     with pytest.raises(GraphError):
         Cadmg("AB", [("A", "C")])                    # unknown endpoint
     with pytest.raises(GraphError):
-        Cadmg([Vertex("A", "fixed"), Vertex("B")], [("B", "A")])
-    with pytest.raises(GraphError):
-        Cadmg([Vertex("A", "fixed"), Vertex("B")], [], [("A", "B")])
+        Cadmg("AA")                                  # duplicate name
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: is_fixable_vertex(g, "nope"),
+    lambda g: latent_project_out(g, ["nope"]),
+    lambda g: m_separated(g, ["A"], ["nope"]),
+    lambda g: g.district("nope"),
+    lambda g: g_formula(g, InterventionQuery(frozenset({"nope"}), (("A", 0),))),
+    lambda g: identify_interventional(
+        g, InterventionQuery(frozenset({"Y"}), (("nope", 0),))),
+], ids=["is_fixable_vertex", "latent_project_out", "m_separated", "district",
+        "g_formula", "identify_interventional"])
+def test_unknown_names_raise_graph_error(call):
+    g = Cadmg("AY", [("A", "Y")])
+    with pytest.raises(GraphError, match="unknown vertex 'nope'"):
+        call(g)
+
+
+def test_with_statuses_gives_fixed_precedence():
+    g = Cadmg("ABC", [("A", "B"), ("B", "C")], [("A", "C")])
+    h = g.with_statuses(fixed=["B"], selected=["B", "C"])
+    assert h.fixed_vertices == {"B"}
+    assert h.selected_vertices == {"C"}
+    assert h.random_vertices == {"A"}
+    assert h.directed_edges == {("B", "C")}     # the arrowhead into B is gone
+    # a later call re-statuses on top of the earlier ones
+    k = h.with_statuses(fixed=["C"])
+    assert (k.fixed_vertices, k.selected_vertices) == ({"B", "C"}, frozenset())
+    assert not k.bidirected_edges
+
+
+def test_transforms_keep_the_status_sets():
+    g = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")],
+              fixed=["A"], selected=["D"])
+    sub = g.induced_subgraph(["A", "B", "D"])
+    assert (sub.fixed_vertices, sub.selected_vertices) == ({"A"}, {"D"})
+    assert g.induced_subgraph(["B", "C"]).random_vertices == {"B", "C"}
+    proj = latent_project_out(g, ["C"])
+    assert (proj.fixed_vertices, proj.selected_vertices) == ({"A"}, {"D"})
+    assert proj.directed_edges == {("A", "B"), ("B", "D")}
+
+
+def test_equal_parts_in_any_order_compare_and_hash_equal():
+    one = Cadmg("ABCD", [("A", "B"), ("C", "D")], [("B", "D")],
+                fixed=["A"], selected=["C", "D"])
+    two = Cadmg("DCBA", [("C", "D"), ("A", "B")], [("D", "B")],
+                fixed=("A",), selected={"D", "C"})
+    assert one == two and hash(one) == hash(two)
+    assert one != Cadmg("ABCD", [("A", "B"), ("C", "D")], [("B", "D")],
+                        fixed=["A"], selected=["C"])
+    assert one != Cadmg("ABCD", [("A", "B"), ("C", "D")], [("B", "D")],
+                        selected=["A", "C", "D"])
 
 
 def test_genealogy_on_staggered_trio():
@@ -41,7 +99,6 @@ def test_genealogy_on_staggered_trio():
 
 def test_descendants_districts_blanket_joint_quartet_projection():
     md = load("joint_quartet")
-    from mdid.projection import latent_project_out
     g = latent_project_out(md.graph, ["X2(1)", "X4(1)"])
     assert g.descendants(["R1", "R3"]) == {"R1", "R3", "X1", "X3"}
     assert g.district("R1") == {"R1", "R3", "X2", "X4"}
@@ -73,7 +130,6 @@ def test_districts_partition_dag_singletons():
 
 def test_induced_subgraph():
     md = load("joint_quartet")
-    from mdid.projection import latent_project_out
     g = latent_project_out(md.graph, ["X2(1)", "X4(1)"])
     sub = g.induced_subgraph(["R1", "R3"])
     assert sub.bidirected_edges == {("R1", "R3")}
@@ -126,8 +182,6 @@ def test_markov_blanket_licenses_separation(seed, n):
     # the blanket computed among a vertex's non-descendants m-separates it
     # from the rest of them; for fixable vertices the full-graph blanket
     # coincides with that set, which is the only way fixing uses it
-    from mdid.fixing import is_fixable_vertex
-    from mdid.separation import m_separated
     g = random_admg(np.random.default_rng(seed), n)
     for v in g.random_vertices:
         nondesc = frozenset(g.vertex_names) - g.descendants([v])

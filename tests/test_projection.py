@@ -20,9 +20,10 @@ def eliminate(g, h):
     directed = set(g.directed_edges) | {(a, b) for a in pa for b in ch}
     bidirected = set(g.bidirected_edges) | set(combinations(sorted(ch), 2))
     bidirected |= {(s, b) for s in sib for b in ch if s != b}
-    keep = [g.vertex(v) for v in g.vertex_names if v != h]
+    keep = [v for v in g.vertex_names if v != h]
     return Cadmg(keep, [e for e in directed if h not in e],
-                 [e for e in bidirected if h not in e])
+                 [e for e in bidirected if h not in e],
+                 g.fixed_vertices, g.selected_vertices)
 
 
 def project_by_elimination(g, hide):
@@ -68,12 +69,13 @@ def test_one_pass_projection_matches_elimination(seed, n):
     # fix or select some vertices first, as a subproblem does
     names = list(g.vertex_names)
     fixed = [v for v in names if rng.uniform() < 0.15]
-    selected = {v: 1 for v in names if v not in fixed and rng.uniform() < 0.15}
+    selected = [v for v in names if v not in fixed and rng.uniform() < 0.15]
     g = g.with_statuses(fixed=fixed, selected=selected)
     hidden = [v for v in sorted(g.random_vertices) if rng.uniform() < 0.5]
     proj = latent_project_out(g, hidden)
     assert proj == project_by_elimination(g, hidden)
-    assert all(proj.vertex(v) == g.vertex(v) for v in proj.vertex_names)
+    assert proj.fixed_vertices == g.fixed_vertices
+    assert proj.selected_vertices == g.selected_vertices
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from mdid.fixtures import load
-from mdid.graph import Cadmg, GraphError, Vertex
+from mdid.graph import Cadmg, GraphError
 from mdid.projection import latent_project_out
 from mdid.separation import m_separated
 from mdid import oracle as O
@@ -37,7 +37,7 @@ def test_staggered_trio_after_fixing_r2():
     plan = SchedulePlan(md, sched)
     plan.subproblem(0)
     g = plan.subproblem(1)
-    assert g.vertex("R1").status == "selected"
+    assert "R1" in g.selected_vertices
     assert m_separated(g, ["R3"], ["R1"], [])
 
 
@@ -52,16 +52,14 @@ def test_joint_quartet_separations():
 
 def test_selected_vertices_implicitly_conditioned():
     # A -> C <- B with C selected: conditioning on the collider opens the path
-    g = Cadmg([Vertex("A"), Vertex("B"), Vertex("C", "selected", 1)],
-              [("A", "C"), ("B", "C")])
+    g = Cadmg("ABC", [("A", "C"), ("B", "C")], selected=["C"])
     assert not m_separated(g, ["A"], ["B"], [])
     g2 = Cadmg("ABC", [("A", "C"), ("B", "C")])
     assert m_separated(g2, ["A"], ["B"], [])
 
 
 def test_fixed_vertices_block_paths():
-    g = Cadmg([Vertex("A"), Vertex("W", "fixed"), Vertex("B")],
-              [("W", "A"), ("W", "B")])
+    g = Cadmg("AWB", [("W", "A"), ("W", "B")], fixed=["W"])
     assert m_separated(g, ["A"], ["B"], [])
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import kernel as K
 from .fixtures import FIXTURE_NAMES, load as load_fixture
@@ -96,82 +97,56 @@ def _report_payload(report: IdReport, latex: bool) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        model = _load(args.graph)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    payload: dict = {"kind": type(model).__name__}
+    model = _load(args.graph)
+    payload: dict = {"kind": type(model).__name__, "valid": True}
     code = EXIT_OK
     if isinstance(model, MdDag):
         pairs = colluder_scan(model)
-        payload["valid"] = True
         payload["colluders"] = [f"({a}, {b})" for a, b in pairs]
         if pairs:
             payload["full-law"] = "not identified (collider certificate)"
             code = EXIT_NOT_IDENTIFIED
-    else:
-        payload["valid"] = True
     _emit(payload, args.json)
     return code
 
 
-def _run_query(model: MdDag, query: str, budget: SearchBudget) -> IdReport:
+def _answer(args):
+    """Load the model and answer ``--query``: the report, and a function of
+    the sampling options that verifies its functional on sampled laws."""
+    model = _load(args.graph)
+    if not isinstance(model, MdDag):
+        raise ValueError(f"{args.command} needs a missing-data model")
+    budget = _budget_from_env()
+    query = args.query
     if query == "target":
-        return identify_target(model, budget)
+        report = identify_target(model, budget)
+        return report, partial(O.verify_target_functional, model, report.functional)
     if query == "full":
-        return identify_full(model, budget)
+        report = identify_full(model, budget)
+        return report, partial(O.verify_full_functional, model, report.functional)
     if query.startswith("indicator:"):
         r = query.split(":", 1)[1]
         res = identify_indicator(model, r, budget)
-        report = IdReport("indicator:" + r, res.status, None,
+        report = IdReport(query, res.status, None,
                           {r: res.propensity} if res.propensity is not None else {},
                           {r: res.schedule} if res.schedule is not None else {},
                           res.transcript)
-        return report
+        return report, partial(O.verify_indicator_functional, model, r, res.propensity)
     raise ValueError(f"unknown query {query!r}")
 
 
 def cmd_identify(args) -> int:
-    try:
-        model = _load(args.graph)
-        if not isinstance(model, MdDag):
-            print("error: identification queries need a missing-data model",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        report = _run_query(model, args.query, _budget_from_env())
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report, _ = _answer(args)
     _emit(_report_payload(report, args.latex), args.json)
     return _STATUS_CODE[report.status]
 
 
 def cmd_verify(args) -> int:
-    try:
-        model = _load(args.graph)
-        if not isinstance(model, MdDag):
-            print("error: verification needs a missing-data model", file=sys.stderr)
-            return EXIT_ERROR
-        report = _run_query(model, args.query, _budget_from_env())
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report, verify = _answer(args)
     if report.status != "identified":
         _emit({"status": report.status}, args.json)
         return _STATUS_CODE[report.status]
-    sampling = {"trials": args.trials, "seed": args.seed, "cardinality": args.cardinality}
-    try:
-        if args.query == "target":
-            rep = O.verify_target_functional(model, report.functional, **sampling)
-        elif args.query == "full":
-            rep = O.verify_full_functional(model, report.functional, **sampling)
-        else:
-            r = args.query.split(":", 1)[1]
-            rep = O.verify_indicator_functional(model, r, report.propensities[r], **sampling)
-    except ValueError as exc:   # ExprError and OracleError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rep = verify(trials=args.trials, seed=args.seed, cardinality=args.cardinality)
     ok = rep.ok(args.tol)
     _emit({"status": "verified" if ok else "failed",
            "trials": rep.trials,
@@ -182,11 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    try:
-        budget = _budget_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    budget = _budget_from_env()
     failures = 0
     for name in FIXTURE_NAMES:
         model = load_fixture(name)
@@ -274,6 +245,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK
+    # a bad input, and a law too large to verify (ExprError, OracleError)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

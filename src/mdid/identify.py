@@ -11,6 +11,12 @@ canonical text), so the first valid schedule found is minimal in that order
 and the emitted functional is reproducible.  Budget exhaustion yields the
 verdict "unknown" -- never "not identified": only the collider certificate
 licenses that claim, and only for the full law.
+
+The target and full-law queries share one loop over the sorted indicators
+and stop at the first propensity that is not identified.  A full-law search
+accepts a schedule only when its propensity passes
+``missing.full_law_obstructions``, the check the full law's assembly makes,
+so the assembly of identified propensities never refuses them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .fixing import (FixError, FixingSchedule, SchedulePlan, Violation,
 from .kernel import Expr
 from .missing import (ancestral_precondition, ancestral_schedule,
                       assemble_full_law, assemble_target_law, colluder_scan,
-                      full_law_obstructions, AssemblyError)
+                      full_law_obstructions)
 from .model import MdDag
 
 
@@ -225,26 +231,15 @@ def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
     return out
 
 
-def _full_law_check(md: MdDag, indicator: str, q: Expr) -> Violation | None:
-    problems = full_law_obstructions(md, indicator, q)
-    if not problems:
-        return None
-    culprits = []
-    for t in md.triples:
-        if t.proxy in (q.free() | q.contexts()) and q.pinned().get(t.indicator) != 1:
-            culprits.append(t.truth)
-    return Violation("full", None, "; ".join(problems), tuple(culprits))
-
-
 def identify_indicator(md: MdDag, indicator: str,
                        budget: SearchBudget | None = None,
                        full_mode: bool = False) -> IndicatorResult:
     """Search for a valid fixing schedule whose final class is the indicator;
     emit the final class denominator as the identified propensity.
 
-    With ``full_mode`` the propensity must also pass the full-law checks,
-    and the censored variables of the indicator's indicator parents are
-    never promoted.
+    With ``full_mode`` the propensity must also pass
+    ``missing.full_law_obstructions``, and the censored variables of the
+    indicator's indicator parents are never promoted.
     """
     budget = budget or SearchBudget()
     if indicator not in md.indicators:
@@ -287,7 +282,7 @@ def identify_indicator(md: MdDag, indicator: str,
         fi = next(i for i, c in enumerate(sched.classes) if indicator in c)
         q = plan.denominators[fi]
         if full_mode:
-            viol = _full_law_check(md, indicator, q)
+            viol = full_law_obstructions(md, indicator, q)
         return viol, plan, fi, q
 
     # fast path: the ancestrality-induced schedule
@@ -345,54 +340,55 @@ def identify_indicator(md: MdDag, indicator: str,
 # ---------------------------------------------------------------------------
 
 
+def _each_indicator(md: MdDag, query: str, budget: SearchBudget | None,
+                    transcript: list[str]) -> IdReport:
+    """Identify every indicator's propensity in sorted order, for the full
+    law when ``query`` is "full".  The report is "unknown" at the first
+    indicator that is not identified, else "identified" without a functional
+    yet."""
+    full_mode = query == "full"
+    props: dict[str, Expr] = {}
+    scheds: dict[str, FixingSchedule] = {}
+    for r in md.sorted_indicators():
+        res = identify_indicator(md, r, budget, full_mode)
+        transcript += res.transcript
+        if res.status != "identified":
+            transcript.append(f"{r}: unknown; "
+                              f"{'full-law' if full_mode else 'target'} verdict unknown")
+            return IdReport(query, "unknown", None, props, scheds, transcript)
+        props[r] = res.propensity
+        scheds[r] = res.schedule
+    return IdReport(query, "identified", None, props, scheds, transcript)
+
+
 def identify_target(md: MdDag, budget: SearchBudget | None = None) -> IdReport:
     """Identify every indicator propensity, then assemble the target law; the
     verdict is never "not-identified" (no completeness claim is available)."""
-    budget = budget or SearchBudget()
     transcript: list[str] = []
-    props: dict[str, Expr] = {}
-    scheds: dict[str, FixingSchedule] = {}
     if ancestral_precondition(md):
         transcript.append("ancestral precondition holds: fast-path schedules")
-    for r in md.sorted_indicators():
-        res = identify_indicator(md, r, budget)
-        transcript += res.transcript
-        if res.status != "identified":
-            transcript.append(f"{r}: unknown; target verdict unknown")
-            return IdReport("target", "unknown", None, props, scheds, transcript)
-        props[r] = res.propensity
-        scheds[r] = res.schedule
-    functional = assemble_target_law(md, props)
-    transcript.append("target law: all-observed slice divided by the "
-                      "propensity product; proxies renamed to censored "
-                      "variables under R=1")
-    return IdReport("target", "identified", functional, props, scheds, transcript)
+    report = _each_indicator(md, "target", budget, transcript)
+    if report.status == "identified":
+        report.functional = assemble_target_law(md, report.propensities)
+        transcript.append("target law: all-observed slice divided by the "
+                          "propensity product; proxies renamed to censored "
+                          "variables under R=1")
+    return report
 
 
 def identify_full(md: MdDag, budget: SearchBudget | None = None) -> IdReport:
-    budget = budget or SearchBudget()
-    transcript: list[str] = []
+    """The collider certificate's "not-identified", else every propensity
+    identified for the full law and multiplied back in.  Each propensity has
+    passed ``full_law_obstructions`` in its search, so assembly cannot
+    refuse it."""
     pairs = colluder_scan(md)
     if pairs:
         ri, rj = pairs[0]
-        transcript.append(
+        return IdReport("full", "not-identified", None, {}, {}, [
             f"collider certificate: {rj} and its censored variable are both "
-            f"parents of {ri}; the full law is not identified")
-        return IdReport("full", "not-identified", None, {}, {}, transcript,
-                        certificate=(ri, rj))
-    props: dict[str, Expr] = {}
-    scheds: dict[str, FixingSchedule] = {}
-    for r in md.sorted_indicators():
-        res = identify_indicator(md, r, budget, full_mode=True)
-        transcript += res.transcript
-        if res.status != "identified":
-            transcript.append(f"{r}: unknown; full-law verdict unknown")
-            return IdReport("full", "unknown", None, props, scheds, transcript)
-        props[r] = res.propensity
-        scheds[r] = res.schedule
-    try:
-        functional = assemble_full_law(md, props)
-    except AssemblyError as exc:
-        transcript.append(f"assembly refused: {exc}")
-        return IdReport("full", "unknown", None, props, scheds, transcript)
-    return IdReport("full", "identified", functional, props, scheds, transcript)
+            f"parents of {ri}; the full law is not identified"],
+            certificate=(ri, rj))
+    report = _each_indicator(md, "full", budget, [])
+    if report.status == "identified":
+        report.functional = assemble_full_law(md, report.propensities)
+    return report

@@ -6,7 +6,10 @@ The target law divides the all-observed slice of the observed law by the
 product of the indicator propensities; proxies then stand for the censored
 variables by consistency.  The full law multiplies the propensities back in
 at free indicator values, which is sound only when no propensity needed an
-indicator parent pinned to 1.
+indicator parent pinned to 1 or read a proxy without its indicator at 1:
+``full_law_obstructions`` is that one check, for the schedule search and
+for the assembly alike.  Each functional's expression is built once, when
+it is assembled.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import kernel as K
-from .fixing import FixingSchedule
+from .fixing import FixingSchedule, Violation
 from .kernel import Expr, NamedTable, rename_axes
 from .model import MISSING_TOKEN, MdDag
 
@@ -59,16 +62,12 @@ class FullLawFunctional:
     """Identifying functional for the joint law including the indicators."""
 
     md: MdDag
+    expr: Expr
     numerator: Expr               # observed law at all indicators = 1
     propensities: dict[str, Expr]
 
     def evaluate(self, law) -> NamedTable:
-        """One expression, (((num q1) / q1|R=1) q2) / q2|R=1 ..., evaluated
-        once; its nodes are built raw, so canonicalization merges nothing."""
-        e = self.numerator
-        for _, q in sorted(self.propensities.items()):
-            e = K.Quotient(K.Product((e, q)), _pin_free_indicators(self.md, q))
-        return _on_truths(self.md, law, e)
+        return _on_truths(self.md, law, self.expr)
 
     def render(self, fmt: str = "latex") -> str:
         parts = [K.render(q, fmt) for _, q in sorted(self.propensities.items())]
@@ -84,49 +83,58 @@ def _pin_free_indicators(md: MdDag, q: Expr) -> Expr:
     return K.restrict_values(q, at) if at else q
 
 
-def assemble_target_law(md: MdDag, propensities: Mapping[str, Expr]) -> TargetLawFunctional:
-    """All-observed slice of p divided by the propensity product."""
+def _all_observed_slice(md: MdDag, propensities: Mapping[str, Expr]) -> Expr:
+    """The observed law at every indicator = 1, once every indicator has a
+    propensity."""
     missing = set(md.indicators) - set(propensities)
     if missing:
         raise AssemblyError(f"missing propensities for {sorted(missing)}")
-    num = K.restrict_values(
+    return K.restrict_values(
         K.Atom("p", tuple(sorted(md.observed_columns))),
         {r: 1 for r in sorted(md.indicators)})
+
+
+def assemble_target_law(md: MdDag, propensities: Mapping[str, Expr]) -> TargetLawFunctional:
+    """All-observed slice of p divided by the propensity product."""
+    num = _all_observed_slice(md, propensities)
     den = K.product([_pin_free_indicators(md, propensities[r])
                      for r in sorted(propensities)])
-    expr = K.quotient(num, den)
-    return TargetLawFunctional(md, expr, dict(propensities))
+    return TargetLawFunctional(md, K.quotient(num, den), dict(propensities))
 
 
-def full_law_obstructions(md: MdDag, indicator: str, q: Expr) -> list[str]:
-    """Why a propensity cannot enter the full-law product: indicator parents
-    pinned to 1, or conditioning on proxies of unresolved censored variables."""
-    pa = md.graph.parents([indicator])
-    pins = q.pinned()
-    out = []
-    for r in sorted(pa & md.indicators):
-        if r in pins:
-            out.append(f"{indicator}: parent {r} only available at value 1")
+def full_law_obstructions(md: MdDag, indicator: str, q: Expr) -> Violation | None:
+    """Why a propensity cannot enter the full-law product, as a ("full")
+    violation: indicator parents pinned to 1, or conditioning on proxies
+    whose indicator is not at 1, whose censored variables are the
+    violation's vertices.  None when it can."""
+    pins, read = q.pinned(), q.free() | q.contexts()
+    details = [f"{indicator}: parent {r} only available at value 1"
+               for r in sorted(md.graph.parents([indicator]) & md.indicators)
+               if r in pins]
+    culprits = []
     for t in md.triples:
-        if t.proxy in (q.free() | q.contexts()) and pins.get(t.indicator) != 1:
-            out.append(f"{indicator}: conditions on proxy {t.proxy} without "
-                       f"{t.indicator}=1")
-    return out
+        if t.proxy in read and pins.get(t.indicator) != 1:
+            details.append(f"{indicator}: conditions on proxy {t.proxy} without "
+                           f"{t.indicator}=1")
+            culprits.append(t.truth)
+    if not details:
+        return None
+    return Violation("full", None, "; ".join(details), tuple(culprits))
 
 
 def assemble_full_law(md: MdDag, propensities: Mapping[str, Expr]) -> FullLawFunctional:
-    missing = set(md.indicators) - set(propensities)
-    if missing:
-        raise AssemblyError(f"missing propensities for {sorted(missing)}")
-    problems: list[str] = []
-    for r, q in sorted(propensities.items()):
-        problems += full_law_obstructions(md, r, q)
+    """The all-observed slice times each propensity over its value at every
+    indicator = 1: one expression, (((num q1) / q1|R=1) q2) / q2|R=1 ...,
+    whose nodes are built raw, so canonicalization merges nothing."""
+    num = _all_observed_slice(md, propensities)
+    problems = [v.detail for r, q in sorted(propensities.items())
+                if (v := full_law_obstructions(md, r, q))]
     if problems:
         raise AssemblyError("; ".join(problems))
-    num = K.restrict_values(
-        K.Atom("p", tuple(sorted(md.observed_columns))),
-        {r: 1 for r in sorted(md.indicators)})
-    return FullLawFunctional(md, num, dict(propensities))
+    expr = num
+    for _, q in sorted(propensities.items()):
+        expr = K.Quotient(K.Product((expr, q)), _pin_free_indicators(md, q))
+    return FullLawFunctional(md, expr, num, dict(propensities))
 
 
 # ---------------------------------------------------------------------------

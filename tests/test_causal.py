@@ -133,3 +133,19 @@ def test_numeric_soundness_random_admgs():
         assert truth.max_abs_diff(got) <= 1e-9, (g, y, a)
         checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: InterventionQuery(frozenset({"A", "Y"}), (("A", 1),)),
+     r"^outcomes and treatments overlap$"),
+    (lambda: g_formula(Cadmg("ABY", [("A", "Y"), ("B", "Y")], fixed=["B"]),
+                       InterventionQuery(frozenset({"Y"}), (("B", 1),))),
+     r"^query variable 'B' is not random$"),
+    (lambda: identify_interventional(
+        Cadmg("ABY", [("A", "Y"), ("B", "Y")], selected=["Y"]),
+        InterventionQuery(frozenset({"Y"}), (("A", 1),))),
+     r"^query variable 'Y' is not random$"),
+])
+def test_bad_queries_raise_causal_error(make, message):
+    with pytest.raises(CausalError, match=message):
+        make()

@@ -54,6 +54,12 @@ def test_parse_errors_carry_line_numbers():
         parse_graph_file("var A observed\nvar B observed\nedge A -> B\nedge B -> A\n")
 
 
+@pytest.mark.parametrize("line", ["var A", "var A hidden", "var A missing now"])
+def test_var_lines_need_a_name_and_a_role(line):
+    with pytest.raises(ParseError, match=r"^line 2: expected: var NAME missing\|observed$"):
+        parse_graph_file("var B observed\n" + line + "\n")
+
+
 def test_empty_file_is_a_valid_empty_graph():
     g = parse_graph_file("")
     assert not isinstance(g, MdDag)
@@ -253,3 +259,23 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mdid.cli", "check",
                            "fixture:crisscross"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv,code,check", [
+    (["check", "fixture:confounded_chain"], 0,
+     lambda out, err: "kind: Cadmg" in out.splitlines() and err == ""),
+    (["verify", "fixture:confounded_chain"], 1,
+     lambda out, err: out == "" and "missing-data model" in err),
+    (["verify", "fixture:colluder_pair", "--query", "full"], 2,
+     lambda out, err: out == "status: not-identified\n" and err == ""),
+    (["identify", "fixture:crisscross", "--query", "bogus"], 1,
+     lambda out, err: out == "" and "'bogus'" in err),
+    (["identify", "fixture:octet", "--query", "indicator:X1"], 1,
+     lambda out, err: out == "" and "'X1'" in err),
+])
+def test_cli_paths_and_their_exit_codes(capsys, argv, code, check):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert check(out, err)
+    # an error is one line; a verdict writes nothing to stderr
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

@@ -310,6 +310,20 @@ def test_witness_for_seven_censored_variables():
         l1.table
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witness_when_the_colluding_variable_has_a_parent_and_other_children(seed):
+    # X2(1) has a parent, X1(1), and children X3(1) and R3 beside R1 and its
+    # proxy; the witness makes those children ignore it
+    md = md_dag([("X2(1)", "R1"), ("R2", "R1"), ("X1(1)", "X2(1)"),
+                 ("X2(1)", "X3(1)"), ("X2(1)", "R3")], ["X1", "X2", "X3"])
+    l1, l2 = O.colluder_witness(md, ("R1", "R2"), seed=seed)
+    o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
+    seen = md.proxies | md.observed
+    assert o1.marginal(seen).max_abs_diff(o2.marginal(seen)) <= 1e-12
+    core = md.truths | md.indicators | md.observed
+    assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
+
+
 def test_witness_for_nine_censored_variables():
     # each indicator is a function of its proxy, so the witness compares the
     # observed laws over the proxies alone: 3^9 = 19,683 cells, where the

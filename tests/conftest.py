@@ -1,7 +1,8 @@
 """Shared helpers: random graph generators, a brute-force path-enumeration
 separation check, a numeric conditional-independence check, a pairwise-join
-variable elimination, and law builders for comparisons against the fast
-code."""
+variable elimination, law builders for comparisons against the fast
+code, and a marginal made as a program makes it from tables computed
+alone."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 
 from mdid.graph import Cadmg
 from mdid.identify import identify_indicator
+from mdid import kernel as K
 from mdid.kernel import NamedTable
 from mdid.model import MdDag, Triple, validate_md_dag
 from mdid import oracle as O
@@ -191,3 +193,36 @@ def brute_force_separated(g: Cadmg, a, b, c) -> bool:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)
+
+
+def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:
+    """The marginal asked, (kept variables, evidence), made as the program
+    makes it but from tables computed alone: a marginal the program derives
+    (``K._plan_marginals``) comes from its source's table, itself a marginal
+    of the law alone, through the call the program binds."""
+    kept, ev = asked
+    if asked not in sources:
+        return law.on_support(kept, dict(ev))
+    source = sources[asked]
+    data = law.on_support(source[0], dict(source[1])).data
+    plan = plans[asked]
+    call = K._bind_derived(0, plans[source], plan, dict(ev))
+    return NamedTable(plan.dims, dict(plan.domains), call([data], law.factors))
+
+
+def check_derived(law: O.FactoredLaw, expr: K.Expr) -> list:
+    """Each marginal the program of expr derives, checked against its direct
+    plan: equal axes, domains, NaN and zero cells, other cells within 1e-14.
+    Returns the derived tables."""
+    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern)
+    out = []
+    for asked in sources:
+        got = derived_alone(law, plans, sources, asked)
+        want = law.on_support(asked[0], dict(asked[1]))
+        assert got.dims == want.dims and got.domains == want.domains
+        assert got.data.shape == want.data.shape
+        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+        assert np.array_equal(got.data == 0, want.data == 0)
+        assert np.all(np.abs(got.data - want.data)[~np.isnan(want.data)] <= 1e-14)
+        out.append(got)
+    return out

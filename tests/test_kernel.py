@@ -13,7 +13,7 @@ from mdid.identify import identify_full, identify_target
 from mdid.model import MdDag
 from mdid import oracle as O
 
-from conftest import random_dag, reference_elimination_marginal
+from conftest import check_derived, random_dag, reference_elimination_marginal
 
 MISSING_DATA_FIXTURES = [n for n in FIXTURE_NAMES if isinstance(load(n), MdDag)]
 
@@ -606,6 +606,53 @@ def test_atoms_that_share_a_step_compile_it_once(step_runs):
     step_runs.clear()
     K.evaluate_numeric(e, O.sample_dag_law(chain, 2, 1))
     assert len(step_runs) == compiled
+
+
+@st.composite
+def marginal_pairs(draw):
+    """A law from factor_sets, a marginal of it, and a second marginal that
+    pins some of the first one's kept variables and keeps some of the rest."""
+    law, keep, ev = draw(factor_sets())
+    kept = sorted(set(keep) - set(ev))
+    pinned = draw(st.sets(st.sampled_from(kept), max_size=2)) if kept else set()
+    more = {v: draw(st.sampled_from(law.variables[v])) for v in sorted(pinned)}
+    rest = [v for v in kept if v not in pinned]
+    keep2 = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return law, (keep, ev), (keep2, {**ev, **more})
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=marginal_pairs())
+def test_derived_marginals_match_their_direct_plans(case):
+    # a marginal derived from another has the axes, domains and zero cells
+    # of its direct plan, and its cells to within the order of the sums; the
+    # program's product is the product of the marginals planned alone
+    law, *asked = case
+    e = K.Product(tuple(K.Atom("p", tuple(set(keep) | set(ev)), pins=tuple(ev.items()))
+                        for keep, ev in asked))
+    check_derived(law, e)
+    got = K.evaluate_numeric(e, law)
+    want = K.NamedTable.join(*(law.on_support(keep, ev) for keep, ev in asked), np.multiply)
+    assert got.dims == want.dims and got.domains == want.domains
+    assert np.array_equal(got.data == 0, want.data == 0)
+    assert np.all(np.abs(got.data - want.data) <= 1e-14)
+
+
+def test_derived_marginal_on_a_support_that_is_not_a_run():
+    # C = 1 rules out A = 1, so p(A, C = 1) is derived from p(A, B, C) over
+    # A's values 0 and 2, which no basic slice of the source picks
+    a_c = K.NamedTable(("A", "C"), {"A": (0, 1, 2), "C": (0, 1)},
+                       np.array([[0.2, 0.5], [0.3, 0.0], [0.5, 0.5]]))
+    b_a = K.NamedTable(("A", "B"), {"A": (0, 1, 2), "B": (0, 1)},
+                       np.array([[0.1, 0.9], [0.6, 0.4], [0.5, 0.5]]))
+    c = K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.4, 0.6]))
+    law = law_of([a_c, b_a, c])
+    e = K.Product((K.Atom("p", ("A", "B", "C")), K.Atom("p", ("A", "C"), pins=(("C", 1),))))
+    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern)
+    assert list(sources) == [(frozenset("A"), (("C", 1),))]
+    (derived,) = check_derived(law, e)
+    assert derived.domains == {"A": (0, 2)}
+    np.testing.assert_allclose(derived.data, [0.3, 0.3], rtol=1e-15)
 
 
 def test_shared_tables_are_read_only():

@@ -2,6 +2,10 @@ import collections
 import functools
 import gc
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,16 +17,17 @@ from hypothesis import given, settings, strategies as st
 from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.gfile import parse_graph_file
 from mdid.graph import Cadmg
-from mdid.identify import identify_target
+from mdid.identify import identify_full, identify_target
 from mdid import kernel as K
 from mdid.kernel import NamedTable
 from mdid.missing import colluder_scan
 from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
-from conftest import ci_check, hidden_dag_for, random_mddag
+from conftest import check_derived, ci_check, derived_alone, hidden_dag_for, random_mddag
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_RANDOM = json.loads((Path(__file__).parent / "golden_random_outputs.json").read_text())["models"]
 
 
 def table(dims, doms, data):
@@ -468,48 +473,92 @@ def target_functional(name: str):
 
 
 
-def evaluate_alone(e: K.Expr, law: O.FactoredLaw, memo: dict) -> NamedTable:
+def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     """The tree walk that ``evaluate_numeric`` plans, run node by node,
-    with each atom's joint and context a marginal of the law alone, so that
-    no marginal reads the steps of another."""
-    if e not in memo:
-        if isinstance(e, K.One):
-            out = NamedTable((), {}, np.asarray(1.0))
-        elif isinstance(e, K.Atom):
-            def alone(names):
-                ev = {k: v for k, v in e.pins if k in names}
-                return law.on_support(set(names) - ev.keys(), ev)
+    with each atom's joint and context made by ``derived_alone``, so that no
+    marginal reads the steps of another."""
+    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern)
+    memo: dict = {}
 
-            out = alone(set(e.vars) | set(e.ctx))
-            if e.ctx:
-                out = NamedTable.join(out, alone(e.ctx), np.divide)
-        elif isinstance(e, K.Marginal):
-            out = evaluate_alone(e.child, law, memo).sum_out(e.over)
-        elif isinstance(e, K.Product):
-            out = evaluate_alone(e.children[0], law, memo)
-            for c in e.children[1:]:
-                out = NamedTable.join(out, evaluate_alone(c, law, memo), np.multiply)
-        else:
-            out = NamedTable.join(evaluate_alone(e.num, law, memo),
-                                  evaluate_alone(e.den, law, memo), np.divide)
-        memo[e] = out
-    return memo[e]
+    def walk(e: K.Expr) -> NamedTable:
+        if e not in memo:
+            if isinstance(e, K.One):
+                out = NamedTable((), {}, np.asarray(1.0))
+            elif isinstance(e, K.Atom):
+                joint, *ctx = (derived_alone(law, plans, sources, asked)
+                               for asked in K._marginals(e))
+                out = NamedTable.join(joint, ctx[0], np.divide) if ctx else joint
+            elif isinstance(e, K.Marginal):
+                out = walk(e.child).sum_out(e.over)
+            elif isinstance(e, K.Product):
+                out = walk(e.children[0])
+                for c in e.children[1:]:
+                    out = NamedTable.join(out, walk(c), np.multiply)
+            else:
+                out = NamedTable.join(walk(e.num), walk(e.den), np.divide)
+            memo[e] = out
+        return memo[e]
+    return walk(expr)
 
 
 @pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
 @pytest.mark.parametrize("cardinality", [2, 3])
 def test_shared_steps_match_marginals_contracted_alone(name, cardinality):
-    # a program runs a step that several of its marginals share once; each
-    # table of the target functional and every propensity must equal the one
-    # made from marginals that share nothing, cell for cell, NaN included
+    # a program runs a step that several of its marginals share once, and
+    # derives a marginal from another's register; each table of the target
+    # functional and every propensity must equal the one made from marginals
+    # that share nothing, each derived one by the same call on its source's
+    # table computed alone, cell for cell, NaN included
     md = load(name)
     functional = target_functional(name)
     law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
     for e in [functional.expr, *(q for _, q in sorted(functional.propensities.items()))]:
-        want = evaluate_alone(e, law, {}).padded(law.variables)
+        want = evaluate_alone(e, law).padded(law.variables)
         got = K.evaluate_numeric(e, law).padded(want.domains)
         assert got.dims == want.dims and got.domains == want.domains
         assert np.array_equal(got.data, want.data, equal_nan=True)
+
+
+@functools.cache
+def identified_functionals(name: str) -> tuple:
+    """The model of a fixture or golden random model, and the expressions
+    identified for it: the target functional, the full-law functional and
+    every propensity of either."""
+    md = load(name) if name in FIXTURE_NAMES else parse_graph_file(GOLDEN_RANDOM[name])
+    exprs = []
+    for rep in (identify_target(md), identify_full(md)):
+        if rep.status == "identified":
+            exprs += [rep.functional.expr, *(q for _, q in sorted(rep.propensities.items()))]
+    return md, tuple(dict.fromkeys(exprs))
+
+
+# marginals derived at evidence without mass: R1 = 1 leaves X1 = "?" out
+# of the source's support, so each marginal at X1 = "?" is zero, on an empty
+# support or as a scalar
+NO_MASS = K.Product((K.Atom("p", ("R1", "R2", "X1"), pins=(("R1", 1),)),
+                     K.Atom("p", ("R1", "R2", "X1"), pins=(("R1", 1), ("X1", "?"))),
+                     K.Atom("p", ("R1", "X1"), pins=(("R1", 1), ("X1", "?")))))
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_derived_marginals_match_direct_plans(name, cardinality):
+    md, exprs = identified_functionals(name)
+    law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
+    derived = [t for e in exprs for t in check_derived(law, e)]
+    assert derived
+    if name == "crisscross":
+        empty, scalar = check_derived(law, NO_MASS)
+        assert empty.dims == ("R2",) and empty.domains == {"R2": ()}
+        assert scalar.dims == () and scalar.data.item() == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RANDOM))
+def test_derived_marginals_match_direct_plans_on_random_models(name):
+    md, exprs = identified_functionals(name)
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    for e in exprs:
+        check_derived(law, e)
 
 
 def counting_compiles():
@@ -564,12 +613,14 @@ def test_planning_runs_no_op(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(K, "_bind_join", counting(K._bind_join))
+        patch.setattr(K, "_bind_derived", counting(K._bind_derived))
         patch.setattr(K._Step, "bind", counting(K._Step.bind))
         program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
                                          first._pattern)
     assert not runs
     counted = [op for op in program.ops if op in bound]
-    assert len(counted) == 91 + 301    # the joins and steps (test_octet_program_op_counts)
+    # the joins, steps and derived marginals (test_octet_program_op_counts)
+    assert len(counted) == 91 + 95 + 27
     for law in laws:
         runs.clear()
         want = reference_evaluate(expr, law, {})
@@ -579,18 +630,24 @@ def test_planning_runs_no_op(monkeypatch):
         assert got.max_abs_diff(want) <= 1e-12
 
 
+def op_kinds(program) -> collections.Counter:
+    return collections.Counter(op.__qualname__.split(".<locals>")[0] for op in program.ops)
+
+
 def test_octet_program_op_counts():
     # barren CPTs are left out: a proxy's where the atom neither keeps nor
     # pins it, then the indicators and censored variables that fed only
-    # those (58 slices and 415 steps before)
+    # those (58 slices and 415 steps before); and 27 of the 37 distinct
+    # marginals are derived from another, one call each (47 slices and 301
+    # steps before)
     md = load("octet")
     expr = target_functional("octet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
-    kinds = collections.Counter(op.__qualname__.split(".<locals>")[0] for op in program.ops)
-    assert (kinds["_bind_slice"], kinds["_Step.bind"]) == (47, 301)
+    kinds = op_kinds(program)
+    assert (kinds["_bind_slice"], kinds["_Step.bind"], kinds["_bind_derived"]) == (33, 95, 27)
     assert (kinds["_bind_join"], kinds["_bind_sum"]) == (91, 24)
-    assert sum(kinds.values()) == len(program.ops)
+    assert sum(kinds.values()) == len(program.ops) == 270
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
     plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), ())
@@ -609,7 +666,7 @@ def test_planning_binds_each_step_once(monkeypatch):
     monkeypatch.setattr(K._Step, "bind", lambda step, inputs: binds.append(step) or bind(step, inputs))
     program = K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
     steps = sum(op.__qualname__.startswith("_Step.bind") for op in program.ops)
-    assert len(binds) == steps == 301
+    assert len(binds) == steps == 95
 
 
 def test_planning_plans_each_distinct_marginal_once(monkeypatch):
@@ -633,6 +690,71 @@ def test_planning_plans_each_distinct_marginal_once(monkeypatch):
         plans.clear()
         K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
         assert len(plans) == len(set(plans)) == 37
+
+
+# every fixture program's ops at cardinality 2, now and before marginals
+# were derived from one another: no program may grow
+PROGRAM_OPS = {
+    ("block_sequential", "target"): (29, 32),
+    ("crisscross", "target"): (44, 53),
+    ("crisscross", "full"): (59, 74),
+    ("staggered_trio", "target"): (50, 59),
+    ("staggered_trio", "full"): (64, 75),
+    ("latent_trio", "target"): (43, 61),
+    ("joint_quartet", "target"): (91, 138),
+    ("context_fix", "target"): (65, 91),
+    ("octet", "target"): (270, 463),
+    ("colluder_pair", "target"): (16, 16),
+}
+
+
+@pytest.mark.parametrize("name,query", sorted(PROGRAM_OPS))
+def test_fixture_program_op_counts(name, query):
+    md = load(name)
+    rep = (identify_target if query == "target" else identify_full)(md)
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    program = K._program(rep.functional.expr, law.name, tuple(law.variables.items()),
+                         law._pattern)
+    now, before = PROGRAM_OPS[name, query]
+    assert len(program.ops) == now <= before
+
+
+TABLE_DIGEST = """
+import hashlib
+from mdid import oracle as O
+from mdid.fixtures import FIXTURE_NAMES, load
+from mdid.identify import identify_full, identify_target
+from mdid.model import MdDag
+
+digest = hashlib.sha256()
+for name in FIXTURE_NAMES:
+    md = load(name)
+    if isinstance(md, MdDag):
+        reps = [rep for rep in (identify_target(md), identify_full(md))
+                if rep.status == "identified"]
+        for cardinality in (2, 3):
+            law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
+            for rep in reps:
+                tab = rep.functional.evaluate(law)
+                digest.update(repr((name, cardinality, tab.dims, tab.domains)).encode())
+                digest.update(tab.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_evaluated_tables_do_not_depend_on_the_hash_seed():
+    # which marginals are derived, and from which source, is decided in the
+    # order they are asked and by sorted names, never by set order: every
+    # fixture's target and full table is the same bytes under two hash seeds
+    src = str(Path(K.__file__).parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", TABLE_DIGEST], stdout=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                             "PYTHONPATH": os.pathsep.join(
+                                                 [src, os.environ.get("PYTHONPATH", "")])})
+            for seed in ("0", "1")]
+    digests = [run.communicate(timeout=600)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def bound_arrays(call) -> list[np.ndarray]:

@@ -12,9 +12,18 @@ onto the atoms as pins.  Golden tests compare canonical forms, so the
 normal form is deliberately order-insensitive: products are sorted by
 rendered text.
 
-Numeric evaluation is dense, over named axes; positive mass over zero
-becomes a NaN marker (an explicit "undefined" signal, counted by callers)
-rather than raising, and 0/0 is a structural zero.  An atom is asked of the
+Numeric evaluation is over named axes; positive mass over zero becomes a
+NaN marker (an explicit "undefined" signal, counted by callers) rather
+than raising, and 0/0 is a structural zero.  Which cells are zero and
+which undefined is a fact of the plan, not of a trial: for non-negative
+tables zeros propagate exactly (a product is zero where a factor is, a sum
+where every term is, 0/0 is zero and positive mass over zero undefined), so
+the planner derives every table's cell states from the law's zero pattern
+(``_Layout.states``) and a join writes its 0/0 zeros and NaN markers at
+cells fixed at plan time, reading no value to find them.  Float underflow
+can still zero a cell the pattern calls positive; that cell is then
+divided as IEEE arithmetic does (x/0 is inf, 0/0 NaN), unmarked, and shows
+as a gap or a NaN where the plan expects none.  An atom is asked of the
 law with its pins as evidence: the product of the law's factors summed by
 variable elimination, from a plan of the factors' structure
 (``_contraction_plan``); each step is lowered at plan time to fixed
@@ -22,7 +31,8 @@ transposes and reshapes around one ``np.matmul`` (or one sum, for a step
 over one table).  Its sums run in another order than a cell-by-cell
 product would, so tables agree with a plain elimination to within 1e-12,
 not bit for bit.  No join or contraction step builds more than
-``MAX_CELLS`` cells or ``MAX_AXES`` axes.
+``MAX_CELLS`` cells or ``MAX_AXES`` axes, and no marginal's table, all its
+axes counted, holds more than ``MAX_CELLS`` cells.
 
 A law may name each factor's head, the variable it is a conditional of
 (a CPT's child), and the law checks that the factor sums to 1 over it.
@@ -60,14 +70,32 @@ at the evidence (``_support``, shrunk to a fixed point); for the
 deterministic proxy CPTs of a missing-data law it drops, e.g., the "?" row
 of a proxy whose indicator is pinned to 1.  It is found from the factors'
 ``zero_pattern``, made once per law, so a second law with the same zeros
-replays the program.  The supports are found over every factor, barren ones too, so leaving
-a barren one out changes no table's axes or domains.  A table's
-``domains`` may leave out values at which it is zero: ``NamedTable.join``
-multiplies over the intersection of two domains and divides over their
-union, where a value one side leaves out reads as 0.  Only the law holds
-the full domains.  ``evaluate_numeric`` returns its result on the support
-too, and a caller that wants other domains pads it (``NamedTable.padded``,
-checked against ``MAX_CELLS`` like every join and step).
+replays the program.  The supports are found over every factor, barren
+ones too, so leaving a barren one out changes no table's axes or domains.
+A table's ``domains`` may leave out values at which it is zero:
+``NamedTable.join`` multiplies over the intersection of two domains and
+divides over their union, where a value one side leaves out reads as 0.
+Only the law holds the full domains.  ``evaluate_numeric`` returns its
+result on the support too, and a caller that wants other domains pads it
+(``NamedTable.padded``, checked against ``MAX_CELLS`` like every join and
+step).
+
+Evaluation also drops an axis that the support makes a function of
+another, as arithmetic circuits use determinism (Chavira & Darwiche,
+"Compiling Bayesian Networks with Local Structure", IJCAI 2005).  Where a
+factor's zeros make a variable A a function of a variable B (``_functions``:
+a proxy's CPT makes its indicator R = 1 exactly where the proxy is not
+"?"), the product of the factors is zero wherever A is not f(B).  So a
+marginal that keeps or sums both lets A ride on B: a step that spans B
+takes a table's A axis at f(B), on B's axis (``_rides``), and a table that
+keeps both is held without A's axis, its array at each b the cell at
+A = f(b).  A join keeps A off its result where an operand is zero off f
+(``_join_plan``), re-indexing the other operand along B; a sum over B puts
+A's axis back before it sums, and so does a join whose result keeps A's
+axis.  The result of a program puts back every axis it dropped
+(``_Program.full``), so every output keeps its axes, support domains, zero
+cells and NaN cells; its other cells are summed over fewer zeros and
+agree with a sum over every cell within 1e-14.
 """
 
 from __future__ import annotations
@@ -692,14 +720,6 @@ class NamedTable:
     def axis(self, name: str) -> int:
         return self.dims.index(name)
 
-    def sum_out(self, names: Iterable[str]) -> "NamedTable":
-        names = [n for n in names if n in self.dims]
-        if not names:
-            return self
-        axes = tuple(self.axis(n) for n in names)
-        keep = tuple(d for d in self.dims if d not in names)
-        return NamedTable(keep, {d: self.domains[d] for d in keep}, self.data.sum(axis=axes))
-
     def take(self, pins: Mapping[str, Value]) -> "NamedTable":
         """The table at fixed values of some of its axes, which leave the
         axes; a value outside an axis's domain raises."""
@@ -748,14 +768,16 @@ class NamedTable:
         every other cell so added is a structural zero.
 
         The structure (the result's axes and domains, how each operand is
-        reindexed, transposed and broadcast, the ``MAX_CELLS`` check) comes
-        from ``_join_plan``, which reads the operands' axes and domains and
-        the op, never their data.
+        reindexed, transposed and broadcast, the ``MAX_CELLS`` check) and
+        the result's zero and NaN cells come from ``_join_plan``, which
+        reads the operands' axes, domains and which of their cells are zero
+        or NaN, the same plan a compiled program binds.
         """
         divide = op is np.divide
-        plan = _join_plan(a.dims, a.domains, b.dims, b.domains, divide)
+        plan = _join_plan(*(_Layout(t.dims, t.domains, (), _states(t.data)) for t in (a, b)),
+                          divide, ())
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return NamedTable(plan.dims, plan.domains,
+            return NamedTable(plan.out.dims, plan.out.domains,
                               _bind_join(0, 1, plan, divide)((a.data, b.data), ()))
 
     def undefined_count(self) -> int:
@@ -782,6 +804,34 @@ class NamedTable:
         return float(np.max(np.abs(a[mask] - b[mask])))
 
 
+def _states(data) -> np.ndarray:
+    """Each cell's state: 0 for a zero, 1 for another finite cell and NaN
+    for an undefined one (NaN or infinite), as float32."""
+    data = np.asarray(data)
+    return np.where(np.isfinite(data), data != 0, np.nan).astype(np.float32)
+
+
+class _Layout(NamedTuple):
+    """A table as a register holds it: its axes (sorted) and their
+    supports; the axes the array leaves out, each (A, B, at) for a variable
+    A that is a function of B on the table's support (at: per value of B,
+    the position of A's value); and the state of each cell of the array (see
+    ``_states``), a plan-time fact.  The array spans the other axes in
+    sorted order, and holds at each value b of B the table's cell at A's
+    value at(b); the table is zero at every other value of A."""
+
+    dims: tuple[str, ...]
+    domains: dict
+    drop: tuple
+    states: np.ndarray
+
+
+def _stored(t) -> tuple[str, ...]:
+    """The axes the array of a ``_Layout`` or ``_Plan`` spans."""
+    gone = {a for a, _, _ in t.drop}
+    return tuple(d for d in t.dims if d not in gone)
+
+
 def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
     """The table with axis name over dom: zero at the values of dom its
     domain leaves out, without the values dom leaves out."""
@@ -789,13 +839,14 @@ def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
     if have == dom:
         return tab
     return NamedTable(tab.dims, {**tab.domains, name: dom},
-                      _reindexed(tab.data, (_reindex_step(tab.axis(name), have, dom),)))
+                      _padded(tab.data, *_reindex_step(tab.axis(name), have, dom)))
 
 
 def _reindex_step(ax: int, have: tuple[Value, ...], dom: tuple[Value, ...]) -> tuple:
-    """How axis ax moves from the values have to dom: the positions in have
-    of the values of dom it holds, the length of dom, and the index at which
-    they go into a zero array over dom (None when have holds all of dom)."""
+    """How axis ax moves from the values have to dom (``_padded``): the
+    positions in have of the values of dom it holds, the length of dom, and
+    the index at which they go into a zero array over dom (None when have
+    holds all of dom)."""
     hit = [i for i, v in enumerate(dom) if v in have]
     take = [have.index(dom[i]) for i in hit]
     at = None
@@ -804,14 +855,114 @@ def _reindex_step(ax: int, have: tuple[Value, ...], dom: tuple[Value, ...]) -> t
     return ax, take, len(dom), at
 
 
-def _reindexed(data: np.ndarray, steps: Iterable[tuple]) -> np.ndarray:
-    for ax, take, size, at in steps:
-        data = np.take(data, take, axis=ax)
-        if at is not None:
-            padded = np.zeros(data.shape[:ax] + (size,) + data.shape[ax + 1:])
-            padded[at] = data
-            data = padded
-    return data
+def _padded(x: np.ndarray, ax: int, take: list, size: int, at: tuple | None) -> np.ndarray:
+    x = x.take(take, ax)
+    if at is None:
+        return x
+    out = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype)
+    out[at] = x
+    return out
+
+
+def _expanded(x: np.ndarray, ax: int, cells: np.ndarray, n: int) -> np.ndarray:
+    """x with a dropped axis of n values put back: axis ax moves to the end,
+    the new axis follows it, and the array is zero but at the given cells
+    of the two (flat, the new axis fastest)."""
+    x = np.moveaxis(x, ax, -1)
+    out = np.zeros(x.shape + (n,), x.dtype)
+    out.reshape(x.shape[:-1] + (x.shape[-1] * n,))[..., cells] = x
+    return out
+
+
+def _picked(x: np.ndarray, index: tuple) -> np.ndarray:
+    return x[index]
+
+
+def _run(positions: list) -> slice | np.ndarray:
+    """An index that takes positions: a slice when they are a run."""
+    first = positions[0] if positions else 0
+    if positions == list(range(first, first + len(positions))):
+        return slice(first, first + len(positions))
+    return np.array(positions, dtype=np.intp)
+
+
+def _grouped(x: np.ndarray, order: np.ndarray | None, starts: np.ndarray, ax: int) -> np.ndarray:
+    """x summed along axis ax over groups of its positions: those in order
+    from each start to the next."""
+    return np.add.reduceat(x if order is None else x.take(order, ax), starts, ax)
+
+
+def _converted(x: np.ndarray, steps: tuple, perm: tuple | None, shape: tuple | None) -> np.ndarray:
+    for step, *args in steps:
+        x = step(x, *args)
+    if perm is not None:
+        x = x.transpose(perm)
+    return x if shape is None else x.reshape(shape)
+
+
+def _conversion(have: _Layout, dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]],
+                drop: Mapping[str, tuple]) -> tuple:
+    """How the array of have becomes one over the axes of a table over dims
+    and domains that drops each A of drop (mapped to its (B, at)), shaped to
+    broadcast against another: a sequence of steps (``_converted``), then a
+    transpose and a shape (None where not needed).  A dropped axis of have
+    that drop keeps is put back (``_expanded``); an axis is reindexed to its
+    domain (``_padded``); and an axis A that drop leaves out is indexed at
+    at(B), on the diagonal if have spans B, else becoming B's axis."""
+    cur = list(_stored(have))
+    doms = dict(have.domains)
+    steps: list = []
+    for a, b, at in have.drop:
+        if a not in drop:
+            ax, n = cur.index(b), len(doms[a])
+            cells = np.arange(len(at), dtype=np.intp) * n + np.array(at, dtype=np.intp)
+            steps.append((_expanded, ax, cells, n))
+            cur = cur[:ax] + cur[ax + 1:] + [b, a]
+    for d in sorted(cur):
+        if doms[d] != domains[d]:
+            steps.append((_padded, *_reindex_step(cur.index(d), doms[d], domains[d])))
+    rides, cur = _rides(cur, drop)
+    steps += [_ride(ride, len(axes)) for ride, axes in rides]
+    out = tuple(d for d in dims if d not in drop)
+    perm, shape = _alignment(tuple(cur), out, domains)
+    # an operand over the trailing axes of the result broadcasts as it is
+    trailing = out[len(out) - len(perm):] == tuple(d for d in out if d in cur)
+    return (tuple(steps), None if perm == tuple(range(len(perm))) else perm,
+            None if trailing else shape)
+
+
+def _rides(cur: list, drop: Mapping[str, tuple]) -> tuple[list, list]:
+    """How an array over the axes cur puts each axis A of drop (mapped to
+    its (B, at)) on B's axis: per A, the ride (A's axis, B's axis or None,
+    and at) with the axes it is applied to; and the axes then.  With B's
+    axis there, A is taken on the diagonal, at(b) at each b, else A's axis
+    becomes B's."""
+    rides = []
+    for a, (b, at) in sorted(drop.items()):
+        if a not in cur:
+            continue
+        ia, ib = cur.index(a), cur.index(b) if b in cur else None
+        rides.append(((ia, ib, at), tuple(cur)))
+        if ib is None:
+            cur = cur[:ia] + [b] + cur[ia + 1:]
+        else:
+            rest = [d for d in cur if d not in (a, b)]
+            # numpy puts the indexed axis where two adjacent ones were, else first
+            cur = rest[:min(ia, ib)] + [b] + rest[min(ia, ib):] if abs(ia - ib) == 1 else [b] + rest
+    return rides, cur
+
+
+def _ride(ride: tuple, ndim: int) -> tuple:
+    """The step (``_converted``) that applies a ride of ``_rides`` to an
+    array of ndim axes: a take along A's axis, or an index on the
+    diagonal of A's and B's."""
+    ia, ib, at = ride
+    if ib is None:
+        return np.ndarray.take, np.array(at, dtype=np.intp), ia
+    index: list = [slice(None)] * ndim
+    index[ia] = np.array(at, dtype=np.intp)
+    index[ib] = np.arange(len(at), dtype=np.intp)
+    return _picked, tuple(index)
 
 
 def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
@@ -822,19 +973,38 @@ def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
     return perm, tuple(len(domains[d]) if d in have else 1 for d in dims)
 
 
+def _zero_off(t: _Layout, a: str, b: str, f: Mapping) -> bool:
+    """Whether the table t holds is zero wherever a is not f(b)."""
+    if any(x == a for x, _, _ in t.drop):
+        return True
+    stored = _stored(t)
+    if a not in stored or b not in stored:
+        return False
+    on = np.array([[f.get(vb) == va for vb in t.domains[b]] for va in t.domains[a]], bool)
+    cells = np.moveaxis(t.states, (stored.index(a), stored.index(b)), (0, 1))
+    return not np.any(cells[~on] != 0)
+
+
 class _JoinPlan(NamedTuple):
-    dims: tuple[str, ...]
-    domains: dict
-    operands: tuple     # per operand: its reindex steps, transpose and shape (None: not needed)
+    out: _Layout
+    operands: tuple     # per operand: its conversion (steps, transpose, shape)
+    fixes: tuple        # flat cells of the result's array to write 0 at, and NaN at
 
 
-def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
-               dims_b: tuple[str, ...], doms_b: Mapping[str, tuple[Value, ...]],
-               divide: bool) -> _JoinPlan:
-    """The structure of ``NamedTable.join`` of tables over dims_a and dims_b
-    with those domains: a product over the intersection of the domains, a
-    quotient over their union (the numerator's values first)."""
-    da, db = {d: doms_a[d] for d in dims_a}, {d: doms_b[d] for d in dims_b}
+def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _JoinPlan:
+    """The structure of a join of the tables ta and tb: a product over the
+    intersection of their domains, a quotient over their union (the
+    numerator's values first).  The result leaves out A's axis for each
+    variable A that ``functions`` makes a function of B where it is zero
+    off that function on either operand of a product, or on the numerator
+    of a quotient whose denominator is too or holds no NaN.  The result's
+    states follow from the operands': a product is zero where either
+    factor is; a quotient is zero where its numerator is and its
+    denominator is zero or positive, and undefined where positive mass
+    meets zero; an undefined cell is undefined unless a product zeroes it.
+    The fixes are the cells where plain IEEE arithmetic does not give that:
+    0·NaN and 0/0 (zero) and every undefined cell (NaN)."""
+    da, db = ({d: t.domains[d] for d in t.dims} for t in (ta, tb))
     dims = tuple(sorted(da.keys() | db.keys()))
     domains = {}
     for d in dims:
@@ -845,46 +1015,67 @@ def _join_plan(dims_a: tuple[str, ...], doms_a: Mapping[str, tuple[Value, ...]],
         else:
             domains[d] = tuple(v for v in da[d] if v in db[d])
     check_cells(dims, domains)
-    operands = []
-    for names, have in ((dims_a, da), (dims_b, db)):
-        steps = tuple(_reindex_step(names.index(d), have[d], domains[d])
-                      for d in sorted(names) if have[d] != domains[d])
-        perm, shape = _alignment(names, dims, domains)
-        # an operand over the trailing axes of the result broadcasts as it is
-        trailing = dims[len(dims) - len(perm):] == tuple(d for d in dims if d in names)
-        operands.append((steps, None if perm == tuple(range(len(perm))) else perm,
-                         None if trailing else shape))
-    return _JoinPlan(dims, domains, tuple(operands))
+    drop = {}
+    for a, b, _, f in functions:
+        f = dict(f)
+        if (a in domains and b in domains and len(domains[a]) > 1
+                and all(f.get(v) in domains[a] for v in domains[b])):
+            za, zb = _zero_off(ta, a, b, f), _zero_off(tb, a, b, f)
+            if (za and (zb or not np.isnan(tb.states).any())) if divide else (za or zb):
+                drop[a] = b, tuple(domains[a].index(f[v]) for v in domains[b])
+    operands = tuple(_conversion(t, dims, domains, drop) for t in (ta, tb))
+    x, y = (_converted(t.states, *c) for t, c in zip((ta, tb), operands))
+    shape = tuple(len(domains[d]) for d in dims if d not in drop)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if divide:
+            zero = (x == 0) & (y == 0)
+            states = x / y
+        else:
+            zero = ((x == 0) & np.isnan(y)) | (np.isnan(x) & (y == 0))
+            states = x * y
+    states = np.array(np.broadcast_to(states, shape), np.float32)
+    zero = np.broadcast_to(zero, shape)
+    states[zero] = 0
+    states[np.isinf(states)] = np.nan
+    out = _Layout(dims, domains, tuple((a, *bat) for a, bat in sorted(drop.items())), states)
+    return _JoinPlan(out, operands, (np.flatnonzero(zero), np.flatnonzero(np.isnan(states))))
 
 
 def _bind_join(i: int, j: int, plan: _JoinPlan, divide: bool):
-    """The call that joins registers i and j as ``NamedTable.join`` does,
-    under the caller's ``np.errstate``."""
+    """The call that joins registers i and j as planned: each operand
+    converted, one ``np.multiply`` or ``np.divide``, and the plan's zeros
+    and NaN markers written at their cells; under the caller's
+    ``np.errstate``."""
     (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = plan.operands
-    op, total = np.divide if divide else np.multiply, np.add.reduce
+    zero, undefined = plan.fixes
+    op, put, nan = (np.divide if divide else np.multiply), np.put, np.nan
 
     def join(regs, tables):
         x, y = regs[i], regs[j]
-        if steps_x:
-            x = _reindexed(x, steps_x)
+        for step, *args in steps_x:
+            x = step(x, *args)
         if perm_x is not None:
             x = x.transpose(perm_x)
         if shape_x is not None:
             x = x.reshape(shape_x)
-        if steps_y:
-            y = _reindexed(y, steps_y)
+        for step, *args in steps_y:
+            y = step(y, *args)
         if perm_y is not None:
             y = y.transpose(perm_y)
         if shape_y is not None:
             y = y.reshape(shape_y)
-        data = np.asarray(op(x, y))
-        # the sum is finite only if every cell is
-        if math.isfinite(total(data, None)):
-            return data
-        # a NaN or an infinity is a NaN marker, unless zeros absorb it
-        zero = (x == 0) & (y == 0) if divide else (x == 0) | (y == 0)
-        return np.where(zero, 0.0, np.where(np.isfinite(data), data, np.nan))
-    return join
+        return np.asarray(op(x, y))
+
+    if not (zero.size or undefined.size):
+        return join
+
+    def fixed(regs, tables):
+        data = join(regs, tables)
+        # flat indices in C order, whatever order the ufunc wrote in
+        put(data, zero, 0.0)
+        put(data, undefined, nan)
+        return data
+    return fixed
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -923,25 +1114,86 @@ def zero_pattern(tables: Sequence[NamedTable], heads: Sequence[str | None]) -> Z
             tuple(heads))
 
 
-def _bind_slice(pos: int, pinned: tuple, kept: tuple | None):
-    """The call that slices table pos at the evidence (pinned: per axis, the
-    index of its evidence value, None for an axis left) and at the support
-    (kept: per axis left, the indices of its support; None when no axis
-    loses a value)."""
-    # a view, so that freezing it leaves the factor writable
+def _mask(table: Axes, bits: bytes | None) -> np.ndarray:
+    """A table's nonzero cells, from its packed bits."""
+    shape = [len(dom) for _, dom in table]
+    if bits is None:
+        return np.ones(shape, bool)
+    flags = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
+    return flags.astype(bool).reshape(shape)
+
+
+def _functions(pattern: ZeroPattern) -> tuple:
+    """Each variable A that a table's zeros make a function of another
+    variable B, as (A, B, the table's position, ((value of B, value of A),
+    ...)) over the values of B with mass in that table: a table over both
+    is zero wherever A differs from the function, and so is the product of
+    the tables.  A proxy and its indicator are such a pair: R = 1 exactly
+    where the proxy is not "?".  Pairs are read from every table in order,
+    the first table wins, and each A takes the first B (by name) that is
+    itself a function of no variable, so every table leaves out A for the
+    same B.  A table whose nonzero cells outnumber its cells over A's
+    values cannot make A a function of anything, and is not searched."""
+    tables, zeros, _ = pattern
+    found: dict = {}
+    for pos, (table, bits) in enumerate(zip(tables, zeros)):
+        if bits is None or len(table) < 2:
+            continue
+        mask = _mask(table, bits)
+        cells = np.flatnonzero(mask)
+        at = np.unravel_index(cells, mask.shape)
+        for ia, (a, dom_a) in enumerate(table):
+            if len(dom_a) < 2 or cells.size * len(dom_a) > mask.size:
+                continue
+            for ib, (b, dom_b) in enumerate(table):
+                if ia == ib or (a, b) in found:
+                    continue
+                pairs = np.unique(at[ib] * len(dom_a) + at[ia])     # (b, a) with mass
+                if np.all(pairs[1:] // len(dom_a) != pairs[:-1] // len(dom_a)):
+                    found[a, b] = pos, tuple((dom_b[k // len(dom_a)], dom_a[k % len(dom_a)])
+                                             for k in pairs.tolist())
+    dependent = {a for a, _ in found}
+    out: dict = {}
+    for (a, b), (pos, f) in sorted(found.items()):
+        if b not in dependent and a not in out:
+            out[a] = a, b, pos, f
+    return tuple(out.values())
+
+
+def _slice_index(pinned: tuple, picks: tuple | None) -> tuple:
+    """The basic index of a factor at the evidence, and the index arrays of
+    ``_bind_slice`` (None without picks): per axis, its positions laid
+    along the output axis it names."""
     at = ... if all(i is None for i in pinned) else tuple(
         slice(None) if i is None else i for i in pinned)
-    if kept is None:
+    if picks is None:
+        return at, None
+    n = 1 + max(o for o, _ in picks)
+    return at, tuple(np.array(k, dtype=np.intp).reshape([-1 if j == o else 1 for j in range(n)])
+                     for o, k in picks)
+
+
+def _bind_slice(pos: int, pinned: tuple, picks: tuple | None):
+    """The call that slices table pos at the evidence (pinned: per axis, the
+    index of its evidence value, None for an axis left) and at the support
+    (picks: per axis left, the output axis it indexes and the positions it
+    takes along it; None when no axis loses a value).  A dropped axis A
+    takes, along B's output axis, the positions of A's value at each of B's
+    values."""
+    # a view, so that freezing it leaves the factor writable
+    at, ix = _slice_index(pinned, picks)
+    if ix is None:
         return lambda regs, tables: tables[pos].data[at]
-    ix = np.ix_(*(np.array(k, dtype=np.intp) for k in kept))
     return lambda regs, tables: tables[pos].data[at][ix]
 
 
 class _Plan(NamedTuple):
     keys: tuple             # per op: a slice's (position, evidence and support
                             # indices), or a step's (_Step, input positions)
-    dims: tuple[str, ...]   # the last op's axes
-    domains: dict           # their supports
+    dims: tuple[str, ...]   # the marginal's table as a ``_Layout``: its axes,
+    domains: dict           # their supports,
+    drop: tuple             # the axes its array drops
+    states: np.ndarray      # and its cells' states
 
 
 class _Step(NamedTuple):
@@ -951,36 +1203,48 @@ class _Step(NamedTuple):
     (the plan sums a variable out where all its tables meet): they are
     transposed and reshaped to (batch, left, contracted) and (batch,
     contracted, right), multiplied by ``np.matmul``, and the product is
-    reshaped to its batch, left and right axes.  None stands for a call the
-    step does not need.  Equal steps on equal input registers make equal
+    reshaped to its batch, left and right axes.  First, an operand whose A
+    rides on a B the step spans takes A's axis at B's values (``take``).
+    None stands for a call the step does not need.  Equal steps on equal input registers make equal
     arrays, so a step with its inputs is the key that shares it."""
 
     sum: tuple[int, ...] | None     # one operand: the axes summed out
     forms: tuple | None             # two operands: per operand, its transpose and matrix shape
     shape: tuple[int, ...] | None   # two operands: the product's shape over its axes
     perm: tuple[int, ...] | None    # the transpose to the output's order
+    take: tuple | None = None       # per operand: its rides (``_rides``) with the
+                                    # axes each applies to, or None
 
     def bind(self, inputs: tuple[int, ...]):
         """The step as one call that reads its operands from the registers
         inputs.  Only the last step of a plan transposes its output to the
         plan's order, and it returns the transpose C-contiguous: a marginal
         derived from the plan's table sums it far faster so."""
-        summed, forms, shape, perm = self
+        summed, forms, shape, perm, take = self
         contiguous = np.ascontiguousarray
+        rides = [tuple(_ride(*r) for r in t or ()) for t in take or [None] * len(inputs)]
         if forms is None:
-            (i,) = inputs
+            (i,), (ride,) = inputs, rides
             reduce = np.add.reduce
 
             def one(regs, tables):
-                x = regs[i] if summed is None else reduce(regs[i], summed)
+                x = regs[i]
+                for step, *args in ride:
+                    x = step(x, *args)
+                if summed is not None:
+                    x = reduce(x, summed)
                 return x if perm is None else contiguous(x.transpose(perm))
             return one
-        i, j = inputs
+        (i, j), (ride_a, ride_b) = inputs, rides
         (perm_a, shape_a), (perm_b, shape_b) = forms
         matmul = np.matmul
 
         def two(regs, tables):
             a, b = regs[i], regs[j]
+            for step, *args in ride_a:
+                a = step(a, *args)
+            for step, *args in ride_b:
+                b = step(b, *args)
             if perm_a is not None:
                 a = a.transpose(perm_a)
             if shape_a is not None:
@@ -1041,6 +1305,18 @@ def _union(operands) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(axes for _, axes in operands))))
 
 
+def _ridden(x: np.ndarray, rides: tuple | None) -> np.ndarray:
+    return _converted(x, tuple(_ride(*ride) for ride in rides or ()), None, None)
+
+
+def _contract_states(operands: list, axes: tuple[str, ...]) -> np.ndarray:
+    """The states of a contraction step's output from its operands' (states,
+    axes): nonzero where some product of nonzero cells is summed."""
+    ids = {d: k for k, d in enumerate(dict.fromkeys(d for _, names in operands for d in names))}
+    args = [x for states, names in operands for x in (states, [ids[d] for d in names])]
+    return np.minimum(np.einsum(*args, [ids[d] for d in axes]), 1)
+
+
 def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
              ev: Mapping[str, Value]) -> dict[str, tuple[int, ...]]:
     """The support of each variable outside the evidence: the values that
@@ -1051,12 +1327,8 @@ def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
     zero removes no value, so only tables with zeros are read."""
     alive = {d: np.array([v == ev[d] for v in dom]) if d in ev else np.ones(len(dom), bool)
              for table in tables for d, dom in table}
-    masks = []
-    for table, bits in zip(tables, zeros):
-        if bits is not None:
-            shape = [len(dom) for _, dom in table]
-            flags = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
-            masks.append((tuple(d for d, _ in table), flags.astype(bool).reshape(shape)))
+    masks = [(tuple(d for d, _ in table), _mask(table, bits))
+             for table, bits in zip(tables, zeros) if bits is not None]
     changed = True
     while changed:
         changed = False
@@ -1095,7 +1367,8 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
     return left
 
 
-def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins) -> _Plan:
+def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins,
+                      functions: tuple | None = None) -> _Plan:
     """The marginal over keep at the evidence of tables with this
     ``zero_pattern``, planned once per program that asks for it and kept by
     none: each table left once the barren ones are dropped
@@ -1106,7 +1379,20 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     supports of the kept variables.  No step may span more than
     ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
     non-negative: a step multiplies plainly, without the NaN absorption of
-    ``NamedTable.join``."""
+    ``NamedTable.join``.
+
+    A variable A that the zeros of a table left make a function of a
+    variable B (``_functions``), both outside the evidence, A on more than
+    one value, rides on B, unless A is kept and B is not: a table over both
+    is sliced on the diagonal, without A's axis, and a table over A alone
+    keeps its own slice, shared with plans where A does not ride, until a
+    step also spans B; that step takes its A axis at A's value at each of
+    B's values, as B's axis (``_rides``, ``_Step.take``).  So the sums run
+    over the pairs on the support only, where the product is not zero, and
+    B's axis carries A to the result, which drops A's axis.  The plan
+    records the result's dropped axes and the states of its cells,
+    contracted from the tables' zero patterns alongside
+    (``_contract_states``)."""
     tables, zeros, heads = pattern
     ev = dict(evidence)
     full: dict[str, tuple[Value, ...]] = {}
@@ -1120,49 +1406,90 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     support = _support(tables, zeros, ev)
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
-    # work: (position of the op, axes)
-    keys, work = [], []
-    for pos in _unbarren(tables, heads, keep, ev):
+    left = _unbarren(tables, heads, keep, ev)
+    live = {d for pos in left for d, _ in tables[pos] if d not in ev}
+    fused = {}      # A: (B, A's value at each of B's values)
+    for a, b, pos, f in _functions(pattern) if functions is None else functions:
+        f = dict(f)
+        if (a in live and b in live and pos in left and len(domains[a]) > 1
+                and (b in keep or a not in keep)
+                and all(f.get(v) in domains[a] for v in domains[b])):
+            fused[a] = b, tuple(f[v] for v in domains[b])
+    # the marginal's whole table, dropped axes and all, must fit
+    check_cells(tuple(sorted(keep & live)), domains)
+    # work: (position of the op, axes); states: per op, its output's states
+    keys, work, states = [], [], []
+    for pos in left:
         table = tables[pos]
-        live = tuple(d for d, _ in table if d not in ev)
+        live_axes = tuple(d for d, _ in table if d not in ev)
+        # a table over both A and B is sliced on the diagonal
+        diagonal = {d for d in live_axes if d in fused and fused[d][0] in live_axes}
+        out = tuple(dict.fromkeys(fused[d][0] if d in diagonal else d for d in live_axes))
         pinned = tuple(dom.index(ev[d]) if d in ev else None for d, dom in table)
-        kept = None if not set(live) & set(support) else tuple(
-            tuple(support.get(d, range(len(full[d])))) for d in live)
+        picks = None if not set(live_axes) & (set(support) | diagonal) else tuple(
+            (out.index(fused[d][0]), tuple(full[d].index(v) for v in fused[d][1]))
+            if d in diagonal else (out.index(d), tuple(support.get(d, range(len(full[d])))))
+            for d in live_axes)
         # equal keys mean equal slices of one sequence of tables
-        keys.append((pos, pinned, kept))
-        work.append((len(keys) - 1, live))
+        keys.append((pos, pinned, picks))
+        at, ix = _slice_index(pinned, picks)
+        mask = _mask(table, zeros[pos]).astype(np.float32)[at]
+        states.append(mask if ix is None else mask[ix])
+        work.append((len(keys) - 1, out))
 
-    def call(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
-        labels = _union(operands)
+    def home(d: str) -> str:
+        return fused[d][0] if d in fused else d
+
+    def merged(axes: tuple[str, ...], have: set) -> tuple[tuple[str, ...], tuple | None]:
+        """An operand's axes once each A whose B the step spans rides on B,
+        and the rides that take it there (None when none rides)."""
+        rides, out = _rides(list(axes), {
+            d: (home(d), tuple(domains[d].index(v) for v in fused[d][1]))
+            for d in axes if home(d) != d and home(d) in have})
+        return tuple(out), tuple((ride, len(cur)) for ride, cur in rides) or None
+
+    def call(operands, v: str | None, ordered: bool) -> tuple[int, tuple[str, ...]]:
+        have = set().union(*(x for _, x in operands))
+        taken = [(p, *merged(x, have)) for p, x in operands]
+        labels = _union([(p, x) for p, x, _ in taken])
         check_cells(labels, domains)
+        out = tuple(d for d in labels if d != v)
         size = {d: len(domains[d]) for d in labels}
         # either table may be the left one: take the order that copies fewer cells
-        step, axes, _, operands = min(
-            ((*_lower(tuple(x for _, x in order), out, ordered, size), order)
-             for order in (operands, operands[::-1])), key=lambda option: option[2])
-        keys.append((step, tuple(p for p, _ in operands)))
+        step, axes, _, order = min(
+            ((*_lower(tuple(x for _, x, _ in order), out, ordered, size), order)
+             for order in (taken, taken[::-1])), key=lambda option: option[2])
+        take = tuple(t for _, _, t in order)
+        keys.append((step._replace(take=take) if any(take) else step,
+                     tuple(p for p, _, _ in order)))
+        states.append(_contract_states([(_ridden(states[p], t), x) for p, x, t in order], axes))
         return len(keys) - 1, axes
 
-    def step(operands, out: tuple[str, ...], ordered: bool) -> tuple[int, tuple[str, ...]]:
+    def step(operands, v: str | None, ordered: bool) -> tuple[int, tuple[str, ...]]:
         # a step folds its operands in pairs, smallest first, so that each
         # call is one np.matmul
         first, *rest = sorted(operands, key=lambda w: math.prod(len(domains[d]) for d in w[1]))
         for i, nxt in enumerate(rest):
             last = i == len(rest) - 1
-            first = call([first, nxt], out if last else _union([first, nxt]), ordered and last)
-        return first if rest else call([first], out, ordered)
+            first = call([first, nxt], v if last else None, ordered and last)
+        return first if rest else call([first], v, ordered)
 
-    elim = sorted(set(_union(work)) - keep)
+    # an A rides on B: a table spanning A joins the tables of B, and a step
+    # that spans B takes A's axis at B's values
+    elim = sorted({home(d) for w in work for d in w[1]} - keep)
     while elim:     # the variable whose tables span the fewest axes, ties by name
-        v = min(elim, key=lambda v: len(_union([w for w in work if v in w[1]])))
-        involved = [w for w in work if v in w[1]]
-        work = [w for w in work if v not in w[1]] + [
-            step(involved, tuple(d for d in _union(involved) if d != v), False)]
+        homes = [{home(d) for d in w[1]} for w in work]
+        v = min(elim, key=lambda v: len(_union([w for w, h in zip(work, homes) if v in h])))
+        involved = [w for w, h in zip(work, homes) if v in h]
+        work = [w for w, h in zip(work, homes) if v not in h] + [step(involved, v, False)]
         elim.remove(v)
-    if len(work) > 1 or (work and work[0][1] != _union(work)):
-        work = [step(work, _union(work), True)]
-    dims = _union(work)
-    return _Plan(tuple(keys), dims, {d: domains[d] for d in dims})
+    if len(work) > 1 or (work and (work[0][1] != _union(work) or set(work[0][1]) & set(fused))):
+        work = [step(work, None, True)]
+    kept = sorted(a for a in fused if a in keep)
+    dims = tuple(sorted(set(_union(work)).union(kept)))
+    drop = tuple((a, fused[a][0], tuple(domains[a].index(v) for v in fused[a][1])) for a in kept)
+    return _Plan(tuple(keys), dims, {d: domains[d] for d in dims}, drop,
+                 states[work[0][0]] if work else np.ones((), np.float32))
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
@@ -1185,13 +1512,17 @@ class _Program(NamedTuple):
     contraction step, a join or a sum, with its constants and input
     registers bound at plan time.  A slice or step that several marginals
     share appears once.  It records the result's register, axes and support
-    domains, and holds no law's arrays: a call binds index arrays and the
-    position of the factor it reads, never a factor."""
+    domains, how its array puts back the axes it drops, and which of its
+    cells are zero and which undefined, facts of the plan that every law of
+    the structure shares; it holds no law's arrays: a call binds index
+    arrays and the position of the factor it reads, never a factor."""
 
     ops: tuple                  # per op: its call (see run)
     out: int                    # the result's register
     dims: tuple[str, ...]
     domains: dict
+    full: tuple | None          # the result's conversion to all its axes, if it drops one
+    states: np.ndarray          # the result's cell states (``_states``), known at plan time
 
     def run(self, law) -> NamedTable:
         regs: list = []
@@ -1199,14 +1530,56 @@ class _Program(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for call in self.ops:
                 regs.append(call(regs, tables))
-        out = np.asarray(regs[self.out])
+        out = regs[self.out]
+        if self.full is not None:
+            out = _converted(out, *self.full)
+        out = np.asarray(out)
         out.flags.writeable = False     # it may be a view of a factor's
         return NamedTable(self.dims, dict(self.domains), out)
 
 
-def _bind_sum(i: int, axes: tuple[int, ...]):
-    reduce = np.add.reduce
-    return lambda regs, tables: reduce(regs[i], axes)
+def _sum_plan(t: _Layout, over: Iterable[str]) -> tuple:
+    """The sum of the table t over the axes over: the steps and transpose
+    that convert its array (an A that rides on a summed B gets its axis
+    back, every other stays dropped), the axes then summed out of how many,
+    and the result's layout, whose states are the sums of t's."""
+    keep = tuple(d for d in t.dims if d not in over)
+    rides = {a: (b, at) for a, b, at in t.drop if a not in keep or b in keep}
+    steps, perm, _ = _conversion(t, t.dims, t.domains, rides)
+    have = [d for d in t.dims if d not in rides]
+    axes = tuple(k for k, d in enumerate(have) if d in over)
+    states = np.minimum(np.add.reduce(_converted(t.states, steps, perm, None), axes), 1)
+    drop = tuple((a, b, at) for a, (b, at) in sorted(rides.items()) if a in keep)
+    return (steps, perm, axes, len(have),
+            _Layout(keep, {d: t.domains[d] for d in keep}, drop, states))
+
+
+def _summing(axes: tuple[int, ...], ndim: int) -> tuple | None:
+    """How ``_sum`` sums an array of ndim axes over axes: the transpose that
+    puts them last and the number of axes kept; None for one axis or none,
+    which one ``np.add.reduce`` sums as fast."""
+    if len(axes) < 2:
+        return None
+    return tuple(k for k in range(ndim) if k not in axes) + tuple(axes), ndim - len(axes)
+
+
+def _sum(x: np.ndarray, axes: tuple[int, ...], summing: tuple | None) -> np.ndarray:
+    """x summed over axes: over several, as one reduction of a last axis
+    that holds them all, which numpy runs several times faster on small
+    arrays."""
+    if summing is None:
+        return np.add.reduce(x, axes) if axes else x
+    order, kept = summing
+    x = x.transpose(order)
+    return np.add.reduce(x.reshape(x.shape[:kept] + (math.prod(x.shape[kept:]),)), -1)
+
+
+def _bind_sum(i: int, steps: tuple, perm: tuple | None, axes: tuple[int, ...], ndim: int):
+    """The call that sums register i, once converted, over axes of its ndim."""
+    summing = _summing(axes, ndim)
+    if not steps and perm is None:
+        return lambda regs, tables: _sum(regs[i], axes, summing)
+    return lambda regs, tables: _sum(_converted(regs[i], steps, perm, None), axes, summing)
 
 
 def _one(regs, tables):
@@ -1235,14 +1608,16 @@ def _marginals(e: Atom) -> list[tuple[frozenset[str], Pins]]:
             for n in names]
 
 
-def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern) -> tuple[dict, dict]:
+def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
+                    functions: tuple | None = None) -> tuple[dict, dict]:
     """The contraction plan of every marginal e's atoms ask for, by (kept
     variables, evidence) in the order they are asked, and the source of each
     marginal derived from another.
 
     A marginal (K, E) can be derived from a source (K', E') when E' holds
-    some of E's pins at the same values and the source's axes hold K and the
-    rest of E: then it is the source sliced at those pins and at (K, E)'s
+    some of E's pins at the same values, the source's axes hold K and the
+    rest of E, and ``_derivation`` makes the marginal's array from the
+    source's: then it is the source sliced at those pins and at (K, E)'s
     support, summed over the axes it drops (``_bind_derived``), one call
     instead of its own slices and steps.  The source is a marginal that
     derives from no other, the one of fewest cells (ties by sorted names,
@@ -1251,6 +1626,7 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern) -
     other plan still planned directly, decided in the order asked and again
     until nothing changes."""
     plans: dict = {}
+    functions = _functions(pattern) if functions is None else functions
     for atom in _atoms(e, set()):
         if atom.law != name:
             raise ExprError(f"atom law {atom.law!r} not resolvable from {name!r}")
@@ -1259,12 +1635,13 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern) -
             raise ExprError(f"law has no variables {sorted(missing)}")
         for asked in _marginals(atom):
             if asked not in plans:
-                plans[asked] = _contraction_plan(pattern, *asked)
+                plans[asked] = _contraction_plan(pattern, *asked, functions)
 
     def derives(r, s) -> bool:
         (kept, ev), (_, ev_s) = r, s
         return (r != s and set(plans[r].dims) == kept and set(ev_s) <= set(ev)
-                and kept.union(k for k, _ in set(ev) - set(ev_s)) <= set(plans[s].dims))
+                and kept.union(k for k, _ in set(ev) - set(ev_s)) <= set(plans[s].dims)
+                and _derivation(plans[s], plans[r], dict(ev)) is not None)
 
     def order(s) -> tuple:
         cells = math.prod(len(dom) for dom in plans[s].domains.values())
@@ -1296,45 +1673,93 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern) -
     return plans, sources
 
 
-def _bind_derived(i: int, source: _Plan, plan: _Plan, evidence: Mapping[str, Value]):
-    """The call that makes the marginal planned as plan from register i,
-    which holds the marginal planned as source (``_plan_marginals``): a basic
-    slice at the evidence the source lacks, one sum over the axes the
-    marginal drops, and then, on an axis whose support is not a run of the
-    source's values, an index.  The source's values outside plan's support
-    have no mass at the evidence, so the cells equal the direct plan's up to
-    the order of the sums; evidence outside the source's support has none at
-    all, and the marginal is zero."""
-    shape = tuple(len(plan.domains[d]) for d in plan.dims)
+def _derivation(source: _Plan, plan: _Plan, evidence: Mapping[str, Value]) -> tuple | None:
+    """How ``_bind_derived`` makes plan's array from source's: the shape,
+    then the basic index (None for a zero table), the steps
+    (``_converted``), the axes summed, the transpose and the index arrays;
+    None when plan drops an axis the source keeps, or, for a pair A, B
+    whose A the source drops, keeps A's axis while B is kept or pinned, or
+    pins both, or keeps two such A on one summed B.  Where B is summed, a
+    kept A gets its axis back, each of its values the sum over the values
+    of B where A is at it, and a pinned A keeps only the values of B where
+    A is at the pin."""
+    shape = tuple(len(plan.domains[d]) for d in _stored(plan))
     if any(d in evidence and evidence[d] not in dom for d, dom in source.domains.items()):
-        return lambda regs, tables: np.zeros(shape)
-    at, picks = [], []      # per axis of the source: its basic index; per kept axis: its index
-    for d in source.dims:
+        return shape, None, None, ((), None), None, None
+    dropped = {a: b for a, b, _ in plan.drop}
+    kept = _stored(plan)
+    at, picks = [], {}      # per axis of the source: its basic index; per kept axis: its index
+    for d in _stored(source):
         dom = source.domains[d]
-        pos = [dom.index(v) for v in plan.domains.get(d, ())]
+        pos = [dom.index(v) for v in plan.domains[d]] if d in kept else []
         first = pos[0] if pos else 0
         if d in evidence:
             at.append(dom.index(evidence[d]))
-        elif d not in plan.dims:
-            at.append(slice(None))
-        elif pos == list(range(first, first + len(pos))):     # a run: a basic slice
+        elif d in kept and pos == list(range(first, first + len(pos))):     # a run: a basic slice
             at.append(slice(first, first + len(pos)))
-            picks.append(None)
         else:
             at.append(slice(None))
-            picks.append(pos)
-    at = tuple(at)
-    axes = tuple(k for k, d in enumerate(d for d in source.dims if d not in evidence)
-                 if d not in plan.dims)
+            if d in kept:
+                picks[d] = pos
+    cur = [d for d in _stored(source) if d not in evidence]
+    steps: list = []
+    for a, b, ats in source.drop:
+        if a in dropped and dropped[a] == b:
+            continue
+        if a in plan.dims and b not in plan.dims and b not in evidence:
+            # B's values grouped by A's value at them, each group summed; a
+            # second A kept on the same B would need the groups of both
+            groups = [[k for k, x in enumerate(ats) if x == p] for p in range(len(source.domains[a]))]
+            if b not in cur or not all(groups):
+                return None
+            order = [k for group in groups for k in group]
+            starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+            steps.append((_grouped, None if order == list(range(len(order)))
+                          else np.array(order, dtype=np.intp), starts.astype(np.intp), cur.index(b)))
+            cur[cur.index(b)] = a
+            picks[a] = [source.domains[a].index(v) for v in plan.domains[a]]
+        elif a in evidence and b not in evidence and b not in plan.dims:
+            pin = source.domains[a].index(evidence[a])
+            index: list = [slice(None)] * len(cur)
+            index[cur.index(b)] = _run([k for k, x in enumerate(ats) if x == pin])
+            steps.append((_picked, tuple(index)))
+        elif a in plan.dims or (a in evidence and b in evidence):
+            return None
+    if set(dropped) - {a for a, _, _ in source.drop}:
+        return None
+    axes = tuple(k for k, d in enumerate(cur) if d not in kept)
+    perm = _perm([d for d in cur if d in kept], kept)
+    picks = [None if picks.get(d, list(range(n))) == list(range(n)) else picks[d]
+             for d, n in zip(kept, shape)]
     ix = None if all(p is None for p in picks) else np.ix_(
         *(np.arange(n, dtype=np.intp) if p is None else np.array(p, dtype=np.intp)
           for p, n in zip(picks, shape)))
-    reduce = np.add.reduce
+    return shape, tuple(at), tuple(steps), (axes, _summing(axes, len(cur))), perm, ix
+
+
+def _bind_derived(i: int, source: _Plan, plan: _Plan, evidence: Mapping[str, Value]):
+    """The call that makes the marginal planned as plan from register i,
+    which holds the marginal planned as source (``_plan_marginals``): a basic
+    slice at the evidence the source lacks, the steps ``_derivation`` plans
+    for the axes the source drops, one sum over the axes the marginal drops,
+    and then, on an axis whose support is not a run of the source's values,
+    an index.  The source's values outside plan's support have no mass at
+    the evidence, so the cells equal the direct plan's up to the order of
+    the sums; evidence outside the source's support has none at all, and
+    the marginal is zero.  A pinned A that rides on a kept B needs no
+    slice: plan's support of B holds only the values where A is at the
+    pin."""
+    shape, at, steps, (axes, summing), perm, ix = _derivation(source, plan, evidence)
+    if at is None:
+        return lambda regs, tables: np.zeros(shape)
 
     def derived(regs, tables):
         x = regs[i][at]
-        if axes:
-            x = reduce(x, axes)
+        for step, *args in steps:
+            x = step(x, *args)
+        x = _sum(x, axes, summing)
+        if perm is not None:
+            x = x.transpose(perm)
         return x if ix is None else x[ix]
     return derived
 
@@ -1342,33 +1767,42 @@ def _bind_derived(i: int, source: _Plan, plan: _Plan, evidence: Mapping[str, Val
 @functools.lru_cache(maxsize=1024)
 def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
     """e's program on laws of this structure, planned by a walk of the tree
-    that binds every call and runs none; a node's table is (register, axes,
-    domains).  Every marginal the atoms ask for is planned first, once
+    that binds every call and runs none; a node's table is (register,
+    ``_Layout``).  Every marginal the atoms ask for is planned first, once
     (``_plan_marginals``); one derived from another is one call on the
     source's register, and the rest bind their plans' slices and steps, each
     once however many marginals share it.  A derived table has the axes and
     support domains of its direct plan and the same zero cells; its other
-    cells are the direct plan's summed in another order, within 1e-14."""
+    cells are the direct plan's summed in another order, within 1e-14.
+
+    Each table's states, and so its zero and undefined cells, are known
+    here: a marginal's from its plan, a join's from its operands'
+    (``_join_plan``), a sum's by summing them.  A join or sum keeps an axis
+    its operand dropped only where its result needs it: a sum over B puts
+    back the A that rides on B, and a join puts back an A that its result
+    keeps.  The result puts back every axis it drops (``_Program.full``)."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step, or by derived marginal
-    memo: dict = {}         # register, axes and domains by expression
-    plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern)
+    memo: dict = {}         # register and layout by expression
+    functions = _functions(pattern)
+    plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, functions)
 
     def emit(call) -> int:
         ops.append(call)
         return len(ops) - 1
 
     def one() -> tuple:
-        return emit(_one), (), {}
+        return emit(_one), _Layout((), {}, (), np.ones((), np.float32))
 
     def marginal(asked: tuple) -> tuple:
         plan = plans[asked]
+        layout = _Layout(*plan[1:])
         if asked in sources:
             if asked not in made:
                 source = sources[asked]
                 made[asked] = emit(_bind_derived(marginal(source)[0], plans[source], plan,
                                                  dict(asked[1])))
-            return made[asked], plan.dims, plan.domains
+            return made[asked], layout
         at: list = []       # register by position in the plan
         for key in plan.keys:
             step = key[0] if isinstance(key[0], _Step) else None
@@ -1377,12 +1811,16 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if key not in made:     # bound once, however many marginals share it
                 made[key] = emit(_bind_slice(*key) if step is None else step.bind(key[1]))
             at.append(made[key])
-        return (at[-1], plan.dims, plan.domains) if at else one()
+        return (at[-1], layout) if at else one()
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
-        (i, dims_a, doms_a), (j, dims_b, doms_b) = a, b
-        plan = _join_plan(dims_a, doms_a, dims_b, doms_b, divide)
-        return emit(_bind_join(i, j, plan, divide)), plan.dims, plan.domains
+        (i, ta), (j, tb) = a, b
+        plan = _join_plan(ta, tb, divide, functions)
+        return emit(_bind_join(i, j, plan, divide)), plan.out
+
+    def total(a: tuple, over: tuple[str, ...]) -> tuple:
+        *plan, out = _sum_plan(a[1], over)
+        return emit(_bind_sum(a[0], *plan)), out
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1396,12 +1834,10 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             joint, *ctx = (marginal(asked) for asked in _marginals(e))
             return join(joint, ctx[0], True) if ctx else joint
         if isinstance(e, Marginal):
-            i, dims, domains = visit(e.child)
-            axes = tuple(dims.index(n) for n in e.over if n in dims)
-            if not axes:
-                return i, dims, domains
-            keep = tuple(d for d in dims if d not in e.over)
-            return emit(_bind_sum(i, axes)), keep, {d: domains[d] for d in keep}
+            child = visit(e.child)
+            if not set(e.over) & set(child[1].dims):
+                return child
+            return total(child, e.over)
         if isinstance(e, Product):
             if not e.children:
                 return one()
@@ -1413,5 +1849,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             return join(visit(e.num), visit(e.den), True)
         raise ExprError(f"unknown node {type(e).__name__}")
 
-    out, dims, domains = visit(e)
-    return _Program(tuple(ops), out, dims, domains)
+    out, t = visit(e)
+    full = _conversion(t, t.dims, t.domains, {}) if t.drop else None
+    return _Program(tuple(ops), out, t.dims, t.domains, full,
+                    t.states if full is None else _converted(t.states, *full))

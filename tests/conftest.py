@@ -1,8 +1,8 @@
 """Shared helpers: random graph generators, a brute-force path-enumeration
 separation check, a numeric conditional-independence check, a pairwise-join
 variable elimination, law builders for comparisons against the fast
-code, and a marginal made as a program makes it from tables computed
-alone."""
+code, a table summed over some of its axes, and a marginal made as a
+program makes it from tables computed alone."""
 
 from __future__ import annotations
 
@@ -93,6 +93,16 @@ def general_search(md: MdDag, indicator: str, budget=None):
         return identify_indicator(md, indicator, budget)
 
 
+def sum_out(tab: NamedTable, names) -> NamedTable:
+    """The table summed over those of names that are its axes."""
+    names = [n for n in names if n in tab.dims]
+    if not names:
+        return tab
+    keep = tuple(d for d in tab.dims if d not in names)
+    return NamedTable(keep, {d: tab.domains[d] for d in keep},
+                      tab.data.sum(axis=tuple(tab.axis(n) for n in names)))
+
+
 def ci_check(law: O.FactoredLaw, a, b, c=()) -> float:
     """Max over cells of |p(a,b|c) - p(a|c) p(b|c)|; cells with zero context
     mass are skipped."""
@@ -100,10 +110,10 @@ def ci_check(law: O.FactoredLaw, a, b, c=()) -> float:
     if A & B or A & C or B & C:
         raise O.OracleError("ci_check requires disjoint variable sets")
     joint = law.marginal(A | B | C)
-    pc = joint.sum_out(A | B)
+    pc = sum_out(joint, A | B)
     pabc = NamedTable.join(joint, pc, np.divide)
-    pac = NamedTable.join(joint.sum_out(B), pc, np.divide)
-    pbc = NamedTable.join(joint.sum_out(A), pc, np.divide)
+    pac = NamedTable.join(sum_out(joint, B), pc, np.divide)
+    pbc = NamedTable.join(sum_out(joint, A), pc, np.divide)
     prod = NamedTable.join(pac, pbc, np.multiply)
     return pabc.max_abs_diff(prod)
 
@@ -116,7 +126,7 @@ def reference_elimination_marginal(factors, keep) -> NamedTable:
     if not work:
         return NamedTable((), {}, np.asarray(1.0))
     if len(work) == 1:          # a dense law: one sum over all dropped axes
-        return work[0].sum_out(set(work[0].dims) - keep)
+        return sum_out(work[0], set(work[0].dims) - keep)
     all_vars: set[str] = set()
     for f in work:
         all_vars |= set(f.dims)
@@ -136,12 +146,12 @@ def reference_elimination_marginal(factors, keep) -> NamedTable:
         prod = involved[0]
         for f in involved[1:]:
             prod = NamedTable.join(prod, f, np.multiply)
-        work = rest + [prod.sum_out([v])]
+        work = rest + [sum_out(prod, [v])]
         elim.discard(v)
     out = work[0]
     for f in work[1:]:
         out = NamedTable.join(out, f, np.multiply)
-    return out.sum_out(set(out.dims) - keep)
+    return sum_out(out, set(out.dims) - keep)
 
 
 # -- brute force m-separation by path enumeration ---------------------------
@@ -195,19 +205,38 @@ def rng():
     return np.random.default_rng(20240611)
 
 
-def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:
-    """The marginal asked, (kept variables, evidence), made as the program
-    makes it but from tables computed alone: a marginal the program derives
-    (``K._plan_marginals``) comes from its source's table, itself a marginal
-    of the law alone, through the call the program binds."""
+def register_alone(law: O.FactoredLaw, kept, ev: dict) -> np.ndarray:
+    """The array that the program of one atom, the marginal over kept at
+    the evidence ev, leaves in its result's register: the marginal without
+    the axes its plan drops, in the memory order a program's register has."""
+    atom = K.Atom(law.name, tuple(set(kept) | set(ev)), pins=tuple(ev.items()))
+    program = K._program(atom, law.name, tuple(law.variables.items()), law._pattern)
+    regs: list = []
+    for op in program.ops:
+        regs.append(op(regs, law.factors))
+    return regs[program.out]
+
+
+def stored_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> np.ndarray:
+    """The array of the marginal asked, (kept variables, evidence), made as
+    the program makes it but from tables computed alone: a marginal the
+    program derives (``K._plan_marginals``) comes from its source's array,
+    itself a marginal of the law alone, through the call the program
+    binds."""
     kept, ev = asked
     if asked not in sources:
-        return law.on_support(kept, dict(ev))
+        return register_alone(law, kept, dict(ev))
     source = sources[asked]
-    data = law.on_support(source[0], dict(source[1])).data
+    data = register_alone(law, source[0], dict(source[1]))
+    return K._bind_derived(0, plans[source], plans[asked], dict(ev))([data], law.factors)
+
+
+def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:
+    """``stored_alone``'s marginal with the axes its plan drops put back."""
     plan = plans[asked]
-    call = K._bind_derived(0, plans[source], plan, dict(ev))
-    return NamedTable(plan.dims, dict(plan.domains), call([data], law.factors))
+    data = K._converted(stored_alone(law, plans, sources, asked),
+                        *K._conversion(K._Layout(*plan[1:]), plan.dims, plan.domains, {}))
+    return NamedTable(plan.dims, dict(plan.domains), data)
 
 
 def check_derived(law: O.FactoredLaw, expr: K.Expr) -> list:

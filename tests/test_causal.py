@@ -8,7 +8,7 @@ from mdid.graph import Cadmg
 from mdid import kernel as K
 from mdid import oracle as O
 
-from conftest import hidden_dag_for, random_admg
+from conftest import hidden_dag_for, random_admg, sum_out
 
 
 def test_g_formula_examples():
@@ -87,7 +87,7 @@ def test_bow_nonidentifiability_witnessed_by_two_laws():
     for s in range(50):
         l1 = O.sample_dag_law(big, 2, seed=s)
         m1 = l1.dense(["A", "Y"], name="p").table
-        pa = m1.sum_out(["Y"])
+        pa = sum_out(m1, ["Y"])
         py_given_a = NamedTable.join(m1, pa, np.divide)
         factors = (
             NamedTable((u,), {u: (0, 1)}, np.array([0.5, 0.5])),

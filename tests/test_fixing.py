@@ -12,7 +12,7 @@ from mdid.missing import without_censored_rows
 from mdid.model import md_dag
 from mdid import oracle as O
 
-from conftest import admg_law, random_admg
+from conftest import admg_law, random_admg, sum_out
 
 
 def test_is_fixable_vertex_examples():
@@ -346,8 +346,8 @@ def _numeric_fix_total_order(graph, tab, order):
         assert is_fixable_vertex(graph, v), v
         free = graph.random_vertices
         mb = graph.markov_blanket([v]) & free
-        joint = tab.sum_out(free - {v} - mb)
-        cond = O.NamedTable.join(joint, joint.sum_out([v]), np.divide)
+        joint = sum_out(tab, free - {v} - mb)
+        cond = O.NamedTable.join(joint, sum_out(joint, [v]), np.divide)
         tab = O.NamedTable.join(tab, cond, np.divide)
         graph = graph.with_statuses(fixed=[v])
     return graph, tab
@@ -377,8 +377,8 @@ def test_augmented_total_order_equivalence():
         g2, tab = _numeric_fix_total_order(aug_graph, aug.table, ["R2", "R3"])
         tab = tab.take({"R2": 1, "R3": 1})
         mb = g2.markov_blanket(["R1"]) & g2.random_vertices
-        joint = tab.sum_out(g2.random_vertices - {"R1"} - mb)
-        want = O.NamedTable.join(joint, joint.sum_out(["R1"]), np.divide)
+        joint = sum_out(tab, g2.random_vertices - {"R1"} - mb)
+        want = O.NamedTable.join(joint, sum_out(joint, ["R1"]), np.divide)
         assert want.max_abs_diff(got) <= 1e-9
 
 

@@ -13,7 +13,8 @@ from mdid.identify import identify_full, identify_target
 from mdid.model import MdDag
 from mdid import oracle as O
 
-from conftest import check_derived, random_dag, reference_elimination_marginal
+from conftest import check_derived, random_dag, random_mddag, reference_elimination_marginal, \
+    sum_out
 
 MISSING_DATA_FIXTURES = [n for n in FIXTURE_NAMES if isinstance(load(n), MdDag)]
 
@@ -170,7 +171,7 @@ def test_normalization_of_kernels():
     q2 = K.quotient(q1, K.quotient(q1, K.marginalize(q1, ["B"])))
     tab = K.evaluate_numeric(q2, law)
     # context M: every context slice sums to 1
-    sums = tab.sum_out(["A", "Y"])
+    sums = sum_out(tab, ["A", "Y"])
     assert np.allclose(sums.data, 1.0, atol=1e-9)
 
 
@@ -653,6 +654,136 @@ def test_derived_marginal_on_a_support_that_is_not_a_run():
     (derived,) = check_derived(law, e)
     assert derived.domains == {"A": (0, 2)}
     np.testing.assert_allclose(derived.data, [0.3, 0.3], rtol=1e-15)
+
+
+def check_plan_cells(e: K.Expr, law: O.FactoredLaw) -> K.NamedTable:
+    """The cells the program of e calls zero are the zero cells of the
+    evaluated table, and the cells it calls undefined its NaN cells."""
+    program = K._program(e, law.name, tuple(law.variables.items()), law._pattern)
+    tab = K.evaluate_numeric(e, law)
+    assert program.states.shape == tab.data.shape
+    assert np.array_equal(program.states == 0, tab.data == 0)
+    assert np.array_equal(np.isnan(program.states), np.isnan(tab.data))
+    return tab
+
+
+@st.composite
+def expressions(draw):
+    """A law from factor_sets, often with a table that makes one variable a
+    function of another, as a proxy makes its indicator, and a tree over
+    it: atoms (a context, a pin) joined by products and quotients either
+    way round, maybe summed."""
+    law, _, _ = draw(factor_sets())
+    names = sorted(law.variables)
+    tables, pairs = list(law.factors), []
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        pairs.append({a, b})
+        doms = {a: law.variables[a], b: law.variables[b]}
+        data = np.zeros((len(doms[a]), len(doms[b])))
+        for k in range(len(doms[b])):
+            data[draw(st.integers(0, len(doms[a]) - 1)), k] = draw(st.sampled_from([0.3, 1.0]))
+        tables.append(K.NamedTable(tuple(sorted(doms)), doms, data if a < b else data.T))
+    law = law_of(tables, law.variables)
+
+    def atom() -> K.Expr:
+        joint = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+        if pairs and draw(st.booleans()):
+            joint |= draw(st.sampled_from(pairs))
+        rest = [v for v in names if v not in joint]
+        ctx = draw(st.sets(st.sampled_from(rest), max_size=2)) if rest else set()
+        pinned = draw(st.sets(st.sampled_from(sorted(joint | ctx)), max_size=1))
+        return K.Atom("p", tuple(joint), tuple(ctx),
+                      tuple((v, draw(st.sampled_from(law.variables[v]))) for v in sorted(pinned)))
+
+    e = atom()
+    for _ in range(draw(st.integers(0, 3))):
+        other = atom()
+        e = draw(st.sampled_from([K.Product((e, other)), K.Quotient(e, other),
+                                  K.Quotient(other, e)]))
+    free = sorted(e.free())
+    if free and draw(st.booleans()):
+        e = K.Marginal(e, tuple(draw(st.sets(st.sampled_from(free), min_size=1))))
+    return law, e
+
+
+def joined_alone(e: K.Expr, law: O.FactoredLaw) -> K.NamedTable:
+    """e evaluated by ``NamedTable.join`` over all axes, each atom's
+    marginals computed alone: a reference that drops no axis."""
+    if isinstance(e, K.Atom):
+        joint, *ctx = (law.on_support(kept, dict(ev)) for kept, ev in K._marginals(e))
+        return K.NamedTable.join(joint, ctx[0], np.divide) if ctx else joint
+    if isinstance(e, K.Marginal):
+        return sum_out(joined_alone(e.child, law), e.over)
+    if isinstance(e, K.Product):
+        return K.NamedTable.join(*(joined_alone(c, law) for c in e.children), np.multiply)
+    return K.NamedTable.join(joined_alone(e.num, law), joined_alone(e.den, law), np.divide)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=expressions())
+def test_plan_time_cells_match_evaluated_cells(case):
+    # zero and undefined cells are facts of the law's zero pattern: a
+    # product is zero where a factor is, a quotient where its numerator is
+    # and its denominator is not undefined, and positive mass over zero is
+    # undefined; sums and dropped axes keep them, and the table is the one
+    # joins over every axis make
+    law, e = case
+    got = check_plan_cells(e, law)
+    want = joined_alone(e, law)
+    assert got.dims == want.dims and got.domains == want.domains
+    assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+    assert np.array_equal(got.data == 0, want.data == 0)
+    defined = ~np.isnan(want.data)
+    np.testing.assert_allclose(got.data[defined], want.data[defined], rtol=1e-12, atol=0)
+
+
+def functionals(md: MdDag) -> list:
+    """The target, full-law and indicator functionals identified for md."""
+    out = []
+    for rep in (identify_target(md), identify_full(md)):
+        if rep.status == "identified":
+            out += [rep.functional.expr, *(q for _, q in sorted(rep.propensities.items()))]
+    return out
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES)
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_plan_time_cells_of_fixture_functionals(name, cardinality):
+    md = load(name)
+    law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
+    for e in functionals(md):
+        check_plan_cells(e, law)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 3), cardinality=st.sampled_from([2, 3]))
+def test_plan_time_cells_of_random_model_functionals(seed, k, cardinality):
+    md = random_mddag(np.random.default_rng(seed), k, n_obs=seed % 2)
+    law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, seed))
+    for e in functionals(md):
+        check_plan_cells(e, law)
+
+
+def test_positive_mass_over_a_structural_zero_is_undefined_at_plan_time():
+    # C = 0 rules out A = 1: p(A) / p(A, C=0) divides positive mass by a
+    # structural zero at A = 1, and the plan names that cell undefined
+    # before any law runs; a product with the denominator runs over its
+    # support, which leaves A = 1 out
+    a_c = K.NamedTable(("A", "C"), {"A": (0, 1), "C": (0, 1)},
+                       np.array([[0.5, 0.5], [0.0, 1.0]]))
+    c = K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.4, 0.6]))
+    law = law_of([a_c, c])
+    at_c0 = K.Atom("p", ("A", "C"), (), (("C", 0),))
+    ratio = K.Quotient(K.Atom("p", ("A",)), at_c0)
+    program = K._program(ratio, "p", tuple(law.variables.items()), law._pattern)
+    assert program.domains == {"A": (0, 1)}
+    np.testing.assert_array_equal(np.isnan(program.states), [False, True])
+    tab = check_plan_cells(ratio, law)
+    assert tab.data[0] == pytest.approx(2.5) and np.isnan(tab.data[1])
+    absorbed = K.Product((ratio, at_c0))
+    tab = check_plan_cells(absorbed, law)
+    assert tab.domains == {"A": (0,)} and not np.isnan(tab.data).any()
 
 
 def test_shared_tables_are_read_only():

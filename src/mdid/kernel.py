@@ -43,10 +43,10 @@ then, repeatedly, each table that becomes barren once it is gone (Baker &
 Boult, "Pruning Bayesian networks for efficient computation", 1990).
 
 Work is shared wherever its structure repeats.  ``evaluate_numeric``
-plans an expression into a flat program of slices, steps, joins and sums,
-each one call with its constants and input registers bound at plan time,
-and caches it by the law's structure (its name, variables, zero pattern
-and heads): the kernel's one cache (``_program``).  An oracle trial on a
+plans an expression into a flat program of slices, steps, joins and
+reductions, each one call with its constants and input registers bound
+at plan time, and caches it by the law's structure (its name, variables,
+zero pattern and heads): the kernel's one cache (``_program``).  An oracle trial on a
 law of that structure runs only the calls' arithmetic (``_Program.run``);
 a law's marginal is the program of one atom.  Planning runs no call and
 reads no table's data.  The planner plans each distinct marginal once and
@@ -62,7 +62,10 @@ axes it drops, when that binds fewer calls than its own plan.  The last
 step of a plan returns a C-contiguous array, which such a sum reads fast.
 A derived table has the axes, support domains and zero cells of its
 direct plan, so no join or output changes; its other cells are summed in
-another order and agree with the direct plan's within 1e-14.
+another order and agree with the direct plan's within 1e-14.  A Marginal
+node's sum is the same call on its child's table, without evidence: as a
+junction tree marginalizes every clique table one way, a program reduces
+every table by one call (``_bind_derived``).
 
 Evaluation works on the support.  A variable's support is the set of its
 values that keep nonzero mass in every factor once the factors are sliced
@@ -89,10 +92,11 @@ a proxy's CPT makes its indicator R = 1 exactly where the proxy is not
 marginal that keeps or sums both lets A ride on B: a step that spans B
 takes a table's A axis at f(B), on B's axis (``_rides``), and a table that
 keeps both is held without A's axis, its array at each b the cell at
-A = f(b).  A join keeps A off its result where an operand is zero off f
-(``_join_plan``), re-indexing the other operand along B; a sum over B puts
-A's axis back before it sums, and so does a join whose result keeps A's
-axis.  The result of a program puts back every axis it dropped
+A = f(b).  Each B carries at most one A, and maps onto all of A's values.
+A join drops A where an operand does (``_join_plan``), re-indexing the
+other along B; a sum over B sums B's values in groups by A's value at
+them, so A's axis comes out of the sum, and a join whose result keeps A's
+axis puts it back.  The result of a program puts back every axis it dropped
 (``_Program.full``), so every output keeps its axes, support domains, zero
 cells and NaN cells; its other cells are summed over fewer zeros and
 agree with a sum over every cell within 1e-14.
@@ -827,7 +831,7 @@ class _Layout(NamedTuple):
 
 
 def _stored(t) -> tuple[str, ...]:
-    """The axes the array of a ``_Layout`` or ``_Plan`` spans."""
+    """The axes the array of a ``_Layout`` spans."""
     gone = {a for a, _, _ in t.drop}
     return tuple(d for d in t.dims if d not in gone)
 
@@ -973,18 +977,6 @@ def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
     return perm, tuple(len(domains[d]) if d in have else 1 for d in dims)
 
 
-def _zero_off(t: _Layout, a: str, b: str, f: Mapping) -> bool:
-    """Whether the table t holds is zero wherever a is not f(b)."""
-    if any(x == a for x, _, _ in t.drop):
-        return True
-    stored = _stored(t)
-    if a not in stored or b not in stored:
-        return False
-    on = np.array([[f.get(vb) == va for vb in t.domains[b]] for va in t.domains[a]], bool)
-    cells = np.moveaxis(t.states, (stored.index(a), stored.index(b)), (0, 1))
-    return not np.any(cells[~on] != 0)
-
-
 class _JoinPlan(NamedTuple):
     out: _Layout
     operands: tuple     # per operand: its conversion (steps, transpose, shape)
@@ -995,9 +987,10 @@ def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _Joi
     """The structure of a join of the tables ta and tb: a product over the
     intersection of their domains, a quotient over their union (the
     numerator's values first).  The result leaves out A's axis for each
-    variable A that ``functions`` makes a function of B where it is zero
-    off that function on either operand of a product, or on the numerator
-    of a quotient whose denominator is too or holds no NaN.  The result's
+    variable A that ``functions`` makes a function of B, where B's values
+    map onto A's (``_onto``) and an operand drops A, so is zero off the
+    function: either operand of a product, or the numerator of a quotient
+    whose denominator drops A too or holds no NaN.  The result's
     states follow from the operands': a product is zero where either
     factor is; a quotient is zero where its numerator is and its
     denominator is zero or positive, and undefined where positive mass
@@ -1018,9 +1011,8 @@ def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _Joi
     drop = {}
     for a, b, _, f in functions:
         f = dict(f)
-        if (a in domains and b in domains and len(domains[a]) > 1
-                and all(f.get(v) in domains[a] for v in domains[b])):
-            za, zb = _zero_off(ta, a, b, f), _zero_off(tb, a, b, f)
+        if a in domains and b in domains and _onto(f, domains[a], domains[b]):
+            za, zb = (any(x == a for x, _, _ in t.drop) for t in (ta, tb))
             if (za and (zb or not np.isnan(tb.states).any())) if divide else (za or zb):
                 drop[a] = b, tuple(domains[a].index(f[v]) for v in domains[b])
     operands = tuple(_conversion(t, dims, domains, drop) for t in (ta, tb))
@@ -1131,9 +1123,10 @@ def _functions(pattern: ZeroPattern) -> tuple:
     the tables.  A proxy and its indicator are such a pair: R = 1 exactly
     where the proxy is not "?".  Pairs are read from every table in order,
     the first table wins, and each A takes the first B (by name) that is
-    itself a function of no variable, so every table leaves out A for the
-    same B.  A table whose nonzero cells outnumber its cells over A's
-    values cannot make A a function of anything, and is not searched."""
+    itself a function of no variable and carries no A before it, so every
+    table leaves out A for the same B, and a B carries at most one A.  A
+    table whose nonzero cells outnumber its cells over A's values cannot
+    make A a function of anything, and is not searched."""
     tables, zeros, _ = pattern
     found: dict = {}
     for pos, (table, bits) in enumerate(zip(tables, zeros)):
@@ -1155,9 +1148,15 @@ def _functions(pattern: ZeroPattern) -> tuple:
     dependent = {a for a, _ in found}
     out: dict = {}
     for (a, b), (pos, f) in sorted(found.items()):
-        if b not in dependent and a not in out:
+        if b not in dependent and a not in out and b not in {x[1] for x in out.values()}:
             out[a] = a, b, pos, f
     return tuple(out.values())
+
+
+def _onto(f: Mapping, dom_a: tuple, dom_b: tuple) -> bool:
+    """Whether A, over dom_a, may ride on B, over dom_b: A takes more than
+    one value, and f maps B's values onto all of A's."""
+    return len(dom_a) > 1 and {f.get(v) for v in dom_b} == set(dom_a)
 
 
 def _slice_index(pinned: tuple, picks: tuple | None) -> tuple:
@@ -1190,10 +1189,7 @@ def _bind_slice(pos: int, pinned: tuple, picks: tuple | None):
 class _Plan(NamedTuple):
     keys: tuple             # per op: a slice's (position, evidence and support
                             # indices), or a step's (_Step, input positions)
-    dims: tuple[str, ...]   # the marginal's table as a ``_Layout``: its axes,
-    domains: dict           # their supports,
-    drop: tuple             # the axes its array drops
-    states: np.ndarray      # and its cells' states
+    layout: _Layout         # the marginal's table as its last op leaves it
 
 
 class _Step(NamedTuple):
@@ -1203,17 +1199,18 @@ class _Step(NamedTuple):
     (the plan sums a variable out where all its tables meet): they are
     transposed and reshaped to (batch, left, contracted) and (batch,
     contracted, right), multiplied by ``np.matmul``, and the product is
-    reshaped to its batch, left and right axes.  First, an operand whose A
-    rides on a B the step spans takes A's axis at B's values (``take``).
-    None stands for a call the step does not need.  Equal steps on equal input registers make equal
-    arrays, so a step with its inputs is the key that shares it."""
+    reshaped to its batch, left and right axes.  First, of two operands,
+    one whose A rides on a B the other spans takes A's axis at B's values
+    (``take``); one operand never spans both A and B.  None stands for a
+    call the step does not need.  Equal steps on equal input registers
+    make equal arrays, so a step with its inputs is the key that shares it."""
 
     sum: tuple[int, ...] | None     # one operand: the axes summed out
     forms: tuple | None             # two operands: per operand, its transpose and matrix shape
     shape: tuple[int, ...] | None   # two operands: the product's shape over its axes
     perm: tuple[int, ...] | None    # the transpose to the output's order
-    take: tuple | None = None       # per operand: its rides (``_rides``) with the
-                                    # axes each applies to, or None
+    take: tuple | None = None       # two operands: per operand, its rides (``_rides``)
+                                    # with the axes each applies to, or None
 
     def bind(self, inputs: tuple[int, ...]):
         """The step as one call that reads its operands from the registers
@@ -1222,20 +1219,16 @@ class _Step(NamedTuple):
         derived from the plan's table sums it far faster so."""
         summed, forms, shape, perm, take = self
         contiguous = np.ascontiguousarray
-        rides = [tuple(_ride(*r) for r in t or ()) for t in take or [None] * len(inputs)]
         if forms is None:
-            (i,), (ride,) = inputs, rides
+            (i,) = inputs
             reduce = np.add.reduce
 
             def one(regs, tables):
-                x = regs[i]
-                for step, *args in ride:
-                    x = step(x, *args)
-                if summed is not None:
-                    x = reduce(x, summed)
+                x = regs[i] if summed is None else reduce(regs[i], summed)
                 return x if perm is None else contiguous(x.transpose(perm))
             return one
-        (i, j), (ride_a, ride_b) = inputs, rides
+        i, j = inputs
+        ride_a, ride_b = (tuple(_ride(*r) for r in t or ()) for t in take or (None, None))
         (perm_a, shape_a), (perm_b, shape_b) = forms
         matmul = np.matmul
 
@@ -1368,7 +1361,7 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
 
 
 def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins,
-                      functions: tuple | None = None) -> _Plan:
+                      functions: tuple) -> _Plan:
     """The marginal over keep at the evidence of tables with this
     ``zero_pattern``, planned once per program that asks for it and kept by
     none: each table left once the barren ones are dropped
@@ -1382,12 +1375,13 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     ``NamedTable.join``.
 
     A variable A that the zeros of a table left make a function of a
-    variable B (``_functions``), both outside the evidence, A on more than
-    one value, rides on B, unless A is kept and B is not: a table over both
-    is sliced on the diagonal, without A's axis, and a table over A alone
-    keeps its own slice, shared with plans where A does not ride, until a
-    step also spans B; that step takes its A axis at A's value at each of
-    B's values, as B's axis (``_rides``, ``_Step.take``).  So the sums run
+    variable B (``functions``, from ``_functions``), both outside the
+    evidence, rides on B (B's support maps onto A's, ``_onto``, as the
+    support's fixed point makes it), unless A is kept and B is not: a table
+    over both is sliced on the diagonal, without A's axis, and a table over
+    A alone keeps its own slice, shared with plans where A does not ride,
+    until a step also spans B; that step takes its A axis at A's value at
+    each of B's values, as B's axis (``_rides``, ``_Step.take``).  So the sums run
     over the pairs on the support only, where the product is not zero, and
     B's axis carries A to the result, which drops A's axis.  The plan
     records the result's dropped axes and the states of its cells,
@@ -1409,11 +1403,10 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     left = _unbarren(tables, heads, keep, ev)
     live = {d for pos in left for d, _ in tables[pos] if d not in ev}
     fused = {}      # A: (B, A's value at each of B's values)
-    for a, b, pos, f in _functions(pattern) if functions is None else functions:
+    for a, b, pos, f in functions:
         f = dict(f)
-        if (a in live and b in live and pos in left and len(domains[a]) > 1
-                and (b in keep or a not in keep)
-                and all(f.get(v) in domains[a] for v in domains[b])):
+        if (a in live and b in live and pos in left and (b in keep or a not in keep)
+                and _onto(f, domains[a], domains[b])):
             fused[a] = b, tuple(f[v] for v in domains[b])
     # the marginal's whole table, dropped axes and all, must fit
     check_cells(tuple(sorted(keep & live)), domains)
@@ -1483,13 +1476,13 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
         involved = [w for w, h in zip(work, homes) if v in h]
         work = [w for w, h in zip(work, homes) if v not in h] + [step(involved, v, False)]
         elim.remove(v)
-    if len(work) > 1 or (work and (work[0][1] != _union(work) or set(work[0][1]) & set(fused))):
+    if len(work) > 1 or (work and work[0][1] != _union(work)):
         work = [step(work, None, True)]
     kept = sorted(a for a in fused if a in keep)
     dims = tuple(sorted(set(_union(work)).union(kept)))
     drop = tuple((a, fused[a][0], tuple(domains[a].index(v) for v in fused[a][1])) for a in kept)
-    return _Plan(tuple(keys), dims, {d: domains[d] for d in dims}, drop,
-                 states[work[0][0]] if work else np.ones((), np.float32))
+    return _Plan(tuple(keys), _Layout(dims, {d: domains[d] for d in dims}, drop,
+                                      states[work[0][0]] if work else np.ones((), np.float32)))
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
@@ -1509,7 +1502,7 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
 class _Program(NamedTuple):
     """An expression's evaluation as a flat sequence of calls, each
     appending one array to the run's registers: a factor slice, a
-    contraction step, a join or a sum, with its constants and input
+    contraction step, a join or a reduction, with its constants and input
     registers bound at plan time.  A slice or step that several marginals
     share appears once.  It records the result's register, axes and support
     domains, how its array puts back the axes it drops, and which of its
@@ -1538,22 +1531,6 @@ class _Program(NamedTuple):
         return NamedTable(self.dims, dict(self.domains), out)
 
 
-def _sum_plan(t: _Layout, over: Iterable[str]) -> tuple:
-    """The sum of the table t over the axes over: the steps and transpose
-    that convert its array (an A that rides on a summed B gets its axis
-    back, every other stays dropped), the axes then summed out of how many,
-    and the result's layout, whose states are the sums of t's."""
-    keep = tuple(d for d in t.dims if d not in over)
-    rides = {a: (b, at) for a, b, at in t.drop if a not in keep or b in keep}
-    steps, perm, _ = _conversion(t, t.dims, t.domains, rides)
-    have = [d for d in t.dims if d not in rides]
-    axes = tuple(k for k, d in enumerate(have) if d in over)
-    states = np.minimum(np.add.reduce(_converted(t.states, steps, perm, None), axes), 1)
-    drop = tuple((a, b, at) for a, (b, at) in sorted(rides.items()) if a in keep)
-    return (steps, perm, axes, len(have),
-            _Layout(keep, {d: t.domains[d] for d in keep}, drop, states))
-
-
 def _summing(axes: tuple[int, ...], ndim: int) -> tuple | None:
     """How ``_sum`` sums an array of ndim axes over axes: the transpose that
     puts them last and the number of axes kept; None for one axis or none,
@@ -1572,14 +1549,6 @@ def _sum(x: np.ndarray, axes: tuple[int, ...], summing: tuple | None) -> np.ndar
     order, kept = summing
     x = x.transpose(order)
     return np.add.reduce(x.reshape(x.shape[:kept] + (math.prod(x.shape[kept:]),)), -1)
-
-
-def _bind_sum(i: int, steps: tuple, perm: tuple | None, axes: tuple[int, ...], ndim: int):
-    """The call that sums register i, once converted, over axes of its ndim."""
-    summing = _summing(axes, ndim)
-    if not steps and perm is None:
-        return lambda regs, tables: _sum(regs[i], axes, summing)
-    return lambda regs, tables: _sum(_converted(regs[i], steps, perm, None), axes, summing)
 
 
 def _one(regs, tables):
@@ -1609,7 +1578,7 @@ def _marginals(e: Atom) -> list[tuple[frozenset[str], Pins]]:
 
 
 def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
-                    functions: tuple | None = None) -> tuple[dict, dict]:
+                    functions: tuple) -> tuple[dict, dict]:
     """The contraction plan of every marginal e's atoms ask for, by (kept
     variables, evidence) in the order they are asked, and the source of each
     marginal derived from another.
@@ -1626,7 +1595,6 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
     other plan still planned directly, decided in the order asked and again
     until nothing changes."""
     plans: dict = {}
-    functions = _functions(pattern) if functions is None else functions
     for atom in _atoms(e, set()):
         if atom.law != name:
             raise ExprError(f"atom law {atom.law!r} not resolvable from {name!r}")
@@ -1639,12 +1607,13 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
 
     def derives(r, s) -> bool:
         (kept, ev), (_, ev_s) = r, s
-        return (r != s and set(plans[r].dims) == kept and set(ev_s) <= set(ev)
-                and kept.union(k for k, _ in set(ev) - set(ev_s)) <= set(plans[s].dims)
-                and _derivation(plans[s], plans[r], dict(ev)) is not None)
+        source, table = plans[s].layout, plans[r].layout
+        return (r != s and set(table.dims) == kept and set(ev_s) <= set(ev)
+                and kept.union(k for k, _ in set(ev) - set(ev_s)) <= set(source.dims)
+                and _derivation(source, table, dict(ev)) is not None)
 
     def order(s) -> tuple:
-        cells = math.prod(len(dom) for dom in plans[s].domains.values())
+        cells = math.prod(len(dom) for dom in plans[s].layout.domains.values())
         return cells, sorted(s[0]), [(k, repr(v)) for k, v in s[1]]
 
     roots = [s for s in plans if not any(derives(s, t) for t in plans)]
@@ -1673,95 +1642,95 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
     return plans, sources
 
 
-def _derivation(source: _Plan, plan: _Plan, evidence: Mapping[str, Value]) -> tuple | None:
-    """How ``_bind_derived`` makes plan's array from source's: the shape,
-    then the basic index (None for a zero table), the steps
-    (``_converted``), the axes summed, the transpose and the index arrays;
-    None when plan drops an axis the source keeps, or, for a pair A, B
-    whose A the source drops, keeps A's axis while B is kept or pinned, or
-    pins both, or keeps two such A on one summed B.  Where B is summed, a
-    kept A gets its axis back, each of its values the sum over the values
-    of B where A is at it, and a pinned A keeps only the values of B where
-    A is at the pin."""
-    shape = tuple(len(plan.domains[d]) for d in _stored(plan))
+def _derivation(source: _Layout, table: _Layout, evidence: Mapping[str, Value]) -> tuple | None:
+    """How ``_bind_derived`` makes table's array from source's: the shape,
+    the basic index (None to take every cell), the steps (``_converted``;
+    None for a zero table), the axes summed with how (``_summing``), the
+    transpose and the index arrays.  A kept A whose B is summed gets its
+    axis back, each value the sum of a group of B's values: each B carries
+    one A (``_functions``) and maps onto all of A's values (``_onto``), so
+    no group is empty.  A pinned A on a summed B keeps the values of B where
+    A is at the pin.  None where the source drops an A that table pins with
+    its B, or keeps while it keeps or pins B; a sum pins nothing and drops
+    each pair it keeps, so is never refused.  A table that drops A keeps A
+    and B, so its source (``_plan_marginals``), at less evidence, drops A."""
+    shape = tuple(len(table.domains[d]) for d in _stored(table))
     if any(d in evidence and evidence[d] not in dom for d, dom in source.domains.items()):
         return shape, None, None, ((), None), None, None
-    dropped = {a: b for a, b, _ in plan.drop}
-    kept = _stored(plan)
+    dropped = {a for a, _, _ in table.drop}
+    kept = _stored(table)
     at, picks = [], {}      # per axis of the source: its basic index; per kept axis: its index
     for d in _stored(source):
         dom = source.domains[d]
-        pos = [dom.index(v) for v in plan.domains[d]] if d in kept else []
-        first = pos[0] if pos else 0
+        index = _run([dom.index(v) for v in table.domains[d]]) if d in kept else slice(None)
         if d in evidence:
             at.append(dom.index(evidence[d]))
-        elif d in kept and pos == list(range(first, first + len(pos))):     # a run: a basic slice
-            at.append(slice(first, first + len(pos)))
+        elif isinstance(index, slice):      # a run: a basic slice
+            at.append(slice(None) if index == slice(0, len(dom)) else index)
         else:
             at.append(slice(None))
-            if d in kept:
-                picks[d] = pos
+            picks[d] = index
     cur = [d for d in _stored(source) if d not in evidence]
     steps: list = []
     for a, b, ats in source.drop:
-        if a in dropped and dropped[a] == b:
+        if a in dropped:
             continue
-        if a in plan.dims and b not in plan.dims and b not in evidence:
-            # B's values grouped by A's value at them, each group summed; a
-            # second A kept on the same B would need the groups of both
+        if a in table.dims and b not in table.dims and b not in evidence:
+            # B's values grouped by A's value at them, each group summed
             groups = [[k for k, x in enumerate(ats) if x == p] for p in range(len(source.domains[a]))]
-            if b not in cur or not all(groups):
-                return None
             order = [k for group in groups for k in group]
             starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
             steps.append((_grouped, None if order == list(range(len(order)))
                           else np.array(order, dtype=np.intp), starts.astype(np.intp), cur.index(b)))
             cur[cur.index(b)] = a
-            picks[a] = [source.domains[a].index(v) for v in plan.domains[a]]
-        elif a in evidence and b not in evidence and b not in plan.dims:
+            pos = [source.domains[a].index(v) for v in table.domains[a]]
+            if pos != list(range(len(groups))):
+                picks[a] = np.array(pos, dtype=np.intp)
+        elif a in evidence and b not in evidence and b not in table.dims:
             pin = source.domains[a].index(evidence[a])
             index: list = [slice(None)] * len(cur)
             index[cur.index(b)] = _run([k for k, x in enumerate(ats) if x == pin])
             steps.append((_picked, tuple(index)))
-        elif a in plan.dims or (a in evidence and b in evidence):
+        elif a in table.dims or (a in evidence and b in evidence):
             return None
-    if set(dropped) - {a for a, _, _ in source.drop}:
-        return None
     axes = tuple(k for k, d in enumerate(cur) if d not in kept)
     perm = _perm([d for d in cur if d in kept], kept)
-    picks = [None if picks.get(d, list(range(n))) == list(range(n)) else picks[d]
-             for d, n in zip(kept, shape)]
-    ix = None if all(p is None for p in picks) else np.ix_(
-        *(np.arange(n, dtype=np.intp) if p is None else np.array(p, dtype=np.intp)
-          for p, n in zip(picks, shape)))
-    return shape, tuple(at), tuple(steps), (axes, _summing(axes, len(cur))), perm, ix
+    ix = None if not picks else np.ix_(*(picks.get(d, np.arange(n, dtype=np.intp))
+                                         for d, n in zip(kept, shape)))
+    return (shape, None if all(x == slice(None) for x in at) else tuple(at), tuple(steps),
+            (axes, _summing(axes, len(cur))), perm, ix)
 
 
-def _bind_derived(i: int, source: _Plan, plan: _Plan, evidence: Mapping[str, Value]):
-    """The call that makes the marginal planned as plan from register i,
-    which holds the marginal planned as source (``_plan_marginals``): a basic
-    slice at the evidence the source lacks, the steps ``_derivation`` plans
-    for the axes the source drops, one sum over the axes the marginal drops,
-    and then, on an axis whose support is not a run of the source's values,
-    an index.  The source's values outside plan's support have no mass at
-    the evidence, so the cells equal the direct plan's up to the order of
-    the sums; evidence outside the source's support has none at all, and
-    the marginal is zero.  A pinned A that rides on a kept B needs no
-    slice: plan's support of B holds only the values where A is at the
-    pin."""
-    shape, at, steps, (axes, summing), perm, ix = _derivation(source, plan, evidence)
-    if at is None:
+def _derived(x: np.ndarray, at, steps: tuple, summed: tuple, perm, ix) -> np.ndarray:
+    """The source's array x made into the table ``_derivation`` plans."""
+    if at is not None:
+        x = x[at]
+    for step, *args in steps:
+        x = step(x, *args)
+    x = _sum(x, *summed)
+    if perm is not None:
+        x = x.transpose(perm)
+    return x if ix is None else x[ix]
+
+
+def _bind_derived(i: int, how: tuple):
+    """The call that makes a table from register i, which holds its source,
+    as ``_derivation`` plans (how): a basic slice at the evidence the source
+    lacks, the steps for the axes the source drops, one sum, then an index
+    on an axis whose support is not a run of the source's values; a plain
+    sum, as a Marginal node's often is, is one ``_sum``.  A derived
+    marginal's cells are its direct plan's summed in another order: the
+    source's values outside its support have no mass at its evidence, and
+    evidence outside the source's support has none at all, so the marginal
+    is zero.  A pinned A on a kept B needs no slice: the marginal's support
+    of B holds only the values where A is at the pin."""
+    shape, *how = how
+    at, steps, (axes, summing), perm, ix = how
+    if steps is None:
         return lambda regs, tables: np.zeros(shape)
-
-    def derived(regs, tables):
-        x = regs[i][at]
-        for step, *args in steps:
-            x = step(x, *args)
-        x = _sum(x, axes, summing)
-        if perm is not None:
-            x = x.transpose(perm)
-        return x if ix is None else x[ix]
-    return derived
+    if at is None and not steps and perm is None and ix is None:
+        return lambda regs, tables: _sum(regs[i], axes, summing)
+    return lambda regs, tables: _derived(regs[i], *how)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1773,14 +1742,15 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     source's register, and the rest bind their plans' slices and steps, each
     once however many marginals share it.  A derived table has the axes and
     support domains of its direct plan and the same zero cells; its other
-    cells are the direct plan's summed in another order, within 1e-14.
+    cells are the direct plan's summed in another order, within 1e-14.  A
+    Marginal node's sum is the same call on its child's register, and its
+    table keeps each dropped A whose B it keeps.
 
     Each table's states, and so its zero and undefined cells, are known
     here: a marginal's from its plan, a join's from its operands'
-    (``_join_plan``), a sum's by summing them.  A join or sum keeps an axis
-    its operand dropped only where its result needs it: a sum over B puts
-    back the A that rides on B, and a join puts back an A that its result
-    keeps.  The result puts back every axis it drops (``_Program.full``)."""
+    (``_join_plan``, which reads riding from their drops), a sum's from its
+    child's, summed as the call sums the array.  The result puts back every
+    axis it drops (``_Program.full``)."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step, or by derived marginal
     memo: dict = {}         # register and layout by expression
@@ -1796,13 +1766,12 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
 
     def marginal(asked: tuple) -> tuple:
         plan = plans[asked]
-        layout = _Layout(*plan[1:])
         if asked in sources:
             if asked not in made:
                 source = sources[asked]
-                made[asked] = emit(_bind_derived(marginal(source)[0], plans[source], plan,
-                                                 dict(asked[1])))
-            return made[asked], layout
+                made[asked] = emit(_bind_derived(marginal(source)[0], _derivation(
+                    plans[source].layout, plan.layout, dict(asked[1]))))
+            return made[asked], plan.layout
         at: list = []       # register by position in the plan
         for key in plan.keys:
             step = key[0] if isinstance(key[0], _Step) else None
@@ -1811,16 +1780,12 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if key not in made:     # bound once, however many marginals share it
                 made[key] = emit(_bind_slice(*key) if step is None else step.bind(key[1]))
             at.append(made[key])
-        return (at[-1], layout) if at else one()
+        return (at[-1], plan.layout) if at else one()
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, ta), (j, tb) = a, b
         plan = _join_plan(ta, tb, divide, functions)
         return emit(_bind_join(i, j, plan, divide)), plan.out
-
-    def total(a: tuple, over: tuple[str, ...]) -> tuple:
-        *plan, out = _sum_plan(a[1], over)
-        return emit(_bind_sum(a[0], *plan)), out
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1834,10 +1799,15 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             joint, *ctx = (marginal(asked) for asked in _marginals(e))
             return join(joint, ctx[0], True) if ctx else joint
         if isinstance(e, Marginal):
-            child = visit(e.child)
-            if not set(e.over) & set(child[1].dims):
-                return child
-            return total(child, e.over)
+            i, t = visit(e.child)
+            keep = tuple(d for d in t.dims if d not in e.over)
+            if keep == t.dims:
+                return i, t
+            out = _Layout(keep, {d: t.domains[d] for d in keep},
+                          tuple(x for x in t.drop if {x[0], x[1]} <= set(keep)), None)
+            how = _derivation(t, out, {})
+            return emit(_bind_derived(i, how)), out._replace(
+                states=np.minimum(_derived(t.states, *how[1:]), 1))
         if isinstance(e, Product):
             if not e.children:
                 return one()

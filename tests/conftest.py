@@ -228,22 +228,24 @@ def stored_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -
         return register_alone(law, kept, dict(ev))
     source = sources[asked]
     data = register_alone(law, source[0], dict(source[1]))
-    return K._bind_derived(0, plans[source], plans[asked], dict(ev))([data], law.factors)
+    how = K._derivation(plans[source].layout, plans[asked].layout, dict(ev))
+    return K._bind_derived(0, how)([data], law.factors)
 
 
 def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:
     """``stored_alone``'s marginal with the axes its plan drops put back."""
-    plan = plans[asked]
+    t = plans[asked].layout
     data = K._converted(stored_alone(law, plans, sources, asked),
-                        *K._conversion(K._Layout(*plan[1:]), plan.dims, plan.domains, {}))
-    return NamedTable(plan.dims, dict(plan.domains), data)
+                        *K._conversion(t, t.dims, t.domains, {}))
+    return NamedTable(t.dims, dict(t.domains), data)
 
 
 def check_derived(law: O.FactoredLaw, expr: K.Expr) -> list:
     """Each marginal the program of expr derives, checked against its direct
     plan: equal axes, domains, NaN and zero cells, other cells within 1e-14.
     Returns the derived tables."""
-    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern)
+    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
+                                       K._functions(law._pattern))
     out = []
     for asked in sources:
         got = derived_alone(law, plans, sources, asked)

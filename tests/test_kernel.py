@@ -10,7 +10,7 @@ from mdid import kernel as K
 from mdid.fixtures import FIXTURE_NAMES, load
 from mdid.graph import Cadmg
 from mdid.identify import identify_full, identify_target
-from mdid.model import MdDag
+from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
 from conftest import check_derived, random_dag, random_mddag, reference_elimination_marginal, \
@@ -489,7 +489,8 @@ def test_contract_leaves_out_tables_that_become_barren():
     axes, zeros, heads = law._pattern
 
     def sliced(keep, evidence=()):
-        plan = K._contraction_plan(law._pattern, frozenset(keep), evidence)
+        plan = K._contraction_plan(law._pattern, frozenset(keep), evidence,
+                                   K._functions(law._pattern))
         return sorted(heads[key[0]] for key in plan.keys if not isinstance(key[0], K._Step))
 
     assert sliced("A") == ["A"]
@@ -497,7 +498,8 @@ def test_contract_leaves_out_tables_that_become_barren():
     assert sliced("A", (("C", 1),)) == ["A", "B", "C"]
     assert sliced("AD") == ["A", "B", "C", "D"]
     # without heads, nothing is barren
-    plan = K._contraction_plan((axes, zeros, (None,) * 4), frozenset("A"), ())
+    headless = (axes, zeros, (None,) * 4)
+    plan = K._contraction_plan(headless, frozenset("A"), (), K._functions(headless))
     assert len([key for key in plan.keys if not isinstance(key[0], K._Step)]) == 4
 
 
@@ -627,7 +629,9 @@ def marginal_pairs(draw):
 def test_derived_marginals_match_their_direct_plans(case):
     # a marginal derived from another has the axes, domains and zero cells
     # of its direct plan, and its cells to within the order of the sums; the
-    # program's product is the product of the marginals planned alone
+    # program's product is the product of the marginals planned alone.  The
+    # laws are unnormalised, so a product may reach ~70, where one ulp is
+    # 1.4e-14: the bound is relative above 1
     law, *asked = case
     e = K.Product(tuple(K.Atom("p", tuple(set(keep) | set(ev)), pins=tuple(ev.items()))
                         for keep, ev in asked))
@@ -636,7 +640,7 @@ def test_derived_marginals_match_their_direct_plans(case):
     want = K.NamedTable.join(*(law.on_support(keep, ev) for keep, ev in asked), np.multiply)
     assert got.dims == want.dims and got.domains == want.domains
     assert np.array_equal(got.data == 0, want.data == 0)
-    assert np.all(np.abs(got.data - want.data) <= 1e-14)
+    assert np.all(np.abs(got.data - want.data) <= 1e-14 * np.maximum(1, np.abs(want.data)))
 
 
 def test_derived_marginal_on_a_support_that_is_not_a_run():
@@ -649,11 +653,60 @@ def test_derived_marginal_on_a_support_that_is_not_a_run():
     c = K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.4, 0.6]))
     law = law_of([a_c, b_a, c])
     e = K.Product((K.Atom("p", ("A", "B", "C")), K.Atom("p", ("A", "C"), pins=(("C", 1),))))
-    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern)
+    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern,
+                                       K._functions(law._pattern))
     assert list(sources) == [(frozenset("A"), (("C", 1),))]
     (derived,) = check_derived(law, e)
     assert derived.domains == {"A": (0, 2)}
     np.testing.assert_allclose(derived.data, [0.3, 0.3], rtol=1e-15)
+
+
+def test_marginals_a_source_cannot_make_are_planned_directly():
+    # R = 1 exactly where X is not "?", so p(C, R, X) is held without R's
+    # axis.  A marginal that pins R and X, that keeps R and pins X, or that
+    # keeps both where C = 1 leaves R one value (so R keeps its axis) is not
+    # made from it: each is planned directly, and the product is the one of
+    # the marginals evaluated alone
+    x_c = K.NamedTable(("C", "X"), {"C": (0, 1), "X": (0, 1, "?")},
+                       np.array([[0.2, 0.3, 0.5], [0.4, 0.6, 0.0]]))
+    r_x = K.NamedTable(("R", "X"), {"R": (0, 1), "X": (0, 1, "?")},
+                       np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    law = law_of([x_c, r_x, K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.7, 0.3]))])
+    functions = K._functions(law._pattern)
+    assert [(a, b) for a, b, _, _ in functions] == [("R", "X")]
+    source = K.Atom("p", ("C", "R", "X"))
+    for atom in (K.Atom("p", ("R", "X"), pins=(("R", 1), ("X", 0))),
+                 K.Atom("p", ("R", "X"), pins=(("X", 0),)),
+                 K.Atom("p", ("C", "R", "X"), pins=(("C", 1),))):
+        e = K.Product((source, atom))
+        plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern, functions)
+        (whole,), (asked,) = K._marginals(source), K._marginals(atom)
+        assert plans[whole].layout.drop[0][:2] == ("R", "X")
+        assert K._derivation(plans[whole].layout, plans[asked].layout, dict(asked[1])) is None
+        assert not sources
+        got = K.evaluate_numeric(e, law)
+        want = K.NamedTable.join(law.on_support(*whole), law.on_support(*asked), np.multiply)
+        assert got.dims == want.dims and got.domains == want.domains
+        assert np.array_equal(got.data, want.data)
+
+
+def test_a_join_takes_a_rider_on_the_diagonal(monkeypatch):
+    # p(R1, O) p(X1, O) spans R1 and X1, and p(X1, R1) is held without R1's
+    # axis, so their product takes the first table's R1 axis at X1's values
+    # on its X1 axis: once for the states as it is planned, once as it runs
+    md = md_dag([("O", "X1(1)"), ("O", "R1")], ["X1"], ["O"])
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    names = (("R1", "O"), ("X1", "O"), ("X1", "R1"))
+    e = K.Product(tuple(K.Atom(law.name, n) for n in names))
+    picked = []
+    monkeypatch.setattr(K, "_picked", lambda x, index: picked.append(index) or x[index])
+    program = K._program.__wrapped__(e, law.name, tuple(law.variables.items()), law._pattern)
+    got = program.run(law)
+    assert len(picked) == 2
+    first, second, third = (law.on_support(n) for n in names)
+    want = K.NamedTable.join(K.NamedTable.join(first, second, np.multiply), third, np.multiply)
+    assert got.dims == want.dims and got.domains == want.domains
+    assert got.max_abs_diff(want) == 0
 
 
 def check_plan_cells(e: K.Expr, law: O.FactoredLaw) -> K.NamedTable:

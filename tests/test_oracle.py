@@ -481,8 +481,9 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     program holds it, without the axes its layout drops, and each join and
     sum is the call the program binds, so the two sum and divide in one
     order."""
-    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern)
     functions = K._functions(law._pattern)
+    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
+                                       functions)
     memo: dict = {}
 
     def join(a, b, divide: bool):
@@ -495,14 +496,20 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
             if isinstance(e, K.One):
                 out = np.asarray(1.0), K._Layout((), {}, (), np.ones((), np.float32))
             elif isinstance(e, K.Atom):
-                joint, *ctx = [(stored_alone(law, plans, sources, asked),
-                                K._Layout(*plans[asked][1:])) for asked in K._marginals(e)]
+                joint, *ctx = [(stored_alone(law, plans, sources, asked), plans[asked].layout)
+                               for asked in K._marginals(e)]
                 out = join(joint, ctx[0], True) if ctx else joint
             elif isinstance(e, K.Marginal):
                 data, layout = walk(e.child)
-                if set(e.over) & set(layout.dims):
-                    *plan, layout = K._sum_plan(layout, e.over)
-                    data = K._bind_sum(0, *plan)((data,), ())
+                keep = tuple(d for d in layout.dims if d not in e.over)
+                if keep != layout.dims:
+                    summed = K._Layout(keep, {d: layout.domains[d] for d in keep},
+                                       tuple(x for x in layout.drop if {x[0], x[1]} <= set(keep)),
+                                       None)
+                    how = K._derivation(layout, summed, {})
+                    data = K._bind_derived(0, how)((data,), ())
+                    layout = summed._replace(
+                        states=np.minimum(K._derived(layout.states, *how[1:]), 1))
                 out = data, layout
             elif isinstance(e, K.Product):
                 out = walk(e.children[0])
@@ -636,8 +643,8 @@ def test_planning_runs_no_op(monkeypatch):
                                          first._pattern)
     assert not runs
     counted = [op for op in program.ops if op in bound]
-    # the joins, steps and derived marginals (test_octet_program_op_counts)
-    assert len(counted) == 91 + 95 + 27
+    # the joins, steps and derived calls (test_octet_program_op_counts)
+    assert len(counted) == 91 + 95 + 51
     for law in laws:
         runs.clear()
         want = reference_evaluate(expr, law, {})
@@ -656,18 +663,19 @@ def test_octet_program_op_counts():
     # pins it, then the indicators and censored variables that fed only
     # those (58 slices and 415 steps before); and 27 of the 37 distinct
     # marginals are derived from another, one call each (47 slices and 301
-    # steps before)
+    # steps before), by the call that also makes each of the 24 sums
     md = load("octet")
     expr = target_functional("octet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
     kinds = op_kinds(program)
-    assert (kinds["_bind_slice"], kinds["_Step.bind"], kinds["_bind_derived"]) == (33, 95, 27)
-    assert (kinds["_bind_join"], kinds["_bind_sum"]) == (91, 24)
+    assert (kinds["_bind_slice"], kinds["_Step.bind"], kinds["_bind_derived"]) == (33, 95, 51)
+    assert kinds["_bind_join"] == 91
     assert sum(kinds.values()) == len(program.ops) == 270
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
-    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), ())
+    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), (),
+                               K._functions(full._pattern))
     sliced = [key[0] for key in plan.keys if not isinstance(key[0], K._Step)]
     assert {full.heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
 

@@ -43,15 +43,20 @@ then, repeatedly, each table that becomes barren once it is gone (Baker &
 Boult, "Pruning Bayesian networks for efficient computation", 1990).
 
 Work is shared wherever its structure repeats.  ``evaluate_numeric``
-plans an expression into a flat program of slices, steps, joins and
-reductions, each one call with its constants and input registers bound
-at plan time, and caches it by the law's structure (its name, variables,
-zero pattern and heads): the kernel's one cache (``_program``).  An oracle trial on a
-law of that structure runs only the calls' arithmetic (``_Program.run``);
-a law's marginal is the program of one atom.  Planning runs no call and
-reads no table's data.  The planner plans each distinct marginal once and
-keeps the plans only while it plans; it binds a factor slice or a
-contraction step once, however many marginals share it.
+plans an expression into a flat program over registers that start with
+the law's factors and the unit, and caches it by the law's structure (its
+name, variables, zero pattern and heads): the kernel's one cache
+(``_program``).  As in an arithmetic circuit (Chavira & Darwiche, below),
+each op, its constants and input registers bound at plan time, is one of
+two calls: it indexes and sums one register (``_bind_derived``: a factor
+slice, a one-table step, a derived marginal, a sum), or combines two by
+``np.matmul``, ``np.multiply`` or ``np.divide`` (``_bind_two``: a
+two-table step, a join).  An oracle trial runs only the calls' arithmetic
+(``_Program.run``); a law's marginal is the program of one atom.
+Planning runs no call and reads no table's data.  The planner plans each
+distinct marginal once and keeps the plans only while it plans; it binds
+a factor slice or a contraction step once, however many marginals share
+it.
 
 A marginal is also shared whole, as a junction tree shares its cliques'
 tables (Lauritzen & Spiegelhalter, JRSS B 1988): a marginal whose kept
@@ -744,10 +749,11 @@ class NamedTable:
         its own leave out, without the values the given ones leave out.  A
         result over ``MAX_CELLS`` raises before anything is allocated."""
         check_cells(self.dims, domains)
-        out = self
-        for d in self.dims:
-            out = _reindex(out, d, domains[d])
-        return out
+        if all(self.domains[d] == domains[d] for d in self.dims):
+            return self
+        have = _Layout(self.dims, self.domains, (), None)
+        return NamedTable(self.dims, {d: domains[d] for d in self.dims},
+                          _converted(self.data, *_conversion(have, self.dims, domains, {})))
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
         perm, shape = _alignment(self.dims, dims, domains)
@@ -781,8 +787,8 @@ class NamedTable:
         plan = _join_plan(*(_Layout(t.dims, t.domains, (), _states(t.data)) for t in (a, b)),
                           divide, ())
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return NamedTable(plan.out.dims, plan.out.domains,
-                              _bind_join(0, 1, plan, divide)((a.data, b.data), ()))
+            return NamedTable(plan.out.dims, plan.out.domains, _bind_two(
+                0, 1, plan.operands, op, None, None, plan.fixes)([a.data, b.data]))
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -795,10 +801,9 @@ class NamedTable:
             if set(self.domains[d]) != set(other.domains[d]):
                 raise ExprError(f"axis {d!r} has values {self.domains[d]} in one table"
                                 f" and {other.domains[d]} in the other")
-            other = _reindex(other, d, self.domains[d])
+        domains = {**other.domains, **self.domains}
+        other = other.padded(domains)
         dims = tuple(sorted(set(self.dims) | set(other.dims)))
-        domains = dict(self.domains)
-        domains.update(other.domains)
         a = self.aligned(dims, domains)
         b = other.aligned(dims, domains)
         a, b = np.broadcast_arrays(a, b)
@@ -834,16 +839,6 @@ def _stored(t) -> tuple[str, ...]:
     """The axes the array of a ``_Layout`` spans."""
     gone = {a for a, _, _ in t.drop}
     return tuple(d for d in t.dims if d not in gone)
-
-
-def _reindex(tab: NamedTable, name: str, dom: tuple[Value, ...]) -> NamedTable:
-    """The table with axis name over dom: zero at the values of dom its
-    domain leaves out, without the values dom leaves out."""
-    have = tab.domains[name]
-    if have == dom:
-        return tab
-    return NamedTable(tab.dims, {**tab.domains, name: dom},
-                      _padded(tab.data, *_reindex_step(tab.axis(name), have, dom)))
 
 
 def _reindex_step(ax: int, have: tuple[Value, ...], dom: tuple[Value, ...]) -> tuple:
@@ -1033,16 +1028,20 @@ def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _Joi
     return _JoinPlan(out, operands, (np.flatnonzero(zero), np.flatnonzero(np.isnan(states))))
 
 
-def _bind_join(i: int, j: int, plan: _JoinPlan, divide: bool):
-    """The call that joins registers i and j as planned: each operand
-    converted, one ``np.multiply`` or ``np.divide``, and the plan's zeros
-    and NaN markers written at their cells; under the caller's
+def _bind_two(i: int, j: int, operands: tuple, op, shape: tuple | None, perm: tuple | None,
+              fixes: tuple | None):
+    """The call that combines registers i and j: each operand converted
+    (``_converted``: its steps, transpose and shape), one ``op``
+    (``np.matmul`` for a contraction step, ``np.multiply`` or ``np.divide``
+    for a join), the result reshaped to shape and transposed by perm, C
+    contiguous (None for either where not needed), and a join's fixes (see
+    ``_JoinPlan``) written at their cells; under the caller's
     ``np.errstate``."""
-    (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = plan.operands
-    zero, undefined = plan.fixes
-    op, put, nan = (np.divide if divide else np.multiply), np.put, np.nan
+    (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = operands
+    zero, undefined = fixes if fixes is not None and any(f.size for f in fixes) else (None, None)
+    asarray, contiguous, put, nan = np.asarray, np.ascontiguousarray, np.put, np.nan
 
-    def join(regs, tables):
+    def two(regs):
         x, y = regs[i], regs[j]
         for step, *args in steps_x:
             x = step(x, *args)
@@ -1056,18 +1055,17 @@ def _bind_join(i: int, j: int, plan: _JoinPlan, divide: bool):
             y = y.transpose(perm_y)
         if shape_y is not None:
             y = y.reshape(shape_y)
-        return np.asarray(op(x, y))
-
-    if not (zero.size or undefined.size):
-        return join
-
-    def fixed(regs, tables):
-        data = join(regs, tables)
-        # flat indices in C order, whatever order the ufunc wrote in
-        put(data, zero, 0.0)
-        put(data, undefined, nan)
-        return data
-    return fixed
+        z = asarray(op(x, y))
+        if shape is not None:
+            z = z.reshape(shape)
+        if perm is not None:
+            z = contiguous(z.transpose(perm))
+        if zero is not None:
+            # flat indices in C order, whatever order the ufunc wrote in
+            put(z, zero, 0.0)
+            put(z, undefined, nan)
+        return z
+    return two
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -1159,31 +1157,22 @@ def _onto(f: Mapping, dom_a: tuple, dom_b: tuple) -> bool:
     return len(dom_a) > 1 and {f.get(v) for v in dom_b} == set(dom_a)
 
 
-def _slice_index(pinned: tuple, picks: tuple | None) -> tuple:
-    """The basic index of a factor at the evidence, and the index arrays of
-    ``_bind_slice`` (None without picks): per axis, its positions laid
-    along the output axis it names."""
+def _slicing(pinned: tuple, picks: tuple | None) -> tuple:
+    """How ``_bind_derived`` slices a factor at the evidence (pinned: per
+    axis, the index of its evidence value, None for an axis left) and at
+    the support (picks: per axis left, the output axis it indexes and the
+    positions it takes along it; None when no axis loses a value): a basic
+    index, a view even of every cell, so that freezing a result leaves the
+    factor writable, then index arrays laid along the output axes they
+    name, so that a dropped A takes, along B's, A's value at each of B's."""
     at = ... if all(i is None for i in pinned) else tuple(
         slice(None) if i is None else i for i in pinned)
-    if picks is None:
-        return at, None
-    n = 1 + max(o for o, _ in picks)
-    return at, tuple(np.array(k, dtype=np.intp).reshape([-1 if j == o else 1 for j in range(n)])
-                     for o, k in picks)
-
-
-def _bind_slice(pos: int, pinned: tuple, picks: tuple | None):
-    """The call that slices table pos at the evidence (pinned: per axis, the
-    index of its evidence value, None for an axis left) and at the support
-    (picks: per axis left, the output axis it indexes and the positions it
-    takes along it; None when no axis loses a value).  A dropped axis A
-    takes, along B's output axis, the positions of A's value at each of B's
-    values."""
-    # a view, so that freezing it leaves the factor writable
-    at, ix = _slice_index(pinned, picks)
-    if ix is None:
-        return lambda regs, tables: tables[pos].data[at]
-    return lambda regs, tables: tables[pos].data[at][ix]
+    ix = None
+    if picks is not None:
+        n = 1 + max(o for o, _ in picks)
+        ix = tuple(np.array(k, dtype=np.intp).reshape([-1 if j == o else 1 for j in range(n)])
+                   for o, k in picks)
+    return None, at, (), ((), None), None, ix
 
 
 class _Plan(NamedTuple):
@@ -1195,15 +1184,16 @@ class _Plan(NamedTuple):
 class _Step(NamedTuple):
     """A contraction step as the numpy calls fixed at plan time.  One
     operand is summed over the axes the output drops and transposed to the
-    output's order.  Two operands drop no axis that only one of them spans
-    (the plan sums a variable out where all its tables meet): they are
-    transposed and reshaped to (batch, left, contracted) and (batch,
-    contracted, right), multiplied by ``np.matmul``, and the product is
-    reshaped to its batch, left and right axes.  First, of two operands,
-    one whose A rides on a B the other spans takes A's axis at B's values
-    (``take``); one operand never spans both A and B.  None stands for a
-    call the step does not need.  Equal steps on equal input registers
-    make equal arrays, so a step with its inputs is the key that shares it."""
+    output's order, a derivation of its register (``_bind_derived``).  Two
+    operands drop no axis that only one of them spans (the plan sums a
+    variable out where all its tables meet): they are transposed and
+    reshaped to (batch, left, contracted) and (batch, contracted, right),
+    multiplied by ``np.matmul``, and the product is reshaped to its batch,
+    left and right axes (``_bind_two``).  First, of two operands, one whose
+    A rides on a B the other spans takes A's axis at B's values (``take``);
+    one operand never spans both A and B.  None stands for a call the step
+    does not need.  Equal steps on equal input registers make equal arrays,
+    so a step with its inputs is the key that shares it."""
 
     sum: tuple[int, ...] | None     # one operand: the axes summed out
     forms: tuple | None             # two operands: per operand, its transpose and matrix shape
@@ -1217,40 +1207,11 @@ class _Step(NamedTuple):
         inputs.  Only the last step of a plan transposes its output to the
         plan's order, and it returns the transpose C-contiguous: a marginal
         derived from the plan's table sums it far faster so."""
-        summed, forms, shape, perm, take = self
-        contiguous = np.ascontiguousarray
-        if forms is None:
-            (i,) = inputs
-            reduce = np.add.reduce
-
-            def one(regs, tables):
-                x = regs[i] if summed is None else reduce(regs[i], summed)
-                return x if perm is None else contiguous(x.transpose(perm))
-            return one
-        i, j = inputs
-        ride_a, ride_b = (tuple(_ride(*r) for r in t or ()) for t in take or (None, None))
-        (perm_a, shape_a), (perm_b, shape_b) = forms
-        matmul = np.matmul
-
-        def two(regs, tables):
-            a, b = regs[i], regs[j]
-            for step, *args in ride_a:
-                a = step(a, *args)
-            for step, *args in ride_b:
-                b = step(b, *args)
-            if perm_a is not None:
-                a = a.transpose(perm_a)
-            if shape_a is not None:
-                a = a.reshape(shape_a)
-            if perm_b is not None:
-                b = b.transpose(perm_b)
-            if shape_b is not None:
-                b = b.reshape(shape_b)
-            x = matmul(a, b)
-            if shape is not None:
-                x = x.reshape(shape)
-            return x if perm is None else contiguous(x.transpose(perm))
-        return two
+        if self.forms is None:
+            return _bind_derived(*inputs, (None, None, (), (self.sum or (), None), self.perm, None))
+        operands = tuple((tuple(_ride(*r) for r in rides or ()), *form)
+                         for rides, form in zip(self.take or (None, None), self.forms))
+        return _bind_two(*inputs, operands, np.matmul, self.shape, self.perm, None)
 
 
 def _perm(have: Sequence[str], want: Sequence[str]) -> tuple[int, ...] | None:
@@ -1425,9 +1386,8 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             for d in live_axes)
         # equal keys mean equal slices of one sequence of tables
         keys.append((pos, pinned, picks))
-        at, ix = _slice_index(pinned, picks)
-        mask = _mask(table, zeros[pos]).astype(np.float32)[at]
-        states.append(mask if ix is None else mask[ix])
+        states.append(_derived(_mask(table, zeros[pos]).astype(np.float32),
+                               *_slicing(pinned, picks)[1:]))
         work.append((len(keys) - 1, out))
 
     def home(d: str) -> str:
@@ -1501,29 +1461,35 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
 
 class _Program(NamedTuple):
     """An expression's evaluation as a flat sequence of calls, each
-    appending one array to the run's registers: a factor slice, a
-    contraction step, a join or a reduction, with its constants and input
-    registers bound at plan time.  A slice or step that several marginals
-    share appears once.  It records the result's register, axes and support
+    appending one array to a run's registers, which start with the law's
+    factors and the unit: it derives one register (``_bind_derived``) or
+    combines two (``_bind_two``), with its constants and input registers
+    bound at plan time.  A slice or step that several marginals share
+    appears once.  It records the result's register, axes and support
     domains, how its array puts back the axes it drops, and which of its
     cells are zero and which undefined, facts of the plan that every law of
     the structure shares; it holds no law's arrays: a call binds index
-    arrays and the position of the factor it reads, never a factor."""
+    arrays and the registers it reads, never a factor."""
 
-    ops: tuple                  # per op: its call (see run)
+    ops: tuple                  # per op: its call (see registers)
     out: int                    # the result's register
     dims: tuple[str, ...]
     domains: dict
     full: tuple | None          # the result's conversion to all its axes, if it drops one
     states: np.ndarray          # the result's cell states (``_states``), known at plan time
 
-    def run(self, law) -> NamedTable:
-        regs: list = []
-        tables = law.factors
+    def registers(self, law) -> list:
+        """The registers of a run on the law: its factors' arrays, the
+        unit, then each op's array."""
+        regs = [t.data for t in law.factors]
+        regs.append(np.asarray(1.0))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for call in self.ops:
-                regs.append(call(regs, tables))
-        out = regs[self.out]
+                regs.append(call(regs))
+        return regs
+
+    def run(self, law) -> NamedTable:
+        out = self.registers(law)[self.out]
         if self.full is not None:
             out = _converted(out, *self.full)
         out = np.asarray(out)
@@ -1549,10 +1515,6 @@ def _sum(x: np.ndarray, axes: tuple[int, ...], summing: tuple | None) -> np.ndar
     order, kept = summing
     x = x.transpose(order)
     return np.add.reduce(x.reshape(x.shape[:kept] + (math.prod(x.shape[kept:]),)), -1)
-
-
-def _one(regs, tables):
-    return np.asarray(1.0)
 
 
 def _atoms(e: Expr, seen: set) -> Iterable[Atom]:
@@ -1702,49 +1664,57 @@ def _derivation(source: _Layout, table: _Layout, evidence: Mapping[str, Value]) 
 
 
 def _derived(x: np.ndarray, at, steps: tuple, summed: tuple, perm, ix) -> np.ndarray:
-    """The source's array x made into the table ``_derivation`` plans."""
+    """The source's array x made into the table ``_derivation`` plans; a
+    transpose comes out C-contiguous, which a later sum reads far faster."""
     if at is not None:
         x = x[at]
     for step, *args in steps:
         x = step(x, *args)
     x = _sum(x, *summed)
     if perm is not None:
-        x = x.transpose(perm)
+        x = np.ascontiguousarray(x.transpose(perm))
     return x if ix is None else x[ix]
 
 
 def _bind_derived(i: int, how: tuple):
     """The call that makes a table from register i, which holds its source,
-    as ``_derivation`` plans (how): a basic slice at the evidence the source
-    lacks, the steps for the axes the source drops, one sum, then an index
-    on an axis whose support is not a run of the source's values; a plain
-    sum, as a Marginal node's often is, is one ``_sum``.  A derived
-    marginal's cells are its direct plan's summed in another order: the
-    source's values outside its support have no mass at its evidence, and
-    evidence outside the source's support has none at all, so the marginal
-    is zero.  A pinned A on a kept B needs no slice: the marginal's support
-    of B holds only the values where A is at the pin."""
+    as ``_derivation`` or ``_slicing`` plans (how): a basic slice at the
+    evidence the source lacks, the steps for the axes the source drops, one
+    sum, then an index on an axis whose support is not a run of the
+    source's values.  A plain sum, as a Marginal node's often is, is one
+    ``_sum``, and a factor slice its two indexes.  A derived marginal's
+    cells are its direct plan's summed in another order: the source's
+    values outside its support have no mass at its evidence, and evidence
+    outside the source's support has none at all, so the marginal is zero.
+    A pinned A on a kept B needs no slice: the marginal's support of B
+    holds only the values where A is at the pin."""
     shape, *how = how
     at, steps, (axes, summing), perm, ix = how
     if steps is None:
-        return lambda regs, tables: np.zeros(shape)
-    if at is None and not steps and perm is None and ix is None:
-        return lambda regs, tables: _sum(regs[i], axes, summing)
-    return lambda regs, tables: _derived(regs[i], *how)
+        return lambda regs: np.zeros(shape)
+    if not steps and perm is None:
+        if at is None and ix is None:       # a plain sum
+            return lambda regs: _sum(regs[i], axes, summing)
+        if at is not None and not axes:     # indexes only
+            return (lambda regs: regs[i][at]) if ix is None else (lambda regs: regs[i][at][ix])
+    return lambda regs: _derived(regs[i], *how)
 
 
 @functools.lru_cache(maxsize=1024)
 def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
     """e's program on laws of this structure, planned by a walk of the tree
     that binds every call and runs none; a node's table is (register,
-    ``_Layout``).  Every marginal the atoms ask for is planned first, once
-    (``_plan_marginals``); one derived from another is one call on the
-    source's register, and the rest bind their plans' slices and steps, each
-    once however many marginals share it.  A derived table has the axes and
-    support domains of its direct plan and the same zero cells; its other
-    cells are the direct plan's summed in another order, within 1e-14.  A
-    Marginal node's sum is the same call on its child's register, and its
-    table keeps each dropped A whose B it keeps.
+    ``_Layout``).  A run's first registers are the law's factors and the
+    unit, so every call reads registers only: it derives one
+    (``_bind_derived``) or combines two (``_bind_two``).  Every marginal
+    the atoms ask for is planned first, once (``_plan_marginals``); one
+    derived from another is one call on the source's register, and the rest
+    bind their plans' slices and steps, each once however many marginals
+    share it.  A derived table has the axes and support domains of its
+    direct plan and the same zero cells; its other cells are the direct
+    plan's summed in another order, within 1e-14.  A Marginal node's sum is
+    the same call on its child's register, and its table keeps each dropped
+    A whose B it keeps.
 
     Each table's states, and so its zero and undefined cells, are known
     here: a marginal's from its plan, a join's from its operands'
@@ -1756,13 +1726,11 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     memo: dict = {}         # register and layout by expression
     functions = _functions(pattern)
     plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, functions)
+    unit = len(pattern[0]), _Layout((), {}, (), np.ones((), np.float32))
 
     def emit(call) -> int:
         ops.append(call)
-        return len(ops) - 1
-
-    def one() -> tuple:
-        return emit(_one), _Layout((), {}, (), np.ones((), np.float32))
+        return unit[0] + len(ops)
 
     def marginal(asked: tuple) -> tuple:
         plan = plans[asked]
@@ -1778,14 +1746,16 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if step is not None:    # a step's key: the step and its input registers
                 key = step, tuple(at[i] for i in key[1])
             if key not in made:     # bound once, however many marginals share it
-                made[key] = emit(_bind_slice(*key) if step is None else step.bind(key[1]))
+                made[key] = emit(_bind_derived(key[0], _slicing(*key[1:])) if step is None
+                                 else step.bind(key[1]))
             at.append(made[key])
-        return (at[-1], plan.layout) if at else one()
+        return (at[-1], plan.layout) if at else unit
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, ta), (j, tb) = a, b
         plan = _join_plan(ta, tb, divide, functions)
-        return emit(_bind_join(i, j, plan, divide)), plan.out
+        return emit(_bind_two(i, j, plan.operands, np.divide if divide else np.multiply,
+                              None, None, plan.fixes)), plan.out
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1794,7 +1764,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
 
     def walk(e: Expr) -> tuple:
         if isinstance(e, One):
-            return one()
+            return unit
         if isinstance(e, Atom):
             joint, *ctx = (marginal(asked) for asked in _marginals(e))
             return join(joint, ctx[0], True) if ctx else joint
@@ -1810,7 +1780,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
                 states=np.minimum(_derived(t.states, *how[1:]), 1))
         if isinstance(e, Product):
             if not e.children:
-                return one()
+                return unit
             out = visit(e.children[0])
             for c in e.children[1:]:
                 out = join(out, visit(c), False)

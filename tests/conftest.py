@@ -211,10 +211,7 @@ def register_alone(law: O.FactoredLaw, kept, ev: dict) -> np.ndarray:
     the axes its plan drops, in the memory order a program's register has."""
     atom = K.Atom(law.name, tuple(set(kept) | set(ev)), pins=tuple(ev.items()))
     program = K._program(atom, law.name, tuple(law.variables.items()), law._pattern)
-    regs: list = []
-    for op in program.ops:
-        regs.append(op(regs, law.factors))
-    return regs[program.out]
+    return program.registers(law)[program.out]
 
 
 def stored_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> np.ndarray:
@@ -229,7 +226,7 @@ def stored_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -
     source = sources[asked]
     data = register_alone(law, source[0], dict(source[1]))
     how = K._derivation(plans[source].layout, plans[asked].layout, dict(ev))
-    return K._bind_derived(0, how)([data], law.factors)
+    return K._bind_derived(0, how)([data])
 
 
 def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:

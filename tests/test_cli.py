@@ -213,6 +213,22 @@ def test_fixtures_command(capsys):
             assert name == "confounded_chain"
 
 
+def test_fixtures_command_fails_when_a_functional_does_not_verify(capsys, monkeypatch):
+    # a target functional off by 1.0 fails its check, yet every fixture
+    # still gets its line before the command exits 1
+    def off(md, functional, trials, seed, cardinality):
+        return O.VerifyReport(trials, 1.0, 0, [1.0] * trials)
+
+    monkeypatch.setattr("mdid.cli.O.verify_target_functional", off)
+    code, out, err = run_cli(["fixtures", "--trials", "1"], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":", 1)[0] for line in lines] == list(FIXTURE_NAMES)
+    for name, line in zip(FIXTURE_NAMES, lines):
+        if name != "confounded_chain":
+            assert line == f"{name}: {FIXTURE_LINES[name]} target_err=1.00e+00"
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MDID_BUDGET_MAX_SCHEDULES", "1")
     code, out, _ = run_cli(["identify", "fixture:joint_quartet", "--query",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,22 @@ def test_drained_search_says_so():
     assert res.transcript[-1] == "R1: search space drained after 3 schedules"
     assert sum("->" in line for line in res.transcript) == 3
     assert not any("budget exhausted after" in line for line in res.transcript)
+
+
+def test_max_set_size_skips_schedules_with_larger_classes():
+    # joint_quartet's R4 is identified only by fixing R1 and R3 as one
+    # class; with classes of one member the search drains without it, and
+    # no schedule it tries has a class of two members
+    md = load("joint_quartet")
+    two = re.compile(r"\{[^{}]*,[^{}]*\}")     # a class rendered as {A,B}
+    found = identify_indicator(md, "R4")
+    assert found.status == "identified"
+    assert found.schedule.classes[0] == frozenset({"R1", "R3"})
+    assert any(two.search(line) for line in found.transcript)
+    capped = identify_indicator(md, "R4", SearchBudget(max_set_size=1))
+    assert capped.status == "unknown"
+    assert capped.transcript[-1] == "R4: search space drained after 154 schedules"
+    assert not any(two.search(line) for line in capped.transcript)
 
 
 def test_budget_validation():

@@ -577,8 +577,8 @@ def step_runs(monkeypatch):
     def counted(step, inputs):
         call = bind(step, inputs)
 
-        def run(regs, tables):
-            runs.append(call(regs, tables))
+        def run(regs):
+            runs.append(call(regs))
             return runs[-1]
         run.step = step
         return run
@@ -659,6 +659,31 @@ def test_derived_marginal_on_a_support_that_is_not_a_run():
     (derived,) = check_derived(law, e)
     assert derived.domains == {"A": (0, 2)}
     np.testing.assert_allclose(derived.data, [0.3, 0.3], rtol=1e-15)
+
+
+def test_derived_marginal_regroups_a_rider_and_indexes_its_support():
+    # f1 makes A a function of B (A = 0 at B = 0, else 1), so p(A, B, C) is
+    # held without A's axis; C = 0 rules A = 1 out, so p(A, C = 0) is that
+    # table at C = 0 with B's values summed in groups by A's value at them,
+    # and then indexed at A's support, the first of the two groups
+    f1 = K.NamedTable(("A", "B"), {"A": (0, 1), "B": (0, 1, 2)},
+                      np.array([[0.5, 0.0, 0.0], [0.0, 0.2, 0.3]]))
+    f2 = K.NamedTable(("A", "C"), {"A": (0, 1), "C": (0, 1)},
+                      np.array([[0.4, 0.3], [0.0, 0.3]]))
+    law = law_of([f1, f2])
+    e = K.Product((K.Atom("p", ("A", "B", "C")), K.Atom("p", ("A", "C"), pins=(("C", 0),))))
+    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern,
+                                       K._functions(law._pattern))
+    asked, source = (frozenset("A"), (("C", 0),)), (frozenset("ABC"), ())
+    assert sources == {asked: source}
+    assert plans[source].layout.drop == (("A", "B", (0, 1, 1)),)
+    how = K._derivation(plans[source].layout, plans[asked].layout, {"C": 0})
+    assert [step[0] for step in how[2]] == [K._grouped]
+    assert [ix.tolist() for ix in how[-1]] == [[0]]
+    (derived,) = check_derived(law, e)
+    want = law.on_support({"A"}, {"C": 0})
+    assert derived.domains == want.domains == {"A": (0,)}
+    assert derived.data.tolist() == want.data.tolist() == [0.2]
 
 
 def test_marginals_a_source_cannot_make_are_planned_directly():

@@ -112,6 +112,22 @@ def test_full_law_obstruction_reporting():
         assemble_full_law(md, rep.propensities)
 
 
+def test_full_law_obstruction_names_a_proxy_read_without_its_indicator():
+    # p(R1 | X2) reads the proxy X2 where R2 is not pinned to 1, so it
+    # cannot enter the full-law product; its censored variable is the culprit
+    from mdid.fixing import Violation
+    from mdid.identify import identify_full
+    from mdid.missing import full_law_obstructions
+    md = load("crisscross")
+    q = K.Atom("p", ("R1",), ("X2",))
+    detail = "R1: conditions on proxy X2 without R2=1"
+    assert full_law_obstructions(md, "R1", q) == Violation("full", None, detail, ("X2(1)",))
+    propensities = {**identify_full(md).propensities, "R1": q}
+    with pytest.raises(AssemblyError) as raised:
+        assemble_full_law(md, propensities)
+    assert str(raised.value) == detail
+
+
 def test_full_law_mcar_trivial():
     md = md_dag([], ["X1", "X2"])
     from mdid.identify import identify_full

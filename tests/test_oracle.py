@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -488,8 +489,10 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
 
     def join(a, b, divide: bool):
         plan = K._join_plan(a[1], b[1], divide, functions)
+        op = np.divide if divide else np.multiply
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return K._bind_join(0, 1, plan, divide)((a[0], b[0]), ()), plan.out
+            return K._bind_two(0, 1, plan.operands, op, None, None, plan.fixes)(
+                [a[0], b[0]]), plan.out
 
     def walk(e: K.Expr):
         if e not in memo:
@@ -507,7 +510,7 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
                                        tuple(x for x in layout.drop if {x[0], x[1]} <= set(keep)),
                                        None)
                     how = K._derivation(layout, summed, {})
-                    data = K._bind_derived(0, how)((data,), ())
+                    data = K._bind_derived(0, how)([data])
                     layout = summed._replace(
                         states=np.minimum(K._derived(layout.states, *how[1:]), 1))
                 out = data, layout
@@ -616,8 +619,8 @@ def test_replayed_program_equals_a_fresh_compile(name, cardinality):
 
 
 def test_planning_runs_no_op(monkeypatch):
-    # a program is planned from the law's structure alone: every join and
-    # step is bound to its registers, and none runs until a law runs it
+    # a program is planned from the law's structure alone: every call is
+    # bound to its registers, and none runs until a law runs it
     md = load("octet")
     expr = target_functional("octet").expr
     laws = [O.derive_observed_law(md, O.sample_full_law(md, 2, seed)) for seed in (0, 1)]
@@ -628,23 +631,23 @@ def test_planning_runs_no_op(monkeypatch):
         def bind_counted(*args):
             call = bind(*args)
 
-            def run(regs, tables):
+            def run(regs):
                 runs.append(run)
-                return call(regs, tables)
+                return call(regs)
             bound.append(run)
             return run
         return bind_counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(K, "_bind_join", counting(K._bind_join))
+        patch.setattr(K, "_bind_two", counting(K._bind_two))
         patch.setattr(K, "_bind_derived", counting(K._bind_derived))
-        patch.setattr(K._Step, "bind", counting(K._Step.bind))
         program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
                                          first._pattern)
     assert not runs
     counted = [op for op in program.ops if op in bound]
-    # the joins, steps and derived calls (test_octet_program_op_counts)
-    assert len(counted) == 91 + 95 + 51
+    # every call derives one register or combines two
+    # (test_octet_program_op_counts)
+    assert len(counted) == 95 + 175
     for law in laws:
         runs.clear()
         want = reference_evaluate(expr, law, {})
@@ -654,8 +657,18 @@ def test_planning_runs_no_op(monkeypatch):
         assert got.max_abs_diff(want) <= 1e-12
 
 
+def kinds_of(op) -> str:
+    return op.__qualname__.split(".<locals>")[0]
+
+
 def op_kinds(program) -> collections.Counter:
-    return collections.Counter(op.__qualname__.split(".<locals>")[0] for op in program.ops)
+    return collections.Counter(kinds_of(op) for op in program.ops)
+
+
+def bound(call) -> dict:
+    """The values a call binds in its closure, by name."""
+    return dict(zip(call.__code__.co_freevars,
+                    (cell.cell_contents for cell in call.__closure__ or ())))
 
 
 def test_octet_program_op_counts():
@@ -663,15 +676,21 @@ def test_octet_program_op_counts():
     # pins it, then the indicators and censored variables that fed only
     # those (58 slices and 415 steps before); and 27 of the 37 distinct
     # marginals are derived from another, one call each (47 slices and 301
-    # steps before), by the call that also makes each of the 24 sums
+    # steps before), by the call that also makes each of the 24 sums.  The
+    # 33 slices, 11 one-table steps and 51 derived calls derive one
+    # register, and the 84 two-table steps and 91 joins combine two
     md = load("octet")
     expr = target_functional("octet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
     kinds = op_kinds(program)
-    assert (kinds["_bind_slice"], kinds["_Step.bind"], kinds["_bind_derived"]) == (33, 95, 51)
-    assert kinds["_bind_join"] == 91
+    assert (kinds["_bind_derived"], kinds["_bind_two"]) == (95, 175)
     assert sum(kinds.values()) == len(program.ops) == 270
+    # a slice derives a factor's register, the first registers of a run
+    assert sum(bound(op).get("i", math.inf) < len(law.factors) for op in program.ops
+               if kinds_of(op) == "_bind_derived") == 33
+    assert sum(bound(op)["op"] is not np.matmul for op in program.ops
+               if kinds_of(op) == "_bind_two") == 91
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
     plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), (),
@@ -681,15 +700,13 @@ def test_octet_program_op_counts():
 
 
 def cells_written(program, law) -> tuple[int, int]:
-    """The cells a run of the program writes, over all its registers and
-    over its joins' alone."""
-    regs: list = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for op in program.ops:
-            regs.append(op(regs, law.factors))
+    """The cells a run of the program writes, over all its ops' registers
+    and over its joins' alone: the two-register calls that multiply or
+    divide."""
+    regs = program.registers(law)[-len(program.ops):]
     return (sum(np.size(r) for r in regs),
             sum(np.size(r) for op, r in zip(program.ops, regs)
-                if op.__qualname__.startswith("_bind_join.")))
+                if kinds_of(op) == "_bind_two" and bound(op)["op"] is not np.matmul))
 
 
 # the octet target program's ops and the cells its registers and its joins
@@ -718,9 +735,10 @@ def test_planning_binds_each_step_once(monkeypatch):
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     binds = []
     bind = K._Step.bind
-    monkeypatch.setattr(K._Step, "bind", lambda step, inputs: binds.append(step) or bind(step, inputs))
+    monkeypatch.setattr(K._Step, "bind",
+                        lambda step, inputs: binds.append(bind(step, inputs)) or binds[-1])
     program = K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
-    steps = sum(op.__qualname__.startswith("_Step.bind") for op in program.ops)
+    steps = sum(op in binds for op in program.ops)
     assert len(binds) == steps == 95
 
 
@@ -816,7 +834,7 @@ def test_evaluated_tables_do_not_depend_on_the_hash_seed():
 
 def bound_arrays(call) -> list[np.ndarray]:
     """The arrays a call binds in its closure, inside tuples too."""
-    out, todo = [], [cell.cell_contents for cell in call.__closure__ or ()]
+    out, todo = [], list(bound(call).values())
     while todo:
         x = todo.pop()
         if isinstance(x, np.ndarray):

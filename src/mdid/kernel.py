@@ -18,21 +18,21 @@ than raising, and 0/0 is a structural zero.  Which cells are zero and
 which undefined is a fact of the plan, not of a trial: for non-negative
 tables zeros propagate exactly (a product is zero where a factor is, a sum
 where every term is, 0/0 is zero and positive mass over zero undefined), so
-the planner derives every table's cell states from the law's zero pattern
-(``_Layout.states``) and a join writes its 0/0 zeros and NaN markers at
-cells fixed at plan time, reading no value to find them.  Float underflow
-can still zero a cell the pattern calls positive; that cell is then
-divided as IEEE arithmetic does (x/0 is inf, 0/0 NaN), unmarked, and shows
-as a gap or a NaN where the plan expects none.  An atom is asked of the
-law with its pins as evidence: the product of the law's factors summed by
-variable elimination, from a plan of the factors' structure
-(``_contraction_plan``); each step is lowered at plan time to fixed
-transposes and reshapes around one ``np.matmul`` (or one sum, for a step
-over one table).  Its sums run in another order than a cell-by-cell
-product would, so tables agree with a plain elimination to within 1e-12,
-not bit for bit.  No join or contraction step builds more than
-``MAX_CELLS`` cells or ``MAX_AXES`` axes, and no marginal's table, all its
-axes counted, holds more than ``MAX_CELLS`` cells.
+the planner finds every register's cell states by running its own calls
+once on the law's zero pattern (``_program``), and a join writes its 0/0
+zeros and NaN markers at cells fixed at plan time, reading no value to
+find them.  Float underflow can still zero a cell the pattern calls
+positive; that cell is then divided as IEEE arithmetic does (x/0 is inf,
+0/0 NaN), unmarked, and shows as a gap or a NaN where the plan expects
+none.  An atom is asked of the law with its pins as evidence: the product
+of the law's factors summed by variable elimination, from a plan of the
+factors' structure (``_contraction_plan``); each step is lowered at plan
+time to fixed transposes and reshapes around one ``np.matmul`` (or one
+sum, for a step over one table).  Its sums run in another order than a
+cell-by-cell product would, so tables agree with a plain elimination to
+within 1e-12, not bit for bit.  No join or contraction step builds more
+than ``MAX_CELLS`` cells or ``MAX_AXES`` axes, and no marginal's table,
+all its axes counted, holds more than ``MAX_CELLS`` cells.
 
 A law may name each factor's head, the variable it is a conditional of
 (a CPT's child), and the law checks that the factor sums to 1 over it.
@@ -53,10 +53,10 @@ slice, a one-table step, a derived marginal, a sum), or combines two by
 ``np.matmul``, ``np.multiply`` or ``np.divide`` (``_bind_two``: a
 two-table step, a join).  An oracle trial runs only the calls' arithmetic
 (``_Program.run``); a law's marginal is the program of one atom.
-Planning runs no call and reads no table's data.  The planner plans each
-distinct marginal once and keeps the plans only while it plans; it binds
-a factor slice or a contraction step once, however many marginals share
-it.
+Planning reads no table's data: it runs each call once, on the cells'
+states rather than on a law.  The planner plans each distinct marginal
+once and keeps the plans only while it plans; it binds a factor slice or
+a contraction step once, however many marginals share it.
 
 A marginal is also shared whole, as a junction tree shares its cliques'
 tables (Lauritzen & Spiegelhalter, JRSS B 1988): a marginal whose kept
@@ -751,7 +751,7 @@ class NamedTable:
         check_cells(self.dims, domains)
         if all(self.domains[d] == domains[d] for d in self.dims):
             return self
-        have = _Layout(self.dims, self.domains, (), None)
+        have = _Layout(self.dims, self.domains, ())
         return NamedTable(self.dims, {d: domains[d] for d in self.dims},
                           _converted(self.data, *_conversion(have, self.dims, domains, {})))
 
@@ -781,11 +781,11 @@ class NamedTable:
         reindexed, transposed and broadcast, the ``MAX_CELLS`` check) and
         the result's zero and NaN cells come from ``_join_plan``, which
         reads the operands' axes, domains and which of their cells are zero
-        or NaN, the same plan a compiled program binds.
+        or NaN (``_states``), the same plan a compiled program binds.
         """
         divide = op is np.divide
-        plan = _join_plan(*(_Layout(t.dims, t.domains, (), _states(t.data)) for t in (a, b)),
-                          divide, ())
+        plan = _join_plan(_Layout(a.dims, a.domains, ()), _Layout(b.dims, b.domains, ()),
+                          _states(a.data), _states(b.data), divide, ())
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return NamedTable(plan.out.dims, plan.out.domains, _bind_two(
                 0, 1, plan.operands, op, None, None, plan.fixes)([a.data, b.data]))
@@ -822,17 +822,15 @@ def _states(data) -> np.ndarray:
 
 class _Layout(NamedTuple):
     """A table as a register holds it: its axes (sorted) and their
-    supports; the axes the array leaves out, each (A, B, at) for a variable
-    A that is a function of B on the table's support (at: per value of B,
-    the position of A's value); and the state of each cell of the array (see
-    ``_states``), a plan-time fact.  The array spans the other axes in
+    supports; and the axes the array leaves out, each (A, B, at) for a
+    variable A that is a function of B on the table's support (at: per value
+    of B, the position of A's value).  The array spans the other axes in
     sorted order, and holds at each value b of B the table's cell at A's
     value at(b); the table is zero at every other value of A."""
 
     dims: tuple[str, ...]
     domains: dict
     drop: tuple
-    states: np.ndarray
 
 
 def _stored(t) -> tuple[str, ...]:
@@ -978,20 +976,21 @@ class _JoinPlan(NamedTuple):
     fixes: tuple        # flat cells of the result's array to write 0 at, and NaN at
 
 
-def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _JoinPlan:
-    """The structure of a join of the tables ta and tb: a product over the
+def _join_plan(ta: _Layout, tb: _Layout, sa: np.ndarray, sb: np.ndarray, divide: bool,
+               functions: tuple) -> _JoinPlan:
+    """The structure of a join of the tables ta and tb, whose arrays have
+    the cell states sa and sb (``_states``): a product over the
     intersection of their domains, a quotient over their union (the
     numerator's values first).  The result leaves out A's axis for each
     variable A that ``functions`` makes a function of B, where B's values
     map onto A's (``_onto``) and an operand drops A, so is zero off the
     function: either operand of a product, or the numerator of a quotient
-    whose denominator drops A too or holds no NaN.  The result's
-    states follow from the operands': a product is zero where either
-    factor is; a quotient is zero where its numerator is and its
-    denominator is zero or positive, and undefined where positive mass
-    meets zero; an undefined cell is undefined unless a product zeroes it.
-    The fixes are the cells where plain IEEE arithmetic does not give that:
-    0·NaN and 0/0 (zero) and every undefined cell (NaN)."""
+    whose denominator drops A too or holds no NaN.  The fixes are the cells
+    where plain IEEE arithmetic on the states does not give the result's: a
+    product is zero where either factor is, so 0·NaN is zero; a quotient is
+    zero where its numerator is and its denominator is zero or positive, so
+    0/0 is zero; and every other cell the op leaves not finite (x/0, NaN)
+    is undefined, NaN."""
     da, db = ({d: t.domains[d] for d in t.dims} for t in (ta, tb))
     dims = tuple(sorted(da.keys() | db.keys()))
     domains = {}
@@ -1008,24 +1007,20 @@ def _join_plan(ta: _Layout, tb: _Layout, divide: bool, functions: tuple) -> _Joi
         f = dict(f)
         if a in domains and b in domains and _onto(f, domains[a], domains[b]):
             za, zb = (any(x == a for x, _, _ in t.drop) for t in (ta, tb))
-            if (za and (zb or not np.isnan(tb.states).any())) if divide else (za or zb):
+            if (za and (zb or not np.isnan(sb).any())) if divide else (za or zb):
                 drop[a] = b, tuple(domains[a].index(f[v]) for v in domains[b])
     operands = tuple(_conversion(t, dims, domains, drop) for t in (ta, tb))
-    x, y = (_converted(t.states, *c) for t, c in zip((ta, tb), operands))
+    x, y = (_converted(s, *c) for s, c in zip((sa, sb), operands))
     shape = tuple(len(domains[d]) for d in dims if d not in drop)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if divide:
-            zero = (x == 0) & (y == 0)
-            states = x / y
-        else:
-            zero = ((x == 0) & np.isnan(y)) | (np.isnan(x) & (y == 0))
-            states = x * y
-    states = np.array(np.broadcast_to(states, shape), np.float32)
+        finite = np.isfinite(x / y if divide else x * y)
+    if divide:
+        zero = (x == 0) & (y == 0)
+    else:
+        zero = ((x == 0) & np.isnan(y)) | (np.isnan(x) & (y == 0))
     zero = np.broadcast_to(zero, shape)
-    states[zero] = 0
-    states[np.isinf(states)] = np.nan
-    out = _Layout(dims, domains, tuple((a, *bat) for a, bat in sorted(drop.items())), states)
-    return _JoinPlan(out, operands, (np.flatnonzero(zero), np.flatnonzero(np.isnan(states))))
+    out = _Layout(dims, domains, tuple((a, *bat) for a, bat in sorted(drop.items())))
+    return _JoinPlan(out, operands, (np.flatnonzero(zero), np.flatnonzero(~(finite | zero))))
 
 
 def _bind_two(i: int, j: int, operands: tuple, op, shape: tuple | None, perm: tuple | None,
@@ -1259,18 +1254,6 @@ def _union(operands) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(axes for _, axes in operands))))
 
 
-def _ridden(x: np.ndarray, rides: tuple | None) -> np.ndarray:
-    return _converted(x, tuple(_ride(*ride) for ride in rides or ()), None, None)
-
-
-def _contract_states(operands: list, axes: tuple[str, ...]) -> np.ndarray:
-    """The states of a contraction step's output from its operands' (states,
-    axes): nonzero where some product of nonzero cells is summed."""
-    ids = {d: k for k, d in enumerate(dict.fromkeys(d for _, names in operands for d in names))}
-    args = [x for states, names in operands for x in (states, [ids[d] for d in names])]
-    return np.minimum(np.einsum(*args, [ids[d] for d in axes]), 1)
-
-
 def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
              ev: Mapping[str, Value]) -> dict[str, tuple[int, ...]]:
     """The support of each variable outside the evidence: the values that
@@ -1344,10 +1327,8 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     until a step also spans B; that step takes its A axis at A's value at
     each of B's values, as B's axis (``_rides``, ``_Step.take``).  So the sums run
     over the pairs on the support only, where the product is not zero, and
-    B's axis carries A to the result, which drops A's axis.  The plan
-    records the result's dropped axes and the states of its cells,
-    contracted from the tables' zero patterns alongside
-    (``_contract_states``)."""
+    B's axis carries A to the result, which drops A's axis, as the plan
+    records."""
     tables, zeros, heads = pattern
     ev = dict(evidence)
     full: dict[str, tuple[Value, ...]] = {}
@@ -1371,8 +1352,8 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             fused[a] = b, tuple(f[v] for v in domains[b])
     # the marginal's whole table, dropped axes and all, must fit
     check_cells(tuple(sorted(keep & live)), domains)
-    # work: (position of the op, axes); states: per op, its output's states
-    keys, work, states = [], [], []
+    # work: (position of the op, axes)
+    keys, work = [], []
     for pos in left:
         table = tables[pos]
         live_axes = tuple(d for d, _ in table if d not in ev)
@@ -1386,8 +1367,6 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             for d in live_axes)
         # equal keys mean equal slices of one sequence of tables
         keys.append((pos, pinned, picks))
-        states.append(_derived(_mask(table, zeros[pos]).astype(np.float32),
-                               *_slicing(pinned, picks)[1:]))
         work.append((len(keys) - 1, out))
 
     def home(d: str) -> str:
@@ -1415,7 +1394,6 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
         take = tuple(t for _, _, t in order)
         keys.append((step._replace(take=take) if any(take) else step,
                      tuple(p for p, _, _ in order)))
-        states.append(_contract_states([(_ridden(states[p], t), x) for p, x, t in order], axes))
         return len(keys) - 1, axes
 
     def step(operands, v: str | None, ordered: bool) -> tuple[int, tuple[str, ...]]:
@@ -1441,8 +1419,7 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     kept = sorted(a for a in fused if a in keep)
     dims = tuple(sorted(set(_union(work)).union(kept)))
     drop = tuple((a, fused[a][0], tuple(domains[a].index(v) for v in fused[a][1])) for a in kept)
-    return _Plan(tuple(keys), _Layout(dims, {d: domains[d] for d in dims}, drop,
-                                      states[work[0][0]] if work else np.ones((), np.float32)))
+    return _Plan(tuple(keys), _Layout(dims, {d: domains[d] for d in dims}, drop))
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
@@ -1467,9 +1444,10 @@ class _Program(NamedTuple):
     bound at plan time.  A slice or step that several marginals share
     appears once.  It records the result's register, axes and support
     domains, how its array puts back the axes it drops, and which of its
-    cells are zero and which undefined, facts of the plan that every law of
-    the structure shares; it holds no law's arrays: a call binds index
-    arrays and the registers it reads, never a factor."""
+    cells are zero and which undefined (its register's states, the dropped
+    axes put back), facts of the plan that every law of the structure
+    shares; it holds no law's arrays: a call binds index arrays and the
+    registers it reads, never a factor."""
 
     ops: tuple                  # per op: its call (see registers)
     out: int                    # the result's register
@@ -1703,9 +1681,9 @@ def _bind_derived(i: int, how: tuple):
 @functools.lru_cache(maxsize=1024)
 def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Program:
     """e's program on laws of this structure, planned by a walk of the tree
-    that binds every call and runs none; a node's table is (register,
-    ``_Layout``).  A run's first registers are the law's factors and the
-    unit, so every call reads registers only: it derives one
+    that binds every call and runs it once on the states; a node's table is
+    (register, ``_Layout``).  A run's first registers are the law's factors
+    and the unit, so every call reads registers only: it derives one
     (``_bind_derived``) or combines two (``_bind_two``).  Every marginal
     the atoms ask for is planned first, once (``_plan_marginals``); one
     derived from another is one call on the source's register, and the rest
@@ -1716,21 +1694,29 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     the same call on its child's register, and its table keeps each dropped
     A whose B it keeps.
 
-    Each table's states, and so its zero and undefined cells, are known
-    here: a marginal's from its plan, a join's from its operands'
-    (``_join_plan``, which reads riding from their drops), a sum's from its
-    child's, summed as the call sums the array.  The result puts back every
-    axis it drops (``_Program.full``)."""
+    Each register's states, and so its zero and undefined cells, are known
+    here, as an arithmetic circuit finds its zeros by running on them: the
+    states start as the factors' zero patterns (float32) and the unit's 1,
+    and each call, as it is bound, runs once on them, clamped to 1.  So a
+    call reads only 0, 1 and NaN: a step or a sum of 0/1 cells is positive
+    exactly where a nonzero product is summed, NaN stays NaN through a sum,
+    and a join's fixes (``_join_plan``) make 0·NaN and 0/0 zero and x/0
+    NaN.  The result puts back every axis it drops (``_Program.full``)."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step, or by derived marginal
     memo: dict = {}         # register and layout by expression
     functions = _functions(pattern)
     plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, functions)
-    unit = len(pattern[0]), _Layout((), {}, (), np.ones((), np.float32))
+    # per register, its cells' states (``_states``): the factors' zero patterns, the unit's 1
+    states = [_mask(t, bits).astype(np.float32) for t, bits in zip(*pattern[:2])]
+    unit = len(states), _Layout((), {}, ())
+    states.append(np.ones((), np.float32))
 
     def emit(call) -> int:
         ops.append(call)
-        return unit[0] + len(ops)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            states.append(np.minimum(call(states), 1).astype(np.float32, copy=False))
+        return len(states) - 1
 
     def marginal(asked: tuple) -> tuple:
         plan = plans[asked]
@@ -1753,7 +1739,7 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, ta), (j, tb) = a, b
-        plan = _join_plan(ta, tb, divide, functions)
+        plan = _join_plan(ta, tb, states[i], states[j], divide, functions)
         return emit(_bind_two(i, j, plan.operands, np.divide if divide else np.multiply,
                               None, None, plan.fixes)), plan.out
 
@@ -1774,10 +1760,8 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             if keep == t.dims:
                 return i, t
             out = _Layout(keep, {d: t.domains[d] for d in keep},
-                          tuple(x for x in t.drop if {x[0], x[1]} <= set(keep)), None)
-            how = _derivation(t, out, {})
-            return emit(_bind_derived(i, how)), out._replace(
-                states=np.minimum(_derived(t.states, *how[1:]), 1))
+                          tuple(x for x in t.drop if {x[0], x[1]} <= set(keep)))
+            return emit(_bind_derived(i, _derivation(t, out, {}))), out
         if isinstance(e, Product):
             if not e.children:
                 return unit
@@ -1792,4 +1776,4 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     out, t = visit(e)
     full = _conversion(t, t.dims, t.domains, {}) if t.drop else None
     return _Program(tuple(ops), out, t.dims, t.domains, full,
-                    t.states if full is None else _converted(t.states, *full))
+                    states[out] if full is None else _converted(states[out], *full))

@@ -100,6 +100,18 @@ def test_identify_json_deterministic(capsys):
     assert any(r.startswith("R1 =") for r in payload["propensities"])
 
 
+def test_identify_full_renders_latex(capsys):
+    # the full-law functional is the propensities' product over the
+    # all-observed slice, divided by that product at R = 1
+    code, out, _ = run_cli(["identify", "fixture:crisscross", "--query", "full", "--latex"],
+                           capsys)
+    assert code == 0
+    want = (r"functional: \left[p(R1 \mid R2=1,R3=1,X2,X3)\,p(R2 \mid R1=1,R3=1,X1,X3)"
+            r"\,p(R3 \mid R1=1,R2=1,X1,X2)\right]\cdot\frac{p(R1=1,R2=1,R3=1,X1,X2,X3)}"
+            r"{\left[\cdots\right]_{R=1}}")
+    assert want in out.splitlines()
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(["verify", "fixture:staggered_trio", "--query",
                             "target", "--trials", "20", "--seed", "7",

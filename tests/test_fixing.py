@@ -24,6 +24,22 @@ def test_is_fixable_vertex_examples():
     assert is_fixable_vertex(lone, "A")
 
 
+def test_selected_and_fixed_vertices_are_not_fixable():
+    g = Cadmg(["S", "A", "B"], [("S", "A"), ("A", "B")], selected=["S"])
+    assert not is_fixable_vertex(g, "S")
+    assert not is_fixable_vertex(g.with_statuses(fixed=["A"]), "A")
+    with pytest.raises(FixError, match="'A' is not fixable"):
+        fix_vertex(Cadmg("AB", [("A", "B")], [("A", "B")]), K.Atom("p", ("A", "B")), "A")
+
+
+def test_fixing_pins_a_selected_blanket_member():
+    # S is selected, so the blanket conditional of A is read at S = 1
+    g = Cadmg(["S", "A", "B"], [("S", "A"), ("A", "B")], selected=["S"])
+    step = fix_vertex(g, K.Atom("p", ("A", "B", "S")), "A")
+    assert K.render(step.denominator) == "(at (atom p (A) (S)) ((S 1)))"
+    assert step.graph.fixed_vertices == {"A"}
+
+
 def test_fix_vertex_steps_match_published_kernels():
     g = load("confounded_chain")
     p = K.Atom("p", ("A", "B", "M", "Y"))

@@ -24,6 +24,23 @@ def law4(seed=0):
     return O.sample_dag_law(g, 2, seed).dense(name="p")
 
 
+@pytest.mark.parametrize("atom, message", [
+    (K.Atom("q", ("A",)), "atom law 'q' not resolvable from 'p'"),
+    (K.Atom("p", ("Z",)), r"law has no variables \['Z'\]"),
+    (K.Atom("p", ("A",), pins=(("A", 7),)), "value 7 outside the domain of 'A'"),
+])
+def test_evaluation_refuses_atoms_the_law_cannot_answer(atom, message):
+    law = O.sample_dag_law(Cadmg("AB", [("A", "B")]), 2, 0)
+    with pytest.raises(K.ExprError, match=message):
+        K.evaluate_numeric(atom, law)
+
+
+def test_the_empty_product_evaluates_to_one():
+    law = O.sample_dag_law(Cadmg("AB", [("A", "B")]), 2, 0)
+    tab = K.evaluate_numeric(K.parse("(prod)"), law)
+    assert tab.dims == () and tab.domains == {} and tab.data.item() == 1.0
+
+
 def test_marginalize_atom_and_identity():
     p = K.Atom("p", ("A", "B"))
     assert K.marginalize(p, ["B"]) == K.Atom("p", ("A",))
@@ -570,7 +587,9 @@ def test_contract_folds_many_operands_in_pairs():
 def step_runs(monkeypatch):
     """The result of every contraction step run during the test: the
     program cache is emptied, so that every step is bound afresh through a
-    counting wrapper, which carries its step as ``.step``."""
+    counting wrapper, which carries its step as ``.step``.  A step runs once
+    on its cells' states (float32) as its program is planned, then on each
+    law."""
     runs = []
     bind = K._Step.bind
 
@@ -597,13 +616,15 @@ def test_atoms_that_share_a_step_compile_it_once(step_runs):
     law = O.sample_dag_law(chain, 2, 0)
     e = K.Product((K.Atom("p", ("D",)), K.Atom("p", ("C",))))
     alone = [law.on_support([v]) for v in "DC"]
+    # 5 steps, each run on the states as it is planned and on the law
     separate = len(step_runs)
-    assert separate == 5
+    assert separate == 2 * 5
     step_runs.clear()
     got = K.evaluate_numeric(e, law)
     program = K._program(e, law.name, tuple(law.variables.items()), law._pattern)
     compiled = sum(hasattr(op, "step") for op in program.ops)
-    assert len(step_runs) == compiled == separate - 2
+    assert len(step_runs) == 2 * compiled == separate - 2 * 2
+    assert sum(run.dtype == np.float32 for run in step_runs) == compiled
     assert np.array_equal(got.data, K.NamedTable.join(*alone, np.multiply).data)
     # a replay on another law runs exactly the steps the program holds
     step_runs.clear()
@@ -718,7 +739,8 @@ def test_marginals_a_source_cannot_make_are_planned_directly():
 def test_a_join_takes_a_rider_on_the_diagonal(monkeypatch):
     # p(R1, O) p(X1, O) spans R1 and X1, and p(X1, R1) is held without R1's
     # axis, so their product takes the first table's R1 axis at X1's values
-    # on its X1 axis: once for the states as it is planned, once as it runs
+    # on its X1 axis: as it is planned, once for the join's fixes and once
+    # as the join runs on the states, then once as it runs on the law
     md = md_dag([("O", "X1(1)"), ("O", "R1")], ["X1"], ["O"])
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     names = (("R1", "O"), ("X1", "O"), ("X1", "R1"))
@@ -727,7 +749,7 @@ def test_a_join_takes_a_rider_on_the_diagonal(monkeypatch):
     monkeypatch.setattr(K, "_picked", lambda x, index: picked.append(index) or x[index])
     program = K._program.__wrapped__(e, law.name, tuple(law.variables.items()), law._pattern)
     got = program.run(law)
-    assert len(picked) == 2
+    assert len(picked) == 3
     first, second, third = (law.on_support(n) for n in names)
     want = K.NamedTable.join(K.NamedTable.join(first, second, np.multiply), third, np.multiply)
     assert got.dims == want.dims and got.domains == want.domains

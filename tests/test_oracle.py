@@ -488,7 +488,7 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     memo: dict = {}
 
     def join(a, b, divide: bool):
-        plan = K._join_plan(a[1], b[1], divide, functions)
+        plan = K._join_plan(a[1], b[1], K._states(a[0]), K._states(b[0]), divide, functions)
         op = np.divide if divide else np.multiply
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return K._bind_two(0, 1, plan.operands, op, None, None, plan.fixes)(
@@ -497,7 +497,7 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     def walk(e: K.Expr):
         if e not in memo:
             if isinstance(e, K.One):
-                out = np.asarray(1.0), K._Layout((), {}, (), np.ones((), np.float32))
+                out = np.asarray(1.0), K._Layout((), {}, ())
             elif isinstance(e, K.Atom):
                 joint, *ctx = [(stored_alone(law, plans, sources, asked), plans[asked].layout)
                                for asked in K._marginals(e)]
@@ -507,12 +507,9 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
                 keep = tuple(d for d in layout.dims if d not in e.over)
                 if keep != layout.dims:
                     summed = K._Layout(keep, {d: layout.domains[d] for d in keep},
-                                       tuple(x for x in layout.drop if {x[0], x[1]} <= set(keep)),
-                                       None)
-                    how = K._derivation(layout, summed, {})
-                    data = K._bind_derived(0, how)([data])
-                    layout = summed._replace(
-                        states=np.minimum(K._derived(layout.states, *how[1:]), 1))
+                                       tuple(x for x in layout.drop if {x[0], x[1]} <= set(keep)))
+                    data = K._bind_derived(0, K._derivation(layout, summed, {}))([data])
+                    layout = summed
                 out = data, layout
             elif isinstance(e, K.Product):
                 out = walk(e.children[0])
@@ -620,12 +617,16 @@ def test_replayed_program_equals_a_fresh_compile(name, cardinality):
 
 def test_planning_runs_no_op(monkeypatch):
     # a program is planned from the law's structure alone: every call is
-    # bound to its registers, and none runs until a law runs it
+    # bound to its registers and run once, as it is bound, on its cells'
+    # states, whose first registers are the factors' zero patterns as
+    # float32 and the unit, never on a law's arrays
     md = load("octet")
     expr = target_functional("octet").expr
     laws = [O.derive_observed_law(md, O.sample_full_law(md, 2, seed)) for seed in (0, 1)]
     first = laws[0]
-    bound, runs = [], []
+    patterns = [(t.data != 0).astype(np.float32) for t in first.factors] + [np.float32(1)]
+    bound, runs, on_states = [], [], []
+    planning = [True]
 
     def counting(bind):
         def bind_counted(*args):
@@ -633,6 +634,10 @@ def test_planning_runs_no_op(monkeypatch):
 
             def run(regs):
                 runs.append(run)
+                if planning[0]:
+                    on_states.append(
+                        all(np.asarray(r).dtype == np.float32 for r in regs)
+                        and all(np.array_equal(r, p) for r, p in zip(regs, patterns)))
                 return call(regs)
             bound.append(run)
             return run
@@ -643,7 +648,9 @@ def test_planning_runs_no_op(monkeypatch):
         patch.setattr(K, "_bind_derived", counting(K._bind_derived))
         program = K._program.__wrapped__(expr, first.name, tuple(first.variables.items()),
                                          first._pattern)
-    assert not runs
+    planning[0] = False
+    assert runs == bound and len(on_states) == len(bound) and all(on_states)
+    runs.clear()
     counted = [op for op in program.ops if op in bound]
     # every call derives one register or combines two
     # (test_octet_program_op_counts)

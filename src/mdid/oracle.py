@@ -38,6 +38,11 @@ a FactoredLaw with a single factor (``dense``).
 
 A verification passes only when every trial's largest cell gap is within
 the tolerance and no evaluated cell is undefined (NaN).
+
+A colluder witness is a closed-form pair of laws on the pair's obstruction
+submodel (``colluder_witness``), with no search.  It is checked on the
+marginal over the proxies and O and at one full-law cell, so it never
+builds the full joint.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .missing import without_censored_rows
 from .model import MISSING_TOKEN, MdDag, Triple
 
 CPT_FLOOR = 0.01
-WITNESS_RETRIES = 20    # seeds colluder_witness tries before it gives up
 
 
 class OracleError(ValueError):
@@ -333,86 +337,62 @@ def verify_indicator_functional(md: MdDag, indicator: str, expr,
 
 
 def colluder_witness(md: MdDag, pair: tuple[str, str], seed: int = 0):
-    """Two full laws agreeing on the observed law but differing in the full
-    law, built around the collider structure: the censored parent's law is
-    made context-free and the collider row is perturbed along the surface
-    that keeps the censored mixture constant."""
+    """Two binary full laws that agree on the observed law and differ on the
+    full law, for a colluder pair (R_i, R_j): X_j(1) -> R_i <- R_j.
+
+    Both laws live on the pair's obstruction submodel, where R_i reads only
+    R_j and X_j(1) and no other vertex but a proxy reads a parent, so they
+    are laws of the model.  X_j(1) and R_j are uniform, and every other substantive
+    vertex but R_i puts mass 1 - CPT_FLOOR on a value drawn from seed.
+    Given R_j = 1, R_i = 0 has mass 1/2 in both laws; given R_j = 0, it has
+    1/2 in the first law and, in the second, 9/10 at X_j(1) = 0 and 1/10 at
+    X_j(1) = 1.
+
+    The observed laws agree: R_j = 0 makes X_j's proxy "?", and apart from
+    that proxy only R_i reads X_j(1), so given R_j = 0 the observed law sees
+    R_i's mixture over a uniform X_j(1), 1/2 in both laws.  The full laws
+    differ by exactly 1/10 at the cell (X_j(1) = 0, R_j = 0, R_i = 0),
+    whatever the size of the model.  Both are checked, on the marginal over
+    the proxies and O and at that cell, and a failed check raises
+    OracleError."""
     ri, rj = pair
     g = md.graph
-    tj = md.triple_of(rj)
-    pa_i = g.parents([ri])
-    if rj not in pa_i or tj.truth not in pa_i:
+    if not ({ri, rj} <= md.indicators and {rj, md.triple_of(rj).truth} <= g.parents([ri])):
         raise OracleError(f"({ri}, {rj}) is not a collider-certificate pair")
+    xj = md.triple_of(rj).truth
 
-    for attempt in range(WITNESS_RETRIES):
-        rng = np.random.default_rng(seed + attempt)
-        domains_truth = (0, 1)
-        # context-free law for the censored parent
-        b = float(rng.uniform(0.3, 0.7))
-        pa_xj = sorted(g.parents([tj.truth]))
-        dims = tuple(sorted([tj.truth] + pa_xj))
-        doms = {v: domains_truth for v in dims}
-        shape = tuple(2 for _ in dims)
-        data = np.empty(shape)
-        ax = dims.index(tj.truth)
-        data[(slice(None),) * ax + (0,)] = b
-        data[(slice(None),) * ax + (1,)] = 1 - b
-        overrides = {tj.truth: NamedTable(dims, doms, data)}
-        # children of the censored parent other than the collider and the
-        # proxy must ignore it
-        for c in sorted(g.children([tj.truth]) - {ri, tj.proxy}):
-            pa_c = sorted(g.parents([c]))
-            cpt = _random_cpt(rng, c, domains_truth, {p: domains_truth for p in pa_c})
-            axj = cpt.dims.index(tj.truth)
-            flat = cpt.data.mean(axis=axj, keepdims=True)
-            cpt = NamedTable(cpt.dims, cpt.domains,
-                             np.broadcast_to(flat, cpt.data.shape).copy())
-            overrides[c] = cpt
+    def cpt(v: str, rows, reads: tuple[str, ...] = ()) -> NamedTable:
+        """v's CPT that reads only ``reads``: rows over (*reads, v)."""
+        dims = tuple(sorted({v} | g.parents([v])))
+        domains = {d: (0, 1) for d in dims}
+        check_cells(dims, domains)      # before allocating
+        rows = NamedTable(reads + (v,), domains, rows).aligned(dims, domains)
+        return NamedTable(dims, domains, np.broadcast_to(rows, (2,) * len(dims)).copy())
 
-        law1 = make_cpts(md, 2, overrides, rng)
-        cpt_i = _cpt_of(g, law1, ri)
-        # perturb p(R_i | R_j=0, X_j, rest) keeping b-weighted mixtures fixed
-        data2 = cpt_i.data.copy()
-        ax_i = cpt_i.dims.index(ri)
-        ax_j = cpt_i.dims.index(rj)
-        ax_x = cpt_i.dims.index(tj.truth)
+    others = sorted((md.truths | md.indicators | md.observed) - {ri, rj, xj})
+    peaks = np.random.default_rng(seed).integers(2, size=len(others))
+    tables = {v: cpt(v, np.where(np.arange(2) == peak, 1 - CPT_FLOOR, CPT_FLOOR))
+              for v, peak in zip(others, peaks)}
+    tables.update({v: cpt(v, np.full(2, 0.5)) for v in (xj, rj)})
 
-        def cell(ridx, jv, xv):
-            sl = [slice(None)] * data2.ndim
-            sl[ax_i], sl[ax_j], sl[ax_x] = ridx, jv, xv
-            return tuple(sl)
+    def law(q: float) -> FactoredLaw:
+        # R_i's rows over (R_j, X_j(1), R_i): R_i = 0 has mass q at
+        # (0, 0), 1 - q at (0, 1) and 1/2 given R_j = 1
+        rows = np.array([[[q, 1 - q], [1 - q, q]], [[0.5, 0.5], [0.5, 0.5]]])
+        return make_cpts(md, 2, {**tables, ri: cpt(ri, rows, (rj, xj))})
 
-        d = data2[cell(0, 0, 0)]
-        f = data2[cell(0, 0, 1)]
-        hi = 1 - CPT_FLOOR
-        eps_up = np.minimum((hi - d) / (1 - b), (f - CPT_FLOOR) / b)
-        eps_dn = np.minimum((d - CPT_FLOOR) / (1 - b), (hi - f) / b)
-        eps = np.where(eps_up >= eps_dn, eps_up, -eps_dn) * 0.9
-        if np.min(np.abs(eps)) * min(b, 1 - b) < 1e-3:
-            continue
-        d2 = d + eps * (1 - b)
-        f2 = f - eps * b
-        data2[cell(0, 0, 0)] = d2
-        data2[cell(0, 0, 1)] = f2
-        data2[cell(1, 0, 0)] = 1 - d2
-        data2[cell(1, 0, 1)] = 1 - f2
-        cpt_i2 = NamedTable(cpt_i.dims, cpt_i.domains, data2)
-        law2 = FactoredLaw("full", dict(law1.variables),
-                           tuple(cpt_i2 if t is cpt_i else t for t in law1.factors),
-                           law1.heads)
+    law1, law2 = law(0.5), law(0.9)
 
-        # each indicator is a function of its proxy (R_i = 1 iff X_i != "?"),
-        # so the observed laws agree where their law over (X, O) does
-        seen = md.proxies | md.observed
-        obs_gap = derive_observed_law(md, law1).marginal(seen).max_abs_diff(
-            derive_observed_law(md, law2).marginal(seen))
-        # the proxies are deterministic in (X(1), R), so the full laws
-        # differ exactly where their law over (X(1), R, O) does
-        full = md.truths | md.indicators | md.observed
-        full_gap = law1.marginal(full).max_abs_diff(law2.marginal(full))
-        if obs_gap <= 1e-12 and full_gap >= 1e-3:
-            return law1, law2
-    raise OracleError(f"no witness pair found for {pair} after {WITNESS_RETRIES} tries")
+    # each indicator is a function of its proxy (R_i = 1 iff X_i != "?"),
+    # so the observed laws agree where their law over (X, O) does
+    seen = md.proxies | md.observed
+    obs_gap = law1.marginal(seen).max_abs_diff(law2.marginal(seen))
+    cell = {xj: 0, rj: 0, ri: 0}
+    cell_gap = abs(float(law1.marginal((), cell).data) - float(law2.marginal((), cell).data))
+    if obs_gap > 1e-12 or cell_gap < 1e-3:
+        raise OracleError(f"witness for {pair}: observed laws differ by {obs_gap:.3g},"
+                          f" full laws by {cell_gap:.3g} at {cell}")
+    return law1, law2
 
 
 # ---------------------------------------------------------------------------

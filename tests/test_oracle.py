@@ -291,6 +291,10 @@ def test_colluder_witness_quantitative():
         assert (joint.data >= -1e-15).all()
     with pytest.raises(O.OracleError):
         O.colluder_witness(md, ("R1", "R2"))
+    # names that are not indicators of the model are refused the same way
+    for bad in [("R9", "R2"), ("R1", "X2(1)")]:
+        with pytest.raises(O.OracleError, match="is not a collider-certificate pair"):
+            O.colluder_witness(md, bad)
 
 
 def test_witness_on_embedded_colluder():
@@ -348,6 +352,45 @@ def test_witness_for_nine_censored_variables():
     assert o1.marginal(seen).max_abs_diff(o2.marginal(seen)) <= 1e-12
     core = md.truths | md.indicators | md.observed
     assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
+
+
+def test_witness_for_ten_censored_variables():
+    # the laws differ by 1/10 at one full-law cell at any size, and the other
+    # vertices concentrate their mass, so the dense gap stays past 1e-3
+    md = md_dag([("X2(1)", "R1"), ("R2", "R1")], [f"X{i}" for i in range(1, 11)])
+    tracemalloc.start()
+    try:
+        l1, l2 = O.colluder_witness(md, ("R1", "R2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 25
+    seen = md.proxies | md.observed
+    assert l1.marginal(seen).max_abs_diff(l2.marginal(seen)) <= 1e-12
+    cell = {"R1": 0, "R2": 0, "X2(1)": 0}
+    assert float(l1.marginal((), cell).data) == pytest.approx(0.125, abs=1e-12)
+    assert float(l2.marginal((), cell).data) == pytest.approx(0.225, abs=1e-12)
+    core = md.truths | md.indicators          # 2^20 cells
+    assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(2, 5), n_obs=st.integers(0, 1),
+       allow_self_censoring=st.booleans(), witness_seed=st.integers(0, 10_000))
+def test_witness_for_every_colluder_of_random_models(seed, k, n_obs, allow_self_censoring,
+                                                     witness_seed):
+    md = random_mddag(np.random.default_rng(seed), k, n_obs=n_obs,
+                      allow_self_censoring=allow_self_censoring)
+    core = md.truths | md.indicators | md.observed
+    for pair in colluder_scan(md):
+        l1, l2 = O.colluder_witness(md, pair, seed=witness_seed)
+        o1, o2 = O.derive_observed_law(md, l1), O.derive_observed_law(md, l2)
+        assert o1.table.max_abs_diff(o2.table) <= 1e-12
+        assert l1.marginal(core).max_abs_diff(l2.marginal(core)) >= 1e-3
+        for law in (l1, l2):
+            for f, head in zip(law.factors, law.heads):
+                if head in core:
+                    assert f.data.min() >= O.CPT_FLOOR
 
 
 def factor_checksum(law) -> str:

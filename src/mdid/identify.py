@@ -47,9 +47,11 @@ class SearchBudget:
     time_limit: float = math.inf
 
     def __post_init__(self):
+        counts = (self.max_set_size, self.max_latent_subsets, self.max_schedules)
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
+            raise ValueError("budget counts must be ints")
         # `not time_limit > 0` also rejects NaN; math.inf stays valid
-        if min(self.max_set_size, self.max_latent_subsets,
-               self.max_schedules) <= 0 or not self.time_limit > 0:
+        if min(counts) <= 0 or not self.time_limit > 0:
             raise ValueError("budget fields must be positive")
 
 

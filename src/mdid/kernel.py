@@ -48,10 +48,12 @@ the law's factors and the unit, and caches it by the law's structure (its
 name, variables, zero pattern and heads): the kernel's one cache
 (``_program``).  As in an arithmetic circuit (Chavira & Darwiche, below),
 each op, its constants and input registers bound at plan time, is one of
-two calls: it indexes and sums one register (``_bind_derived``: a factor
-slice, a one-table step, a derived marginal, a sum), or combines two by
+two calls: it derives one register (``_bind_derived``: a factor slice, a
+one-table step, a derived marginal, a sum), or combines two by
 ``np.matmul``, ``np.multiply`` or ``np.divide`` (``_bind_two``: a
-two-table step, a join).  An oracle trial runs only the calls' arithmetic
+two-table step, a join).  An array is reshaped in one form, a tuple of
+steps ``(callable, *args)`` (``_converted``), which a binder composes into
+one call (``_composed``).  An oracle trial runs only the calls' arithmetic
 (``_Program.run``); a law's marginal is the program of one atom.
 Planning reads no table's data: it runs each call once, on the cells'
 states rather than on a law.  The planner plans each distinct marginal
@@ -112,6 +114,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -753,7 +756,7 @@ class NamedTable:
             return self
         have = _Layout(self.dims, self.domains, ())
         return NamedTable(self.dims, {d: domains[d] for d in self.dims},
-                          _converted(self.data, *_conversion(have, self.dims, domains, {})))
+                          _converted(self.data, _conversion(have, self.dims, domains, {})))
 
     def aligned(self, dims: tuple[str, ...], domains: dict[str, tuple[Value, ...]]) -> np.ndarray:
         perm, shape = _alignment(self.dims, dims, domains)
@@ -788,7 +791,7 @@ class NamedTable:
                           _states(a.data), _states(b.data), divide, ())
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return NamedTable(plan.out.dims, plan.out.domains, _bind_two(
-                0, 1, plan.operands, op, None, None, plan.fixes)([a.data, b.data]))
+                0, 1, *plan.operands, op, (), plan.fixes)([a.data, b.data]))
 
     def undefined_count(self) -> int:
         return int(np.isnan(self.data).sum())
@@ -839,25 +842,10 @@ def _stored(t) -> tuple[str, ...]:
     return tuple(d for d in t.dims if d not in gone)
 
 
-def _reindex_step(ax: int, have: tuple[Value, ...], dom: tuple[Value, ...]) -> tuple:
-    """How axis ax moves from the values have to dom (``_padded``): the
-    positions in have of the values of dom it holds, the length of dom, and
-    the index at which they go into a zero array over dom (None when have
-    holds all of dom)."""
-    hit = [i for i, v in enumerate(dom) if v in have]
-    take = [have.index(dom[i]) for i in hit]
-    at = None
-    if len(hit) < len(dom):
-        at = tuple(hit if j == ax else slice(None) for j in range(ax + 1))
-    return ax, take, len(dom), at
-
-
-def _padded(x: np.ndarray, ax: int, take: list, size: int, at: tuple | None) -> np.ndarray:
-    x = x.take(take, ax)
-    if at is None:
-        return x
+def _padded(x: np.ndarray, ax: int, size: int, index: tuple) -> np.ndarray:
+    """x put into zeros whose axis ax has size values, at index."""
     out = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype)
-    out[at] = x
+    out[index] = x
     return out
 
 
@@ -889,23 +877,62 @@ def _grouped(x: np.ndarray, order: np.ndarray | None, starts: np.ndarray, ax: in
     return np.add.reduceat(x if order is None else x.take(order, ax), starts, ax)
 
 
-def _converted(x: np.ndarray, steps: tuple, perm: tuple | None, shape: tuple | None) -> np.ndarray:
+def _contiguous(x: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(perm))
+
+
+def _zeros(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def _fixed(z: np.ndarray, zero: np.ndarray, undefined: np.ndarray) -> np.ndarray:
+    np.put(z, zero, 0.0)
+    np.put(z, undefined, np.nan)
+    return z
+
+
+def _laid(perm: tuple[int, ...] | None, shape: tuple[int, ...] | None) -> tuple:
+    """The steps that transpose by perm, then reshape to shape, where not
+    None: ``np.ndarray``'s methods, which take no numpy scalar."""
+    return ((((np.ndarray.transpose, perm),) if perm is not None else ())
+            + (((np.ndarray.reshape, shape),) if shape is not None else ()))
+
+
+def _converted(x: np.ndarray, steps: tuple) -> np.ndarray:
+    """x reshaped by steps, each (callable, *args) called as callable(x, *args)."""
     for step, *args in steps:
         x = step(x, *args)
-    if perm is not None:
-        x = x.transpose(perm)
-    return x if shape is None else x.reshape(shape)
+    return x
+
+
+def _composed(call, steps: tuple):
+    """call, then steps (``_converted``) on its result, as one call of the
+    registers whose args are bound in cells, so a run unpacks no step."""
+    for step, *args in steps:
+        call = _then(call, step, *args)
+    return call
+
+
+def _then(call, step, *args):
+    if len(args) == 1:
+        (a,) = args
+        return lambda regs: step(call(regs), a)
+    if len(args) == 2:
+        a, b = args
+        return lambda regs: step(call(regs), a, b)
+    a, b, c = args
+    return lambda regs: step(call(regs), a, b, c)
 
 
 def _conversion(have: _Layout, dims: tuple[str, ...], domains: Mapping[str, tuple[Value, ...]],
                 drop: Mapping[str, tuple]) -> tuple:
-    """How the array of have becomes one over the axes of a table over dims
-    and domains that drops each A of drop (mapped to its (B, at)), shaped to
-    broadcast against another: a sequence of steps (``_converted``), then a
-    transpose and a shape (None where not needed).  A dropped axis of have
-    that drop keeps is put back (``_expanded``); an axis is reindexed to its
-    domain (``_padded``); and an axis A that drop leaves out is indexed at
-    at(B), on the diagonal if have spans B, else becoming B's axis."""
+    """The steps (``_converted``) that make the array of have one over the
+    axes of a table over dims and domains that drops each A of drop (mapped
+    to its (B, at)), shaped to broadcast against another.  A dropped axis
+    of have that drop keeps is put back (``_expanded``); an axis is
+    reindexed to its domain (``_padded``); and an axis A that drop leaves
+    out is indexed at at(B), on the diagonal if have spans B, else becoming
+    B's axis."""
     cur = list(_stored(have))
     doms = dict(have.domains)
     steps: list = []
@@ -917,15 +944,20 @@ def _conversion(have: _Layout, dims: tuple[str, ...], domains: Mapping[str, tupl
             cur = cur[:ax] + cur[ax + 1:] + [b, a]
     for d in sorted(cur):
         if doms[d] != domains[d]:
-            steps.append((_padded, *_reindex_step(cur.index(d), doms[d], domains[d])))
+            # the values of the domain that have holds, then zeros at the rest
+            ax, hit = cur.index(d), [i for i, v in enumerate(domains[d]) if v in doms[d]]
+            steps.append((np.ndarray.take, [doms[d].index(domains[d][i]) for i in hit], ax))
+            if len(hit) < len(domains[d]):
+                steps.append((_padded, ax, len(domains[d]),
+                              tuple(hit if j == ax else slice(None) for j in range(ax + 1))))
     rides, cur = _rides(cur, drop)
     steps += [_ride(ride, len(axes)) for ride, axes in rides]
     out = tuple(d for d in dims if d not in drop)
     perm, shape = _alignment(tuple(cur), out, domains)
     # an operand over the trailing axes of the result broadcasts as it is
     trailing = out[len(out) - len(perm):] == tuple(d for d in out if d in cur)
-    return (tuple(steps), None if perm == tuple(range(len(perm))) else perm,
-            None if trailing else shape)
+    return tuple(steps) + _laid(None if perm == tuple(range(len(perm))) else perm,
+                                None if trailing else shape)
 
 
 def _rides(cur: list, drop: Mapping[str, tuple]) -> tuple[list, list]:
@@ -972,7 +1004,7 @@ def _alignment(have: tuple[str, ...], dims: tuple[str, ...],
 
 class _JoinPlan(NamedTuple):
     out: _Layout
-    operands: tuple     # per operand: its conversion (steps, transpose, shape)
+    operands: tuple     # per operand: its conversion's steps
     fixes: tuple        # flat cells of the result's array to write 0 at, and NaN at
 
 
@@ -1010,7 +1042,7 @@ def _join_plan(ta: _Layout, tb: _Layout, sa: np.ndarray, sb: np.ndarray, divide:
             if (za and (zb or not np.isnan(sb).any())) if divide else (za or zb):
                 drop[a] = b, tuple(domains[a].index(f[v]) for v in domains[b])
     operands = tuple(_conversion(t, dims, domains, drop) for t in (ta, tb))
-    x, y = (_converted(s, *c) for s, c in zip((sa, sb), operands))
+    x, y = (_converted(s, c) for s, c in zip((sa, sb), operands))
     shape = tuple(len(domains[d]) for d in dims if d not in drop)
     with np.errstate(divide="ignore", invalid="ignore"):
         finite = np.isfinite(x / y if divide else x * y)
@@ -1023,44 +1055,20 @@ def _join_plan(ta: _Layout, tb: _Layout, sa: np.ndarray, sb: np.ndarray, divide:
     return _JoinPlan(out, operands, (np.flatnonzero(zero), np.flatnonzero(~(finite | zero))))
 
 
-def _bind_two(i: int, j: int, operands: tuple, op, shape: tuple | None, perm: tuple | None,
+def _bind_two(i: int, j: int, steps_x: tuple, steps_y: tuple, op, steps_out: tuple,
               fixes: tuple | None):
-    """The call that combines registers i and j: each operand converted
-    (``_converted``: its steps, transpose and shape), one ``op``
-    (``np.matmul`` for a contraction step, ``np.multiply`` or ``np.divide``
-    for a join), the result reshaped to shape and transposed by perm, C
-    contiguous (None for either where not needed), and a join's fixes (see
-    ``_JoinPlan``) written at their cells; under the caller's
-    ``np.errstate``."""
-    (steps_x, perm_x, shape_x), (steps_y, perm_y, shape_y) = operands
-    zero, undefined = fixes if fixes is not None and any(f.size for f in fixes) else (None, None)
-    asarray, contiguous, put, nan = np.asarray, np.ascontiguousarray, np.put, np.nan
+    """The call that combines registers i and j, each converted by its
+    steps, by ``op`` (``np.matmul`` for a contraction step, ``np.multiply``
+    or ``np.divide`` for a join), then converts the result by steps_out and
+    writes a join's fixes (``_JoinPlan``, flat cells in C order)."""
+    if fixes is not None and any(f.size for f in fixes):
+        steps_out += ((_fixed, *fixes),)
+    x, y = (_composed(operator.itemgetter(k), steps) for k, steps in ((i, steps_x), (j, steps_y)))
+    asarray = np.asarray
 
     def two(regs):
-        x, y = regs[i], regs[j]
-        for step, *args in steps_x:
-            x = step(x, *args)
-        if perm_x is not None:
-            x = x.transpose(perm_x)
-        if shape_x is not None:
-            x = x.reshape(shape_x)
-        for step, *args in steps_y:
-            y = step(y, *args)
-        if perm_y is not None:
-            y = y.transpose(perm_y)
-        if shape_y is not None:
-            y = y.reshape(shape_y)
-        z = asarray(op(x, y))
-        if shape is not None:
-            z = z.reshape(shape)
-        if perm is not None:
-            z = contiguous(z.transpose(perm))
-        if zero is not None:
-            # flat indices in C order, whatever order the ufunc wrote in
-            put(z, zero, 0.0)
-            put(z, undefined, nan)
-        return z
-    return two
+        return asarray(op(x(regs), y(regs)))
+    return _composed(two, steps_out)
 
 
 def rename_axes(tab: NamedTable, mapping: Mapping[str, str]) -> NamedTable:
@@ -1108,7 +1116,7 @@ def _mask(table: Axes, bits: bytes | None) -> np.ndarray:
     return flags.astype(bool).reshape(shape)
 
 
-def _functions(pattern: ZeroPattern) -> tuple:
+def _functions(pattern: ZeroPattern, masks: tuple[np.ndarray, ...]) -> tuple:
     """Each variable A that a table's zeros make a function of another
     variable B, as (A, B, the table's position, ((value of B, value of A),
     ...)) over the values of B with mass in that table: a table over both
@@ -1122,10 +1130,9 @@ def _functions(pattern: ZeroPattern) -> tuple:
     make A a function of anything, and is not searched."""
     tables, zeros, _ = pattern
     found: dict = {}
-    for pos, (table, bits) in enumerate(zip(tables, zeros)):
+    for pos, (table, bits, mask) in enumerate(zip(tables, zeros, masks)):
         if bits is None or len(table) < 2:
             continue
-        mask = _mask(table, bits)
         cells = np.flatnonzero(mask)
         at = np.unravel_index(cells, mask.shape)
         for ia, (a, dom_a) in enumerate(table):
@@ -1153,21 +1160,20 @@ def _onto(f: Mapping, dom_a: tuple, dom_b: tuple) -> bool:
 
 
 def _slicing(pinned: tuple, picks: tuple | None) -> tuple:
-    """How ``_bind_derived`` slices a factor at the evidence (pinned: per
-    axis, the index of its evidence value, None for an axis left) and at
-    the support (picks: per axis left, the output axis it indexes and the
-    positions it takes along it; None when no axis loses a value): a basic
-    index, a view even of every cell, so that freezing a result leaves the
-    factor writable, then index arrays laid along the output axes they
-    name, so that a dropped A takes, along B's, A's value at each of B's."""
-    at = ... if all(i is None for i in pinned) else tuple(
-        slice(None) if i is None else i for i in pinned)
-    ix = None
+    """The steps that slice a factor at the evidence (pinned: per axis, the
+    index of its evidence value, None for an axis left) and at the support
+    (picks: per axis left, the output axis it indexes and the positions it
+    takes along it; None when no axis loses a value): a basic index, a view
+    even of every cell, so that freezing a result leaves the factor
+    writable, then index arrays laid along the output axes they name, so
+    that a dropped A takes, along B's, A's value at each of B's."""
+    steps = [(operator.getitem, ... if all(i is None for i in pinned) else tuple(
+        slice(None) if i is None else i for i in pinned))]
     if picks is not None:
         n = 1 + max(o for o, _ in picks)
-        ix = tuple(np.array(k, dtype=np.intp).reshape([-1 if j == o else 1 for j in range(n)])
-                   for o, k in picks)
-    return None, at, (), ((), None), None, ix
+        steps.append((operator.getitem, tuple(np.array(k, dtype=np.intp).reshape(
+            [-1 if j == o else 1 for j in range(n)]) for o, k in picks)))
+    return tuple(steps)
 
 
 class _Plan(NamedTuple):
@@ -1186,27 +1192,20 @@ class _Step(NamedTuple):
     multiplied by ``np.matmul``, and the product is reshaped to its batch,
     left and right axes (``_bind_two``).  First, of two operands, one whose
     A rides on a B the other spans takes A's axis at B's values (``take``);
-    one operand never spans both A and B.  None stands for a call the step
-    does not need.  Equal steps on equal input registers make equal arrays,
-    so a step with its inputs is the key that shares it."""
+    one operand never spans both A and B.  Equal steps on equal input
+    registers make equal arrays, so a step with its inputs is the key that
+    shares it."""
 
-    sum: tuple[int, ...] | None     # one operand: the axes summed out
-    forms: tuple | None             # two operands: per operand, its transpose and matrix shape
-    shape: tuple[int, ...] | None   # two operands: the product's shape over its axes
-    perm: tuple[int, ...] | None    # the transpose to the output's order
-    take: tuple | None = None       # two operands: per operand, its rides (``_rides``)
-                                    # with the axes each applies to, or None
+    forms: tuple | None     # two operands: per operand, its steps to its matrix
+    out: tuple              # the steps from the operand or the product to the output
+    take: tuple | None = None   # two operands: per operand, its rides with their axes, or None
 
     def bind(self, inputs: tuple[int, ...]):
-        """The step as one call that reads its operands from the registers
-        inputs.  Only the last step of a plan transposes its output to the
-        plan's order, and it returns the transpose C-contiguous: a marginal
-        derived from the plan's table sums it far faster so."""
         if self.forms is None:
-            return _bind_derived(*inputs, (None, None, (), (self.sum or (), None), self.perm, None))
-        operands = tuple((tuple(_ride(*r) for r in rides or ()), *form)
-                         for rides, form in zip(self.take or (None, None), self.forms))
-        return _bind_two(*inputs, operands, np.matmul, self.shape, self.perm, None)
+            return _bind_derived(*inputs, self.out)
+        steps_x, steps_y = (tuple(_ride(*r) for r in rides or ()) + form
+                            for rides, form in zip(self.take or (None, None), self.forms))
+        return _bind_two(*inputs, steps_x, steps_y, np.matmul, self.out, None)
 
 
 def _perm(have: Sequence[str], want: Sequence[str]) -> tuple[int, ...] | None:
@@ -1215,29 +1214,47 @@ def _perm(have: Sequence[str], want: Sequence[str]) -> tuple[int, ...] | None:
     return None if perm == tuple(range(len(perm))) else perm
 
 
+def _matrices(a: tuple[str, ...], b: tuple[str, ...], out: tuple[str, ...]) -> tuple:
+    """The batch, left, right and summed axes of a step over a and b."""
+    return (tuple(d for d in a if d in b and d in out), tuple(d for d in a if d not in b),
+            tuple(d for d in b if d not in a), tuple(d for d in a if d in b and d not in out))
+
+
+def _copied(a: tuple[str, ...], b: tuple[str, ...], out: tuple[str, ...], size) -> int:
+    """The cells a step with left operand a and right operand b transposes."""
+    batch, left, right, summed = _matrices(a, b, out)
+    return sum(math.prod(size[d] for d in x) for x, order in
+               ((a, batch + left + summed), (b, batch + summed + right)) if x != order)
+
+
 def _lower(operands: tuple[tuple[str, ...], ...], out: tuple[str, ...], ordered: bool,
-           size: Mapping[str, int]) -> tuple[_Step, tuple[str, ...], int]:
+           size: Mapping[str, int]) -> tuple[_Step, tuple[str, ...]]:
     """The step over tables with the operands' axes that keeps the axes of
     out, in out's order if ordered, else in the order the step leaves them
-    (batch, left, right, each in its operand's order); with the cells of
-    the operands it transposes."""
+    (batch, left, right, each in its operand's order).  Only the last step
+    of a plan transposes its output, C-contiguous: a marginal derived from
+    the plan's table sums it far faster so."""
+
+    def last(made, axes):
+        return ((_contiguous, _perm(made, axes)),) if _perm(made, axes) else ()
+
     if len(operands) == 1:
         (a,) = operands
         summed = tuple(k for k, d in enumerate(a) if d not in out)
         kept = tuple(d for d in a if d in out)
         axes = out if ordered else kept
-        return _Step(summed or None, None, None, _perm(kept, axes)), axes, 0
+        return _Step(None, ((np.add.reduce, summed),) * bool(summed) + last(kept, axes)), axes
     a, b = operands
-    batch = tuple(d for d in a if d in b and d in out)
-    left = tuple(d for d in a if d not in b)
-    right = tuple(d for d in b if d not in a)
-    summed = tuple(d for d in a if d in b and d not in out)
+    batch, left, right, summed = _matrices(a, b, out)
 
     def n(axes):
         return math.prod(size[d] for d in axes)
 
     def form(axes, order, matrix):
-        return _perm(axes, order), None if matrix == tuple(size[d] for d in order) else matrix
+        if not axes:        # a numpy scalar, perhaps, which only np.reshape takes
+            return ((np.reshape, matrix),)
+        return _laid(_perm(axes, order),
+                     None if matrix == tuple(size[d] for d in order) else matrix)
 
     lead = (n(batch),) if batch else ()
     forms = (form(a, batch + left + summed, lead + (n(left), n(summed))),
@@ -1245,16 +1262,15 @@ def _lower(operands: tuple[tuple[str, ...], ...], out: tuple[str, ...], ordered:
     made = batch + left + right
     shape = tuple(size[d] for d in made)
     axes = out if ordered else made
-    return (_Step(None, forms, None if shape == lead + (n(left), n(right)) else shape,
-                  _perm(made, axes)), axes,
-            sum(n(x) for x, (perm, _) in zip(operands, forms) if perm is not None))
+    return _Step(forms, _laid(None, None if shape == lead + (n(left), n(right)) else shape)
+                 + last(made, axes)), axes
 
 
 def _union(operands) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(axes for _, axes in operands))))
 
 
-def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
+def _support(pattern: ZeroPattern, masks: tuple[np.ndarray, ...],
              ev: Mapping[str, Value]) -> dict[str, tuple[int, ...]]:
     """The support of each variable outside the evidence: the values that
     keep nonzero mass in every table once each is sliced at the evidence and
@@ -1262,10 +1278,11 @@ def _support(tables: tuple[Axes, ...], zeros: tuple[bytes | None, ...],
     variable that loses some to the positions of the values kept; a value
     left out has zero mass in the product of the tables.  A table without a
     zero removes no value, so only tables with zeros are read."""
+    tables, zeros, _ = pattern
     alive = {d: np.array([v == ev[d] for v in dom]) if d in ev else np.ones(len(dom), bool)
              for table in tables for d, dom in table}
-    masks = [(tuple(d for d, _ in table), _mask(table, bits))
-             for table, bits in zip(tables, zeros) if bits is not None]
+    masks = [(tuple(d for d, _ in table), mask)
+             for table, bits, mask in zip(tables, zeros, masks) if bits is not None]
     changed = True
     while changed:
         changed = False
@@ -1305,12 +1322,12 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
 
 
 def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins,
-                      functions: tuple) -> _Plan:
+                      functions: tuple, support: Mapping[str, tuple[int, ...]]) -> _Plan:
     """The marginal over keep at the evidence of tables with this
     ``zero_pattern``, planned once per program that asks for it and kept by
     none: each table left once the barren ones are dropped
-    (``_unbarren``) is sliced at the evidence and at the support
-    (``_support``), and the variable whose tables span the fewest axes is
+    (``_unbarren``) is sliced at the evidence and at the support (the
+    evidence's ``_support``), and the variable whose tables span the fewest axes is
     eliminated first (ties by name), a step multiplying its tables in pairs
     by ``np.matmul`` (``_Step``).  The result's axes are sorted, over the
     supports of the kept variables.  No step may span more than
@@ -1329,7 +1346,7 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     over the pairs on the support only, where the product is not zero, and
     B's axis carries A to the result, which drops A's axis, as the plan
     records."""
-    tables, zeros, heads = pattern
+    tables, _, heads = pattern
     ev = dict(evidence)
     full: dict[str, tuple[Value, ...]] = {}
     for table in tables:
@@ -1339,7 +1356,6 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             if d in ev and ev[d] not in dom:
                 raise ExprError(f"value {ev[d]!r} outside the domain of {d!r}")
     # the supports are found over every table, barren ones too
-    support = _support(tables, zeros, ev)
     domains = {d: tuple(dom[i] for i in support[d]) if d in support else dom
                for d, dom in full.items()}
     left = _unbarren(tables, heads, keep, ev)
@@ -1387,13 +1403,15 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
         check_cells(labels, domains)
         out = tuple(d for d in labels if d != v)
         size = {d: len(domains[d]) for d in labels}
-        # either table may be the left one: take the order that copies fewer cells
-        step, axes, _, order = min(
-            ((*_lower(tuple(x for _, x, _ in order), out, ordered, size), order)
-             for order in (taken, taken[::-1])), key=lambda option: option[2])
-        take = tuple(t for _, _, t in order)
+        # either table may be the left one: take the order that copies fewer
+        # cells, the first on a tie
+        if len(taken) == 2 and (_copied(taken[1][1], taken[0][1], out, size)
+                                < _copied(taken[0][1], taken[1][1], out, size)):
+            taken = taken[::-1]
+        step, axes = _lower(tuple(x for _, x, _ in taken), out, ordered, size)
+        take = tuple(t for _, _, t in taken)
         keys.append((step._replace(take=take) if any(take) else step,
-                     tuple(p for p, _, _ in order)))
+                     tuple(p for p, _, _ in taken)))
         return len(keys) - 1, axes
 
     def step(operands, v: str | None, ordered: bool) -> tuple[int, tuple[str, ...]]:
@@ -1439,10 +1457,10 @@ def evaluate_numeric(e: Expr, law) -> NamedTable:
 class _Program(NamedTuple):
     """An expression's evaluation as a flat sequence of calls, each
     appending one array to a run's registers, which start with the law's
-    factors and the unit: it derives one register (``_bind_derived``) or
-    combines two (``_bind_two``), with its constants and input registers
-    bound at plan time.  A slice or step that several marginals share
-    appears once.  It records the result's register, axes and support
+    factors and the unit: it derives one register by its steps
+    (``_bind_derived``) or combines two (``_bind_two``), with its steps and
+    input registers bound at plan time.  A slice or step that several
+    marginals share appears once.  It records the result's register, axes and support
     domains, how its array puts back the axes it drops, and which of its
     cells are zero and which undefined (its register's states, the dropped
     axes put back), facts of the plan that every law of the structure
@@ -1453,7 +1471,7 @@ class _Program(NamedTuple):
     out: int                    # the result's register
     dims: tuple[str, ...]
     domains: dict
-    full: tuple | None          # the result's conversion to all its axes, if it drops one
+    full: tuple                 # the steps that put back every axis the result drops
     states: np.ndarray          # the result's cell states (``_states``), known at plan time
 
     def registers(self, law) -> list:
@@ -1467,30 +1485,22 @@ class _Program(NamedTuple):
         return regs
 
     def run(self, law) -> NamedTable:
-        out = self.registers(law)[self.out]
-        if self.full is not None:
-            out = _converted(out, *self.full)
-        out = np.asarray(out)
+        out = np.asarray(_converted(self.registers(law)[self.out], self.full))
         out.flags.writeable = False     # it may be a view of a factor's
         return NamedTable(self.dims, dict(self.domains), out)
 
 
-def _summing(axes: tuple[int, ...], ndim: int) -> tuple | None:
-    """How ``_sum`` sums an array of ndim axes over axes: the transpose that
-    puts them last and the number of axes kept; None for one axis or none,
-    which one ``np.add.reduce`` sums as fast."""
+def _summing(axes: tuple[int, ...], ndim: int) -> tuple:
+    """The step that sums an array of ndim axes over axes: over several, as
+    one reduction of a last axis that holds them all, which numpy runs
+    several times faster on small arrays (``_sum``: the transpose that puts
+    them last and the number of axes kept)."""
     if len(axes) < 2:
-        return None
-    return tuple(k for k in range(ndim) if k not in axes) + tuple(axes), ndim - len(axes)
+        return np.add.reduce, axes
+    return _sum, tuple(k for k in range(ndim) if k not in axes) + tuple(axes), ndim - len(axes)
 
 
-def _sum(x: np.ndarray, axes: tuple[int, ...], summing: tuple | None) -> np.ndarray:
-    """x summed over axes: over several, as one reduction of a last axis
-    that holds them all, which numpy runs several times faster on small
-    arrays."""
-    if summing is None:
-        return np.add.reduce(x, axes) if axes else x
-    order, kept = summing
+def _sum(x: np.ndarray, order: tuple[int, ...], kept: int) -> np.ndarray:
     x = x.transpose(order)
     return np.add.reduce(x.reshape(x.shape[:kept] + (math.prod(x.shape[kept:]),)), -1)
 
@@ -1518,10 +1528,11 @@ def _marginals(e: Atom) -> list[tuple[frozenset[str], Pins]]:
 
 
 def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
-                    functions: tuple) -> tuple[dict, dict]:
+                    masks: tuple[np.ndarray, ...], functions: tuple) -> tuple[dict, dict]:
     """The contraction plan of every marginal e's atoms ask for, by (kept
     variables, evidence) in the order they are asked, and the source of each
-    marginal derived from another.
+    marginal derived from another, with the supports found once per
+    distinct evidence (``_support``).
 
     A marginal (K, E) can be derived from a source (K', E') when E' holds
     some of E's pins at the same values, the source's axes hold K and the
@@ -1535,6 +1546,7 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
     other plan still planned directly, decided in the order asked and again
     until nothing changes."""
     plans: dict = {}
+    supports: dict = {}
     for atom in _atoms(e, set()):
         if atom.law != name:
             raise ExprError(f"atom law {atom.law!r} not resolvable from {name!r}")
@@ -1543,7 +1555,9 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
             raise ExprError(f"law has no variables {sorted(missing)}")
         for asked in _marginals(atom):
             if asked not in plans:
-                plans[asked] = _contraction_plan(pattern, *asked, functions)
+                if asked[1] not in supports:
+                    supports[asked[1]] = _support(pattern, masks, dict(asked[1]))
+                plans[asked] = _contraction_plan(pattern, *asked, functions, supports[asked[1]])
 
     def derives(r, s) -> bool:
         (kept, ev), (_, ev_s) = r, s
@@ -1583,20 +1597,26 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
 
 
 def _derivation(source: _Layout, table: _Layout, evidence: Mapping[str, Value]) -> tuple | None:
-    """How ``_bind_derived`` makes table's array from source's: the shape,
-    the basic index (None to take every cell), the steps (``_converted``;
-    None for a zero table), the axes summed with how (``_summing``), the
-    transpose and the index arrays.  A kept A whose B is summed gets its
-    axis back, each value the sum of a group of B's values: each B carries
-    one A (``_functions``) and maps onto all of A's values (``_onto``), so
-    no group is empty.  A pinned A on a summed B keeps the values of B where
-    A is at the pin.  None where the source drops an A that table pins with
-    its B, or keeps while it keeps or pins B; a sum pins nothing and drops
-    each pair it keeps, so is never refused.  A table that drops A keeps A
-    and B, so its source (``_plan_marginals``), at less evidence, drops A."""
+    """The steps (``_converted``) that make table's array from source's: a
+    basic index at the evidence the source lacks and at the support where
+    it is a run, the steps for the axes the source drops, one sum
+    (``_summing``), a C-contiguous transpose, then an index on an axis whose
+    support is not a run.  Its cells are its direct plan's summed in
+    another order: the source's values outside its support have no mass at
+    its evidence, and evidence outside the source's support has none at
+    all, so the table is zero (``_zeros``).  A pinned A on a kept B needs
+    no slice: the support of B holds only the values where A is at the pin.
+    A kept A whose B is summed gets its axis back, each value the sum of a
+    group of B's values: each B carries one A (``_functions``) and maps onto
+    all of A's values (``_onto``), so no group is empty.  A pinned A on a
+    summed B keeps the values of B where A is at the pin.  None where the
+    source drops an A that table pins with its B, or keeps while it keeps or
+    pins B; a sum pins nothing and drops each pair it keeps, so is never
+    refused.  A table that drops A keeps A and B, so its source
+    (``_plan_marginals``), at less evidence, drops A."""
     shape = tuple(len(table.domains[d]) for d in _stored(table))
     if any(d in evidence and evidence[d] not in dom for d, dom in source.domains.items()):
-        return shape, None, None, ((), None), None, None
+        return ((_zeros, shape),)
     dropped = {a for a, _, _ in table.drop}
     kept = _stored(table)
     at, picks = [], {}      # per axis of the source: its basic index; per kept axis: its index
@@ -1635,47 +1655,23 @@ def _derivation(source: _Layout, table: _Layout, evidence: Mapping[str, Value]) 
             return None
     axes = tuple(k for k, d in enumerate(cur) if d not in kept)
     perm = _perm([d for d in cur if d in kept], kept)
-    ix = None if not picks else np.ix_(*(picks.get(d, np.arange(n, dtype=np.intp))
-                                         for d, n in zip(kept, shape)))
-    return (shape, None if all(x == slice(None) for x in at) else tuple(at), tuple(steps),
-            (axes, _summing(axes, len(cur))), perm, ix)
-
-
-def _derived(x: np.ndarray, at, steps: tuple, summed: tuple, perm, ix) -> np.ndarray:
-    """The source's array x made into the table ``_derivation`` plans; a
-    transpose comes out C-contiguous, which a later sum reads far faster."""
-    if at is not None:
-        x = x[at]
-    for step, *args in steps:
-        x = step(x, *args)
-    x = _sum(x, *summed)
+    if any(x != slice(None) for x in at):
+        steps.insert(0, (operator.getitem, tuple(at)))
+    if axes:
+        steps.append(_summing(axes, len(cur)))
     if perm is not None:
-        x = np.ascontiguousarray(x.transpose(perm))
-    return x if ix is None else x[ix]
+        steps.append((_contiguous, perm))
+    if picks:
+        steps.append((operator.getitem, np.ix_(*(picks.get(d, np.arange(n, dtype=np.intp))
+                                                 for d, n in zip(kept, shape)))))
+    return tuple(steps)
 
 
-def _bind_derived(i: int, how: tuple):
-    """The call that makes a table from register i, which holds its source,
-    as ``_derivation`` or ``_slicing`` plans (how): a basic slice at the
-    evidence the source lacks, the steps for the axes the source drops, one
-    sum, then an index on an axis whose support is not a run of the
-    source's values.  A plain sum, as a Marginal node's often is, is one
-    ``_sum``, and a factor slice its two indexes.  A derived marginal's
-    cells are its direct plan's summed in another order: the source's
-    values outside its support have no mass at its evidence, and evidence
-    outside the source's support has none at all, so the marginal is zero.
-    A pinned A on a kept B needs no slice: the marginal's support of B
-    holds only the values where A is at the pin."""
-    shape, *how = how
-    at, steps, (axes, summing), perm, ix = how
-    if steps is None:
-        return lambda regs: np.zeros(shape)
-    if not steps and perm is None:
-        if at is None and ix is None:       # a plain sum
-            return lambda regs: _sum(regs[i], axes, summing)
-        if at is not None and not axes:     # indexes only
-            return (lambda regs: regs[i][at]) if ix is None else (lambda regs: regs[i][at][ix])
-    return lambda regs: _derived(regs[i], *how)
+def _bind_derived(i: int, steps: tuple):
+    """The call that makes a table from register i by steps: a factor slice
+    (``_slicing``), a derived marginal or a sum (``_derivation``), or a
+    one-table ``_Step``."""
+    return _composed(operator.itemgetter(i), steps)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1696,19 +1692,21 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
 
     Each register's states, and so its zero and undefined cells, are known
     here, as an arithmetic circuit finds its zeros by running on them: the
-    states start as the factors' zero patterns (float32) and the unit's 1,
-    and each call, as it is bound, runs once on them, clamped to 1.  So a
-    call reads only 0, 1 and NaN: a step or a sum of 0/1 cells is positive
-    exactly where a nonzero product is summed, NaN stays NaN through a sum,
-    and a join's fixes (``_join_plan``) make 0·NaN and 0/0 zero and x/0
-    NaN.  The result puts back every axis it drops (``_Program.full``)."""
+    states start as the factors' masks (float32; decoded once, as the
+    functions and supports read them) and the unit's 1, and each call, as
+    it is bound, runs once on them, clamped to 1.  So a call reads only 0,
+    1 and NaN: a step or a sum of 0/1 cells is positive exactly where a
+    nonzero product is summed, NaN stays NaN through a sum, and a join's
+    fixes (``_join_plan``) make 0·NaN and 0/0 zero and x/0 NaN.  The result puts back every axis it drops (``_Program.full``)."""
     ops: list = []
     made: dict = {}         # register by the key of a slice or step, or by derived marginal
     memo: dict = {}         # register and layout by expression
-    functions = _functions(pattern)
-    plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, functions)
+    masks = tuple(_mask(t, bits) for t, bits in zip(*pattern[:2]))     # read once
+    functions = _functions(pattern, masks)
+    plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, masks,
+                                     functions)
     # per register, its cells' states (``_states``): the factors' zero patterns, the unit's 1
-    states = [_mask(t, bits).astype(np.float32) for t, bits in zip(*pattern[:2])]
+    states = [mask.astype(np.float32) for mask in masks]
     unit = len(states), _Layout((), {}, ())
     states.append(np.ones((), np.float32))
 
@@ -1740,8 +1738,8 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, ta), (j, tb) = a, b
         plan = _join_plan(ta, tb, states[i], states[j], divide, functions)
-        return emit(_bind_two(i, j, plan.operands, np.divide if divide else np.multiply,
-                              None, None, plan.fixes)), plan.out
+        return emit(_bind_two(i, j, *plan.operands, np.divide if divide else np.multiply,
+                              (), plan.fixes)), plan.out
 
     def visit(e: Expr) -> tuple:
         if e not in memo:
@@ -1774,6 +1772,5 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
         raise ExprError(f"unknown node {type(e).__name__}")
 
     out, t = visit(e)
-    full = _conversion(t, t.dims, t.domains, {}) if t.drop else None
-    return _Program(tuple(ops), out, t.dims, t.domains, full,
-                    states[out] if full is None else _converted(states[out], *full))
+    full = _conversion(t, t.dims, t.domains, {}) if t.drop else ()
+    return _Program(tuple(ops), out, t.dims, t.domains, full, _converted(states[out], full))

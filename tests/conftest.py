@@ -225,24 +225,37 @@ def stored_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -
         return register_alone(law, kept, dict(ev))
     source = sources[asked]
     data = register_alone(law, source[0], dict(source[1]))
-    how = K._derivation(plans[source].layout, plans[asked].layout, dict(ev))
-    return K._bind_derived(0, how)([data])
+    steps = K._derivation(plans[source].layout, plans[asked].layout, dict(ev))
+    return K._bind_derived(0, steps)([data])
 
 
 def derived_alone(law: O.FactoredLaw, plans: dict, sources: dict, asked: tuple) -> NamedTable:
     """``stored_alone``'s marginal with the axes its plan drops put back."""
     t = plans[asked].layout
     data = K._converted(stored_alone(law, plans, sources, asked),
-                        *K._conversion(t, t.dims, t.domains, {}))
+                        K._conversion(t, t.dims, t.domains, {}))
     return NamedTable(t.dims, dict(t.domains), data)
+
+
+def functions_of(pattern: K.ZeroPattern) -> tuple:
+    """The masks of a zero pattern's tables and the functions they make, as
+    ``K._program`` finds them."""
+    masks = tuple(K._mask(t, bits) for t, bits in zip(*pattern[:2]))
+    return masks, K._functions(pattern, masks)
+
+
+def plan_marginals(law: O.FactoredLaw, expr: K.Expr) -> tuple[dict, dict]:
+    """The plans of the marginals that the program of expr on the law asks
+    for, and the source of each it derives (``K._plan_marginals``)."""
+    return K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
+                             *functions_of(law._pattern))
 
 
 def check_derived(law: O.FactoredLaw, expr: K.Expr) -> list:
     """Each marginal the program of expr derives, checked against its direct
     plan: equal axes, domains, NaN and zero cells, other cells within 1e-14.
     Returns the derived tables."""
-    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
-                                       K._functions(law._pattern))
+    plans, sources = plan_marginals(law, expr)
     out = []
     for asked in sources:
         got = derived_alone(law, plans, sources, asked)

@@ -208,6 +208,14 @@ def test_budget_validation():
         SearchBudget(max_schedules=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=float("nan"))
+    # a count is an int, never a float, a bool or a string
+    for bad in ({"max_schedules": 2.5}, {"max_set_size": 2.0}, {"max_latent_subsets": True},
+                {"max_schedules": "10"}):
+        with pytest.raises(ValueError):
+            SearchBudget(**bad)
+    # a time limit is any positive number
+    for limit in (5, 2.5, math.inf):
+        assert SearchBudget(time_limit=limit).time_limit == limit
     assert SearchBudget(time_limit=math.inf).time_limit == math.inf
     # the deadline is opt-in: by default only the schedule and latent-subset
     # budgets decide a verdict

@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import tracemalloc
 
@@ -13,8 +14,8 @@ from mdid.identify import identify_full, identify_target
 from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
-from conftest import check_derived, random_dag, random_mddag, reference_elimination_marginal, \
-    sum_out
+from conftest import check_derived, functions_of, plan_marginals, random_dag, random_mddag, \
+    reference_elimination_marginal, sum_out
 
 MISSING_DATA_FIXTURES = [n for n in FIXTURE_NAMES if isinstance(load(n), MdDag)]
 
@@ -504,10 +505,11 @@ def test_contract_leaves_out_tables_that_become_barren():
     chain = Cadmg("ABCD", [("A", "B"), ("B", "C"), ("C", "D")])
     law = O.sample_dag_law(chain, 2, 0)
     axes, zeros, heads = law._pattern
+    masks, functions = functions_of(law._pattern)
 
     def sliced(keep, evidence=()):
-        plan = K._contraction_plan(law._pattern, frozenset(keep), evidence,
-                                   K._functions(law._pattern))
+        plan = K._contraction_plan(law._pattern, frozenset(keep), evidence, functions,
+                                   K._support(law._pattern, masks, dict(evidence)))
         return sorted(heads[key[0]] for key in plan.keys if not isinstance(key[0], K._Step))
 
     assert sliced("A") == ["A"]
@@ -516,7 +518,8 @@ def test_contract_leaves_out_tables_that_become_barren():
     assert sliced("AD") == ["A", "B", "C", "D"]
     # without heads, nothing is barren
     headless = (axes, zeros, (None,) * 4)
-    plan = K._contraction_plan(headless, frozenset("A"), (), K._functions(headless))
+    plan = K._contraction_plan(headless, frozenset("A"), (), functions_of(headless)[1],
+                               K._support(headless, masks, {}))
     assert len([key for key in plan.keys if not isinstance(key[0], K._Step)]) == 4
 
 
@@ -674,8 +677,7 @@ def test_derived_marginal_on_a_support_that_is_not_a_run():
     c = K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.4, 0.6]))
     law = law_of([a_c, b_a, c])
     e = K.Product((K.Atom("p", ("A", "B", "C")), K.Atom("p", ("A", "C"), pins=(("C", 1),))))
-    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern,
-                                       K._functions(law._pattern))
+    plans, sources = plan_marginals(law, e)
     assert list(sources) == [(frozenset("A"), (("C", 1),))]
     (derived,) = check_derived(law, e)
     assert derived.domains == {"A": (0, 2)}
@@ -693,14 +695,14 @@ def test_derived_marginal_regroups_a_rider_and_indexes_its_support():
                       np.array([[0.4, 0.3], [0.0, 0.3]]))
     law = law_of([f1, f2])
     e = K.Product((K.Atom("p", ("A", "B", "C")), K.Atom("p", ("A", "C"), pins=(("C", 0),))))
-    plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern,
-                                       K._functions(law._pattern))
+    plans, sources = plan_marginals(law, e)
     asked, source = (frozenset("A"), (("C", 0),)), (frozenset("ABC"), ())
     assert sources == {asked: source}
     assert plans[source].layout.drop == (("A", "B", (0, 1, 1)),)
-    how = K._derivation(plans[source].layout, plans[asked].layout, {"C": 0})
-    assert [step[0] for step in how[2]] == [K._grouped]
-    assert [ix.tolist() for ix in how[-1]] == [[0]]
+    steps = K._derivation(plans[source].layout, plans[asked].layout, {"C": 0})
+    # the slice at C = 0, the groups, then the index at A's support
+    assert [step[0] for step in steps] == [operator.getitem, K._grouped, operator.getitem]
+    assert [ix.tolist() for ix in steps[-1][1]] == [[0]]
     (derived,) = check_derived(law, e)
     want = law.on_support({"A"}, {"C": 0})
     assert derived.domains == want.domains == {"A": (0,)}
@@ -718,14 +720,14 @@ def test_marginals_a_source_cannot_make_are_planned_directly():
     r_x = K.NamedTable(("R", "X"), {"R": (0, 1), "X": (0, 1, "?")},
                        np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
     law = law_of([x_c, r_x, K.NamedTable(("C",), {"C": (0, 1)}, np.array([0.7, 0.3]))])
-    functions = K._functions(law._pattern)
+    functions = functions_of(law._pattern)[1]
     assert [(a, b) for a, b, _, _ in functions] == [("R", "X")]
     source = K.Atom("p", ("C", "R", "X"))
     for atom in (K.Atom("p", ("R", "X"), pins=(("R", 1), ("X", 0))),
                  K.Atom("p", ("R", "X"), pins=(("X", 0),)),
                  K.Atom("p", ("C", "R", "X"), pins=(("C", 1),))):
         e = K.Product((source, atom))
-        plans, sources = K._plan_marginals(e, "p", set(law.variables), law._pattern, functions)
+        plans, sources = plan_marginals(law, e)
         (whole,), (asked,) = K._marginals(source), K._marginals(atom)
         assert plans[whole].layout.drop[0][:2] == ("R", "X")
         assert K._derivation(plans[whole].layout, plans[asked].layout, dict(asked[1])) is None

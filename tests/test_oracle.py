@@ -3,7 +3,6 @@ import functools
 import gc
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -25,8 +24,8 @@ from mdid.missing import colluder_scan
 from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
-from conftest import check_derived, ci_check, hidden_dag_for, random_mddag, stored_alone, \
-    sum_out
+from conftest import check_derived, ci_check, functions_of, hidden_dag_for, plan_marginals, \
+    random_mddag, stored_alone, sum_out
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_RANDOM = json.loads((Path(__file__).parent / "golden_random_outputs.json").read_text())["models"]
@@ -525,16 +524,15 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     program holds it, without the axes its layout drops, and each join and
     sum is the call the program binds, so the two sum and divide in one
     order."""
-    functions = K._functions(law._pattern)
-    plans, sources = K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
-                                       functions)
+    functions = functions_of(law._pattern)[1]
+    plans, sources = plan_marginals(law, expr)
     memo: dict = {}
 
     def join(a, b, divide: bool):
         plan = K._join_plan(a[1], b[1], K._states(a[0]), K._states(b[0]), divide, functions)
         op = np.divide if divide else np.multiply
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return K._bind_two(0, 1, plan.operands, op, None, None, plan.fixes)(
+            return K._bind_two(0, 1, *plan.operands, op, (), plan.fixes)(
                 [a[0], b[0]]), plan.out
 
     def walk(e: K.Expr):
@@ -564,7 +562,7 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
         return memo[e]
 
     data, layout = walk(expr)
-    data = K._converted(data, *K._conversion(layout, layout.dims, layout.domains, {}))
+    data = K._converted(data, K._conversion(layout, layout.dims, layout.domains, {}))
     return NamedTable(layout.dims, dict(layout.domains), data)
 
 
@@ -707,12 +705,25 @@ def test_planning_runs_no_op(monkeypatch):
         assert got.max_abs_diff(want) <= 1e-12
 
 
-def kinds_of(op) -> str:
-    return op.__qualname__.split(".<locals>")[0]
+def planned(expr: K.Expr, law: O.FactoredLaw) -> tuple:
+    """The program of expr on the law's structure, planned afresh, and how
+    each of its ops was bound: by op, the binder (``_bind_derived`` or
+    ``_bind_two``) and its arguments."""
+    binds = {}
 
+    def recording(bind):
+        def bind_recorded(*args):
+            call = bind(*args)
+            binds[call] = bind.__name__, args
+            return call
+        return bind_recorded
 
-def op_kinds(program) -> collections.Counter:
-    return collections.Counter(kinds_of(op) for op in program.ops)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_bind_derived", "_bind_two"):
+            patch.setattr(K, name, recording(getattr(K, name)))
+        program = K._program.__wrapped__(expr, law.name, tuple(law.variables.items()),
+                                         law._pattern)
+    return program, binds
 
 
 def bound(call) -> dict:
@@ -732,31 +743,34 @@ def test_octet_program_op_counts():
     md = load("octet")
     expr = target_functional("octet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
-    program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
-    kinds = op_kinds(program)
+    program, binds = planned(expr, law)
+    kinds = collections.Counter(binds[op][0] for op in program.ops)
     assert (kinds["_bind_derived"], kinds["_bind_two"]) == (95, 175)
     assert sum(kinds.values()) == len(program.ops) == 270
     # a slice derives a factor's register, the first registers of a run
-    assert sum(bound(op).get("i", math.inf) < len(law.factors) for op in program.ops
-               if kinds_of(op) == "_bind_derived") == 33
-    assert sum(bound(op)["op"] is not np.matmul for op in program.ops
-               if kinds_of(op) == "_bind_two") == 91
+    # (_bind_derived's i); a join combines two by np.multiply or np.divide
+    # (_bind_two's op)
+    derived = [args for kind, args in map(binds.get, program.ops) if kind == "_bind_derived"]
+    two = [args for kind, args in map(binds.get, program.ops) if kind == "_bind_two"]
+    assert sum(i < len(law.factors) for i, _ in derived) == 33
+    assert sum(args[4] is not np.matmul for args in two) == 91
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
-    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), (),
-                               K._functions(full._pattern))
+    masks, functions = functions_of(full._pattern)
+    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), (), functions,
+                               K._support(full._pattern, masks, {}))
     sliced = [key[0] for key in plan.keys if not isinstance(key[0], K._Step)]
     assert {full.heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
 
 
-def cells_written(program, law) -> tuple[int, int]:
+def cells_written(program, binds: dict, law) -> tuple[int, int]:
     """The cells a run of the program writes, over all its ops' registers
-    and over its joins' alone: the two-register calls that multiply or
-    divide."""
+    and over its joins' alone: the two-register calls (bound as ``planned``
+    records) that multiply or divide."""
     regs = program.registers(law)[-len(program.ops):]
     return (sum(np.size(r) for r in regs),
             sum(np.size(r) for op, r in zip(program.ops, regs)
-                if kinds_of(op) == "_bind_two" and bound(op)["op"] is not np.matmul))
+                if binds[op][0] == "_bind_two" and binds[op][1][4] is not np.matmul))
 
 
 # the octet target program's ops and the cells its registers and its joins
@@ -771,9 +785,9 @@ def test_octet_program_work_counts(cardinality):
     md = load("octet")
     expr = target_functional("octet").expr
     law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
-    program = K._program(expr, law.name, tuple(law.variables.items()), law._pattern)
+    program, binds = planned(expr, law)
     ops, cells, joins = OCTET_WORK[cardinality]
-    assert (len(program.ops), *cells_written(program, law)) == (ops, cells, joins)
+    assert (len(program.ops), *cells_written(program, binds, law)) == (ops, cells, joins)
     assert ops <= {2: 270, 3: 272}[cardinality]
 
 
@@ -808,11 +822,28 @@ def test_planning_plans_each_distinct_marginal_once(monkeypatch):
     assert sum(1 + bool(a.ctx) for a in atoms) == 59
     plans = []
     plan = K._contraction_plan
-    monkeypatch.setattr(K, "_contraction_plan", lambda *key: plans.append(key[1:]) or plan(*key))
+    # the kept variables, evidence and functions a plan is asked for
+    monkeypatch.setattr(K, "_contraction_plan", lambda *key: plans.append(key[1:4]) or plan(*key))
     for _ in range(2):
         plans.clear()
         K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
         assert len(plans) == len(set(plans)) == 37
+
+
+def test_planning_reads_the_zero_pattern_once(monkeypatch):
+    # a program decodes each factor's packed zero bits once (_mask), for its
+    # state registers, its functions and every support, and finds the
+    # supports once per distinct evidence: the octet functional's 37
+    # distinct marginals are asked at 24 (328 decodes and 37 supports before)
+    md = load("octet")
+    expr = target_functional("octet").expr
+    law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
+    calls = collections.Counter()
+    for name in ("_mask", "_support"):
+        monkeypatch.setattr(K, name, lambda *args, f=getattr(K, name), name=name:
+                            calls.update([name]) or f(*args))
+    K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
+    assert calls == {"_mask": len(law.factors), "_support": 24}
 
 
 # every fixture program's ops at cardinality 2, now and before marginals
@@ -883,7 +914,8 @@ def test_evaluated_tables_do_not_depend_on_the_hash_seed():
 
 
 def bound_arrays(call) -> list[np.ndarray]:
-    """The arrays a call binds in its closure, inside tuples too."""
+    """The arrays a call binds in its closure, inside tuples and the calls
+    it binds too."""
     out, todo = [], list(bound(call).values())
     while todo:
         x = todo.pop()
@@ -891,6 +923,8 @@ def bound_arrays(call) -> list[np.ndarray]:
             out.append(x)
         elif isinstance(x, tuple):
             todo.extend(x)
+        elif getattr(x, "__closure__", None):
+            todo.extend(bound(x).values())
     return out
 
 

@@ -18,8 +18,10 @@ in every separation query; they are never fixable.
 
 Validity is decided on graphs.  ``validate_schedule`` runs a schedule's
 classes along its linear extension, where every class comes after its cone.
-The graph step of a class builds its cone's graph and runs every condition
-on it: the clash with earlier selections (ii), monotone promotions, the
+The graph step of a class first checks that its cone's classes can be fixed
+in some order that leaves each earlier denominator valid (the cone
+condition, ``SchedulePlan._check_cone``), then builds its cone's graph and runs every condition on it: the clash with
+earlier selections (ii), monotone promotions, the
 member and district conditions, (i), (iii), and the conditioning set of each
 member.  Only once every class has passed does the run take the kernel
 steps, in the same order: each canonicalizes its cone kernel and writes down
@@ -205,7 +207,7 @@ class FixingSchedule:
 
 @dataclass
 class Violation:
-    condition: str          # "i" | "ii" | "iii" | "district" | "member" | "observability" | "structure"
+    condition: str          # "i" | "ii" | "iii" | "district" | "member" | "observability" | "structure" | "cone"
     class_index: int | None
     detail: str
     vertices: tuple[str, ...] = ()
@@ -235,6 +237,8 @@ class SchedulePlan:
         self.md = md
         self.sched = sched
         self.r_z: dict[int, frozenset[str]] = {}
+        # by class index, the district of the class in its cone's graph
+        self.districts: dict[int, frozenset[str]] = {}
         self.denominators: dict[int, Expr] = {}
         self.notes: list[str] = []
         # by class index, what its kernel step reads: the pinned indicators,
@@ -248,6 +252,7 @@ class SchedulePlan:
         graph step already.  Raises ScheduleInvalid on the first violated
         condition."""
         md = self.md
+        self._check_cone(k)
         g, merged, pins_r = self._graph(k, self.sched.cone(k))
         mb = self._check_class(k, g)
         conds = self._member_conditionals(k, g, merged, mb, self.r_z[k])
@@ -270,6 +275,41 @@ class SchedulePlan:
                   if r in fac.free() or r in fac.contexts() or r in fac.pinned()}
             factors.append(K.restrict_values(fac, at))
         self.denominators[k] = K.product(factors) if len(factors) > 1 else factors[0]
+
+    def _check_cone(self, k: int) -> None:
+        """Class k's cone kernel divides by the denominators of its classes,
+        each written in its own cone's kernel.  That product is a kernel of
+        the cone fixed one class at a time only if some order of the cone's
+        classes, along the schedule's, writes each denominator before any
+        class that meets its district is fixed: fixing a class outside a
+        district leaves that district's conditionals as they are, fixing one
+        inside changes them.  Two incomparable classes whose districts each
+        meet the other, or a longer cycle of such demands, admit no order."""
+        sched = self.sched
+        cone = sorted(sched.cone(k))
+        # first[j]: the classes that class j must come before, its
+        # successors and the incomparable classes that meet its district
+        first = {j: {i for i in cone if i != j and (
+                     j in sched.cone(i) or (i not in sched.cone(j)
+                                            and sched.classes[i] & self.districts[j]))}
+                 for j in cone}
+        for j in cone:
+            for i in sorted(first[j]):
+                if j in sched.cone(i):
+                    continue
+                seen, todo = {i}, [i]
+                while todo:
+                    for n in first[todo.pop()] - seen:
+                        seen.add(n)
+                        todo.append(n)
+                if j in seen:
+                    a, b = min(sched.classes[i]), min(sched.classes[j])
+                    raise ScheduleInvalid(Violation(
+                        "cone", k,
+                        f"classes {sorted(sched.classes[j])} and "
+                        f"{sorted(sched.classes[i])} are unordered, and no order "
+                        f"of the cone writes each denominator before a class in "
+                        f"its district is fixed", (a, b)))
 
     def _graph(self, k: int, cone: frozenset[int]):
         """The cone's graph for class k, its merged censored variables and
@@ -336,6 +376,7 @@ class SchedulePlan:
                 "district", k, f"class {sorted(z)} spans multiple districts",
                 tuple(sorted(z))))
         d_z = next(iter(districts))
+        self.districts[k] = d_z
 
         stray = (g.descendants(z) & d_z) - z
         if stray:

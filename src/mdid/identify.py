@@ -5,7 +5,8 @@ The search is obstruction-driven.  It starts from the empty schedule for the
 queried indicator, validates, and turns each violated condition into repair
 moves: fix the offending indicator in an earlier class, hide the triggering
 censored variable (latent projection), close a class under its in-district
-descendants (set classes), or, as a last resort, fix non-indicator vertices.
+descendants (set classes), order two unordered classes of a cone, or, as a
+last resort, fix non-indicator vertices.
 States are explored best-first by (class count, hidden count, member count,
 canonical text), so the first valid schedule found is minimal in that order
 and the emitted functional is reproducible.  Budget exhaustion yields the
@@ -219,6 +220,12 @@ def _successors(md: MdDag, state: SearchState, sched: FixingSchedule,
                     if a2 != b2:
                         ned.add((a2, b2))
                 out.append(SearchState(frozenset(ncl), frozenset(ned), hidden))
+    elif viol.condition == "cone":
+        # either order of the two classes writes one denominator after the
+        # other class is fixed
+        a, b = (class_of(m) for m in viol.vertices)
+        for first, then in ((a, b), (b, a)):
+            out.append(SearchState(classes, edges | {(first, then)}, hidden))
     elif viol.condition in ("observability", "full"):
         for u in viol.vertices:
             if u in md.truths:

@@ -136,6 +136,30 @@ def test_each_violation_from_one_schedule(steps, condition, index, vertices, det
     assert sorted(plan.r_z) == list(range(index + late))
 
 
+# R1's censored parents X2(1), X3(1) are read off under R2 = R3 = 1; with
+# X1(1) latent, R2 and R3 share a district
+SHARED = md_dag([("X2(1)", "R1"), ("X3(1)", "R1"), ("R1", "R2"), ("R1", "R3"),
+                 ("X1(1)", "R2"), ("X1(1)", "R3"), ("O1", "R3")],
+                ["X1", "X2", "X3"], ["O1"])
+
+
+def test_unordered_classes_that_meet_each_others_districts_are_rejected():
+    """Each of two unordered classes' denominators conditions on the other,
+    so their product divides out no kernel of the two fixed in turn; once
+    one precedes the other, R1's denominator is its propensity."""
+    classes = tuple(frozenset({r}) for r in ("R2", "R3", "R1"))
+    vis = (frozenset({"X2(1)", "X3(1)"}),) * 3
+    ok, viol, plan = validate_schedule(SHARED, FixingSchedule(classes, ((0, 2), (1, 2)), vis))
+    assert not ok
+    assert (viol.condition, viol.class_index, viol.vertices) == ("cone", 2, ("R3", "R2"))
+    assert "are unordered" in viol.detail and plan.denominators == {}
+    ok, viol, plan = validate_schedule(
+        SHARED, FixingSchedule(classes, ((0, 1), (0, 2), (1, 2)), vis))
+    assert ok, viol
+    assert O.verify_indicator_functional(SHARED, "R1", plan.denominators[2],
+                                         trials=3).ok(1e-9)
+
+
 def count_kernel_steps(monkeypatch) -> list[int]:
     """Record the class index of every kernel step from now on."""
     steps = []

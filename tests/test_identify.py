@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdid import fixing, identify
 from mdid.fixtures import load
@@ -312,6 +312,9 @@ def capped(report) -> bool:
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 4), n_obs=st.integers(0, 1),
        bases=st.permutations(("X1", "X2", "X3", "X4", "X7", "A", "Y", "Zed")),
        observed=st.sampled_from(("O1", "B", "W2")))
+# two unordered classes in one district: R1's schedule must order them
+@example(seed=467, k=3, n_obs=1, bases=["X1", "X2", "X3", "X4", "X7", "A", "Y", "Zed"],
+         observed="O1")
 def test_renaming_the_variables_changes_no_verdict(seed, k, n_obs, bases, observed):
     """Renaming a model's variables changes no verdict.  Schedules may
     differ, since the search breaks ties by name, so only the statuses of

@@ -70,8 +70,10 @@ def parse_graph_file(text: str) -> MdDag | Cadmg:
 
 def render_graph_file(model: MdDag | Cadmg) -> str:
     """Inverse of parse_graph_file (round-trips modulo ordering).  The format
-    has no status syntax, so a graph with fixed or selected vertices raises
-    GraphError rather than coming back with them random."""
+    has no status syntax, and a missing variable names only its proxy, so a
+    graph with fixed or selected vertices, or a triple that ``triple_for``
+    does not make of its proxy, raises GraphError rather than coming back
+    otherwise or not at all."""
     g = model.graph if isinstance(model, MdDag) else model
     if g.fixed_vertices or g.selected_vertices:
         raise GraphError(
@@ -81,6 +83,9 @@ def render_graph_file(model: MdDag | Cadmg) -> str:
     skip_edges: set[tuple[str, str]] = set()
     if isinstance(model, MdDag):
         for t in sorted(model.triples, key=lambda t: t.proxy):
+            if t != triple_for(t.proxy):
+                raise GraphError(f"the graph file format cannot carry {t}: var {t.proxy}"
+                                 f" missing reads as {triple_for(t.proxy)}")
             lines.append(f"var {t.proxy} missing")
             skip_edges |= {(t.indicator, t.proxy), (t.truth, t.proxy)}
         lines += [f"var {o} observed" for o in sorted(model.observed)]

@@ -57,15 +57,17 @@ one call (``_composed``).  An oracle trial runs only the calls' arithmetic
 (``_Program.run``); a law's marginal is the program of one atom.
 Planning reads no table's data: it runs each call once, on the cells'
 states rather than on a law.  The planner plans each distinct marginal
-once and keeps the plans only while it plans; it binds a factor slice or
-a contraction step once, however many marginals share it.
+once and keeps the plans only while it plans; a plan holds ids in the
+program's one op table, so a factor slice or a contraction step is bound
+once, however many marginals share it.
 
 A marginal is also shared whole, as a junction tree shares its cliques'
 tables (Lauritzen & Spiegelhalter, JRSS B 1988): a marginal whose kept
 variables and extra evidence the table of another marginal of the same
 program holds, at less evidence, is derived from it (``_plan_marginals``)
 by one call, a slice at its evidence and its support and one sum over the
-axes it drops, when that binds fewer calls than its own plan.  The last
+axes it drops, when its own plan would bind more than one op not yet
+bound.  The last
 step of a plan returns a C-contiguous array, which such a sum reads fast.
 A derived table has the axes, support domains and zero cells of its
 direct plan, so no join or output changes; its other cells are summed in
@@ -111,7 +113,6 @@ agree with a sum over every cell within 1e-14.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -1177,8 +1178,7 @@ def _slicing(pinned: tuple, picks: tuple | None) -> tuple:
 
 
 class _Plan(NamedTuple):
-    keys: tuple             # per op: a slice's (position, evidence and support
-                            # indices), or a step's (_Step, input positions)
+    ops: tuple[int, ...]    # its slices and steps, in order, by id in the program's op table
     layout: _Layout         # the marginal's table as its last op leaves it
 
 
@@ -1322,15 +1322,18 @@ def _unbarren(tables: tuple[Axes, ...], heads: tuple[str | None, ...],
 
 
 def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins,
-                      functions: tuple, support: Mapping[str, tuple[int, ...]]) -> _Plan:
+                      functions: tuple, support: Mapping[str, tuple[int, ...]],
+                      op_ids: dict) -> _Plan:
     """The marginal over keep at the evidence of tables with this
     ``zero_pattern``, planned once per program that asks for it and kept by
-    none: each table left once the barren ones are dropped
-    (``_unbarren``) is sliced at the evidence and at the support (the
-    evidence's ``_support``), and the variable whose tables span the fewest axes is
-    eliminated first (ties by name), a step multiplying its tables in pairs
-    by ``np.matmul`` (``_Step``).  The result's axes are sorted, over the
-    supports of the kept variables.  No step may span more than
+    none, its ops by id in the program's op table op_ids: equal keys, a
+    slice's (position, evidence and support indices) or a step's (``_Step``,
+    input ids), make equal arrays, so get one id.  Each table left once the
+    barren ones are dropped (``_unbarren``) is sliced at the evidence and at
+    the support (the evidence's ``_support``), and the variable whose tables
+    span the fewest axes is eliminated first (ties by name), a step
+    multiplying its tables in pairs by ``np.matmul`` (``_Step``).  The
+    result's axes are sorted, over the supports of the kept variables.  No step may span more than
     ``MAX_CELLS`` cells or ``MAX_AXES`` axes.  The tables must be finite and
     non-negative: a step multiplies plainly, without the NaN absorption of
     ``NamedTable.join``.
@@ -1368,8 +1371,7 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             fused[a] = b, tuple(f[v] for v in domains[b])
     # the marginal's whole table, dropped axes and all, must fit
     check_cells(tuple(sorted(keep & live)), domains)
-    # work: (position of the op, axes)
-    keys, work = [], []
+    ops, work = [], []      # work: (id of the op, axes)
     for pos in left:
         table = tables[pos]
         live_axes = tuple(d for d, _ in table if d not in ev)
@@ -1381,9 +1383,8 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             (out.index(fused[d][0]), tuple(full[d].index(v) for v in fused[d][1]))
             if d in diagonal else (out.index(d), tuple(support.get(d, range(len(full[d])))))
             for d in live_axes)
-        # equal keys mean equal slices of one sequence of tables
-        keys.append((pos, pinned, picks))
-        work.append((len(keys) - 1, out))
+        ops.append(op_ids.setdefault((pos, pinned, picks), len(op_ids)))
+        work.append((ops[-1], out))
 
     def home(d: str) -> str:
         return fused[d][0] if d in fused else d
@@ -1410,9 +1411,9 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
             taken = taken[::-1]
         step, axes = _lower(tuple(x for _, x, _ in taken), out, ordered, size)
         take = tuple(t for _, _, t in taken)
-        keys.append((step._replace(take=take) if any(take) else step,
-                     tuple(p for p, _, _ in taken)))
-        return len(keys) - 1, axes
+        ops.append(op_ids.setdefault((step._replace(take=take) if any(take) else step,
+                                      tuple(p for p, _, _ in taken)), len(op_ids)))
+        return ops[-1], axes
 
     def step(operands, v: str | None, ordered: bool) -> tuple[int, tuple[str, ...]]:
         # a step folds its operands in pairs, smallest first, so that each
@@ -1437,7 +1438,7 @@ def _contraction_plan(pattern: ZeroPattern, keep: frozenset[str], evidence: Pins
     kept = sorted(a for a in fused if a in keep)
     dims = tuple(sorted(set(_union(work)).union(kept)))
     drop = tuple((a, fused[a][0], tuple(domains[a].index(v) for v in fused[a][1])) for a in kept)
-    return _Plan(tuple(keys), _Layout(dims, {d: domains[d] for d in dims}, drop))
+    return _Plan(tuple(ops), _Layout(dims, {d: domains[d] for d in dims}, drop))
 
 
 def evaluate_numeric(e: Expr, law) -> NamedTable:
@@ -1528,11 +1529,13 @@ def _marginals(e: Atom) -> list[tuple[frozenset[str], Pins]]:
 
 
 def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
-                    masks: tuple[np.ndarray, ...], functions: tuple) -> tuple[dict, dict]:
+                    masks: tuple[np.ndarray, ...], functions: tuple,
+                    op_ids: dict) -> tuple[dict, dict]:
     """The contraction plan of every marginal e's atoms ask for, by (kept
-    variables, evidence) in the order they are asked, and the source of each
-    marginal derived from another, with the supports found once per
-    distinct evidence (``_support``).
+    variables, evidence) in the order they are asked, its ops in the
+    program's op table op_ids, and the source of each marginal that can be
+    derived from another, with the supports found once per distinct
+    evidence (``_support``).
 
     A marginal (K, E) can be derived from a source (K', E') when E' holds
     some of E's pins at the same values, the source's axes hold K and the
@@ -1540,11 +1543,9 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
     source's: then it is the source sliced at those pins and at (K, E)'s
     support, summed over the axes it drops (``_bind_derived``), one call
     instead of its own slices and steps.  The source is a marginal that
-    derives from no other, the one of fewest cells (ties by sorted names,
-    never by set order).  A marginal is derived only when that binds fewer
-    calls: when more than one slice or step of its plan is shared by no
-    other plan still planned directly, decided in the order asked and again
-    until nothing changes."""
+    can be derived from no other, the one of fewest cells (ties by sorted
+    names, never by set order).  ``_program`` decides, as it binds, whether
+    the call pays."""
     plans: dict = {}
     supports: dict = {}
     for atom in _atoms(e, set()):
@@ -1557,7 +1558,8 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
             if asked not in plans:
                 if asked[1] not in supports:
                     supports[asked[1]] = _support(pattern, masks, dict(asked[1]))
-                plans[asked] = _contraction_plan(pattern, *asked, functions, supports[asked[1]])
+                plans[asked] = _contraction_plan(pattern, *asked, functions, supports[asked[1]],
+                                                 op_ids)
 
     def derives(r, s) -> bool:
         (kept, ev), (_, ev_s) = r, s
@@ -1571,29 +1573,8 @@ def _plan_marginals(e: Expr, name: str, known: set[str], pattern: ZeroPattern,
         return cells, sorted(s[0]), [(k, repr(v)) for k, v in s[1]]
 
     roots = [s for s in plans if not any(derives(s, t) for t in plans)]
-    candidates = {r: min((s for s in roots if derives(r, s)), key=order)
-                  for r in plans if r not in roots}
-    # each plan's slices and steps by id, a step's id from its inputs' ids
-    ids: dict = {}
-    own: dict = {}
-    for r, plan in plans.items():
-        at: list = []
-        for key in plan.keys:
-            if isinstance(key[0], _Step):
-                key = key[0], tuple(at[i] for i in key[1])
-            at.append(ids.setdefault(key, len(ids)))
-        own[r] = set(at)
-    uses = collections.Counter(i for r in plans for i in own[r])
-    sources: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for r, s in candidates.items():
-            if r not in sources and sum(uses[i] == 1 for i in own[r]) > 1:
-                sources[r] = s
-                uses.subtract(own[r])
-                changed = True
-    return plans, sources
+    return plans, {r: min((s for s in roots if derives(r, s)), key=order)
+                   for r in plans if r not in roots}
 
 
 def _derivation(source: _Layout, table: _Layout, evidence: Mapping[str, Value]) -> tuple | None:
@@ -1681,14 +1662,14 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     (register, ``_Layout``).  A run's first registers are the law's factors
     and the unit, so every call reads registers only: it derives one
     (``_bind_derived``) or combines two (``_bind_two``).  Every marginal
-    the atoms ask for is planned first, once (``_plan_marginals``); one
-    derived from another is one call on the source's register, and the rest
-    bind their plans' slices and steps, each once however many marginals
-    share it.  A derived table has the axes and support domains of its
-    direct plan and the same zero cells; its other cells are the direct
-    plan's summed in another order, within 1e-14.  A Marginal node's sum is
-    the same call on its child's register, and its table keeps each dropped
-    A whose B it keeps.
+    the atoms ask for is planned first, once (``_plan_marginals``), into
+    one op table, whose ids are bound once however many marginals share
+    them.  A marginal with a source is one call on the source's register
+    when its own plan would bind more than one op not yet bound.  A derived
+    table has the axes and support domains of its direct plan and the same
+    zero cells; its other cells are the direct plan's summed in another
+    order, within 1e-14.  A Marginal node's sum is the same call on its
+    child's register, and its table keeps each dropped A whose B it keeps.
 
     Each register's states, and so its zero and undefined cells, are known
     here, as an arithmetic circuit finds its zeros by running on them: the
@@ -1699,12 +1680,14 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
     nonzero product is summed, NaN stays NaN through a sum, and a join's
     fixes (``_join_plan``) make 0·NaN and 0/0 zero and x/0 NaN.  The result puts back every axis it drops (``_Program.full``)."""
     ops: list = []
-    made: dict = {}         # register by the key of a slice or step, or by derived marginal
+    op_ids: dict = {}       # the op table: id by the key of a slice or step
+    made: dict = {}         # register by op id, or by marginal
     memo: dict = {}         # register and layout by expression
     masks = tuple(_mask(t, bits) for t, bits in zip(*pattern[:2]))     # read once
     functions = _functions(pattern, masks)
     plans, sources = _plan_marginals(e, name, {v for v, _ in variables}, pattern, masks,
-                                     functions)
+                                     functions, op_ids)
+    keys = list(op_ids)     # key by id
     # per register, its cells' states (``_states``): the factors' zero patterns, the unit's 1
     states = [mask.astype(np.float32) for mask in masks]
     unit = len(states), _Layout((), {}, ())
@@ -1716,24 +1699,23 @@ def _program(e: Expr, name: str, variables: Axes, pattern: ZeroPattern) -> _Prog
             states.append(np.minimum(call(states), 1).astype(np.float32, copy=False))
         return len(states) - 1
 
+    def bind(i: int) -> int:
+        if i not in made:
+            head, *rest = keys[i]
+            made[i] = emit(head.bind(tuple(made[j] for j in rest[0])) if isinstance(head, _Step)
+                           else _bind_derived(head, _slicing(*rest)))
+        return made[i]
+
     def marginal(asked: tuple) -> tuple:
         plan = plans[asked]
-        if asked in sources:
-            if asked not in made:
+        if asked not in made:
+            if asked in sources and len(set(plan.ops).difference(made)) > 1:
                 source = sources[asked]
                 made[asked] = emit(_bind_derived(marginal(source)[0], _derivation(
                     plans[source].layout, plan.layout, dict(asked[1]))))
-            return made[asked], plan.layout
-        at: list = []       # register by position in the plan
-        for key in plan.keys:
-            step = key[0] if isinstance(key[0], _Step) else None
-            if step is not None:    # a step's key: the step and its input registers
-                key = step, tuple(at[i] for i in key[1])
-            if key not in made:     # bound once, however many marginals share it
-                made[key] = emit(_bind_derived(key[0], _slicing(*key[1:])) if step is None
-                                 else step.bind(key[1]))
-            at.append(made[key])
-        return (at[-1], plan.layout) if at else unit
+            else:
+                made[asked] = [bind(i) for i in plan.ops][-1] if plan.ops else unit[0]
+        return made[asked], plan.layout
 
     def join(a: tuple, b: tuple, divide: bool) -> tuple:
         (i, ta), (j, tb) = a, b

@@ -198,9 +198,12 @@ def _proxy_cpt(t: Triple, truth_dom: tuple) -> NamedTable:
 
 
 def _values(cardinality: int) -> tuple[int, ...]:
-    """The values of a sampled variable of this cardinality, at least 2."""
+    """The values of a sampled variable of this cardinality, 2 to 1 / CPT_FLOOR."""
     if cardinality < 2:
         raise OracleError("cardinality must be at least 2")
+    if cardinality * CPT_FLOOR > 1:
+        raise OracleError(f"cardinality {cardinality} is above {1 / CPT_FLOOR:g}: a CPT"
+                          f" cannot put CPT_FLOOR = {CPT_FLOOR} on each of its values")
     return tuple(range(cardinality))
 
 

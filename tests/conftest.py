@@ -244,17 +244,54 @@ def functions_of(pattern: K.ZeroPattern) -> tuple:
     return masks, K._functions(pattern, masks)
 
 
+def plan_slices(pattern: K.ZeroPattern, masks: tuple, functions: tuple, keep,
+                evidence: K.Pins = ()) -> list[int]:
+    """The positions of the factors that the plan of the marginal over keep
+    at the evidence slices, in the plan's order."""
+    op_ids: dict = {}
+    plan = K._contraction_plan(pattern, frozenset(keep), evidence, functions,
+                               K._support(pattern, masks, dict(evidence)), op_ids)
+    keys = list(op_ids)
+    return [keys[i][0] for i in plan.ops if not isinstance(keys[i][0], K._Step)]
+
+
 def plan_marginals(law: O.FactoredLaw, expr: K.Expr) -> tuple[dict, dict]:
     """The plans of the marginals that the program of expr on the law asks
-    for, and the source of each it derives (``K._plan_marginals``)."""
+    for, and the source of each that can be derived from another
+    (``K._plan_marginals``)."""
     return K._plan_marginals(expr, law.name, set(law.variables), law._pattern,
-                             *functions_of(law._pattern))
+                             *functions_of(law._pattern), {})
+
+
+def program_marginals(law: O.FactoredLaw, expr: K.Expr) -> tuple[dict, dict]:
+    """The plans of the marginals that the program of expr on the law asks
+    for, and the source of each it derives, recorded as the program is
+    planned: the marginals whose layouts its ``K._derivation`` calls make
+    once every marginal is planned."""
+    plan, derivation = K._plan_marginals, K._derivation
+    planned, made = [], []
+
+    def plan_marginals(*args):
+        planned.append(plan(*args))
+        made.clear()        # the planner's calls only test whether a source can make a table
+        return planned[-1]
+
+    def derive(source, table, ev):
+        made.append(table)
+        return derivation(source, table, ev)
+
+    with mock.patch.object(K, "_plan_marginals", plan_marginals), \
+            mock.patch.object(K, "_derivation", derive):
+        K._program.__wrapped__(expr, law.name, tuple(law.variables.items()), law._pattern)
+    ((plans, sources),) = planned
+    return plans, {r: s for r, s in sources.items()
+                   if any(t is plans[r].layout for t in made)}
 
 
 def check_derived(law: O.FactoredLaw, expr: K.Expr) -> list:
-    """Each marginal the program of expr derives, checked against its direct
-    plan: equal axes, domains, NaN and zero cells, other cells within 1e-14.
-    Returns the derived tables."""
+    """Each marginal that the program of expr can derive, checked against
+    its direct plan: equal axes, domains, NaN and zero cells, other cells
+    within 1e-14.  Returns the derived tables."""
     plans, sources = plan_marginals(law, expr)
     out = []
     for asked in sources:

@@ -8,8 +8,8 @@ from mdid import kernel as K
 from mdid.cli import main
 from mdid.fixtures import FIXTURE_NAMES, fixture_text, load
 from mdid.gfile import ParseError, parse_graph_file, render_graph_file
-from mdid.graph import GraphError
-from mdid.model import MdDag
+from mdid.graph import Cadmg, GraphError
+from mdid.model import MdDag, Triple, validate_md_dag
 from mdid import oracle as O
 
 
@@ -37,6 +37,16 @@ def test_render_refuses_statuses_the_format_cannot_carry():
         render_graph_file(g.with_statuses(fixed=["A"]))
     with pytest.raises(GraphError, match=r"fixed \[\], selected \['B', 'M'\]"):
         render_graph_file(g.with_statuses(selected=["M", "B"]))
+
+
+def test_render_refuses_a_triple_the_format_cannot_carry():
+    # "var Y missing" reads as (Y(1), R_Y, Y), so a model whose indicator is
+    # RY would render a file that names RY in an edge but never as a vertex
+    triple = Triple("Y(1)", "RY", "Y")
+    md = validate_md_dag(Cadmg(["Y(1)", "RY", "Y"], [("RY", "Y"), ("Y(1)", "Y")]), [triple])
+    with pytest.raises(GraphError, match=r"indicator='RY', proxy='Y'\): var Y missing reads as"
+                                         r" Triple\(truth='Y\(1\)', indicator='R_Y'"):
+        render_graph_file(md)
 
 
 def test_parse_errors_carry_line_numbers():

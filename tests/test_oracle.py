@@ -24,8 +24,8 @@ from mdid.missing import colluder_scan
 from mdid.model import MdDag, md_dag
 from mdid import oracle as O
 
-from conftest import check_derived, ci_check, functions_of, hidden_dag_for, plan_marginals, \
-    random_mddag, stored_alone, sum_out
+from conftest import check_derived, ci_check, functions_of, hidden_dag_for, plan_slices, \
+    program_marginals, random_mddag, stored_alone, sum_out
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_RANDOM = json.loads((Path(__file__).parent / "golden_random_outputs.json").read_text())["models"]
@@ -137,6 +137,22 @@ def test_sampled_laws_need_two_values_per_variable(cardinality):
         O.sample_dag_law(Cadmg(["A", "B"], [("A", "B")]), cardinality=cardinality)
     with pytest.raises(O.OracleError, match="cardinality must be at least 2"):
         O.make_cpts(load("crisscross"), cardinality)
+
+
+def test_sampled_laws_keep_the_floor_on_every_value():
+    # a CPT of more than 1 / CPT_FLOOR values cannot give each one CPT_FLOOR:
+    # at 101 values a sampled cell fell to 0.0098, and at 250 one went
+    # negative, which the law then blamed on a factor
+    limit = round(1 / O.CPT_FLOOR)
+    md = load("colluder_pair")
+    law = O.sample_full_law(md, limit, 0)
+    assert all(t.data.min() >= O.CPT_FLOOR - 1e-12
+               for t, head in zip(law.factors, law.heads) if head not in md.proxies)
+    for cardinality in (limit + 1, 250):
+        with pytest.raises(O.OracleError, match=f"cardinality {cardinality} is above {limit}"):
+            O.sample_full_law(md, cardinality, 0)
+        with pytest.raises(O.OracleError, match=f"cardinality {cardinality} is above {limit}"):
+            O.sample_dag_law(Cadmg(["A", "B"], [("A", "B")]), cardinality=cardinality)
 
 
 def test_observed_law_reuses_the_full_law_checks(monkeypatch):
@@ -525,7 +541,7 @@ def evaluate_alone(expr: K.Expr, law: O.FactoredLaw) -> NamedTable:
     sum is the call the program binds, so the two sum and divide in one
     order."""
     functions = functions_of(law._pattern)[1]
-    plans, sources = plan_marginals(law, expr)
+    plans, sources = program_marginals(law, expr)
     memo: dict = {}
 
     def join(a, b, divide: bool):
@@ -624,6 +640,22 @@ def test_derived_marginals_match_direct_plans_on_random_models(name):
     law = O.derive_observed_law(md, O.sample_full_law(md, 2, 0))
     for e in exprs:
         check_derived(law, e)
+
+
+@pytest.mark.parametrize("name", MISSING_DATA_FIXTURES + sorted(GOLDEN_RANDOM))
+@pytest.mark.parametrize("cardinality", [2, 3])
+def test_derived_marginals_bind_no_more_ops(name, cardinality, monkeypatch):
+    # a program derives a marginal only where its own plan would bind more
+    # than one op not yet bound, so no program binds more ops than the same
+    # program with no marginal derived
+    md, exprs = identified_functionals(name)
+    law = O.derive_observed_law(md, O.sample_full_law(md, cardinality, 0))
+    structure = law.name, tuple(law.variables.items()), law._pattern
+    derived = [len(K._program.__wrapped__(e, *structure).ops) for e in exprs]
+    plan = K._plan_marginals
+    monkeypatch.setattr(K, "_plan_marginals", lambda *args: (plan(*args)[0], {}))
+    direct = [len(K._program.__wrapped__(e, *structure).ops) for e in exprs]
+    assert all(n <= m for n, m in zip(derived, direct))
 
 
 def counting_compiles():
@@ -757,9 +789,7 @@ def test_octet_program_op_counts():
     # the target law needs only the CPTs of the censored variables
     full = O.sample_full_law(md, 2, 0)
     masks, functions = functions_of(full._pattern)
-    plan = K._contraction_plan(full._pattern, frozenset(md.truths | md.observed), (), functions,
-                               K._support(full._pattern, masks, {}))
-    sliced = [key[0] for key in plan.keys if not isinstance(key[0], K._Step)]
+    sliced = plan_slices(full._pattern, masks, functions, md.truths | md.observed)
     assert {full.heads[pos] for pos in sliced} == md.truths and len(sliced) == 8
 
 
@@ -849,7 +879,9 @@ def test_planning_reads_the_zero_pattern_once(monkeypatch):
 # every fixture program's ops at cardinality 2, now and before marginals
 # were derived from one another: no program may grow.  Slicing a proxy's
 # CPT on its indicator's diagonal leaves joint_quartet 2 steps and
-# context_fix 1 step fewer (91 and 65 before)
+# context_fix 1 step fewer (91 and 65 before); deriving a marginal as the
+# walk reaches it, when its plan would bind more than one op not yet bound,
+# leaves joint_quartet 10 ops fewer (89 before)
 PROGRAM_OPS = {
     ("block_sequential", "target"): (29, 32),
     ("crisscross", "target"): (44, 53),
@@ -857,7 +889,7 @@ PROGRAM_OPS = {
     ("staggered_trio", "target"): (50, 59),
     ("staggered_trio", "full"): (64, 75),
     ("latent_trio", "target"): (43, 61),
-    ("joint_quartet", "target"): (89, 138),
+    ("joint_quartet", "target"): (79, 138),
     ("context_fix", "target"): (64, 91),
     ("octet", "target"): (270, 463),
     ("colluder_pair", "target"): (16, 16),
